@@ -40,7 +40,7 @@ probes = (1e-3, -1e-3, 1e-4, -1e-4)
 path2 = hp.solve_two_loop(target).path
 ideal2 = hp.two_loop_ideal(path2)
 c2 = hp.extract_quadratic_coefficient(
-    [(e, hp.gate_fidelity(ideal2, hp.two_loop_errored(path2, hp.RabiError(e)))) for e in probes]
+    [(e, hp.gate_fidelity(ideal2, hp.two_loop_errored_relative(path2, hp.RabiError(e)))) for e in probes]
 )
 path_sl = hp.solve_single_loop(target)
 ideal_sl = hp.single_loop_ideal(path_sl)

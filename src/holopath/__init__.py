@@ -71,7 +71,6 @@ from .schemes import (
     single_loop_ideal,
     single_shot_errored,
     single_shot_ideal,
-    two_loop_errored,
     two_loop_errored_relative,
     two_loop_ideal,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "solve_single_loop",
     "solve_single_shot",
     "solve_two_loop",
-    "two_loop_errored",
     "two_loop_errored_relative",
     "two_loop_ideal",
 ]

@@ -133,8 +133,9 @@ class RelativeErrorBreakdown:
     eta_prime and phi_b the bright-state decomposition of the errored
     loops, and (y, z) the two quadrature amplitudes entering the fidelity
     1 - y^2/3 - pi^2 z^2/3.  ``degenerate`` mirrors the phi_b degeneracy
-    flag (orthogonal errored bright states), in which case phi_b, z and
-    the fidelity are NaN.
+    flag (orthogonal errored bright states, eta' = pi), in which case phi_b
+    is NaN while z and the fidelity stay finite: the phi_b term of z^2 is
+    multiplied by cos(eta'/2) = 0 there and is taken as 0.
     """
 
     theta11: float
@@ -156,8 +157,9 @@ def fid2_relative(path: TwoLoopPath, error: RabiError) -> tuple[RelativeErrorBre
     to get (eta_prime, phi_b), and evaluates
     ``F = 1 - y^2/3 - pi^2 z^2/3`` with
     y^2 = theta11^2 + theta22^2 - 2 theta11 theta22 cos(psi21) and
-    z^2 = delta1^2 + delta2^2 + 2 delta1 delta2 cos(eta'/2) cos(phi_b).
-    At kappa = 0 this reduces exactly to the common-error formula.
+    z^2 = delta1^2 + delta2^2 + 2 delta1 delta2 cos(eta'/2) cos(phi_b),
+    whose last term is 0 at eta' = pi, where phi_b is undefined.  At
+    kappa = 0 this reduces exactly to the common-error formula.
     """
     t1p, d1 = schemes.relative_error_angles(path.loop1.theta, error)
     t2p, d2 = schemes.relative_error_angles(path.loop2.theta, error)
@@ -170,7 +172,8 @@ def fid2_relative(path: TwoLoopPath, error: RabiError) -> tuple[RelativeErrorBre
     theta22 = path.loop2.theta - t2p
     psi21 = path.loop2.psi - path.loop1.psi
     y_sq = theta11**2 + theta22**2 - 2.0 * theta11 * theta22 * np.cos(psi21)
-    z_sq = d1**2 + d2**2 + 2.0 * d1 * d2 * np.cos(dec.eta / 2.0) * np.cos(dec.phi_b)
+    cross = 0.0 if dec.degenerate else 2.0 * d1 * d2 * np.cos(dec.eta / 2.0) * np.cos(dec.phi_b)
+    z_sq = d1**2 + d2**2 + cross
     y = float(np.sqrt(np.maximum(0.0, y_sq)))
     z = float(np.sqrt(np.maximum(0.0, z_sq)))
     fidelity = float(1.0 - y * y / 3.0 - PI_SQ * z * z / 3.0)
@@ -270,16 +273,8 @@ _SCHEMES = ("two-loop", "single-loop", "single-shot")
 def fidelity_pair(scheme: str, path, error: RabiError) -> tuple[float, float]:
     """Exact and second-order fidelity for one scheme/path/error point."""
     if scheme == "two-loop":
-        ideal = schemes.two_loop_ideal(path)
-        if error.kappa != 0.0:
-            exact = gate_fidelity(ideal, schemes.two_loop_errored_relative(path, error))
-            analytic2 = fid2_relative(path, error)[1]
-        else:
-            exact = gate_fidelity(ideal, schemes.two_loop_errored(path, error))
-            dec = schemes.phi_b_of(path)
-            # at eta = pi the phi_b term is multiplied by cos(eta/2) = 0
-            phi_b = 0.0 if dec.degenerate else dec.phi_b
-            analytic2 = fid2_two_loop(dec.eta, phi_b, error.epsilon)
+        exact = gate_fidelity(schemes.two_loop_ideal(path), schemes.two_loop_errored_relative(path, error))
+        analytic2 = fid2_relative(path, error)[1]
     elif scheme == "single-loop":
         exact = gate_fidelity(schemes.single_loop_ideal(path), schemes.single_loop_errored(path, error))
         analytic2 = fid2_single_loop(path.phase_diff, error.epsilon)

@@ -10,6 +10,7 @@ values, and unknown config keys are rejected.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -165,7 +166,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
 
 
 def _json_dump(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a NaN or infinity raises ValueError before the file is opened
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -211,12 +213,10 @@ def cmd_sweep(opts: dict) -> int:
         constraints = PathConstraints(force_phi_b=opts["phi_b"] * np.pi, force_balanced=opts["balanced"])
         path = pathfinder.solve_two_loop(target, constraints).path
         params = _two_loop_params(path)
-    elif scheme == "single-loop":
-        path = pathfinder.solve_single_loop(target)
-        params = {"theta": path.theta, "psi": path.psi, "phi": path.phi, "phi_prime": path.phi_prime}
     else:
-        path = pathfinder.solve_single_shot(target)
-        params = {"alpha": path.alpha, "beta0": path.beta0, "beta1": path.beta1, "gamma": path.gamma}
+        solve = pathfinder.solve_single_loop if scheme == "single-loop" else pathfinder.solve_single_shot
+        path = solve(target)
+        params = dataclasses.asdict(path)
     records = []
     for eps in epsilons:
         for kappa in kappas:
@@ -251,18 +251,8 @@ def cmd_optimize(opts: dict) -> int:
     payload = {
         "target": {"theta_gate": theta_gate, "axis": list(target.axis)},
         "two_loop": {**_two_loop_params(solution.path), "degenerate": solution.degenerate},
-        "single_loop": {
-            "theta": single_loop.theta,
-            "psi": single_loop.psi,
-            "phi": single_loop.phi,
-            "phi_prime": single_loop.phi_prime,
-        },
-        "single_shot": {
-            "alpha": single_shot.alpha,
-            "beta0": single_shot.beta0,
-            "beta1": single_shot.beta1,
-            "gamma": single_shot.gamma,
-        },
+        "single_loop": dataclasses.asdict(single_loop),
+        "single_shot": dataclasses.asdict(single_shot),
         "coefficients": {
             "two_loop": analytic.f1(theta_gate) * np.pi**2 / 3.0,
             "single_loop": analytic.f2(theta_gate) * np.pi**2 / 3.0,

@@ -3,8 +3,8 @@
 Every gate and generator in this package is a dense 3x3 complex array over
 the fixed basis order (|0>, |1>, |e>): the two logical states first, the
 ancillary excited state last.  Hermitian generators carry the operator
-structure of the Hamiltonian with the scalar pulse envelope factored out,
-so propagators are formed as ``exp(-1j * angle * generator)`` where
+structure of the Hamiltonian with the scalar pulse envelope taken out, so
+propagators are formed as ``exp(-1j * angle * generator)`` where
 ``angle`` is the accumulated pulse area.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 #: tolerance for algebraic identities (unitarity, hermiticity)
 ATOL_ALGEBRAIC = 1e-12
-#: tolerance for structural checks (block-diagonal form, Lambda form)
+#: tolerance for structural checks (block-diagonal form)
 ATOL_STRUCTURAL = 1e-10
 
 KET_0, KET_1, KET_E = np.eye(3, dtype=complex)
@@ -94,51 +94,18 @@ def qubit_rotation(theta_gate: float, axis) -> np.ndarray:
     return np.cos(theta_gate) * np.eye(2) + 1j * np.sin(theta_gate) * ns
 
 
-def is_lambda_form(generator, atol: float = ATOL_STRUCTURAL) -> bool:
-    """True when the generator couples only the logical states to |e>.
-
-    Lambda form means the logical block and the <e|G|e> entry vanish, i.e.
-    G = |w><e| + |e><w| for some (unnormalized) logical vector |w>.
-    """
-    g = np.asarray(generator, dtype=complex)
-    if g.shape != (3, 3):
-        return False
-    return bool(max(np.max(np.abs(g[:2, :2])), abs(g[2, 2])) <= atol)
-
-
-def _expm_closed(generator: np.ndarray, angle: float) -> np.ndarray:
-    # rank-2 structure: the generator acts as r * sigma_x on span{|b>, |e>}
-    # and annihilates the orthogonal dark direction.
-    w = generator[:2, 2]
-    r = np.linalg.norm(w)
-    if r == 0.0:
-        return IDENTITY.copy()
-    bright = np.array([w[0] / r, w[1] / r, 0.0], dtype=complex)
-    proj_be = projector(bright) + PROJ_E
-    cross = np.outer(bright, KET_E.conj()) + np.outer(KET_E, bright.conj())
-    a = angle * r
-    return IDENTITY - (1.0 - np.cos(a)) * proj_be - 1j * np.sin(a) * cross
-
-
-def _expm_eig(generator: np.ndarray, angle: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(generator)
-    return (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
-
-
-def expm(generator, angle: float, method: str = "auto") -> np.ndarray:
+def expm(generator, angle: float) -> np.ndarray:
     """Unitary propagator exp(-1j * angle * generator) of a Hermitian generator.
+
+    The generator is diagonalized by ``numpy.linalg.eigh``, which is exact
+    for this size.
 
     Parameters
     ----------
     generator : array_like
-        3x3 Hermitian operator structure (envelope factored out).
+        3x3 Hermitian operator structure (envelope taken out).
     angle : float
         Accumulated pulse area multiplying the generator.
-    method : {"auto", "closed", "eig"}
-        "closed" uses the rank-2 bright/excited form and requires a
-        Lambda-form generator; "eig" diagonalizes the Hermitian generator
-        (exact for this size); "auto" picks "closed" when the generator is
-        in Lambda form.  Both paths agree entrywise to ~1e-15.
 
     Returns
     -------
@@ -148,15 +115,8 @@ def expm(generator, angle: float, method: str = "auto") -> np.ndarray:
     g = require_hermitian(generator)
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    if method == "auto":
-        method = "closed" if is_lambda_form(g) else "eig"
-    if method == "closed":
-        if not is_lambda_form(g):
-            raise ContractViolation("closed-form expm requires a Lambda-form generator")
-        return _expm_closed(g, float(angle))
-    if method == "eig":
-        return _expm_eig(g, float(angle))
-    raise ValueError(f"unknown expm method {method!r}")
+    vals, vecs = np.linalg.eigh(g)
+    return (vecs * np.exp(-1j * float(angle) * vals)) @ vecs.conj().T
 
 
 def gate_fidelity(ideal, errored) -> float:

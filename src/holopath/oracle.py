@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import schemes
 from .linalg import IDENTITY, expm, require_hermitian
 from .schemes import RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 
-SHAPES = ("square", "sine", "sine-squared")
+#: area of each unit-amplitude shape over [0, T], in units of T
+_UNIT_AREA = {"square": 1.0, "sine": 2.0 / np.pi, "sine-squared": 0.5}
+SHAPES = tuple(_UNIT_AREA)
 
 #: propagation error below this is roundoff; convergence order is then indeterminate
 ROUNDOFF_FLOOR = 1e-12
@@ -35,8 +36,9 @@ ROUNDOFF_FLOOR = 1e-12
 class PulseEnvelope:
     """Scalar envelope Omega(t) on [0, duration] calibrated to a target area.
 
-    The amplitude is calibrated numerically (quadrature of the unit shape)
-    so that the integrated area matches ``target_area`` regardless of shape.
+    The amplitude divides ``target_area`` by the closed-form area of the
+    unit shape (T, 2T/pi and T/2 for square, sine and sine-squared), so the
+    integrated area matches ``target_area`` regardless of shape.
     A zero-duration envelope is legal only with zero target area and
     contributes the identity.
     """
@@ -66,18 +68,10 @@ class PulseEnvelope:
     def amplitude(self) -> float:
         if self.duration == 0.0:
             return 0.0
-        unit_area, _ = quad(lambda t: float(self.unit(t)), 0.0, self.duration, limit=200)
-        return self.target_area / unit_area
+        return self.target_area / (_UNIT_AREA[self.shape] * self.duration)
 
     def values(self, t):
         return self.amplitude * self.unit(t)
-
-    def area(self) -> float:
-        """Numerically integrated area of the calibrated envelope."""
-        if self.duration == 0.0:
-            return 0.0
-        result, _ = quad(lambda t: float(self.values(t)), 0.0, self.duration, limit=200)
-        return result
 
 
 @dataclass(frozen=True, eq=False)

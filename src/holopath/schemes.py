@@ -7,10 +7,11 @@ propagator and its propagator under systematic Rabi-frequency errors.
 
 The amplitude error model multiplies the whole pulse envelope by an unknown
 constant fraction, so the accumulated pulse area is a sufficient statistic
-and the propagators below are exact for that model.  Pulse areas are
-enforced exactly (pi per two-loop loop, pi/2 per single-loop segment, and
-total area pi for the single-shot pulse); envelope-resolved time stepping
-lives in :mod:`holopath.oracle`.
+and every errored propagator below is one exponential per pulse at its
+errored area, exact for that model.  Pulse areas are enforced exactly (pi
+per two-loop loop, pi/2 per single-loop segment, and total area pi for the
+single-shot pulse); envelope-resolved time stepping lives in
+:mod:`holopath.oracle`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    ContractViolation,
     IDENTITY,
     KET_0,
     KET_1,
@@ -33,8 +33,6 @@ from .linalg import (
 
 TWO_PI = 2.0 * np.pi
 
-#: fast/loose agreement tolerance between closed forms and expm routes
-_CROSSCHECK_ATOL = 1e-11
 _RANGE_SLACK = 1e-12
 
 
@@ -214,7 +212,7 @@ def bloch_vector(theta: float, psi: float) -> np.ndarray:
 
 
 def coupling_generator(theta: float, psi: float, phi: float) -> np.ndarray:
-    """Hamiltonian structure e^{i phi}|b><e| + h.c. with the envelope factored out."""
+    """Hamiltonian structure e^{i phi}|b><e| + h.c. with the envelope taken out."""
     b, _ = bright_dark(theta, psi)
     half = np.exp(1j * phi) * np.outer(b, KET_E.conj())
     return half + half.conj().T
@@ -239,22 +237,6 @@ def two_loop_ideal(path: TwoLoopPath) -> np.ndarray:
     return loop_unitary(path.loop2) @ loop_unitary(path.loop1)
 
 
-def two_loop_errored(path: TwoLoopPath, error: RabiError) -> np.ndarray:
-    """Two-loop gate under a common amplitude error on both drives.
-
-    Exact for this error model: each loop's Hamiltonian commutes with
-    itself at all times, so the extra area epsilon*pi factors out of each
-    loop as an extra bright/excited rotation.
-    """
-    _require_common_error(error, "two_loop_errored")
-    eps = error.epsilon
-    u1 = loop_unitary(path.loop1)
-    u2 = loop_unitary(path.loop2)
-    e1 = expm(loop_generator(path.loop1), eps * np.pi)
-    e2 = expm(loop_generator(path.loop2), eps * np.pi)
-    return u2 @ e2 @ e1 @ u1
-
-
 def relative_error_angles(theta: float, error: RabiError) -> tuple[float, float]:
     """Errored ratio angle and area excess (theta_prime, delta) for one loop.
 
@@ -269,22 +251,18 @@ def relative_error_angles(theta: float, error: RabiError) -> tuple[float, float]
     return 2.0 * np.arctan2(s1, c0), float(np.hypot(c0, s1) - 1.0)
 
 
-def two_loop_errored_relative(path: TwoLoopPath, error: RabiError, factored: bool = True) -> np.ndarray:
-    """Two-loop gate when the two drives carry different error fractions.
+def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray:
+    """Two-loop gate under drive error fractions (epsilon0, epsilon1), any kappa.
 
-    ``factored=True`` composes the errored ideal loops with the residual
-    delta-area rotations; ``factored=False`` exponentiates each errored
-    loop Hamiltonian in one shot with area pi*(1+delta).  The two forms are
-    algebraically identical and cross-checked in the tests.
+    Each loop is one exponential of its errored coupling (ratio angle
+    theta_prime) at area pi*(1+delta); see :func:`relative_error_angles`.
+    At kappa = 0 this is the common-error gate: theta_prime = theta and
+    delta = epsilon.
     """
     gates = []
     for loop in (path.loop1, path.loop2):
         theta_p, delta = relative_error_angles(loop.theta, error)
-        gen = coupling_generator(theta_p, loop.psi, loop.phi)
-        if factored:
-            gates.append(expm(gen, delta * np.pi) @ expm(gen, np.pi))
-        else:
-            gates.append(expm(gen, (1.0 + delta) * np.pi))
+        gates.append(expm(coupling_generator(theta_p, loop.psi, loop.phi), (1.0 + delta) * np.pi))
     return gates[1] @ gates[0]
 
 
@@ -296,12 +274,12 @@ def single_loop_ideal(path: SingleLoopPath) -> np.ndarray:
 
 
 def single_loop_errored(path: SingleLoopPath, error: RabiError) -> np.ndarray:
-    """Single-loop gate under a common amplitude error (each segment gains area eps*pi/2)."""
+    """Single-loop gate under a common amplitude error (each segment has area (1+eps)*pi/2)."""
     _require_common_error(error, "single_loop_errored")
-    eps = error.epsilon
-    g1 = coupling_generator(path.theta, path.psi, path.phi)
-    g2 = coupling_generator(path.theta, path.psi, path.phi_prime)
-    return expm(g2, np.pi / 2) @ expm(g2, eps * np.pi / 2) @ expm(g1, eps * np.pi / 2) @ expm(g1, np.pi / 2)
+    area = (1.0 + error.epsilon) * np.pi / 2
+    seg1 = expm(coupling_generator(path.theta, path.psi, path.phi), area)
+    seg2 = expm(coupling_generator(path.theta, path.psi, path.phi_prime), area)
+    return seg2 @ seg1
 
 
 def single_shot_bright(path: SingleShotPath) -> np.ndarray:
@@ -340,40 +318,29 @@ def single_shot_error_operator(path: SingleShotPath, epsilon: float) -> tuple[fl
     return lam, sigma
 
 
-def _crosscheck(closed: np.ndarray, direct: np.ndarray, what: str) -> np.ndarray:
-    dev = np.max(np.abs(closed - direct))
-    if dev > _CROSSCHECK_ATOL:
-        raise ContractViolation(f"{what}: closed form and expm route disagree by {dev:.3e}")
-    return closed
-
-
 def single_shot_ideal(path: SingleShotPath) -> np.ndarray:
     """Ideal single-shot gate e^{i zeta}(|e><e| + |b><b|) + |d><d|, zeta = pi(1 - sin gamma).
 
-    Evaluated in closed form and verified on every call against the matrix
-    exponential of the full Hamiltonian at total area pi.
+    Closed form of the exponential of :func:`single_shot_generator` at total
+    area pi; the acceptance suite compares the two.
     """
     pb = projector(single_shot_bright(path))
     zeta = np.pi * (1.0 - np.sin(path.gamma))
-    closed = np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
-    return _crosscheck(closed, expm(single_shot_generator(path), np.pi), "single_shot_ideal")
+    return np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
 
 
 def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
     """Single-shot gate under an amplitude error on the Rabi couplings only.
 
     Closed form: a bright/excited phase times a rotation by lambda*pi about
-    the tilted error axis, identity on the dark state; verified on every
-    call against the exponential of the errored Hamiltonian.
+    the tilted error axis, identity on the dark state.  It equals the
+    exponential of the errored :func:`single_shot_generator` at area pi;
+    the acceptance suite compares the two.
     """
     _require_common_error(error, "single_shot_errored")
     pb = projector(single_shot_bright(path))
     lam, sigma = single_shot_error_operator(path, error.epsilon)
-    phase_part = expm(PROJ_E + pb, np.pi * np.sin(path.gamma))
-    rotation = expm(sigma, lam * np.pi)
-    closed = phase_part @ rotation
-    direct = expm(single_shot_generator(path, error.epsilon), np.pi)
-    return _crosscheck(closed, direct, "single_shot_errored")
+    return expm(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ expm(sigma, lam * np.pi)
 
 
 def phi_b_of(path: TwoLoopPath) -> BrightDecomposition:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analytic, oracle, pathfinder, schemes
 from .analytic import TargetGate
-from .linalg import IDENTITY, gate_fidelity
+from .linalg import IDENTITY, expm, gate_fidelity
 from .pathfinder import PathConstraints
 from .schemes import LoopParams, RabiError, TwoLoopPath
 
@@ -95,7 +95,7 @@ def check_two_loop_coefficients(level: str = "fast", seed: int = DEFAULT_SEED) -
     for theta_gate in _THETA_GRID:
         sol = pathfinder.solve_two_loop(TargetGate(theta_gate, _COEFF_AXIS))
         ideal = schemes.two_loop_ideal(sol.path)
-        coeff = _exact_coefficient(ideal, lambda e: schemes.two_loop_errored(sol.path, RabiError(e)))
+        coeff = _exact_coefficient(ideal, lambda e: schemes.two_loop_errored_relative(sol.path, RabiError(e)))
         target = analytic.f1(theta_gate) * np.pi**2 / 3.0
         worst = max(worst, abs(coeff / target - 1.0))
     elapsed = time.perf_counter() - started
@@ -143,7 +143,7 @@ def check_phi_b_optimality(level: str = "fast", seed: int = DEFAULT_SEED) -> Che
         loop2 = LoopParams(base.loop2.theta, base.loop2.psi, base.loop2.phi + off)
         path = TwoLoopPath(base.loop1, loop2)
         infidelities[i] = 1.0 - gate_fidelity(
-            schemes.two_loop_ideal(path), schemes.two_loop_errored(path, RabiError(eps))
+            schemes.two_loop_ideal(path), schemes.two_loop_errored_relative(path, RabiError(eps))
         )
         phi_bs[i] = schemes.phi_b_of(path).phi_b
     best = phi_bs[int(np.argmin(infidelities))]
@@ -275,7 +275,7 @@ def check_oracle_equivalence(level: str = "fast", seed: int = DEFAULT_SEED) -> C
 
 
 def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
-    """Criterion 8: unitarity, zero-error reduction, gauge invariances, round trips."""
+    """Criterion 8: unitarity, zero-error reduction, single-shot closed forms, gauge invariances, round trips."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed + 8)
     n_paths = 200 if level == "full" else 60
@@ -283,6 +283,7 @@ def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResu
 
     worst_unitary = 0.0
     worst_reduction = 0.0
+    worst_closed = 0.0
     for _ in range(n_paths):
         eps, kappa = rng.uniform(-0.1, 0.1, 2)
         path2 = _random_two_loop_path(rng)
@@ -295,7 +296,7 @@ def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResu
         )
         gates = (
             schemes.two_loop_ideal(path2),
-            schemes.two_loop_errored(path2, RabiError(eps)),
+            schemes.two_loop_errored_relative(path2, RabiError(eps)),
             schemes.two_loop_errored_relative(path2, RabiError(eps, kappa)),
             schemes.single_loop_ideal(path_sl),
             schemes.single_loop_errored(path_sl, RabiError(eps)),
@@ -307,16 +308,21 @@ def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResu
         zero = RabiError(0.0)
         worst_reduction = max(
             worst_reduction,
-            float(np.max(np.abs(schemes.two_loop_errored(path2, zero) - gates[0]))),
             float(np.max(np.abs(schemes.two_loop_errored_relative(path2, zero) - gates[0]))),
             float(np.max(np.abs(schemes.single_loop_errored(path_sl, zero) - gates[3]))),
             float(np.max(np.abs(schemes.single_shot_errored(path_ss, zero) - gates[5]))),
+        )
+        # the single-shot closed forms against the exponential of the full Hamiltonian
+        worst_closed = max(
+            worst_closed,
+            float(np.max(np.abs(gates[5] - expm(schemes.single_shot_generator(path_ss), np.pi)))),
+            float(np.max(np.abs(gates[6] - expm(schemes.single_shot_generator(path_ss, eps), np.pi)))),
         )
 
     worst_gauge = 0.0
     path2 = _random_two_loop_path(rng)
     ideal2 = schemes.two_loop_ideal(path2)
-    fid2 = gate_fidelity(ideal2, schemes.two_loop_errored(path2, RabiError(1e-2)))
+    fid2 = gate_fidelity(ideal2, schemes.two_loop_errored_relative(path2, RabiError(1e-2)))
     path_sl = schemes.SingleLoopPath(0.8, 0.3, 1.1, 0.0)
     fid_sl = gate_fidelity(schemes.single_loop_ideal(path_sl), schemes.single_loop_errored(path_sl, RabiError(1e-2)))
     for shift in np.linspace(0.0, 2 * np.pi, 17):
@@ -329,7 +335,9 @@ def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResu
             LoopParams(path2.loop1.theta, path2.loop1.psi, path2.loop1.phi + shift),
             LoopParams(path2.loop2.theta, path2.loop2.psi, path2.loop2.phi + shift),
         )
-        fid_shift = gate_fidelity(schemes.two_loop_ideal(common), schemes.two_loop_errored(common, RabiError(1e-2)))
+        fid_shift = gate_fidelity(
+            schemes.two_loop_ideal(common), schemes.two_loop_errored_relative(common, RabiError(1e-2))
+        )
         worst_gauge = max(worst_gauge, abs(fid_shift - fid2))
         sl_shift = schemes.SingleLoopPath(path_sl.theta, path_sl.psi, path_sl.phi + shift, path_sl.phi_prime + shift)
         fid_sl_shift = gate_fidelity(
@@ -355,9 +363,16 @@ def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResu
             axis_angle = 2.0 * np.arcsin(min(1.0, np.linalg.norm(measured_axis - axis) / 2.0))
             worst_round = max(worst_round, float(axis_angle))
 
-    ok = worst_unitary <= 1e-12 and worst_reduction <= 1e-13 and worst_gauge <= 1e-13 and worst_round <= 1e-10
+    ok = (
+        worst_unitary <= 1e-12
+        and worst_reduction <= 1e-13
+        and worst_closed <= 1e-11
+        and worst_gauge <= 1e-13
+        and worst_round <= 1e-10
+    )
     detail = (
         f"unitarity={worst_unitary:.2e} (<=1e-12); zero-error reduction={worst_reduction:.2e} (<=1e-13); "
+        f"single-shot closed vs direct={worst_closed:.2e} (<=1e-11); "
         f"gauge invariances={worst_gauge:.2e} (<=1e-13); round trips={worst_round:.2e} (<=1e-10)"
     )
     return _result("criterion-8 structural suite", started, ok, detail)

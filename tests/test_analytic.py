@@ -24,10 +24,10 @@ from holopath.schemes import (
     TwoLoopPath,
     bright_dark,
     phi_b_of,
-    two_loop_errored,
     two_loop_errored_relative,
     two_loop_ideal,
 )
+from holopath.verify import CUBIC_BOUND_CONSTANT
 
 
 def unbalanced_fixture():
@@ -184,8 +184,8 @@ def test_fid2_relative_breakdown_invariants(rng):
         )
         error = RabiError(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
         breakdown, fid = fid2_relative(path, error)
+        assert np.isfinite(fid)
         if breakdown.degenerate:
-            assert np.isnan(fid)
             continue
         assert breakdown.y >= 0.0
         assert breakdown.z >= 0.0
@@ -195,6 +195,19 @@ def test_fid2_relative_breakdown_invariants(rng):
             - 2 * breakdown.theta11 * breakdown.theta22 * np.cos(breakdown.psi21),
             abs=1e-15,
         )
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.01, -0.01])
+def test_fid2_relative_orthogonal_bright_states(kappa):
+    # loops at theta = 0 and theta = pi: eta = pi, where phi_b is undefined
+    path = TwoLoopPath(LoopParams(0.0, 0.0, 0.0), LoopParams(np.pi, 0.0, 0.0))
+    error = RabiError(0.01, kappa)
+    breakdown, fid = fid2_relative(path, error)
+    assert breakdown.degenerate
+    assert np.isnan(breakdown.phi_b)
+    exact = gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, error))
+    assert abs(exact - fid) <= CUBIC_BOUND_CONSTANT * (abs(error.epsilon) + abs(kappa)) ** 3
+    assert fidelity_pair("two-loop", path, error) == (exact, fid)
 
 
 # ------------------------------------------------------------- dF/dkappa
@@ -242,7 +255,7 @@ def test_extract_quadratic_two_loop_target():
     path = solve_two_loop(TargetGate(np.pi / 2, [1, 0, 0])).path
     ideal = two_loop_ideal(path)
     samples = [
-        (e, gate_fidelity(ideal, two_loop_errored(path, RabiError(e))))
+        (e, gate_fidelity(ideal, two_loop_errored_relative(path, RabiError(e))))
         for e in (1e-3, -1e-3, 1e-4, -1e-4)
     ]
     coeff = extract_quadratic_coefficient(samples)

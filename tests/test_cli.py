@@ -146,6 +146,13 @@ def test_optimize_bad_axis():
     assert run(["optimize", "--theta-gate", 0.5, "--axis", "0,0,0"]) == 2
 
 
+def test_json_output_rejects_nan_and_writes_nothing(tmp_path):
+    out = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        cli._json_dump({"fidelity_exact": float("nan")}, str(out))
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- config
 
 

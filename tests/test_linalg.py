@@ -65,16 +65,6 @@ def test_expm_homomorphism(rng):
         np.testing.assert_allclose(lhs, expm(gen, a + b), atol=1e-12)
 
 
-def test_expm_closed_vs_eig_agree(rng):
-    worst = 0.0
-    for _ in range(10_000):
-        gen, _ = lambda_generator(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
-        angle = rng.uniform(-4, 4)
-        diff = expm(gen, angle, method="closed") - expm(gen, angle, method="eig")
-        worst = max(worst, np.max(np.abs(diff)))
-    assert worst <= 1e-12
-
-
 def test_expm_matches_scipy(rng):
     for _ in range(100):
         gen = random_hermitian(rng)
@@ -92,12 +82,6 @@ def test_expm_rejects_non_finite_angle():
     gen, _ = lambda_generator(1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         expm(gen, np.inf)
-
-
-def test_expm_closed_requires_lambda_form(rng):
-    gen = random_hermitian(rng)
-    with pytest.raises(ContractViolation):
-        expm(gen, 1.0, method="closed")
 
 
 def test_gate_fidelity_identity_and_phase(rng):

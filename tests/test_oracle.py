@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from holopath import oracle
 from holopath.linalg import IDENTITY
@@ -38,7 +44,17 @@ def random_two_loop(rng):
 @pytest.mark.parametrize("shape", ["square", "sine", "sine-squared"])
 def test_envelope_calibrated_area(shape):
     env = PulseEnvelope(shape, duration=0.7, target_area=np.pi)
-    assert abs(env.area() - np.pi) <= 1e-10
+    area, _ = quad(lambda t: float(env.values(t)), 0.0, env.duration, limit=200)
+    assert abs(area - np.pi) <= 1e-10
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter that finds the same holopath as this test session
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, holopath; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "False"
 
 
 def test_envelope_validation():

@@ -211,7 +211,7 @@ def test_gate_angle_axis_identity():
 
 def test_two_loop_phi_b_scan_minimum_at_pi():
     # coarse version of the optimality scan: 36 points at theta = pi/4
-    from holopath.schemes import LoopParams, TwoLoopPath, two_loop_errored
+    from holopath.schemes import LoopParams, TwoLoopPath, two_loop_errored_relative
 
     base = solve_two_loop(TargetGate(np.pi / 4, [0, 1, 0]), PathConstraints(force_phi_b=0.0)).path
     best_phi_b, best_infidelity = None, np.inf
@@ -219,7 +219,7 @@ def test_two_loop_phi_b_scan_minimum_at_pi():
         path = TwoLoopPath(
             base.loop1, LoopParams(base.loop2.theta, base.loop2.psi, base.loop2.phi + offset)
         )
-        infidelity = 1 - gate_fidelity(two_loop_ideal(path), two_loop_errored(path, RabiError(1e-2)))
+        infidelity = 1 - gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, RabiError(1e-2)))
         if infidelity < best_infidelity:
             best_infidelity = infidelity
             best_phi_b = phi_b_of(path).phi_b

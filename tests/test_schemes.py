@@ -28,7 +28,6 @@ from holopath.schemes import (
     single_loop_ideal,
     single_shot_errored,
     single_shot_ideal,
-    two_loop_errored,
     two_loop_errored_relative,
     two_loop_ideal,
 )
@@ -126,7 +125,7 @@ def test_two_loop_total_phase_independence():
 def test_two_loop_errored_zero_error_reduction(rng):
     for _ in range(100):
         path = random_two_loop(rng)
-        diff = two_loop_errored(path, RabiError(0.0)) - two_loop_ideal(path)
+        diff = two_loop_errored_relative(path, RabiError(0.0)) - two_loop_ideal(path)
         assert np.max(np.abs(diff)) <= 1e-13
 
 
@@ -137,7 +136,7 @@ def test_two_loop_errored_fidelity_fixture():
     phi2 = np.pi - np.angle(np.vdot(b1, b2))
     path = TwoLoopPath(LoopParams(np.pi / 2, 3 * np.pi / 4, 0.0), LoopParams(np.pi / 2, np.pi / 4, phi2))
     eps = 1e-3
-    exact = gate_fidelity(two_loop_ideal(path), two_loop_errored(path, RabiError(eps)))
+    exact = gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, RabiError(eps)))
     expected = 1 - (2 / 3) * (1 - np.cos(np.pi / 4)) * np.pi**2 * eps**2
     assert expected == pytest.approx(1 - 1.9272e-6, abs=1e-10)
     assert abs(exact - expected) <= 1e-11
@@ -146,20 +145,14 @@ def test_two_loop_errored_fidelity_fixture():
 def test_two_loop_fidelity_depends_only_on_phase_difference(rng):
     path = random_two_loop(rng)
     eps = RabiError(5e-3)
-    f_ref = gate_fidelity(two_loop_ideal(path), two_loop_errored(path, eps))
+    f_ref = gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, eps))
     for shift in np.linspace(0, 2 * np.pi, 9):
         shifted = TwoLoopPath(
             LoopParams(path.loop1.theta, path.loop1.psi, path.loop1.phi + shift),
             LoopParams(path.loop2.theta, path.loop2.psi, path.loop2.phi + shift),
         )
-        f = gate_fidelity(two_loop_ideal(shifted), two_loop_errored(shifted, eps))
+        f = gate_fidelity(two_loop_ideal(shifted), two_loop_errored_relative(shifted, eps))
         assert abs(f - f_ref) <= 1e-13
-
-
-def test_two_loop_errored_rejects_relative_error():
-    path = TwoLoopPath(LoopParams(1.0, 0.0, 0.0), LoopParams(2.0, 1.0, 0.0))
-    with pytest.raises(ValueError, match="two_loop_errored_relative"):
-        two_loop_errored(path, RabiError(0.01, 0.002))
 
 
 # ------------------------------------------------------- two-loop, relative
@@ -182,10 +175,13 @@ def test_relative_error_angles_at_pi():
 
 
 def test_relative_reduces_to_common_error(rng):
+    # at kappa = 0 each loop is its ideal loop followed by an extra eps*pi rotation
     for _ in range(200):
         path = random_two_loop(rng)
         eps = rng.uniform(-0.1, 0.1)
-        diff = two_loop_errored_relative(path, RabiError(eps)) - two_loop_errored(path, RabiError(eps))
+        g1, g2 = schemes.loop_generator(path.loop1), schemes.loop_generator(path.loop2)
+        common = expm(g2, np.pi) @ expm(g2, eps * np.pi) @ expm(g1, eps * np.pi) @ expm(g1, np.pi)
+        diff = two_loop_errored_relative(path, RabiError(eps)) - common
         assert np.max(np.abs(diff)) <= 1e-13
 
 
@@ -196,12 +192,16 @@ def test_relative_zero_error_is_ideal(rng):
 
 
 def test_relative_factored_vs_direct(rng):
+    # each errored loop factors into its pi-area loop and a residual delta*pi rotation
     for _ in range(300):
         path = random_two_loop(rng)
         error = RabiError(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
-        a = two_loop_errored_relative(path, error, factored=True)
-        b = two_loop_errored_relative(path, error, factored=False)
-        assert np.max(np.abs(a - b)) <= 1e-13
+        factored = IDENTITY
+        for loop in (path.loop1, path.loop2):
+            theta_p, delta = relative_error_angles(loop.theta, error)
+            gen = schemes.coupling_generator(theta_p, loop.psi, loop.phi)
+            factored = expm(gen, delta * np.pi) @ expm(gen, np.pi) @ factored
+        assert np.max(np.abs(two_loop_errored_relative(path, error) - factored)) <= 1e-13
 
 
 # ---------------------------------------------------------------- single-loop
@@ -294,12 +294,16 @@ def test_single_shot_closed_vs_full_hamiltonian_grid():
     betas = np.linspace(0, 2 * np.pi, 4, endpoint=False)
     epsilons = (-0.1, -0.01, 0.0, 0.1)
     count = 0
+    worst = 0.0
     for alpha, gamma, b0, b1, eps in itertools.product(alphas, gammas, betas, betas, epsilons):
         path = SingleShotPath(alpha, b0, b1, gamma)
-        # constructors self-check closed form vs expm at 1e-11 on every call
-        single_shot_errored(path, RabiError(eps))
+        direct = expm(schemes.single_shot_generator(path, eps), np.pi)
+        worst = max(worst, np.max(np.abs(single_shot_errored(path, RabiError(eps)) - direct)))
+        if eps == 0.0:
+            worst = max(worst, np.max(np.abs(single_shot_ideal(path) - direct)))
         count += 1
     assert count >= 1000
+    assert worst <= 1e-11
 
 
 def test_single_shot_error_operator_properties(rng):
@@ -407,7 +411,7 @@ def test_second_order_agreement_cubic_suppression(scheme, rng):
         path = random_two_loop(rng)
         dec = phi_b_of(path)
         coeff = analytic.quad_coeff_two_loop(dec.eta, dec.phi_b)
-        make = lambda e: gate_fidelity(two_loop_ideal(path), two_loop_errored(path, RabiError(e)))
+        make = lambda e: gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, RabiError(e)))
     elif scheme == "single-loop":
         path = SingleLoopPath(0.9, 0.3, 2.1, 0.6)
         coeff = analytic.quad_coeff_single_loop(path.phase_diff)
@@ -465,7 +469,7 @@ def test_all_constructors_return_unitary(rng):
         common = RabiError(err.epsilon)
         for u in (
             two_loop_ideal(path),
-            two_loop_errored(path, common),
+            two_loop_errored_relative(path, common),
             two_loop_errored_relative(path, err),
             single_loop_ideal(sl),
             single_loop_errored(sl, common),
