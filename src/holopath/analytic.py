@@ -267,7 +267,8 @@ class FidelityReport:
     quad_coeff_analytic: float
 
 
-_SCHEMES = ("two-loop", "single-loop", "single-shot")
+#: scheme names accepted by fidelity_pair and the CLI
+SCHEMES = ("two-loop", "single-loop", "single-shot")
 
 
 def fidelity_pair(scheme: str, path, error: RabiError) -> tuple[float, float]:
@@ -282,7 +283,7 @@ def fidelity_pair(scheme: str, path, error: RabiError) -> tuple[float, float]:
         exact = gate_fidelity(schemes.single_shot_ideal(path), schemes.single_shot_errored(path, error))
         analytic2 = fid2_single_shot(path.gamma, error.epsilon)
     else:
-        raise ValueError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     return exact, analytic2
 
 

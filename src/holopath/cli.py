@@ -26,7 +26,8 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
-SCHEME_CHOICES = ("two-loop", "single-loop", "single-shot")
+LEVEL_CHOICES = ("fast", "full")
+ORIENTATION_SIGN_CHOICES = (1, -1)
 
 
 class UsageError(ValueError):
@@ -62,6 +63,18 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
+def _choice(choices: tuple, convert=str):
+    """Converter for a config value that must be one of the parser's ``choices``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if value not in choices:
+            raise UsageError(f"expected one of {', '.join(map(str, choices))}, got {text!r}")
+        return value
+
+    return parse
+
+
 def load_config(path: str) -> dict[str, str]:
     """Parse a key=value config file; '#' starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
@@ -83,7 +96,7 @@ _REQUIRED = object()
 _OPTIONS = {
     "figure1": {"samples": (int, 101), "out": (str, _REQUIRED)},
     "sweep": {
-        "scheme": (str, _REQUIRED),
+        "scheme": (_choice(analytic.SCHEMES), _REQUIRED),
         "theta_gate": (float, _REQUIRED),
         "axis": (_parse_axis, _REQUIRED),
         "phi_b": (float, 1.0),
@@ -97,10 +110,10 @@ _OPTIONS = {
         "axis": (_parse_axis, _REQUIRED),
         "phi_b": (float, 1.0),
         "balanced": (_parse_bool, True),
-        "orientation_sign": (int, 1),
+        "orientation_sign": (_choice(ORIENTATION_SIGN_CHOICES, int), 1),
         "out": (str, None),
     },
-    "verify": {"level": (str, "fast"), "seed": (int, None)},
+    "verify": {"level": (_choice(LEVEL_CHOICES), "fast"), "seed": (int, None)},
 }
 
 
@@ -116,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV path")
 
     p = sub.add_parser("sweep", help="exact vs second-order fidelity over an error grid (JSON)")
-    p.add_argument("--scheme", choices=SCHEME_CHOICES, default=None)
+    p.add_argument("--scheme", choices=analytic.SCHEMES, default=None)
     p.add_argument("--theta-gate", type=float, default=None, help="rotation angle in units of pi")
     p.add_argument("--axis", type=_parse_axis, default=None, help="rotation axis as x,y,z (normalized)")
     p.add_argument("--phi-b", type=float, default=None, help="two-loop decomposition phase in units of pi")
@@ -132,11 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=_parse_axis, default=None, help="rotation axis as x,y,z (normalized)")
     p.add_argument("--phi-b", type=float, default=None, help="forced decomposition phase in units of pi")
     p.add_argument("--balanced", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--orientation-sign", type=int, choices=(1, -1), default=None)
+    p.add_argument("--orientation-sign", type=int, choices=ORIENTATION_SIGN_CHOICES, default=None)
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--level", choices=("fast", "full"), default=None)
+    p.add_argument("--level", choices=LEVEL_CHOICES, default=None)
     p.add_argument("--seed", type=int, default=None)
 
     for sp in sub.choices.values():

@@ -49,16 +49,6 @@ def _as_matrix(matrix, name: str) -> np.ndarray:
     return m
 
 
-def is_hermitian(matrix, atol: float = ATOL_ALGEBRAIC) -> bool:
-    m = np.asarray(matrix, dtype=complex)
-    return m.shape == (3, 3) and bool(np.max(np.abs(m - m.conj().T)) <= atol)
-
-
-def is_unitary(matrix, atol: float = ATOL_ALGEBRAIC) -> bool:
-    m = np.asarray(matrix, dtype=complex)
-    return m.shape == (3, 3) and bool(np.max(np.abs(m.conj().T @ m - IDENTITY)) <= atol)
-
-
 def require_hermitian(matrix, name: str = "generator", atol: float = ATOL_ALGEBRAIC) -> np.ndarray:
     m = _as_matrix(matrix, name)
     dev = np.max(np.abs(m - m.conj().T))
@@ -151,33 +141,14 @@ def qubit_block(matrix) -> np.ndarray:
 def projective_distance_qubit(a, b) -> float:
     """Global-phase-quotiented distance between the qubit blocks of two gates.
 
-    Returns ``min over chi of max-entry-modulus of (A - exp(1j chi) B)``
-    where A, B are the logical blocks.  Zero (to roundoff) exactly when the
-    blocks agree up to a global phase.  The minimization combines the exact
-    trace-alignment candidate with a refined grid search; away from zero
-    the returned minimum is accurate to ~1e-6 in chi, which is ample for
-    the structural checks this backs.
+    Returns the max-entry modulus of ``A - exp(1j chi) B`` for the logical
+    blocks A, B at the trace-aligned phase ``chi = arg Tr(B^dag A)`` (chi = 0
+    when that trace vanishes).  This is an upper bound on the minimum over
+    chi, and it is zero (to roundoff) exactly when the blocks agree up to a
+    global phase, since then the aligned phase is that global phase.
     """
     ma = require_unitary(a, "a")
     mb = require_unitary(b, "b")
     qa, qb = qubit_block(ma), qubit_block(mb)
-
-    def dist(chi: float) -> float:
-        return float(np.max(np.abs(qa - np.exp(1j * chi) * qb)))
-
-    best = np.inf
-    overlap = np.trace(qb.conj().T @ qa)
-    if abs(overlap) > 1e-15:
-        best = dist(float(np.angle(overlap)))
-    grid = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    values = [dist(c) for c in grid]
-    k = int(np.argmin(values))
-    best = min(best, values[k])
-    center, span = grid[k], 2.0 * np.pi / 1024
-    for _ in range(3):
-        local = np.linspace(center - span, center + span, 33)
-        vals = [dist(c) for c in local]
-        j = int(np.argmin(vals))
-        best = min(best, vals[j])
-        center, span = local[j], span / 16.0
-    return best
+    chi = np.angle(np.trace(qb.conj().T @ qa))  # np.angle(0) == 0
+    return float(np.max(np.abs(qa - np.exp(1j * chi) * qb)))

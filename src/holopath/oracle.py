@@ -3,13 +3,21 @@
 Independent validator for every closed-form propagator in
 :mod:`holopath.schemes`: instead of using the accumulated pulse area, the
 Hamiltonian H(t) = scale * Omega(t) * G is integrated as an ordered product
-of per-step exponentials with midpoint sampling.  For these schemes the
-generator structure is constant within a segment, so the only
-discretization error is the midpoint quadrature error of the envelope
-area; the "square" and "sine-squared" shapes are integrated exactly by the
-midpoint rule (constant, resp. periodic integrand), while the half-sine
-"sine" shape carries a genuine O(1/N^2) error and is the one to use for
-convergence-order measurements.
+of per-step exponentials with midpoint sampling.
+
+A :class:`ScheduleSegment` holds one fixed Hermitian generator G, so the
+steps of a segment commute and share G's eigenbasis: each step is the
+diagonal phase exp(-1j * a_k * vals) in that basis, and the segment's
+ordered product is exactly the basis change applied to the product of the
+per-step phases.  The phases are multiplied step by step; the areas are
+never summed first, which is the closed forms' shortcut.  A generator that
+depends on time would need a propagator of its own.
+
+The only discretization error is then the midpoint quadrature error of the
+envelope area; the "square" and "sine-squared" shapes are integrated
+exactly by the midpoint rule (constant, resp. periodic integrand), while
+the half-sine "sine" shape carries a genuine O(1/N^2) error and is the one
+to use for convergence-order measurements.
 """
 
 from __future__ import annotations
@@ -103,21 +111,12 @@ class Schedule:
         return float(sum(seg.envelope.duration for seg in self.segments))
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    # ordered product M[N-1] @ ... @ M[0]; pairwise regrouping (associativity
-    # only) keeps the cost at O(N) batched 3x3 multiplications
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2:
-            head = np.matmul(mats[1:-1:2], mats[0:-1:2])
-            mats = np.concatenate([head, mats[-1:]])
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
-
-
 def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
     """Ordered product of per-step exponentials exp(-1j H(t_k) dt), midpoint sampled.
 
+    Each segment's generator is fixed, so its steps are diagonal in one
+    eigenbasis and their ordered product is the product of the per-step
+    phase factors in that basis; segments are then applied in time order.
     Requires at least 100 steps per segment.  An empty schedule yields the
     identity with a warning.  The result is unitary to roundoff and
     converges to the accumulated-area propagator as steps increase.
@@ -135,9 +134,8 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
         midpoints = (np.arange(steps_per_segment) + 0.5) * h
         areas = seg.scale * seg.envelope.values(midpoints) * h
         vals, vecs = np.linalg.eigh(seg.generator)
-        phases = np.exp(-1j * np.outer(areas, vals))
-        steps = np.matmul(vecs[None, :, :] * phases[:, None, :], vecs.conj().T)
-        total = _ordered_product(steps) @ total
+        phases = np.prod(np.exp(-1j * np.outer(areas, vals)), axis=0)
+        total = (vecs * phases) @ vecs.conj().T @ total
     return total
 
 
@@ -188,9 +186,7 @@ def schedule_for_single_loop(
     path: SingleLoopPath, error: RabiError | None = None, shape: str = "square", segment_duration: float = 1.0
 ) -> Schedule:
     """Two pi/2-area segments at total phases phi then phi_prime, both scaled by 1 + eps."""
-    err = error or schemes.NO_ERROR
-    if err.kappa != 0.0:
-        raise ValueError("single-loop schedules support the common-error model only (kappa = 0)")
+    err = schemes.require_common_error(error or schemes.NO_ERROR, "schedule_for_single_loop")
     scale = 1.0 + err.epsilon
     segs = []
     for phase in (path.phi, path.phi_prime):
@@ -203,8 +199,6 @@ def schedule_for_single_shot(
     path: SingleShotPath, error: RabiError | None = None, shape: str = "square", duration: float = 1.0
 ) -> Schedule:
     """One pi-area segment of the full (errored) single-shot Hamiltonian structure."""
-    err = error or schemes.NO_ERROR
-    if err.kappa != 0.0:
-        raise ValueError("single-shot schedules support the common-error model only (kappa = 0)")
+    err = schemes.require_common_error(error or schemes.NO_ERROR, "schedule_for_single_shot")
     gen = schemes.single_shot_generator(path, err.epsilon)
     return Schedule((ScheduleSegment(PulseEnvelope(shape, duration, np.pi), gen, 1.0),))

@@ -182,11 +182,12 @@ class BrightDecomposition(NamedTuple):
     degenerate: bool
 
 
-def _require_common_error(error: RabiError, scheme: str) -> RabiError:
+def require_common_error(error: RabiError, scheme: str) -> RabiError:
+    """Return ``error`` unchanged if kappa = 0; raise ValueError naming ``scheme`` otherwise."""
     if error.kappa != 0.0:
         raise ValueError(
             f"{scheme} is analyzed under the common-error model only (kappa = 0); "
-            "use two_loop_errored_relative for kappa != 0"
+            "only the two-loop scheme models kappa != 0"
         )
     return error
 
@@ -275,7 +276,7 @@ def single_loop_ideal(path: SingleLoopPath) -> np.ndarray:
 
 def single_loop_errored(path: SingleLoopPath, error: RabiError) -> np.ndarray:
     """Single-loop gate under a common amplitude error (each segment has area (1+eps)*pi/2)."""
-    _require_common_error(error, "single_loop_errored")
+    require_common_error(error, "single_loop_errored")
     area = (1.0 + error.epsilon) * np.pi / 2
     seg1 = expm(coupling_generator(path.theta, path.psi, path.phi), area)
     seg2 = expm(coupling_generator(path.theta, path.psi, path.phi_prime), area)
@@ -337,7 +338,7 @@ def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
     exponential of the errored :func:`single_shot_generator` at area pi;
     the acceptance suite compares the two.
     """
-    _require_common_error(error, "single_shot_errored")
+    require_common_error(error, "single_shot_errored")
     pb = projector(single_shot_bright(path))
     lam, sigma = single_shot_error_operator(path, error.epsilon)
     return expm(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ expm(sigma, lam * np.pi)

@@ -184,6 +184,34 @@ def test_config_malformed_line(tmp_path):
     assert run(["figure1", "--config", cfg, "--out", tmp_path / "x.csv"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [("sweep", "scheme=bogus"), ("optimize", "orientation_sign=2"), ("verify", "level=bogus")],
+)
+def test_config_choices_checked_like_flags(tmp_path, capsys, command, line):
+    out = tmp_path / "out.json"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    args = {
+        # an empty error grid reaches no scheme dispatch that could reject the name
+        "sweep": ["--theta-gate", 0.5, "--axis", "0,0,1", "--epsilon=", "--out", out],
+        "optimize": ["--theta-gate", 0.5, "--axis", "0,0,1", "--out", out],
+        "verify": [],
+    }[command]
+    assert run([command, "--config", cfg, *args]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_config_orientation_sign_accepted(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("orientation_sign=-1\n")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["optimize", "--theta-gate", 0.3, "--axis", "0.2,-0.5,0.6", "--config", cfg, "--out", a]) == 0
+    assert run(["optimize", "--theta-gate", 0.3, "--axis", "0.2,-0.5,0.6", "--orientation-sign", -1, "--out", b]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_unknown_command_usage_error():
     assert run(["frobnicate"]) == 2
 

@@ -99,6 +99,26 @@ def test_propagate_unitary(rng):
     assert np.max(np.abs(u.conj().T @ u - IDENTITY)) <= 1e-10
 
 
+def test_propagate_is_literal_ordered_product_of_midpoint_steps():
+    # finite-N semantics: one exponential per midpoint step, applied in time
+    # order within and across segments with non-commuting generators
+    from holopath.linalg import expm
+
+    steps = 200
+    segments = (
+        ScheduleSegment(PulseEnvelope("sine", 1.0, np.pi), coupling_generator(0.8, 0.4, 1.2), 1.03),
+        ScheduleSegment(PulseEnvelope("sine-squared", 0.6, np.pi / 2), coupling_generator(2.1, 1.7, -0.5), 0.97),
+    )
+    total = IDENTITY.copy()
+    for seg in segments:
+        h = seg.envelope.duration / steps
+        for k in range(steps):
+            total = expm(seg.generator, seg.scale * float(seg.envelope.values((k + 0.5) * h)) * h) @ total
+    assert np.max(np.abs(segments[0].generator @ segments[1].generator
+                         - segments[1].generator @ segments[0].generator)) > 0.1
+    assert np.max(np.abs(propagate(Schedule(segments), steps) - total)) <= 1e-12
+
+
 def test_propagate_requires_enough_steps(rng):
     schedule = schedule_for_two_loop(random_two_loop(rng))
     with pytest.raises(ValueError):
