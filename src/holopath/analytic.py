@@ -55,11 +55,15 @@ def _check_rotation_angle(theta_gate):
     return np.clip(t, 0.0, np.pi / 2)
 
 
-def _check_epsilon(epsilon: float) -> float:
-    e = float(epsilon)
-    if not np.isfinite(e) or abs(e) > 0.1:
-        raise ValueError(f"|epsilon| must be <= 0.1, got {epsilon!r}")
-    return e
+def _square(x):
+    # C pow() per element, as ** is for one float: an array's ** 2 is x * x, which differs
+    # from pow() in the last bit on about 0.1% of values, so a grid would not match its points
+    return np.float_power(x, 2)
+
+
+def _check_epsilon(epsilon):
+    """epsilon (float or array) checked like the field of :class:`RabiError`."""
+    return RabiError(epsilon).epsilon
 
 
 def f1(theta_gate):
@@ -135,7 +139,8 @@ class RelativeErrorBreakdown:
     1 - y^2/3 - pi^2 z^2/3.  ``degenerate`` mirrors the phi_b degeneracy
     flag (orthogonal errored bright states, eta' = pi), in which case phi_b
     is NaN while z and the fidelity stay finite: the phi_b term of z^2 is
-    multiplied by cos(eta'/2) = 0 there and is taken as 0.
+    multiplied by cos(eta'/2) = 0 there and is taken as 0.  For an error
+    grid every field is an array of the grid's shape.
     """
 
     theta11: float
@@ -159,30 +164,28 @@ def fid2_relative(path: TwoLoopPath, error: RabiError) -> tuple[RelativeErrorBre
     y^2 = theta11^2 + theta22^2 - 2 theta11 theta22 cos(psi21) and
     z^2 = delta1^2 + delta2^2 + 2 delta1 delta2 cos(eta'/2) cos(phi_b),
     whose last term is 0 at eta' = pi, where phi_b is undefined.  At
-    kappa = 0 this reduces exactly to the common-error formula.
+    kappa = 0 this reduces exactly to the common-error formula.  An error
+    grid gives an array fidelity and array breakdown fields.
     """
-    t1p, d1 = schemes.relative_error_angles(path.loop1.theta, error)
-    t2p, d2 = schemes.relative_error_angles(path.loop2.theta, error)
-    errored = TwoLoopPath(
-        schemes.LoopParams(t1p, path.loop1.psi, path.loop1.phi),
-        schemes.LoopParams(t2p, path.loop2.psi, path.loop2.phi),
-    )
-    dec = schemes.phi_b_of(errored)
-    theta11 = path.loop1.theta - t1p
-    theta22 = path.loop2.theta - t2p
-    psi21 = path.loop2.psi - path.loop1.psi
-    y_sq = theta11**2 + theta22**2 - 2.0 * theta11 * theta22 * np.cos(psi21)
-    cross = 0.0 if dec.degenerate else 2.0 * d1 * d2 * np.cos(dec.eta / 2.0) * np.cos(dec.phi_b)
-    z_sq = d1**2 + d2**2 + cross
-    y = float(np.sqrt(np.maximum(0.0, y_sq)))
-    z = float(np.sqrt(np.maximum(0.0, z_sq)))
-    fidelity = float(1.0 - y * y / 3.0 - PI_SQ * z * z / 3.0)
+    loop1, loop2 = path.loop1, path.loop2
+    t1p, d1 = schemes.relative_error_angles(loop1.theta, error)
+    t2p, d2 = schemes.relative_error_angles(loop2.theta, error)
+    dec = schemes.bright_decomposition((t1p, loop1.psi, loop1.phi), (t2p, loop2.psi, loop2.phi))
+    theta11 = loop1.theta - t1p
+    theta22 = loop2.theta - t2p
+    psi21 = loop2.psi - loop1.psi
+    y_sq = _square(theta11) + _square(theta22) - 2.0 * theta11 * theta22 * np.cos(psi21)
+    cross = np.where(dec.degenerate, 0.0, 2.0 * d1 * d2 * np.cos(dec.eta / 2.0) * np.cos(dec.phi_b))
+    z_sq = _square(d1) + _square(d2) + cross
+    y = np.sqrt(np.maximum(0.0, y_sq))
+    z = np.sqrt(np.maximum(0.0, z_sq))
+    fidelity = 1.0 - y * y / 3.0 - PI_SQ * z * z / 3.0
     breakdown = RelativeErrorBreakdown(
-        theta11=float(theta11),
-        theta22=float(theta22),
-        psi21=float(psi21),
-        delta1=float(d1),
-        delta2=float(d2),
+        theta11=theta11,
+        theta22=theta22,
+        psi21=psi21,
+        delta1=d1,
+        delta2=d2,
         eta_prime=dec.eta,
         phi_b=dec.phi_b,
         y=y,
@@ -271,8 +274,12 @@ class FidelityReport:
 SCHEMES = ("two-loop", "single-loop", "single-shot")
 
 
-def fidelity_pair(scheme: str, path, error: RabiError) -> tuple[float, float]:
-    """Exact and second-order fidelity for one scheme/path/error point."""
+def fidelity_pair(scheme: str, path, error: RabiError):
+    """Exact and second-order fidelity for one scheme/path/error point.
+
+    For an error grid (array fields of ``error``) both are arrays of the
+    grid's shape, from one stacked evaluation.
+    """
     if scheme == "two-loop":
         exact = gate_fidelity(schemes.two_loop_ideal(path), schemes.two_loop_errored_relative(path, error))
         analytic2 = fid2_relative(path, error)[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 
@@ -179,8 +180,12 @@ def _resolve_options(args: argparse.Namespace) -> dict:
 
 
 def _json_dump(payload, out: str | None) -> None:
-    # strict JSON: a NaN or infinity raises ValueError before the file is opened
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    # strict JSON: a NaN or infinity raises ValueError before the file is opened; encoding into
+    # a buffer chunk by chunk keeps the pretty-printer from holding every chunk in one list
+    buffer = io.StringIO()
+    json.dump(payload, buffer, indent=2, sort_keys=True, allow_nan=False)
+    buffer.write("\n")
+    text = buffer.getvalue()
     if out is None:
         sys.stdout.write(text)
     else:
@@ -230,22 +235,22 @@ def cmd_sweep(opts: dict) -> int:
         solve = pathfinder.solve_single_loop if scheme == "single-loop" else pathfinder.solve_single_shot
         path = solve(target)
         params = dataclasses.asdict(path)
-    records = []
-    for eps in epsilons:
-        for kappa in kappas:
-            error = RabiError(eps, kappa)
-            exact, second_order = analytic.fidelity_pair(scheme, path, error)
-            records.append(
-                {
-                    "scheme": scheme,
-                    "params": params,
-                    "epsilon": eps,
-                    "kappa": kappa,
-                    "fidelity_exact": exact,
-                    "fidelity_analytic2": second_order,
-                    "abs_gap": abs(exact - second_order),
-                }
-            )
+    # the whole sorted grid, epsilon major, as one stacked evaluation
+    grid = RabiError(np.repeat(epsilons, len(kappas)), np.tile(kappas, len(epsilons)))
+    exact, second_order = analytic.fidelity_pair(scheme, path, grid)
+    columns = (grid.epsilon, grid.kappa, exact, second_order, np.abs(exact - second_order))
+    records = [
+        {
+            "scheme": scheme,
+            "params": params,
+            "epsilon": eps,
+            "kappa": kappa,
+            "fidelity_exact": fidelity_exact,
+            "fidelity_analytic2": fidelity_analytic2,
+            "abs_gap": abs_gap,
+        }
+        for eps, kappa, fidelity_exact, fidelity_analytic2, abs_gap in zip(*(c.tolist() for c in columns))
+    ]
     _json_dump(records, opts["out"])
     return EXIT_OK
 

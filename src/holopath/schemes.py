@@ -8,7 +8,9 @@ propagator and its propagator under systematic Rabi-frequency errors.
 The amplitude error model multiplies the whole pulse envelope by an unknown
 constant fraction, so the accumulated pulse area is a sufficient statistic
 and every errored propagator below is one exponential per pulse at its
-errored area, exact for that model.  Pulse areas are enforced exactly (pi
+errored area, exact for that model.  A :class:`RabiError` whose fields are
+arrays is an error grid: each constructor then stacks its exponentials
+for the whole grid into one call.  Pulse areas are enforced exactly (pi
 per two-loop loop, pi/2 per single-loop segment, and total area pi for the
 single-shot pulse); envelope-resolved time stepping lives in
 :mod:`holopath.oracle`.
@@ -36,12 +38,26 @@ TWO_PI = 2.0 * np.pi
 _RANGE_SLACK = 1e-12
 
 
-def _principal(angle: float) -> float:
-    a = float(angle) % TWO_PI
-    return 0.0 if a >= TWO_PI else a
+def _is_scalar(value) -> bool:
+    # float and int first: np.ndim turns any other value into an array, which costs more
+    return isinstance(value, (float, int)) or np.ndim(value) == 0
 
 
-def _in_range(value: float, lo: float, hi: float, name: str) -> float:
+def _principal(angle):
+    """Angle (float or array) reduced to [0, 2*pi); a rounding that lands on 2*pi maps to 0."""
+    a = (float(angle) if _is_scalar(angle) else np.asarray(angle, dtype=float)) % TWO_PI
+    return a - TWO_PI * (a >= TWO_PI)
+
+
+def _in_range(value, lo: float, hi: float, name: str):
+    """value (float or array) clipped into [lo, hi] if within _RANGE_SLACK of it; ValueError otherwise."""
+    if not _is_scalar(value):
+        v = np.asarray(value, dtype=float)
+        low, high = v.min(initial=np.inf), v.max(initial=-np.inf)  # NaN propagates
+        if not (lo - _RANGE_SLACK <= low and high <= hi + _RANGE_SLACK):
+            for entry in v.flat:  # the first entry out of range raises
+                _in_range(entry, lo, hi, name)
+        return np.clip(v, lo, hi) if low < lo or high > hi else v
     v = float(value)
     if lo - _RANGE_SLACK <= v < lo:
         return lo
@@ -136,6 +152,13 @@ class SingleShotPath:
         )
 
 
+def _check_fraction(value, name: str) -> float:
+    v = float(value)
+    if not abs(v) <= 0.1:  # NaN fails too
+        raise ValueError(f"|{name}| must be <= 0.1, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class RabiError:
     """Systematic Rabi-frequency error: average epsilon, relative half-difference kappa.
@@ -143,25 +166,42 @@ class RabiError:
     The two drives see fractions epsilon0 = epsilon + kappa and
     epsilon1 = epsilon - kappa.  Both parameters are capped at 0.1 in
     magnitude; the perturbative analysis assumes small fractions.
+
+    Either field may be a float array, and the two broadcast against each
+    other: such an instance is an error grid, and every errored
+    constructor and second-order formula then returns one value per grid
+    point.  The cap is checked per point; the first failing point is
+    named, epsilon before kappa.  A grid instance holds arrays: it is not
+    hashable, and == between two grids raises as it does between arrays.
     """
 
-    epsilon: float
-    kappa: float = 0.0
+    epsilon: float | np.ndarray
+    kappa: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        for name in ("epsilon", "kappa"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or abs(v) > 0.1:
-                raise ValueError(f"|{name}| must be <= 0.1, got {v!r}")
-            object.__setattr__(self, name, v)
+        if _is_scalar(self.epsilon) and _is_scalar(self.kappa):
+            fields = (_check_fraction(self.epsilon, "epsilon"), _check_fraction(self.kappa, "kappa"))
+        else:
+            fields = (np.asarray(self.epsilon, dtype=float), np.asarray(self.kappa, dtype=float))
+            points = np.broadcast(*fields)  # raises if the shapes do not broadcast
+            if not all(np.all(np.abs(f) <= 0.1) for f in fields):
+                for point in points:  # the first failing point raises
+                    RabiError(*point)
+        object.__setattr__(self, "epsilon", fields[0])
+        object.__setattr__(self, "kappa", fields[1])
 
     @property
-    def epsilon0(self) -> float:
+    def epsilon0(self):
         return self.epsilon + self.kappa
 
     @property
-    def epsilon1(self) -> float:
+    def epsilon1(self):
         return self.epsilon - self.kappa
+
+    @property
+    def ndim(self) -> int:
+        """Number of grid axes; 0 for a single error point."""
+        return max(getattr(self.epsilon, "ndim", 0), getattr(self.kappa, "ndim", 0))
 
 
 NO_ERROR = RabiError(0.0)
@@ -183,8 +223,8 @@ class BrightDecomposition(NamedTuple):
 
 
 def require_common_error(error: RabiError, scheme: str) -> RabiError:
-    """Return ``error`` unchanged if kappa = 0; raise ValueError naming ``scheme`` otherwise."""
-    if error.kappa != 0.0:
+    """Return ``error`` unchanged if kappa = 0 everywhere; raise ValueError naming ``scheme`` otherwise."""
+    if np.count_nonzero(error.kappa):
         raise ValueError(
             f"{scheme} is analyzed under the common-error model only (kappa = 0); "
             "only the two-loop scheme models kappa != 0"
@@ -192,17 +232,17 @@ def require_common_error(error: RabiError, scheme: str) -> RabiError:
     return error
 
 
-def bright_dark(theta: float, psi: float) -> tuple[np.ndarray, np.ndarray]:
+def bright_dark(theta, psi) -> tuple[np.ndarray, np.ndarray]:
     """Bright and dark logical states for ratio angle theta and relative phase psi.
 
     |b> = cos(theta/2)|0> + sin(theta/2) e^{i psi}|1> couples to |e> under
     the drive; |d> = sin(theta/2)|0> - cos(theta/2) e^{i psi}|1> does not.
+    Array angles broadcast; the states then have shape (..., 3).
     """
-    t = _in_range(theta, 0.0, np.pi, "theta")
-    half = t / 2.0
-    phase = np.exp(1j * psi)
-    b = np.cos(half) * KET_0 + np.sin(half) * phase * KET_1
-    d = np.sin(half) * KET_0 - np.cos(half) * phase * KET_1
+    half = _in_range(theta, 0.0, np.pi, "theta") / 2.0
+    cos, sin, phase = np.cos(half), np.sin(half), np.exp(1j * psi)
+    b = cos[..., None] * KET_0 + (sin * phase)[..., None] * KET_1
+    d = sin[..., None] * KET_0 - (cos * phase)[..., None] * KET_1
     return b, d
 
 
@@ -212,44 +252,55 @@ def bloch_vector(theta: float, psi: float) -> np.ndarray:
     return np.array([np.sin(t) * np.cos(psi), np.sin(t) * np.sin(psi), np.cos(t)])
 
 
-def coupling_generator(theta: float, psi: float, phi: float) -> np.ndarray:
-    """Hamiltonian structure e^{i phi}|b><e| + h.c. with the envelope taken out."""
+def coupling_generator(theta, psi, phi) -> np.ndarray:
+    """Hamiltonian structure e^{i phi}|b><e| + h.c. with the envelope taken out.
+
+    Array angles broadcast to a (..., 3, 3) stack.
+    """
     b, _ = bright_dark(theta, psi)
-    half = np.exp(1j * phi) * np.outer(b, KET_E.conj())
-    return half + half.conj().T
+    half = np.exp(1j * phi)[..., None, None] * (b[..., :, None] * KET_E.conj())
+    return half + np.swapaxes(half.conj(), -1, -2)
 
 
 def loop_generator(loop: LoopParams) -> np.ndarray:
     return coupling_generator(loop.theta, loop.psi, loop.phi)
 
 
-def loop_unitary(loop: LoopParams) -> np.ndarray:
-    """Propagator of one full loop (pulse area pi): -|e><e| - n.sigma."""
-    return expm(loop_generator(loop), np.pi)
+def _loop_angles(path: TwoLoopPath, ndim: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both loops' (theta, psi, phi) as three arrays of shape (2,) + (1,) * ndim.
+
+    The leading axis indexes the loop; the ``ndim`` unit axes broadcast
+    against an error grid with that many axes.
+    """
+    angles = np.array([[loop.theta, loop.psi, loop.phi] for loop in (path.loop1, path.loop2)])
+    theta, psi, phi = angles.T.reshape((3, 2) + (1,) * ndim)
+    return theta, psi, phi
 
 
 def two_loop_ideal(path: TwoLoopPath) -> np.ndarray:
-    """Ideal two-loop gate U = U2 U1.
+    """Ideal two-loop gate U = U2 U1, each loop a pi-area pulse: -|e><e| - n.sigma.
 
     The logical block equals (n1.n2) I - 1j (n1 x n2).sigma, a rotation by
     twice the angle between the two loop Bloch vectors; it is independent
     of the total phases phi1, phi2.
     """
-    return loop_unitary(path.loop2) @ loop_unitary(path.loop1)
+    loops = expm(coupling_generator(*_loop_angles(path)), np.pi)
+    return loops[1] @ loops[0]
 
 
-def relative_error_angles(theta: float, error: RabiError) -> tuple[float, float]:
+def relative_error_angles(theta, error: RabiError):
     """Errored ratio angle and area excess (theta_prime, delta) for one loop.
 
     With drive fractions (1+e0, 1+e1) the coupled direction tilts to
     theta_prime = 2 arctan(tan(theta/2) (1+e1)/(1+e0)) and the effective
     pulse-area fraction grows by
     delta = hypot((1+e0) cos(theta/2), (1+e1) sin(theta/2)) - 1.
+    theta and an error grid broadcast against each other.
     """
     t = _in_range(theta, 0.0, np.pi, "theta")
     c0 = (1.0 + error.epsilon0) * np.cos(t / 2.0)
     s1 = (1.0 + error.epsilon1) * np.sin(t / 2.0)
-    return 2.0 * np.arctan2(s1, c0), float(np.hypot(c0, s1) - 1.0)
+    return 2.0 * np.arctan2(s1, c0), np.hypot(c0, s1) - 1.0
 
 
 def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray:
@@ -258,29 +309,27 @@ def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray
     Each loop is one exponential of its errored coupling (ratio angle
     theta_prime) at area pi*(1+delta); see :func:`relative_error_angles`.
     At kappa = 0 this is the common-error gate: theta_prime = theta and
-    delta = epsilon.
+    delta = epsilon.  An error grid gives a (..., 3, 3) stack.
     """
-    gates = []
-    for loop in (path.loop1, path.loop2):
-        theta_p, delta = relative_error_angles(loop.theta, error)
-        gates.append(expm(coupling_generator(theta_p, loop.psi, loop.phi), (1.0 + delta) * np.pi))
-    return gates[1] @ gates[0]
+    theta, psi, phi = _loop_angles(path, error.ndim)
+    theta_p, delta = relative_error_angles(theta, error)
+    loops = expm(coupling_generator(theta_p, psi, phi), (1.0 + delta) * np.pi)
+    return loops[1] @ loops[0]
 
 
 def single_loop_ideal(path: SingleLoopPath) -> np.ndarray:
     """Single-loop multiple-pulse gate: two pi/2-area segments with a phase jump."""
-    seg1 = expm(coupling_generator(path.theta, path.psi, path.phi), np.pi / 2)
-    seg2 = expm(coupling_generator(path.theta, path.psi, path.phi_prime), np.pi / 2)
-    return seg2 @ seg1
+    segments = expm(coupling_generator(path.theta, path.psi, np.array([path.phi, path.phi_prime])), np.pi / 2)
+    return segments[1] @ segments[0]
 
 
 def single_loop_errored(path: SingleLoopPath, error: RabiError) -> np.ndarray:
     """Single-loop gate under a common amplitude error (each segment has area (1+eps)*pi/2)."""
     require_common_error(error, "single_loop_errored")
     area = (1.0 + error.epsilon) * np.pi / 2
-    seg1 = expm(coupling_generator(path.theta, path.psi, path.phi), area)
-    seg2 = expm(coupling_generator(path.theta, path.psi, path.phi_prime), area)
-    return seg2 @ seg1
+    phases = np.array([path.phi, path.phi_prime]).reshape((2,) + (1,) * np.ndim(area))
+    segments = expm(coupling_generator(path.theta, path.psi, phases), area)
+    return segments[1] @ segments[0]
 
 
 def single_shot_bright(path: SingleShotPath) -> np.ndarray:
@@ -308,14 +357,16 @@ def single_shot_error_operator(path: SingleShotPath, epsilon: float) -> tuple[fl
     """Normalized traceless rotation operator of the errored single-shot drive.
 
     Returns (lambda, sigma) with lambda = hypot((1+eps) cos gamma, sin gamma);
-    sigma squares to the bright/excited projector and is traceless.
+    sigma squares to the bright/excited projector and is traceless.  An
+    array epsilon gives lambda of its shape and a (..., 3, 3) sigma.
     """
     b = single_shot_bright(path)
     pb = projector(b)
     cross = np.outer(b, KET_E.conj()) + np.outer(KET_E, b.conj())
     sg, cg = np.sin(path.gamma), np.cos(path.gamma)
-    lam = float(np.hypot((1.0 + epsilon) * cg, sg))
-    sigma = ((1.0 + epsilon) * cg * cross + sg * (PROJ_E - pb)) / lam
+    drive = (1.0 + epsilon) * cg
+    lam = np.hypot(drive, sg)
+    sigma = (drive[..., None, None] * cross + sg * (PROJ_E - pb)) / lam[..., None, None]
     return lam, sigma
 
 
@@ -344,6 +395,25 @@ def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
     return expm(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ expm(sigma, lam * np.pi)
 
 
+def bright_decomposition(loop1, loop2) -> BrightDecomposition:
+    """The :class:`BrightDecomposition` of two loops given as raw (theta, psi, phi) triples.
+
+    Array angles broadcast, and every field then has their shape.  Only
+    theta's range is checked.
+    """
+    (theta1, psi1, phi1), (theta2, psi2, phi2) = loop1, loop2
+    b1, d1 = bright_dark(theta1, psi1)
+    b2, _ = bright_dark(theta2, psi2)
+    overlap = np.vecdot(b1, b2)
+    # hypot, not np.abs: numpy's vectorized complex abs can differ from the scalar one in the last bit
+    magnitude = np.hypot(overlap.real, overlap.imag)
+    eta = 2.0 * np.arccos(np.minimum(1.0, magnitude))
+    degenerate = magnitude <= 1e-12
+    phi_b = np.where(degenerate, np.nan, _principal(phi2 - phi1 + np.angle(overlap)))[()]
+    phi_d = _principal(phi2 + np.angle(np.vecdot(d1, b2)))
+    return BrightDecomposition(eta, phi_b, phi_d, degenerate)
+
+
 def phi_b_of(path: TwoLoopPath) -> BrightDecomposition:
     """Decompose the second loop's phased bright state over the first loop's basis.
 
@@ -353,12 +423,5 @@ def phi_b_of(path: TwoLoopPath) -> BrightDecomposition:
     Angles are reduced to [0, 2*pi); at eta = 0 the dark-component phase
     phi_d is immaterial and returned as phi2 by convention.
     """
-    b1, d1 = bright_dark(path.loop1.theta, path.loop1.psi)
-    b2, _ = bright_dark(path.loop2.theta, path.loop2.psi)
-    overlap = np.vdot(b1, b2)
-    eta = 2.0 * np.arccos(min(1.0, abs(overlap)))
-    degenerate = abs(overlap) <= 1e-12
-    phi1, phi2 = path.loop1.phi, path.loop2.phi
-    phi_b = np.nan if degenerate else _principal(phi2 - phi1 + np.angle(overlap))
-    phi_d = _principal(phi2 + np.angle(np.vdot(d1, b2)))
-    return BrightDecomposition(float(eta), phi_b, phi_d, degenerate)
+    loop1, loop2 = path.loop1, path.loop2
+    return bright_decomposition((loop1.theta, loop1.psi, loop1.phi), (loop2.theta, loop2.psi, loop2.phi))

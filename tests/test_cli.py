@@ -110,6 +110,61 @@ def test_sweep_single_shot(tmp_path):
     assert record["fidelity_exact"] == pytest.approx(1 - 1.8506e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "scheme, grid",
+    [("two-loop", ["--epsilon="]), ("single-loop", ["--epsilon="]), ("single-shot", ["--epsilon="]),
+     ("two-loop", ["--epsilon", "0.01", "--kappa="])],
+)
+def test_sweep_empty_grid_writes_empty_list(tmp_path, scheme, grid):
+    out = tmp_path / "empty.json"
+    code = run(["sweep", "--scheme", scheme, "--theta-gate", 0.25, "--axis", "1,0,0", *grid, "--out", out])
+    assert code == 0
+    assert out.read_text() == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "scheme, grid, message",
+    [
+        ("two-loop", ["--epsilon=0.01,0.2"], "|epsilon| must be <= 0.1, got 0.2"),
+        ("single-loop", ["--epsilon=0.01,-0.3"], "|epsilon| must be <= 0.1, got -0.3"),
+        ("two-loop", ["--epsilon=nan"], "|epsilon| must be <= 0.1, got nan"),
+        ("two-loop", ["--epsilon=0.01", "--kappa=0,0.11"], "|kappa| must be <= 0.1, got 0.11"),
+        # the first failing point of the sorted grid: (0.01, 0.5) before (0.2, 0.5)
+        ("two-loop", ["--epsilon=0.2,0.01", "--kappa=0.5"], "|kappa| must be <= 0.1, got 0.5"),
+    ],
+)
+def test_sweep_grid_value_out_of_range(tmp_path, capsys, scheme, grid, message):
+    out = tmp_path / "bad.json"
+    code = run(["sweep", "--scheme", scheme, "--theta-gate", 0.25, "--axis", "1,0,0", *grid, "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == f"holopath: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, kappa", [("two-loop", "-0.02,0,0.013"), ("single-loop", "0"), ("single-shot", "0")])
+def test_sweep_records_equal_per_point_fidelity_pair(tmp_path, scheme, kappa):
+    # the grid evaluation against the loop over its points, value for value
+    from holopath.schemes import LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
+
+    out = tmp_path / "sweep.json"
+    epsilons = [0.05, -0.05, 0.0071, 0.0, -0.003]
+    code = run(["sweep", "--scheme", scheme, "--theta-gate", 0.3, "--axis=-1,2,0.5",
+                "--epsilon=" + ",".join(map(str, epsilons)), f"--kappa={kappa}", "--out", out])
+    assert code == 0
+    records = json.loads(out.read_text())
+    params = records[0]["params"]
+    if scheme == "two-loop":
+        path = TwoLoopPath(*(LoopParams(*(params[f"{k}{i}"] for k in ("theta", "psi", "phi"))) for i in (1, 2)))
+    else:
+        path = (SingleLoopPath if scheme == "single-loop" else SingleShotPath)(**params)
+    grid = [(e, k) for e in sorted(epsilons) for k in sorted(map(float, kappa.split(",")))]
+    assert [(r["epsilon"], r["kappa"]) for r in records] == grid
+    for record in records:
+        exact, second_order = analytic.fidelity_pair(scheme, path, RabiError(record["epsilon"], record["kappa"]))
+        assert (record["fidelity_exact"], record["fidelity_analytic2"]) == (exact, second_order)
+        assert record["abs_gap"] == abs(exact - second_order)
+
+
 # ------------------------------------------------------------------- optimize
 
 

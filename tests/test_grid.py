@@ -1,0 +1,206 @@
+"""Error grids: one stacked call must equal the loop over its points, bit for bit.
+
+The per-point loop is the reference.  The grid call runs the same
+arithmetic on stacked arrays, so every value must be identical
+(``np.array_equal``), not merely close.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from holopath.analytic import RelativeErrorBreakdown, fid2_relative, fidelity_pair
+from holopath.linalg import expm, gate_fidelity
+from holopath.schemes import (
+    LoopParams,
+    RabiError,
+    SingleLoopPath,
+    SingleShotPath,
+    TwoLoopPath,
+    bright_dark,
+    bright_decomposition,
+    relative_error_angles,
+    two_loop_errored_relative,
+    two_loop_ideal,
+)
+
+GRID_SETTINGS = settings(max_examples=25, deadline=None)
+
+TAU = 2 * math.pi
+thetas = st.floats(0.0, math.pi) | st.sampled_from([0.0, math.pi / 2, math.pi])
+phases = st.floats(0.0, TAU, exclude_max=True)
+fractions = st.floats(-0.1, 0.1) | st.just(0.0)
+
+
+@st.composite
+def two_loop_paths(draw):
+    return TwoLoopPath(*(LoopParams(draw(thetas), draw(phases), draw(phases)) for _ in range(2)))
+
+
+@st.composite
+def orthogonal_two_loop_paths(draw):
+    """Loops at theta = 0 and pi: orthogonal bright states, eta' = pi at every kappa, phi_b NaN."""
+    return TwoLoopPath(LoopParams(0.0, draw(phases), draw(phases)), LoopParams(math.pi, draw(phases), draw(phases)))
+
+
+@st.composite
+def single_loop_paths(draw):
+    return SingleLoopPath(draw(thetas), draw(phases), draw(phases), draw(phases))
+
+
+@st.composite
+def single_shot_paths(draw):
+    return SingleShotPath(
+        draw(st.floats(0.0, math.pi / 2)), draw(phases), draw(phases), draw(st.floats(-math.pi / 2, math.pi / 2))
+    )
+
+
+@st.composite
+def error_grids(draw, relative: bool = True):
+    """An (n, m) grid as an epsilon column and a kappa row; kappa = 0 is always one of the columns.
+
+    Besides the drawn values, which favour the edges, each axis holds
+    uniform ones: a roundoff difference shows on typical values.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.lists(fractions, min_size=1, max_size=4)) + list(rng.uniform(-0.1, 0.1, 6))
+    kappa = [0.0] + (draw(st.lists(fractions, max_size=3)) + list(rng.uniform(-0.1, 0.1, 4)) if relative else [])
+    return np.array(eps)[:, None], np.array(kappa)[None, :]
+
+
+def per_point(evaluate, eps, kappa):
+    """The reference: ``evaluate`` on one scalar RabiError per grid point, stacked in grid order."""
+    e, k = np.broadcast_arrays(eps, kappa)
+    values = [evaluate(RabiError(float(a), float(b))) for a, b in zip(e.flat, k.flat)]
+    return np.array(values).reshape(e.shape + np.shape(values[0]))
+
+
+def per_index(evaluate, shape):
+    """The reference for a stack: ``evaluate`` at each index of ``shape``, stacked in index order."""
+    values = [evaluate(index) for index in np.ndindex(shape)]
+    return np.array(values).reshape(shape + np.shape(values[0]))
+
+
+def assert_pair_equals_loop(scheme, path, eps, kappa):
+    exact, second_order = fidelity_pair(scheme, path, RabiError(eps, kappa))
+    reference = per_point(lambda error: fidelity_pair(scheme, path, error), eps, kappa)
+    assert exact.shape == second_order.shape == np.broadcast_shapes(eps.shape, kappa.shape)
+    assert np.array_equal(exact, reference[..., 0])
+    assert np.array_equal(second_order, reference[..., 1])
+
+
+@GRID_SETTINGS
+@given(two_loop_paths(), error_grids())
+def test_fidelity_pair_two_loop_grid_equals_loop(path, grid):
+    assert_pair_equals_loop("two-loop", path, *grid)
+
+
+@GRID_SETTINGS
+@given(single_loop_paths(), error_grids(relative=False))
+def test_fidelity_pair_single_loop_grid_equals_loop(path, grid):
+    assert_pair_equals_loop("single-loop", path, *grid)
+
+
+@GRID_SETTINGS
+@given(single_shot_paths(), error_grids(relative=False))
+def test_fidelity_pair_single_shot_grid_equals_loop(path, grid):
+    assert_pair_equals_loop("single-shot", path, *grid)
+
+
+@GRID_SETTINGS
+@given(two_loop_paths(), error_grids())
+def test_two_loop_errored_relative_grid_equals_loop(path, grid):
+    stack = two_loop_errored_relative(path, RabiError(*grid))
+    assert np.array_equal(stack, per_point(lambda error: two_loop_errored_relative(path, error), *grid))
+
+
+def assert_breakdown_equals_loop(path, eps, kappa):
+    breakdown, fidelity = fid2_relative(path, RabiError(eps, kappa))
+    reference = per_point(lambda error: fid2_relative(path, error)[1], eps, kappa)
+    assert np.array_equal(fidelity, reference)
+    for field in RelativeErrorBreakdown.__dataclass_fields__:
+        values = per_point(lambda error: getattr(fid2_relative(path, error)[0], field), eps, kappa)
+        grid_values = np.broadcast_to(getattr(breakdown, field), values.shape)
+        assert np.array_equal(grid_values, values, equal_nan=True), field
+    return breakdown, fidelity
+
+
+@GRID_SETTINGS
+@given(two_loop_paths(), error_grids())
+def test_fid2_relative_every_field_grid_equals_loop(path, grid):
+    assert_breakdown_equals_loop(path, *grid)
+
+
+@GRID_SETTINGS
+@given(orthogonal_two_loop_paths(), error_grids())
+def test_orthogonal_bright_states_grid_equals_loop(path, grid):
+    breakdown, fidelity = assert_breakdown_equals_loop(path, *grid)
+    assert np.all(breakdown.degenerate)
+    assert np.all(np.isnan(breakdown.phi_b))
+    assert np.all(np.isfinite(fidelity))
+    assert_pair_equals_loop("two-loop", path, *grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(fractions, min_size=1, max_size=6),
+    st.sampled_from(["epsilon", "kappa"]),
+    st.data(),
+)
+def test_grid_rabi_error_rejects_nan_and_out_of_range(values, field, data):
+    bad = data.draw(st.sampled_from([math.nan, 0.1000001, -0.2, math.inf]))
+    index = data.draw(st.integers(0, len(values)))
+    grid = np.array(values[:index] + [bad] + values[index:])
+    other = np.zeros_like(grid)
+    eps, kappa = (grid, other) if field == "epsilon" else (other, grid)
+    with pytest.raises(ValueError, match=rf"\|{field}\| must be <= 0.1, got {bad!r}$"):
+        RabiError(eps, kappa)
+
+
+def test_grid_rabi_error_names_first_failing_point():
+    # point 0 fails on kappa before point 1 fails on epsilon, as a loop over the points would find
+    with pytest.raises(ValueError, match=r"\|kappa\| must be <= 0.1, got 0.5$"):
+        RabiError(np.array([0.01, 0.2]), np.array([0.5, 0.0]))
+
+
+def test_grid_rabi_error_shapes_must_broadcast():
+    with pytest.raises(ValueError):
+        RabiError(np.zeros(3), np.zeros(2))
+
+
+def test_empty_grid_gives_empty_arrays():
+    path = TwoLoopPath(LoopParams(0.4, 0.1, 0.2), LoopParams(1.9, 2.0, 3.0))
+    exact, second_order = fidelity_pair("two-loop", path, RabiError(np.zeros(0), np.zeros(0)))
+    assert exact.shape == second_order.shape == (0,)
+
+
+def test_stacked_reductions_match_scalar_builtins(rng):
+    # numpy's vectorized complex abs, and a summed product, can differ in the last bit from the
+    # builtin abs() and np.vdot that the one-point formulas were first written with
+    path = TwoLoopPath(LoopParams(0.4, 0.1, 0.2), LoopParams(1.9, 2.0, 3.0))
+    error = RabiError(rng.uniform(-0.1, 0.1, (20, 1)), rng.uniform(-0.1, 0.1, 20))
+    ideal = two_loop_ideal(path)
+    stack = two_loop_errored_relative(path, error).reshape(-1, 3, 3)
+    expected = [abs(np.trace(ideal.conj().T @ gate)) / 3.0 for gate in stack]
+    assert np.array_equal(gate_fidelity(ideal, stack), expected)
+
+    loops = [(relative_error_angles(loop.theta, error)[0], loop.psi, loop.phi) for loop in (path.loop1, path.loop2)]
+    b1, b2 = (bright_dark(theta, psi)[0].reshape(-1, 3) for theta, psi, _ in loops)
+    expected = [2.0 * np.arccos(min(1.0, abs(np.vdot(x, y)))) for x, y in zip(b1, b2)]
+    assert np.array_equal(bright_decomposition(*loops).eta.ravel(), expected)
+
+
+def test_expm_and_gate_fidelity_broadcast_equals_loop(rng):
+    m = rng.normal(size=(4, 3, 3, 3)) + 1j * rng.normal(size=(4, 3, 3, 3))
+    generators = m + np.swapaxes(m.conj(), -1, -2)
+    angles = rng.uniform(-3, 3, size=(4, 3))
+    stack = expm(generators, angles)
+    assert np.array_equal(stack, per_index(lambda i: expm(generators[i], angles[i]), angles.shape))
+    ideal = expm(generators[0, 0], 0.3)
+    assert np.array_equal(
+        gate_fidelity(ideal, stack), per_index(lambda i: gate_fidelity(ideal, stack[i]), angles.shape)
+    )
+    assert isinstance(gate_fidelity(ideal, stack[0, 0]), float)
