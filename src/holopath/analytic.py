@@ -294,27 +294,29 @@ def fidelity_pair(scheme: str, path, error: RabiError):
     return exact, analytic2
 
 
-def fidelity_report(scheme: str, path, error: RabiError, probe_magnitudes=(1e-3, 1e-4)) -> FidelityReport:
-    """Full exact-vs-analytic comparison record for one error point."""
+#: error magnitudes of the symmetric +/- probe behind FidelityReport's quadratic coefficients
+_PROBE_MAGNITUDES = (1e-3, 1e-4)
+
+
+def fidelity_report(scheme: str, path, error: RabiError) -> FidelityReport:
+    """Full exact-vs-analytic comparison record for one error point.
+
+    The four probe points (magnitudes 1e-3 and 1e-4 with both signs, along
+    the direction of ``error``; along epsilon at zero error) are one grid
+    :func:`fidelity_pair` call, and both coefficients are extracted from it.
+    """
     exact, analytic2 = fidelity_pair(scheme, path, error)
     scale = float(np.hypot(error.epsilon, error.kappa))
     if scale == 0.0:
         direction = (1.0, 0.0)
     else:
         direction = (error.epsilon / scale, error.kappa / scale)
-
-    def probe(kind: str) -> float:
-        pts = []
-        for mag in probe_magnitudes:
-            for sign in (1.0, -1.0):
-                probe_error = RabiError(sign * mag * direction[0], sign * mag * direction[1])
-                pair = fidelity_pair(scheme, path, probe_error)
-                pts.append((sign * mag, pair[0] if kind == "exact" else pair[1]))
-        return extract_quadratic_coefficient(pts)
-
+    signed = np.array([sign * mag for mag in _PROBE_MAGNITUDES for sign in (1.0, -1.0)])
+    probes = RabiError(signed * direction[0], signed * direction[1])
+    probe_exact, probe_analytic = fidelity_pair(scheme, path, probes)
     return FidelityReport(
         exact=exact,
         analytic2=analytic2,
-        quad_coeff_exact=probe("exact"),
-        quad_coeff_analytic=probe("analytic"),
+        quad_coeff_exact=extract_quadratic_coefficient(zip(signed, probe_exact)),
+        quad_coeff_analytic=extract_quadratic_coefficient(zip(signed, probe_analytic)),
     )

@@ -31,8 +31,8 @@ LEVEL_CHOICES = ("fast", "full")
 ORIENTATION_SIGN_CHOICES = (1, -1)
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """A bad option or option value; when a flag's converter raises it, argparse shows its message."""
 
 
 def _parse_axis(text: str) -> np.ndarray:
@@ -313,9 +313,6 @@ def main(argv=None) -> int:
     try:
         opts = _resolve_options(args)
         return _COMMANDS[args.command](opts)
-    except UsageError as exc:
-        print(f"holopath: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"holopath: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,7 +29,6 @@ PROJ_E = np.outer(KET_E, KET_E.conj())
 SIGMA_X = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 PAULI_QUBIT = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -55,20 +54,20 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def require_hermitian(matrix, name: str = "generator", atol: float = ATOL_ALGEBRAIC) -> np.ndarray:
+def require_hermitian(matrix, name: str = "generator") -> np.ndarray:
     """The operand as a complex (..., 3, 3) array, checked Hermitian in one pass over the stack."""
     m = _as_matrix(matrix, name)
     dev = np.abs(m - _dagger(m)).max(initial=0.0)
-    if dev > atol:
+    if dev > ATOL_ALGEBRAIC:
         raise ContractViolation(f"{name} is not Hermitian (max |M - M^dag| = {dev:.3e})")
     return m
 
 
-def require_unitary(matrix, name: str = "matrix", atol: float = ATOL_ALGEBRAIC) -> np.ndarray:
+def require_unitary(matrix, name: str = "matrix") -> np.ndarray:
     """The operand as a complex (..., 3, 3) array, checked unitary in one pass over the stack."""
     m = _as_matrix(matrix, name)
     dev = np.abs(_dagger(m) @ m - IDENTITY).max(initial=0.0)
-    if dev > atol:
+    if dev > ATOL_ALGEBRAIC:
         raise ContractViolation(f"{name} is not unitary (max |U^dag U - I| = {dev:.3e})")
     return m
 
@@ -136,13 +135,13 @@ def gate_fidelity(ideal, errored):
     return fidelity if fidelity.ndim else float(fidelity)
 
 
-def is_block_diagonal(matrix, atol: float = ATOL_STRUCTURAL) -> bool:
+def is_block_diagonal(matrix) -> bool:
     """True when the matrix does not mix the logical subspace with |e>."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (3, 3):
         return False
     off = max(abs(m[0, 2]), abs(m[1, 2]), abs(m[2, 0]), abs(m[2, 1]))
-    return bool(off <= atol)
+    return bool(off <= ATOL_STRUCTURAL)
 
 
 def qubit_block(matrix) -> np.ndarray:

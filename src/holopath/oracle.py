@@ -39,6 +39,9 @@ SHAPES = tuple(_UNIT_AREA)
 #: propagation error below this is roundoff; convergence order is then indeterminate
 ROUNDOFF_FLOOR = 1e-12
 
+#: duration of every schedule_for_* pulse; a pulse's propagator depends only on its area
+_PULSE_DURATION = 1.0
+
 
 @dataclass(frozen=True)
 class PulseEnvelope:
@@ -164,9 +167,7 @@ def convergence_order(schedule: Schedule, steps: int = 1000) -> float:
     return float(np.log2(err1 / err2))
 
 
-def schedule_for_two_loop(
-    path: TwoLoopPath, error: RabiError | None = None, shape: str = "square", loop_duration: float = 1.0
-) -> Schedule:
+def schedule_for_two_loop(path: TwoLoopPath, error: RabiError | None = None, shape: str = "square") -> Schedule:
     """Two-segment schedule equivalent to the (errored) two-loop gate.
 
     Each loop becomes one pi-area pulse of the errored bright-state
@@ -178,12 +179,12 @@ def schedule_for_two_loop(
     for loop in (path.loop1, path.loop2):
         theta_p, delta = schemes.relative_error_angles(loop.theta, err)
         gen = schemes.coupling_generator(theta_p, loop.psi, loop.phi)
-        segs.append(ScheduleSegment(PulseEnvelope(shape, loop_duration, np.pi), gen, 1.0 + delta))
+        segs.append(ScheduleSegment(PulseEnvelope(shape, _PULSE_DURATION, np.pi), gen, 1.0 + delta))
     return Schedule(tuple(segs))
 
 
 def schedule_for_single_loop(
-    path: SingleLoopPath, error: RabiError | None = None, shape: str = "square", segment_duration: float = 1.0
+    path: SingleLoopPath, error: RabiError | None = None, shape: str = "square"
 ) -> Schedule:
     """Two pi/2-area segments at total phases phi then phi_prime, both scaled by 1 + eps."""
     err = schemes.require_common_error(error or schemes.NO_ERROR, "schedule_for_single_loop")
@@ -191,14 +192,14 @@ def schedule_for_single_loop(
     segs = []
     for phase in (path.phi, path.phi_prime):
         gen = schemes.coupling_generator(path.theta, path.psi, phase)
-        segs.append(ScheduleSegment(PulseEnvelope(shape, segment_duration, np.pi / 2), gen, scale))
+        segs.append(ScheduleSegment(PulseEnvelope(shape, _PULSE_DURATION, np.pi / 2), gen, scale))
     return Schedule(tuple(segs))
 
 
 def schedule_for_single_shot(
-    path: SingleShotPath, error: RabiError | None = None, shape: str = "square", duration: float = 1.0
+    path: SingleShotPath, error: RabiError | None = None, shape: str = "square"
 ) -> Schedule:
     """One pi-area segment of the full (errored) single-shot Hamiltonian structure."""
     err = schemes.require_common_error(error or schemes.NO_ERROR, "schedule_for_single_shot")
     gen = schemes.single_shot_generator(path, err.epsilon)
-    return Schedule((ScheduleSegment(PulseEnvelope(shape, duration, np.pi), gen, 1.0),))
+    return Schedule((ScheduleSegment(PulseEnvelope(shape, _PULSE_DURATION, np.pi), gen, 1.0),))

@@ -262,10 +262,6 @@ def coupling_generator(theta, psi, phi) -> np.ndarray:
     return half + np.swapaxes(half.conj(), -1, -2)
 
 
-def loop_generator(loop: LoopParams) -> np.ndarray:
-    return coupling_generator(loop.theta, loop.psi, loop.phi)
-
-
 def _loop_angles(path: TwoLoopPath, ndim: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both loops' (theta, psi, phi) as three arrays of shape (2,) + (1,) * ndim.
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import analytic, oracle, pathfinder, schemes
 from .analytic import TargetGate
-from .linalg import IDENTITY, expm, gate_fidelity
+from .linalg import IDENTITY, expm
 from .pathfinder import PathConstraints
-from .schemes import LoopParams, RabiError, TwoLoopPath
+from .schemes import NO_ERROR, LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 
 DEFAULT_SEED = 20260809
 
@@ -28,6 +28,8 @@ CUBIC_BOUND_CONSTANT = 6.0
 
 _THETA_GRID = (np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2)
 _COEFF_AXIS = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+#: kappa step of the central difference behind criterion 6's dF/dkappa
+_KAPPA_STEP = 1e-5
 
 
 @dataclass
@@ -47,18 +49,23 @@ def _result(name: str, started: float, passed: bool, detail: str) -> CheckResult
     return CheckResult(name, bool(passed), detail, time.perf_counter() - started)
 
 
-def _exact_coefficient(ideal, errored_fn) -> float:
-    points = []
-    for mag in (1e-3, 1e-4):
-        for sign in (1.0, -1.0):
-            points.append((sign * mag, gate_fidelity(ideal, errored_fn(sign * mag))))
-    return analytic.extract_quadratic_coefficient(points)
-
-
 def _random_two_loop_path(rng) -> TwoLoopPath:
     return TwoLoopPath(
         LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
         LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
+    )
+
+
+def _random_single_loop_path(rng) -> SingleLoopPath:
+    return SingleLoopPath(
+        rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
+    )
+
+
+def _random_single_shot_path(rng) -> SingleShotPath:
+    return SingleShotPath(
+        rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi),
+        rng.uniform(-np.pi / 2, np.pi / 2),
     )
 
 
@@ -94,8 +101,7 @@ def check_two_loop_coefficients(level: str = "fast", seed: int = DEFAULT_SEED) -
     worst = 0.0
     for theta_gate in _THETA_GRID:
         sol = pathfinder.solve_two_loop(TargetGate(theta_gate, _COEFF_AXIS))
-        ideal = schemes.two_loop_ideal(sol.path)
-        coeff = _exact_coefficient(ideal, lambda e: schemes.two_loop_errored_relative(sol.path, RabiError(e)))
+        coeff = analytic.fidelity_report("two-loop", sol.path, NO_ERROR).quad_coeff_exact
         target = analytic.f1(theta_gate) * np.pi**2 / 3.0
         worst = max(worst, abs(coeff / target - 1.0))
     elapsed = time.perf_counter() - started
@@ -110,16 +116,12 @@ def check_other_scheme_coefficients(level: str = "fast", seed: int = DEFAULT_SEE
     worst = 0.0
     for theta_gate in _THETA_GRID:
         target = TargetGate(theta_gate, _COEFF_AXIS)
-        sl = pathfinder.solve_single_loop(target)
-        coeff = _exact_coefficient(
-            schemes.single_loop_ideal(sl), lambda e: schemes.single_loop_errored(sl, RabiError(e))
-        )
-        worst = max(worst, abs(coeff / (analytic.f2(theta_gate) * np.pi**2 / 3.0) - 1.0))
-        ss = pathfinder.solve_single_shot(target)
-        coeff = _exact_coefficient(
-            schemes.single_shot_ideal(ss), lambda e: schemes.single_shot_errored(ss, RabiError(e))
-        )
-        worst = max(worst, abs(coeff / (analytic.f3(theta_gate) * np.pi**2 / 3.0) - 1.0))
+        for scheme, path, shape in (
+            ("single-loop", pathfinder.solve_single_loop(target), analytic.f2),
+            ("single-shot", pathfinder.solve_single_shot(target), analytic.f3),
+        ):
+            coeff = analytic.fidelity_report(scheme, path, NO_ERROR).quad_coeff_exact
+            worst = max(worst, abs(coeff / (shape(theta_gate) * np.pi**2 / 3.0) - 1.0))
     ok = worst <= 1e-3
     return _result(
         "criterion-3 single-loop/single-shot coefficients",
@@ -142,9 +144,7 @@ def check_phi_b_optimality(level: str = "fast", seed: int = DEFAULT_SEED) -> Che
     for i, off in enumerate(offsets):
         loop2 = LoopParams(base.loop2.theta, base.loop2.psi, base.loop2.phi + off)
         path = TwoLoopPath(base.loop1, loop2)
-        infidelities[i] = 1.0 - gate_fidelity(
-            schemes.two_loop_ideal(path), schemes.two_loop_errored_relative(path, RabiError(eps))
-        )
+        infidelities[i] = 1.0 - analytic.fidelity_pair("two-loop", path, RabiError(eps))[0]
         phi_bs[i] = schemes.phi_b_of(path).phi_b
     best = phi_bs[int(np.argmin(infidelities))]
     step = 2 * np.pi / 360
@@ -190,11 +190,10 @@ def check_relative_error_consistency(level: str = "fast", seed: int = DEFAULT_SE
     return _result("criterion-5 relative-error consistency", started, ok, detail)
 
 
-def _kappa_derivative(path: TwoLoopPath, eps: float, h: float = 1e-5) -> float:
-    ideal = schemes.two_loop_ideal(path)
-    f_plus = gate_fidelity(ideal, schemes.two_loop_errored_relative(path, RabiError(eps, h)))
-    f_minus = gate_fidelity(ideal, schemes.two_loop_errored_relative(path, RabiError(eps, -h)))
-    return (f_plus - f_minus) / (2.0 * h)
+def _kappa_derivative(path: TwoLoopPath, eps: float) -> float:
+    kappa = np.array([_KAPPA_STEP, -_KAPPA_STEP])
+    f_plus, f_minus = analytic.fidelity_pair("two-loop", path, RabiError(eps, kappa))[0]
+    return (f_plus - f_minus) / (2.0 * _KAPPA_STEP)
 
 
 def unbalanced_fixture_path() -> TwoLoopPath:
@@ -245,14 +244,9 @@ def check_oracle_equivalence(level: str = "fast", seed: int = DEFAULT_SEED) -> C
 
         path2 = _random_two_loop_path(rng)
         closed2 = schemes.two_loop_errored_relative(path2, RabiError(eps, kappa))
-        path_sl = schemes.SingleLoopPath(
-            rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
-        )
+        path_sl = _random_single_loop_path(rng)
         closed_sl = schemes.single_loop_errored(path_sl, RabiError(eps))
-        path_ss = schemes.SingleShotPath(
-            rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi),
-            rng.uniform(-np.pi / 2, np.pi / 2),
-        )
+        path_ss = _random_single_shot_path(rng)
         closed_ss = schemes.single_shot_errored(path_ss, RabiError(eps))
         for shape in ("square", "sine-squared"):
             pairs = (
@@ -285,13 +279,8 @@ def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResu
     for _ in range(n_paths):
         eps, kappa = rng.uniform(-0.1, 0.1, 2)
         path2 = _random_two_loop_path(rng)
-        path_sl = schemes.SingleLoopPath(
-            rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
-        )
-        path_ss = schemes.SingleShotPath(
-            rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi),
-            rng.uniform(-np.pi / 2, np.pi / 2),
-        )
+        path_sl = _random_single_loop_path(rng)
+        path_ss = _random_single_shot_path(rng)
         gates = (
             schemes.two_loop_ideal(path2),
             schemes.two_loop_errored_relative(path2, RabiError(eps)),
@@ -320,9 +309,9 @@ def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResu
     worst_gauge = 0.0
     path2 = _random_two_loop_path(rng)
     ideal2 = schemes.two_loop_ideal(path2)
-    fid2 = gate_fidelity(ideal2, schemes.two_loop_errored_relative(path2, RabiError(1e-2)))
-    path_sl = schemes.SingleLoopPath(0.8, 0.3, 1.1, 0.0)
-    fid_sl = gate_fidelity(schemes.single_loop_ideal(path_sl), schemes.single_loop_errored(path_sl, RabiError(1e-2)))
+    fid2 = analytic.fidelity_pair("two-loop", path2, RabiError(1e-2))[0]
+    path_sl = SingleLoopPath(0.8, 0.3, 1.1, 0.0)
+    fid_sl = analytic.fidelity_pair("single-loop", path_sl, RabiError(1e-2))[0]
     for shift in np.linspace(0.0, 2 * np.pi, 17):
         shifted = TwoLoopPath(
             LoopParams(path2.loop1.theta, path2.loop1.psi, path2.loop1.phi + 1.3 * shift),
@@ -333,14 +322,10 @@ def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResu
             LoopParams(path2.loop1.theta, path2.loop1.psi, path2.loop1.phi + shift),
             LoopParams(path2.loop2.theta, path2.loop2.psi, path2.loop2.phi + shift),
         )
-        fid_shift = gate_fidelity(
-            schemes.two_loop_ideal(common), schemes.two_loop_errored_relative(common, RabiError(1e-2))
-        )
+        fid_shift = analytic.fidelity_pair("two-loop", common, RabiError(1e-2))[0]
         worst_gauge = max(worst_gauge, abs(fid_shift - fid2))
-        sl_shift = schemes.SingleLoopPath(path_sl.theta, path_sl.psi, path_sl.phi + shift, path_sl.phi_prime + shift)
-        fid_sl_shift = gate_fidelity(
-            schemes.single_loop_ideal(sl_shift), schemes.single_loop_errored(sl_shift, RabiError(1e-2))
-        )
+        sl_shift = SingleLoopPath(path_sl.theta, path_sl.psi, path_sl.phi + shift, path_sl.phi_prime + shift)
+        fid_sl_shift = analytic.fidelity_pair("single-loop", sl_shift, RabiError(1e-2))[0]
         worst_gauge = max(worst_gauge, abs(fid_sl_shift - fid_sl))
 
     worst_round = 0.0

@@ -201,6 +201,22 @@ def test_optimize_bad_axis():
     assert run(["optimize", "--theta-gate", 0.5, "--axis", "0,0,0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--axis=0,0", "--axis expects three comma-separated components, got '0,0'"),
+        ("--axis=0,0,0", "--axis must be a nonzero vector"),
+        ("--epsilon=abc", "expected a comma-separated list of numbers: could not convert string to float: 'abc'"),
+    ],
+    ids=["axis-two-components", "axis-zero", "epsilon-not-a-number"],
+)
+def test_flag_error_shows_converter_message(capsys, flag, message):
+    # the same text as for the value given in a config file, not argparse's generic "invalid value"
+    assert run(["sweep", flag]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag.split('=')[0]}: {message}\n")
+
+
 def test_json_output_rejects_nan_and_writes_nothing(tmp_path):
     out = tmp_path / "nan.json"
     with pytest.raises(ValueError):

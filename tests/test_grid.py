@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holopath.analytic import RelativeErrorBreakdown, fid2_relative, fidelity_pair
+from holopath.analytic import (
+    RelativeErrorBreakdown,
+    extract_quadratic_coefficient,
+    fid2_relative,
+    fidelity_pair,
+    fidelity_report,
+)
 from holopath.linalg import expm, gate_fidelity
 from holopath.schemes import (
     LoopParams,
@@ -115,6 +121,56 @@ def test_fidelity_pair_single_shot_grid_equals_loop(path, grid):
 def test_two_loop_errored_relative_grid_equals_loop(path, grid):
     stack = two_loop_errored_relative(path, RabiError(*grid))
     assert np.array_equal(stack, per_point(lambda error: two_loop_errored_relative(path, error), *grid))
+
+
+def report_by_loop(scheme, path, error):
+    """The reference: the +/- probe as a loop of one-point fidelity_pair calls, one coefficient at a time."""
+    scale = float(np.hypot(error.epsilon, error.kappa))
+    direction = (1.0, 0.0) if scale == 0.0 else (error.epsilon / scale, error.kappa / scale)
+    coefficients = []
+    for index in (0, 1):  # exact, then second order
+        points = []
+        for mag in (1e-3, 1e-4):
+            for sign in (1.0, -1.0):
+                pair = fidelity_pair(scheme, path, RabiError(sign * mag * direction[0], sign * mag * direction[1]))
+                points.append((sign * mag, pair[index]))
+        coefficients.append(extract_quadratic_coefficient(points))
+    return coefficients
+
+
+def bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def assert_report_equals_loop(scheme, path, error):
+    report = fidelity_report(scheme, path, error)
+    assert bits(report.exact, report.analytic2) == bits(*fidelity_pair(scheme, path, error))
+    assert bits(report.quad_coeff_exact, report.quad_coeff_analytic) == bits(*report_by_loop(scheme, path, error))
+
+
+@GRID_SETTINGS
+@given(two_loop_paths(), fractions, fractions)
+def test_fidelity_report_two_loop_equals_loop(path, eps, kappa):
+    assert_report_equals_loop("two-loop", path, RabiError(eps, kappa))
+
+
+@GRID_SETTINGS
+@given(single_loop_paths(), fractions)
+def test_fidelity_report_single_loop_equals_loop(path, eps):
+    assert_report_equals_loop("single-loop", path, RabiError(eps))
+
+
+@GRID_SETTINGS
+@given(single_shot_paths(), fractions)
+def test_fidelity_report_single_shot_equals_loop(path, eps):
+    assert_report_equals_loop("single-shot", path, RabiError(eps))
+
+
+@pytest.mark.parametrize("eps, kappa", [(0.0, 0.0), (0.01, -0.02), (0.0, 0.03), (-0.05, 0.05)])
+def test_fidelity_report_tilted_probe_equals_loop(eps, kappa):
+    # kappa != 0 tilts the probe direction away from the epsilon axis; (0, 0) probes along epsilon
+    path = TwoLoopPath(LoopParams(0.4, 0.1, 0.2), LoopParams(1.9, 2.0, 3.0))
+    assert_report_equals_loop("two-loop", path, RabiError(eps, kappa))
 
 
 def assert_breakdown_equals_loop(path, eps, kappa):

@@ -179,7 +179,8 @@ def test_relative_reduces_to_common_error(rng):
     for _ in range(200):
         path = random_two_loop(rng)
         eps = rng.uniform(-0.1, 0.1)
-        g1, g2 = schemes.loop_generator(path.loop1), schemes.loop_generator(path.loop2)
+        g1 = schemes.coupling_generator(path.loop1.theta, path.loop1.psi, path.loop1.phi)
+        g2 = schemes.coupling_generator(path.loop2.theta, path.loop2.psi, path.loop2.phi)
         common = expm(g2, np.pi) @ expm(g2, eps * np.pi) @ expm(g1, eps * np.pi) @ expm(g1, np.pi)
         diff = two_loop_errored_relative(path, RabiError(eps)) - common
         assert np.max(np.abs(diff)) <= 1e-13
