@@ -34,7 +34,6 @@ from .linalg import (
     ContractViolation,
     expm,
     gate_fidelity,
-    projective_distance_qubit,
     qubit_rotation,
 )
 from .oracle import (
@@ -63,7 +62,6 @@ from .schemes import (
     SingleLoopPath,
     SingleShotPath,
     TwoLoopPath,
-    bloch_vector,
     bright_dark,
     phi_b_of,
     relative_error_angles,
@@ -93,7 +91,6 @@ __all__ = [
     "TargetGate",
     "TwoLoopPath",
     "TwoLoopSolution",
-    "bloch_vector",
     "bright_dark",
     "closed_form_limit",
     "comparison_table",
@@ -113,7 +110,6 @@ __all__ = [
     "gate_angle_axis",
     "gate_fidelity",
     "phi_b_of",
-    "projective_distance_qubit",
     "propagate",
     "quad_coeff_single_loop",
     "quad_coeff_single_shot",

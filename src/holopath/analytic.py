@@ -304,7 +304,10 @@ def fidelity_report(scheme: str, path, error: RabiError) -> FidelityReport:
     The four probe points (magnitudes 1e-3 and 1e-4 with both signs, along
     the direction of ``error``; along epsilon at zero error) are one grid
     :func:`fidelity_pair` call, and both coefficients are extracted from it.
+    An error grid is refused: the probe direction is that of one point.
     """
+    if error.ndim:
+        raise ValueError(f"fidelity_report takes one error point, not an error grid (ndim={error.ndim})")
     exact, analytic2 = fidelity_pair(scheme, path, error)
     scale = float(np.hypot(error.epsilon, error.kappa))
     if scale == 0.0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 
@@ -180,12 +179,8 @@ def _resolve_options(args: argparse.Namespace) -> dict:
 
 
 def _json_dump(payload, out: str | None) -> None:
-    # strict JSON: a NaN or infinity raises ValueError before the file is opened; encoding into
-    # a buffer chunk by chunk keeps the pretty-printer from holding every chunk in one list
-    buffer = io.StringIO()
-    json.dump(payload, buffer, indent=2, sort_keys=True, allow_nan=False)
-    buffer.write("\n")
-    text = buffer.getvalue()
+    # strict JSON: a NaN or infinity raises ValueError before the file is opened
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -238,21 +233,42 @@ def cmd_sweep(opts: dict) -> int:
     # the whole sorted grid, epsilon major, as one stacked evaluation
     grid = RabiError(np.repeat(epsilons, len(kappas)), np.tile(kappas, len(epsilons)))
     exact, second_order = analytic.fidelity_pair(scheme, path, grid)
-    columns = (grid.epsilon, grid.kappa, exact, second_order, np.abs(exact - second_order))
-    records = [
-        {
-            "scheme": scheme,
-            "params": params,
-            "epsilon": eps,
-            "kappa": kappa,
-            "fidelity_exact": fidelity_exact,
-            "fidelity_analytic2": fidelity_analytic2,
-            "abs_gap": abs_gap,
-        }
-        for eps, kappa, fidelity_exact, fidelity_analytic2, abs_gap in zip(*(c.tolist() for c in columns))
-    ]
-    _json_dump(records, opts["out"])
+    columns = {
+        "epsilon": grid.epsilon,
+        "kappa": grid.kappa,
+        "fidelity_exact": exact,
+        "fidelity_analytic2": second_order,
+        "abs_gap": np.abs(exact - second_order),
+    }
+    _write_sweep(scheme, params, columns, opts["out"])
     return EXIT_OK
+
+
+def _write_sweep(scheme: str, params: dict, columns: dict, out: str) -> None:
+    """Write the records one by one, in the bytes of ``json.dump(records, indent=2, sort_keys=True)``.
+
+    Keys are in sorted order.  Each record's column floats go into one
+    template through ``%r``, the ``float.__repr__`` that json calls; the
+    ``params`` and ``scheme`` text that follows is the same in every record
+    and is encoded once.  Strict JSON: a NaN or infinity raises ValueError
+    before the file is opened.
+    """
+    for name, column in columns.items():
+        if not np.isfinite(column).all():
+            raise ValueError(f"Out of range float values are not JSON compliant: {name} is not finite")
+    params_text = json.dumps(params, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n    ")
+    head = (
+        '  {\n    "abs_gap": %r,\n    "epsilon": %r,\n    "fidelity_analytic2": %r,\n'
+        '    "fidelity_exact": %r,\n    "kappa": %r,\n    "params": '
+    )
+    tail = f'{params_text},\n    "scheme": {json.dumps(scheme)}\n  }}'
+    rows = zip(*(columns[name].tolist() for name in sorted(columns)))
+    with open(out, "w", encoding="utf-8", newline="\n") as handle:
+        separator = "[\n"
+        for row in rows:
+            handle.write(separator + head % row + tail)
+            separator = ",\n"
+        handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
 def cmd_optimize(opts: dict) -> int:

@@ -142,27 +142,3 @@ def is_block_diagonal(matrix) -> bool:
         return False
     off = max(abs(m[0, 2]), abs(m[1, 2]), abs(m[2, 0]), abs(m[2, 1]))
     return bool(off <= ATOL_STRUCTURAL)
-
-
-def qubit_block(matrix) -> np.ndarray:
-    """Logical 2x2 block of a block-diagonal 3x3 operator."""
-    m = _as_matrix(matrix, "matrix")
-    if not is_block_diagonal(m):
-        raise ContractViolation("matrix is not block-diagonal over the qubit/|e> split")
-    return m[:2, :2].copy()
-
-
-def projective_distance_qubit(a, b) -> float:
-    """Global-phase-quotiented distance between the qubit blocks of two gates.
-
-    Returns the max-entry modulus of ``A - exp(1j chi) B`` for the logical
-    blocks A, B at the trace-aligned phase ``chi = arg Tr(B^dag A)`` (chi = 0
-    when that trace vanishes).  This is an upper bound on the minimum over
-    chi, and it is zero (to roundoff) exactly when the blocks agree up to a
-    global phase, since then the aligned phase is that global phase.
-    """
-    ma = require_unitary(a, "a")
-    mb = require_unitary(b, "b")
-    qa, qb = qubit_block(ma), qubit_block(mb)
-    chi = np.angle(np.trace(qb.conj().T @ qa))  # np.angle(0) == 0
-    return float(np.max(np.abs(qa - np.exp(1j * chi) * qb)))

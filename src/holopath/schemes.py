@@ -124,10 +124,11 @@ class SingleLoopPath:
 class SingleShotPath:
     """Off-resonant single-shot parameters (alpha, beta0, beta1, gamma).
 
-    gamma fixes the detuning-to-Rabi ratio; the physical drive parameters
-    for a free overall scale Omega > 0 follow from
-    :meth:`rabi_parameters`.  gamma = +/- pi/2 (pure detuning, no Rabi
-    drive) is accepted as the identity-gate limit.
+    gamma fixes the detuning-to-Rabi ratio: at overall scale Omega > 0
+    the detuning is -2 Omega sin(gamma) and the Rabi frequencies are
+    Omega cos(gamma) cos(alpha) and Omega cos(gamma) sin(alpha).
+    gamma = +/- pi/2 (pure detuning, no Rabi drive) is accepted as the
+    identity-gate limit.
     """
 
     alpha: float
@@ -140,16 +141,6 @@ class SingleShotPath:
         object.__setattr__(self, "beta0", _principal(self.beta0))
         object.__setattr__(self, "beta1", _principal(self.beta1))
         object.__setattr__(self, "gamma", _in_range(self.gamma, -np.pi / 2, np.pi / 2, "gamma"))
-
-    def rabi_parameters(self, omega: float = 1.0) -> tuple[float, float, float]:
-        """Physical (detuning, Omega_0, Omega_1) for overall scale omega > 0."""
-        if omega <= 0:
-            raise ValueError("omega must be positive")
-        return (
-            -2.0 * omega * np.sin(self.gamma),
-            omega * np.cos(self.alpha) * np.cos(self.gamma),
-            omega * np.sin(self.alpha) * np.cos(self.gamma),
-        )
 
 
 def _check_fraction(value, name: str) -> float:
@@ -244,12 +235,6 @@ def bright_dark(theta, psi) -> tuple[np.ndarray, np.ndarray]:
     b = cos[..., None] * KET_0 + (sin * phase)[..., None] * KET_1
     d = sin[..., None] * KET_0 - (cos * phase)[..., None] * KET_1
     return b, d
-
-
-def bloch_vector(theta: float, psi: float) -> np.ndarray:
-    """Unit Bloch vector (sin t cos p, sin t sin p, cos t) of the bright state."""
-    t = _in_range(theta, 0.0, np.pi, "theta")
-    return np.array([np.sin(t) * np.cos(psi), np.sin(t) * np.sin(psi), np.cos(t)])
 
 
 def coupling_generator(theta, psi, phi) -> np.ndarray:

@@ -307,6 +307,13 @@ def test_fidelity_report_consistency():
     assert report.quad_coeff_analytic == pytest.approx(f1(np.pi / 4) * np.pi**2 / 3, rel=1e-6)
 
 
+@pytest.mark.parametrize("error", [RabiError(np.array([0.01, 0.02])), RabiError(0.01, np.array([0.0, 0.01]))])
+def test_fidelity_report_rejects_error_grid(error):
+    path = solve_two_loop(TargetGate(np.pi / 4, [0, 1, 0])).path
+    with pytest.raises(ValueError, match="one error point"):
+        fidelity_report("two-loop", path, error)
+
+
 def test_target_gate_validation():
     gate = TargetGate(0.3, [0, 0, 2.0])
     assert np.linalg.norm(gate.axis) == pytest.approx(1.0, abs=1e-15)

@@ -1,7 +1,11 @@
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holopath import analytic, cli
 
@@ -143,7 +147,7 @@ def test_sweep_grid_value_out_of_range(tmp_path, capsys, scheme, grid, message):
 
 @pytest.mark.parametrize("scheme, kappa", [("two-loop", "-0.02,0,0.013"), ("single-loop", "0"), ("single-shot", "0")])
 def test_sweep_records_equal_per_point_fidelity_pair(tmp_path, scheme, kappa):
-    # the grid evaluation against the loop over its points, value for value
+    # the grid evaluation against the loop over its points, value for value, in json.dumps's bytes
     from holopath.schemes import LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 
     out = tmp_path / "sweep.json"
@@ -151,7 +155,9 @@ def test_sweep_records_equal_per_point_fidelity_pair(tmp_path, scheme, kappa):
     code = run(["sweep", "--scheme", scheme, "--theta-gate", 0.3, "--axis=-1,2,0.5",
                 "--epsilon=" + ",".join(map(str, epsilons)), f"--kappa={kappa}", "--out", out])
     assert code == 0
-    records = json.loads(out.read_text())
+    raw = out.read_bytes()
+    records = json.loads(raw)
+    assert raw == (json.dumps(records, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
     params = records[0]["params"]
     if scheme == "two-loop":
         path = TwoLoopPath(*(LoopParams(*(params[f"{k}{i}"] for k in ("theta", "psi", "phi"))) for i in (1, 2)))
@@ -163,6 +169,79 @@ def test_sweep_records_equal_per_point_fidelity_pair(tmp_path, scheme, kappa):
         exact, second_order = analytic.fidelity_pair(scheme, path, RabiError(record["epsilon"], record["kappa"]))
         assert (record["fidelity_exact"], record["fidelity_analytic2"]) == (exact, second_order)
         assert record["abs_gap"] == abs(exact - second_order)
+
+
+def reference_sweep_bytes(scheme, params, columns):
+    # the records and the json.dump call that sweep wrote before it streamed its records
+    rows = zip(*(column.tolist() for column in columns.values()))
+    records = [{"scheme": scheme, "params": params, **dict(zip(columns, row))} for row in rows]
+    buffer = io.StringIO()
+    json.dump(records, buffer, indent=2, sort_keys=True, allow_nan=False)
+    return (buffer.getvalue() + "\n").encode()
+
+
+SWEEP_COLUMNS = ("epsilon", "kappa", "fidelity_exact", "fidelity_analytic2", "abs_gap")
+PARAM_KEYS = {
+    "two-loop": ("theta1", "psi1", "phi1", "theta2", "psi2", "phi2", "eta", "phi_b", "cos_theta_sum"),
+    "single-loop": ("theta", "psi", "phi", "phi_prime"),
+    "single-shot": ("alpha", "beta0", "beta1", "gamma"),
+}
+special_floats = st.sampled_from([-0.1, -0.02, -0.0, 0.0, 5e-324, 1e-300, 1e16, 0.1])
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | special_floats
+
+
+@st.composite
+def sweep_payloads(draw):
+    scheme = draw(st.sampled_from(analytic.SCHEMES))
+    params = {key: draw(finite_floats) for key in PARAM_KEYS[scheme]}
+    if scheme == "two-loop" and draw(st.booleans()):
+        params["phi_b"] = None
+    size = draw(st.integers(0, 4))
+    columns = {name: np.array(draw(st.lists(finite_floats, min_size=size, max_size=size))) for name in SWEEP_COLUMNS}
+    return scheme, params, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=sweep_payloads())
+@example(payload=("two-loop", dict.fromkeys(PARAM_KEYS["two-loop"], 0.5) | {"phi_b": None},
+                  dict(zip(SWEEP_COLUMNS, np.array([[-0.0, 5e-324, 1e-300, 1e16, -0.02]] * 5)))))
+@example(payload=("single-shot", dict.fromkeys(PARAM_KEYS["single-shot"], -0.0),
+                  {name: np.array([]) for name in SWEEP_COLUMNS}))
+def test_sweep_writer_bytes_equal_json_dump(tmp_path_factory, payload):
+    scheme, params, columns = payload
+    out = tmp_path_factory.mktemp("sweep") / "sweep.json"
+    cli._write_sweep(scheme, params, columns, str(out))
+    assert out.read_bytes() == reference_sweep_bytes(scheme, params, columns)
+
+
+@pytest.mark.parametrize("column, value", [("fidelity_exact", math.nan), ("fidelity_analytic2", math.inf)])
+def test_sweep_rejects_non_finite_column_and_writes_nothing(tmp_path, capsys, monkeypatch, column, value):
+    real_pair = analytic.fidelity_pair
+
+    def corrupted_pair(scheme, path, error):
+        pair = dict(zip(("fidelity_exact", "fidelity_analytic2"), real_pair(scheme, path, error)))
+        pair[column] = pair[column].copy()
+        pair[column][-1] = value
+        return pair["fidelity_exact"], pair["fidelity_analytic2"]
+
+    monkeypatch.setattr(analytic, "fidelity_pair", corrupted_pair)
+    out = tmp_path / "bad.json"
+    code = run(["sweep", "--scheme", "two-loop", "--theta-gate", 0.25, "--axis", "1,0,0",
+                "--epsilon=0.01,0.02", "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"holopath: error: Out of range float values are not JSON compliant: {column} is not finite\n"
+    )
+    assert not out.exists()
+
+
+def test_sweep_rejects_non_finite_params_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_two_loop_params", lambda path: {"eta": math.nan})
+    out = tmp_path / "bad.json"
+    code = run(["sweep", "--scheme", "two-loop", "--theta-gate", 0.25, "--axis", "1,0,0",
+                "--epsilon=0.01", "--out", out])
+    assert code == 2
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- optimize

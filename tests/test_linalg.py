@@ -9,8 +9,9 @@ from holopath.linalg import (
     KET_E,
     expm,
     gate_fidelity,
-    projective_distance_qubit,
 )
+
+from helpers import projective_distance_qubit
 
 
 def lambda_generator(theta, psi, phi):

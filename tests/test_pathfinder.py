@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holopath.analytic import TargetGate, dF_dkappa_at_zero
-from holopath.linalg import gate_fidelity, projective_distance_qubit, qubit_rotation
+from holopath.linalg import gate_fidelity, qubit_rotation
 from holopath.pathfinder import (
     PathConstraints,
     gate_angle_axis,
@@ -12,13 +12,14 @@ from holopath.pathfinder import (
 )
 from holopath.schemes import (
     RabiError,
-    bloch_vector,
     phi_b_of,
     single_loop_ideal,
     single_shot_ideal,
     two_loop_errored_relative,
     two_loop_ideal,
 )
+
+from helpers import bloch_vector, projective_distance_qubit
 
 
 def embed(block):

@@ -6,11 +6,13 @@ import pytest
 from holopath import schemes
 from holopath.linalg import (
     IDENTITY,
+    KET_0,
+    KET_1,
+    KET_E,
     PROJ_E,
     expm,
     gate_fidelity,
     pauli_dot,
-    projective_distance_qubit,
     projector,
     qubit_rotation,
 )
@@ -20,7 +22,6 @@ from holopath.schemes import (
     SingleLoopPath,
     SingleShotPath,
     TwoLoopPath,
-    bloch_vector,
     bright_dark,
     phi_b_of,
     relative_error_angles,
@@ -31,6 +32,8 @@ from holopath.schemes import (
     two_loop_errored_relative,
     two_loop_ideal,
 )
+
+from helpers import bloch_vector, projective_distance_qubit, single_shot_rabi_parameters
 
 
 def random_two_loop(rng):
@@ -340,11 +343,15 @@ def test_single_shot_rejects_relative_error():
 
 
 def test_single_shot_rabi_parameters():
-    path = SingleShotPath(np.pi / 6, 0.0, 0.0, np.pi / 6)
-    delta, om0, om1 = path.rabi_parameters(omega=2.0)
+    path = SingleShotPath(np.pi / 6, 0.4, -1.1, np.pi / 6)
+    delta, om0, om1 = single_shot_rabi_parameters(path, omega=2.0)
     assert delta == pytest.approx(-2 * 2.0 * 0.5)
     assert om0 == pytest.approx(2.0 * np.cos(np.pi / 6) * np.cos(np.pi / 6))
     assert om1 == pytest.approx(2.0 * np.sin(np.pi / 6) * np.cos(np.pi / 6))
+    # the detuning and the two phased Rabi drives rebuild the scaled single-shot generator
+    drive = np.outer(om0 * np.exp(1j * path.beta0) * KET_0 + om1 * np.exp(1j * path.beta1) * KET_1, KET_E)
+    hamiltonian = -delta * PROJ_E + drive + drive.conj().T
+    np.testing.assert_allclose(hamiltonian, 2.0 * schemes.single_shot_generator(path), atol=1e-14)
 
 
 # --------------------------------------------------------------------- phi_b
