@@ -62,9 +62,7 @@ from .schemes import (
     SingleLoopPath,
     SingleShotPath,
     TwoLoopPath,
-    bright_dark,
     phi_b_of,
-    relative_error_angles,
     single_loop_errored,
     single_loop_ideal,
     single_shot_errored,
@@ -91,7 +89,6 @@ __all__ = [
     "TargetGate",
     "TwoLoopPath",
     "TwoLoopSolution",
-    "bright_dark",
     "closed_form_limit",
     "comparison_table",
     "convergence_order",
@@ -115,7 +112,6 @@ __all__ = [
     "quad_coeff_single_shot",
     "quad_coeff_two_loop",
     "qubit_rotation",
-    "relative_error_angles",
     "schedule_for_single_loop",
     "schedule_for_single_shot",
     "schedule_for_two_loop",

@@ -13,10 +13,9 @@ import numpy as np
 
 from . import schemes
 from .linalg import gate_fidelity
-from .schemes import RabiError, TwoLoopPath
+from .schemes import RabiError, TwoLoopPath, _in_range
 
 PI_SQ = np.pi**2
-_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,13 +30,7 @@ class TargetGate:
     axis: np.ndarray
 
     def __post_init__(self):
-        t = float(self.theta_gate)
-        if -_SLACK <= t < 0.0:
-            t = 0.0
-        if np.pi / 2 < t <= np.pi / 2 + _SLACK:
-            t = np.pi / 2
-        if not 0.0 <= t <= np.pi / 2:
-            raise ValueError(f"theta_gate must lie in [0, pi/2], got {t!r}")
+        t = float(_in_range(self.theta_gate, 0.0, np.pi / 2, "theta_gate"))
         m = np.asarray(self.axis, dtype=float).reshape(3)
         norm = np.linalg.norm(m)
         if not np.isfinite(norm) or norm == 0.0:
@@ -48,41 +41,29 @@ class TargetGate:
         object.__setattr__(self, "axis", m)
 
 
-def _check_rotation_angle(theta_gate):
-    t = np.asarray(theta_gate, dtype=float)
-    if np.any(t < -_SLACK) or np.any(t > np.pi / 2 + _SLACK):
-        raise ValueError("rotation angle must lie in [0, pi/2]")
-    return np.clip(t, 0.0, np.pi / 2)
-
-
 def _square(x):
     # C pow() per element, as ** is for one float: an array's ** 2 is x * x, which differs
     # from pow() in the last bit on about 0.1% of values, so a grid would not match its points
     return np.float_power(x, 2)
 
 
-def _check_epsilon(epsilon):
-    """epsilon (float or array) checked like the field of :class:`RabiError`."""
-    return RabiError(epsilon).epsilon
-
-
 def f1(theta_gate):
     """Two-loop error shape 2 - 2 cos(theta/2); infidelity is f1 * (pi eps)^2 / 3."""
-    t = _check_rotation_angle(theta_gate)
+    t = _in_range(theta_gate, 0.0, np.pi / 2, "theta_gate")
     out = 2.0 - 2.0 * np.cos(t / 2.0)
     return out if out.ndim else float(out)
 
 
 def f2(theta_gate):
     """Single-loop multiple-pulse error shape (1 - cos(2 theta)) / 2."""
-    t = _check_rotation_angle(theta_gate)
+    t = _in_range(theta_gate, 0.0, np.pi / 2, "theta_gate")
     out = 0.5 * (1.0 - np.cos(2.0 * t))
     return out if out.ndim else float(out)
 
 
 def f3(theta_gate):
     """Single-shot error shape 16 theta^2 (1 - theta/pi)^2 / pi^2."""
-    t = _check_rotation_angle(theta_gate)
+    t = _in_range(theta_gate, 0.0, np.pi / 2, "theta_gate")
     out = 16.0 * t**2 * (1.0 - t / np.pi) ** 2 / PI_SQ
     return out if out.ndim else float(out)
 
@@ -96,8 +77,16 @@ def comparison_table(samples: int) -> np.ndarray:
 
 
 def quad_coeff_two_loop(eta: float, phi_b: float) -> float:
-    """Quadratic error coefficient (2/3)(1 + cos(eta/2) cos(phi_b)) pi^2."""
-    return float((2.0 / 3.0) * (1.0 + np.cos(eta / 2.0) * np.cos(phi_b)) * PI_SQ)
+    """Quadratic error coefficient (2/3)(1 + cos(eta/2) cos(phi_b)) pi^2.
+
+    The phi_b term is 0 at eta = pi, where phi_b is NaN, as in :func:`fid2_relative`; elsewhere NaN raises.
+    """
+    term = np.cos(eta / 2.0) * np.cos(phi_b)
+    if np.isnan(term):
+        if not abs(np.cos(eta / 2.0)) <= schemes.DEGENERATE_OVERLAP:
+            raise ValueError(f"phi_b may be NaN only at eta = pi, got eta={float(eta)!r}")
+        term = 0.0
+    return float((2.0 / 3.0) * (1.0 + term) * PI_SQ)
 
 
 def quad_coeff_single_loop(phase_diff: float) -> float:
@@ -112,19 +101,19 @@ def quad_coeff_single_shot(gamma: float) -> float:
 
 def fid2_two_loop(eta: float, phi_b: float, epsilon: float) -> float:
     """Second-order two-loop fidelity 1 - (2/3)(1 + cos(eta/2) cos(phi_b)) pi^2 eps^2."""
-    e = _check_epsilon(epsilon)
+    e = RabiError(epsilon).epsilon
     return 1.0 - quad_coeff_two_loop(eta, phi_b) * e * e
 
 
 def fid2_single_loop(phase_diff: float, epsilon: float) -> float:
     """Second-order single-loop fidelity 1 - (1/6)(1 + cos(phi - phi')) pi^2 eps^2."""
-    e = _check_epsilon(epsilon)
+    e = RabiError(epsilon).epsilon
     return 1.0 - quad_coeff_single_loop(phase_diff) * e * e
 
 
 def fid2_single_shot(gamma: float, epsilon: float) -> float:
     """Second-order single-shot fidelity 1 - (1/3) pi^2 eps^2 cos^4(gamma)."""
-    e = _check_epsilon(epsilon)
+    e = RabiError(epsilon).epsilon
     return 1.0 - quad_coeff_single_shot(gamma) * e * e
 
 
@@ -203,7 +192,7 @@ def dF_dkappa_at_zero(path: TwoLoopPath, epsilon: float) -> float:
     are balanced (cos theta1 + cos theta2 = 0), when eta = 0, or at
     epsilon = 0.
     """
-    e = _check_epsilon(epsilon)
+    e = RabiError(epsilon).epsilon
     dec = schemes.phi_b_of(path)
     cos_sum = np.cos(path.loop1.theta) + np.cos(path.loop2.theta)
     return float(-(2.0 / 3.0) * (1.0 - np.cos(dec.eta / 2.0)) * cos_sum * PI_SQ * e)
@@ -225,7 +214,7 @@ def extract_quadratic_coefficient(samples, full_output: bool = False):
     fid = np.array([p[1] for p in pairs])
     if np.any(eps == 0.0):
         raise ValueError("epsilon samples must be nonzero")
-    if np.any(fid <= 0.0) or np.any(fid > 1.0 + 1e-12):
+    if not np.all((fid > 0.0) & (fid <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("fidelities must lie in (0, 1]")
     if np.unique(eps).size < 2:
         raise ValueError("ill-conditioned sample set: all epsilon values equal")

@@ -24,12 +24,6 @@ KET_0, KET_1, KET_E = np.eye(3, dtype=complex)
 IDENTITY = np.eye(3, dtype=complex)
 PROJ_E = np.outer(KET_E, KET_E.conj())
 
-# Pauli operators acting on the logical subspace, embedded in the 3x3 space
-# (they annihilate |e>).
-SIGMA_X = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex)
-
 PAULI_QUBIT = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -76,12 +70,6 @@ def projector(ket) -> np.ndarray:
     """Rank-one projector |k><k| of a length-3 amplitude vector."""
     k = np.asarray(ket, dtype=complex)
     return np.outer(k, k.conj())
-
-
-def pauli_dot(axis) -> np.ndarray:
-    """n . sigma on the logical subspace, embedded as a 3x3 operator."""
-    n = np.asarray(axis, dtype=float)
-    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
 
 
 def qubit_rotation(theta_gate: float, axis) -> np.ndarray:

@@ -45,10 +45,8 @@ class TwoLoopSolution(NamedTuple):
     degenerate: bool
 
 
-def _loop_from_bloch(n: np.ndarray, phi: float) -> LoopParams:
-    theta = float(np.arccos(np.clip(n[2], -1.0, 1.0)))
-    psi = float(np.arctan2(n[1], n[0]))
-    return LoopParams(theta, psi, phi)
+def _polar_of(n: np.ndarray) -> tuple[float, float]:
+    return float(np.arccos(np.clip(n[2], -1.0, 1.0))), float(np.arctan2(n[1], n[0]))
 
 
 def _circle_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,18 +90,15 @@ def solve_two_loop(target: TargetGate, constraints: PathConstraints | None = Non
     n1 = np.cos(t1) * u + np.sin(t1) * v
     n2 = np.cos(t2) * u + np.sin(t2) * v
 
-    loop1 = _loop_from_bloch(n1, 0.0)
+    loop1 = LoopParams(*_polar_of(n1), 0.0)
+    polar2 = _polar_of(n2)
     phi2 = 0.0
     if cons.force_phi_b is not None:
         b1, _ = bright_dark(loop1.theta, loop1.psi)
-        b2, _ = bright_dark(*_polar_of(n2))
+        b2, _ = bright_dark(*polar2)
         phi2 = float(cons.force_phi_b) - float(np.angle(np.vdot(b1, b2)))
-    loop2 = _loop_from_bloch(n2, phi2)
+    loop2 = LoopParams(*polar2, phi2)
     return TwoLoopSolution(TwoLoopPath(loop1, loop2), False)
-
-
-def _polar_of(n: np.ndarray) -> tuple[float, float]:
-    return float(np.arccos(np.clip(n[2], -1.0, 1.0))), float(np.arctan2(n[1], n[0]))
 
 
 def solve_single_loop(target: TargetGate) -> SingleLoopPath:

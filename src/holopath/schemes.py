@@ -18,6 +18,7 @@ single-shot pulse); envelope-resolved time stepping lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +38,9 @@ TWO_PI = 2.0 * np.pi
 
 _RANGE_SLACK = 1e-12
 
+#: |<b1|b2>| at or below which two bright states count as orthogonal (eta = pi, phi_b undefined)
+DEGENERATE_OVERLAP = 1e-12
+
 
 def _is_scalar(value) -> bool:
     # float and int first: np.ndim turns any other value into an array, which costs more
@@ -50,22 +54,26 @@ def _principal(angle):
 
 
 def _in_range(value, lo: float, hi: float, name: str):
-    """value (float or array) clipped into [lo, hi] if within _RANGE_SLACK of it; ValueError otherwise."""
-    if not _is_scalar(value):
-        v = np.asarray(value, dtype=float)
-        low, high = v.min(initial=np.inf), v.max(initial=-np.inf)  # NaN propagates
-        if not (lo - _RANGE_SLACK <= low and high <= hi + _RANGE_SLACK):
-            for entry in v.flat:  # the first entry out of range raises
-                _in_range(entry, lo, hi, name)
-        return np.clip(v, lo, hi) if low < lo or high > hi else v
-    v = float(value)
-    if lo - _RANGE_SLACK <= v < lo:
-        return lo
-    if hi < v <= hi + _RANGE_SLACK:
-        return hi
-    if not lo <= v <= hi:
-        raise ValueError(f"{name} must lie in [{lo:.6g}, {hi:.6g}], got {v:.6g}")
-    return v
+    """value (float or array) clipped into [lo, hi] if within _RANGE_SLACK of it; ValueError otherwise.
+
+    A float comes back as a numpy float.  The error names the first entry outside, NaN included.
+    """
+    v = np.asarray(value, dtype=float)
+    flat, middle, half = v.ravel(), (lo + hi) / 2, (hi - lo) / 2
+    distance = abs(flat - middle)
+    worst = distance.max(initial=0.0)  # NaN propagates, and fails the one comparison
+    if not worst <= half + _RANGE_SLACK:
+        first = flat[~(distance <= half + _RANGE_SLACK)][0]
+        raise ValueError(f"{name} must lie in [{lo:.6g}, {hi:.6g}], got {first:.6g}")
+    # worst == half also when rounding hides an entry just outside [lo, hi]: clip then too
+    return (v.clip(lo, hi) if worst >= half else v)[()]
+
+
+def _phase(value, name: str) -> float:
+    """A path's phase field reduced to [0, 2*pi); ValueError naming the field if it is not finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {float(value)!r}")
+    return _principal(value)
 
 
 @dataclass(frozen=True)
@@ -82,9 +90,9 @@ class LoopParams:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _in_range(self.theta, 0.0, np.pi, "theta"))
-        object.__setattr__(self, "psi", _principal(self.psi))
-        object.__setattr__(self, "phi", _principal(self.phi))
+        object.__setattr__(self, "theta", float(_in_range(self.theta, 0.0, np.pi, "theta")))
+        object.__setattr__(self, "psi", _phase(self.psi, "psi"))
+        object.__setattr__(self, "phi", _phase(self.phi, "phi"))
 
 
 @dataclass(frozen=True)
@@ -109,10 +117,10 @@ class SingleLoopPath:
     phi_prime: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _in_range(self.theta, 0.0, np.pi, "theta"))
-        object.__setattr__(self, "psi", _principal(self.psi))
-        object.__setattr__(self, "phi", _principal(self.phi))
-        object.__setattr__(self, "phi_prime", _principal(self.phi_prime))
+        object.__setattr__(self, "theta", float(_in_range(self.theta, 0.0, np.pi, "theta")))
+        object.__setattr__(self, "psi", _phase(self.psi, "psi"))
+        object.__setattr__(self, "phi", _phase(self.phi, "phi"))
+        object.__setattr__(self, "phi_prime", _phase(self.phi_prime, "phi_prime"))
 
     @property
     def phase_diff(self) -> float:
@@ -137,10 +145,10 @@ class SingleShotPath:
     gamma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _in_range(self.alpha, 0.0, np.pi / 2, "alpha"))
-        object.__setattr__(self, "beta0", _principal(self.beta0))
-        object.__setattr__(self, "beta1", _principal(self.beta1))
-        object.__setattr__(self, "gamma", _in_range(self.gamma, -np.pi / 2, np.pi / 2, "gamma"))
+        object.__setattr__(self, "alpha", float(_in_range(self.alpha, 0.0, np.pi / 2, "alpha")))
+        object.__setattr__(self, "beta0", _phase(self.beta0, "beta0"))
+        object.__setattr__(self, "beta1", _phase(self.beta1, "beta1"))
+        object.__setattr__(self, "gamma", float(_in_range(self.gamma, -np.pi / 2, np.pi / 2, "gamma")))
 
 
 def _check_fraction(value, name: str) -> float:
@@ -228,9 +236,10 @@ def bright_dark(theta, psi) -> tuple[np.ndarray, np.ndarray]:
 
     |b> = cos(theta/2)|0> + sin(theta/2) e^{i psi}|1> couples to |e> under
     the drive; |d> = sin(theta/2)|0> - cos(theta/2) e^{i psi}|1> does not.
-    Array angles broadcast; the states then have shape (..., 3).
+    Array angles broadcast; the states then have shape (..., 3).  theta
+    must already lie in [0, pi]; it is not checked here.
     """
-    half = _in_range(theta, 0.0, np.pi, "theta") / 2.0
+    half = theta / 2.0
     cos, sin, phase = np.cos(half), np.sin(half), np.exp(1j * psi)
     b = cos[..., None] * KET_0 + (sin * phase)[..., None] * KET_1
     d = sin[..., None] * KET_0 - (cos * phase)[..., None] * KET_1
@@ -276,11 +285,11 @@ def relative_error_angles(theta, error: RabiError):
     theta_prime = 2 arctan(tan(theta/2) (1+e1)/(1+e0)) and the effective
     pulse-area fraction grows by
     delta = hypot((1+e0) cos(theta/2), (1+e1) sin(theta/2)) - 1.
-    theta and an error grid broadcast against each other.
+    theta and an error grid broadcast against each other.  theta must
+    already lie in [0, pi], unchecked; theta_prime then lies there too.
     """
-    t = _in_range(theta, 0.0, np.pi, "theta")
-    c0 = (1.0 + error.epsilon0) * np.cos(t / 2.0)
-    s1 = (1.0 + error.epsilon1) * np.sin(t / 2.0)
+    c0 = (1.0 + error.epsilon0) * np.cos(theta / 2.0)
+    s1 = (1.0 + error.epsilon1) * np.sin(theta / 2.0)
     return 2.0 * np.arctan2(s1, c0), np.hypot(c0, s1) - 1.0
 
 
@@ -379,8 +388,8 @@ def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
 def bright_decomposition(loop1, loop2) -> BrightDecomposition:
     """The :class:`BrightDecomposition` of two loops given as raw (theta, psi, phi) triples.
 
-    Array angles broadcast, and every field then has their shape.  Only
-    theta's range is checked.
+    Array angles broadcast, and every field then has their shape.  Both
+    thetas must already lie in [0, pi]; nothing is checked here.
     """
     (theta1, psi1, phi1), (theta2, psi2, phi2) = loop1, loop2
     b1, d1 = bright_dark(theta1, psi1)
@@ -389,7 +398,7 @@ def bright_decomposition(loop1, loop2) -> BrightDecomposition:
     # hypot, not np.abs: numpy's vectorized complex abs can differ from the scalar one in the last bit
     magnitude = np.hypot(overlap.real, overlap.imag)
     eta = 2.0 * np.arccos(np.minimum(1.0, magnitude))
-    degenerate = magnitude <= 1e-12
+    degenerate = magnitude <= DEGENERATE_OVERLAP
     phi_b = np.where(degenerate, np.nan, _principal(phi2 - phi1 + np.angle(overlap)))[()]
     phi_d = _principal(phi2 + np.angle(np.vecdot(d1, b2)))
     return BrightDecomposition(eta, phi_b, phi_d, degenerate)

@@ -69,7 +69,7 @@ def _random_single_shot_path(rng) -> SingleShotPath:
     )
 
 
-def check_figure1(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
+def check_figure1(level: str, seed: int) -> CheckResult:
     """Criterion 1: figure1 CSV curves (dominance, monotonicity, endpoints, runtime)."""
     from . import cli
 
@@ -95,7 +95,7 @@ def check_figure1(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
     return _result("criterion-1 figure1", started, ok, detail)
 
 
-def check_two_loop_coefficients(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
+def check_two_loop_coefficients(level: str, seed: int) -> CheckResult:
     """Criterion 2: exact two-loop quadratic coefficients vs f1 * pi^2 / 3 at phi_b = pi."""
     started = time.perf_counter()
     worst = 0.0
@@ -110,7 +110,7 @@ def check_two_loop_coefficients(level: str = "fast", seed: int = DEFAULT_SEED) -
     return _result("criterion-2 two-loop coefficients", started, ok, detail)
 
 
-def check_other_scheme_coefficients(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
+def check_other_scheme_coefficients(level: str, seed: int) -> CheckResult:
     """Criterion 3: single-loop and single-shot coefficients vs f2, f3 * pi^2 / 3."""
     started = time.perf_counter()
     worst = 0.0
@@ -131,7 +131,7 @@ def check_other_scheme_coefficients(level: str = "fast", seed: int = DEFAULT_SEE
     )
 
 
-def check_phi_b_optimality(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
+def check_phi_b_optimality(level: str, seed: int) -> CheckResult:
     """Criterion 4: 360-point phi_b scan minimized at pi; phi_b = 0 counter-check."""
     started = time.perf_counter()
     theta_gate, eps = np.pi / 4, 1e-2
@@ -160,7 +160,7 @@ def check_phi_b_optimality(level: str = "fast", seed: int = DEFAULT_SEED) -> Che
     return _result("criterion-4 phi_b optimality", started, ok, detail)
 
 
-def check_relative_error_consistency(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
+def check_relative_error_consistency(level: str, seed: int) -> CheckResult:
     """Criterion 5: analytic F'' within C*(|eps|+|kappa|)^3 of exact; kappa = 0 reduction."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed + 5)
@@ -205,7 +205,7 @@ def unbalanced_fixture_path() -> TwoLoopPath:
     return TwoLoopPath(loop1, LoopParams(np.pi / 2, np.pi / 2, phi2))
 
 
-def check_kappa_optimality(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
+def check_kappa_optimality(level: str, seed: int) -> CheckResult:
     """Criterion 6: kappa derivative ~0 for balanced paths; unbalanced fixture value."""
     started = time.perf_counter()
     eps = 1e-2
@@ -230,7 +230,7 @@ def check_kappa_optimality(level: str = "fast", seed: int = DEFAULT_SEED) -> Che
     return _result("criterion-6 kappa optimality", started, ok, detail)
 
 
-def check_oracle_equivalence(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
+def check_oracle_equivalence(level: str, seed: int) -> CheckResult:
     """Criterion 7: time-stepped propagation matches closed forms on random points."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed + 7)
@@ -266,7 +266,7 @@ def check_oracle_equivalence(level: str = "fast", seed: int = DEFAULT_SEED) -> C
     return _result("criterion-7 oracle equivalence", started, ok, detail)
 
 
-def check_structural(level: str = "fast", seed: int = DEFAULT_SEED) -> CheckResult:
+def check_structural(level: str, seed: int) -> CheckResult:
     """Criterion 8: unitarity, zero-error reduction, single-shot closed forms, gauge invariances, round trips."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed + 8)
@@ -373,7 +373,7 @@ ALL_CHECKS = (
 )
 
 
-def run_suite(level: str = "fast", seed: int = DEFAULT_SEED) -> list[CheckResult]:
+def run_suite(level: str, seed: int) -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     return [check(level=level, seed=seed) for check in ALL_CHECKS]

@@ -5,6 +5,19 @@ import numpy as np
 from holopath.linalg import ContractViolation, is_block_diagonal, require_unitary
 
 
+# Pauli operators acting on the logical subspace, embedded in the 3x3 space
+# (they annihilate |e>).
+SIGMA_X = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0, 0], [0, -1, 0], [0, 0, 0]], dtype=complex)
+
+
+def pauli_dot(axis) -> np.ndarray:
+    """n . sigma on the logical subspace, embedded as a 3x3 operator."""
+    n = np.asarray(axis, dtype=float)
+    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+
+
 def bloch_vector(theta: float, psi: float) -> np.ndarray:
     """Unit Bloch vector (sin t cos p, sin t sin p, cos t) of the bright state."""
     return np.array([np.sin(theta) * np.cos(psi), np.sin(theta) * np.sin(psi), np.cos(theta)])

@@ -1,0 +1,209 @@
+"""Checks live where outside input enters, and only there.
+
+The range rule (in [lo, hi], clipped within 1e-12, NaN refused) is
+``schemes._in_range``; the path dataclasses, ``TargetGate`` and
+``f1/f2/f3`` call it.  Phases of a path must be finite.  The bright-state
+helpers take angles that are valid by construction and check nothing.
+"""
+
+import ast
+import inspect
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from holopath import analytic, cli, linalg, oracle, pathfinder, schemes, verify
+from holopath.analytic import (
+    TargetGate,
+    extract_quadratic_coefficient,
+    f1,
+    f2,
+    f3,
+    fid2_relative,
+    fid2_two_loop,
+    quad_coeff_two_loop,
+)
+from holopath.schemes import LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath, phi_b_of
+
+BOUNDARY_SETTINGS = settings(max_examples=40, deadline=None)
+SLACK = 1e-12
+
+AXIS = np.array([0.0, 0.0, 1.0])
+
+# (name, lo, hi, build): build(value) feeds value to one range-checked field
+RANGED = [
+    ("theta", 0.0, math.pi, lambda v: LoopParams(v, 0.0, 0.0).theta),
+    ("theta", 0.0, math.pi, lambda v: SingleLoopPath(v, 0.0, 0.0, 0.0).theta),
+    ("alpha", 0.0, math.pi / 2, lambda v: SingleShotPath(v, 0.0, 0.0, 0.0).alpha),
+    ("gamma", -math.pi / 2, math.pi / 2, lambda v: SingleShotPath(0.0, 0.0, 0.0, v).gamma),
+    ("theta_gate", 0.0, math.pi / 2, lambda v: TargetGate(v, AXIS).theta_gate),
+    ("theta_gate", 0.0, math.pi / 2, f1),
+    ("theta_gate", 0.0, math.pi / 2, f2),
+    ("theta_gate", 0.0, math.pi / 2, f3),
+]
+RANGED_IDS = ["LoopParams", "SingleLoopPath", "alpha", "gamma", "TargetGate", "f1", "f2", "f3"]
+
+# (field, build): build(value) feeds value to one phase field
+PHASES = [
+    ("psi", lambda v: LoopParams(1.0, v, 0.0)),
+    ("phi", lambda v: LoopParams(1.0, 0.0, v)),
+    ("psi", lambda v: SingleLoopPath(1.0, v, 0.0, 0.0)),
+    ("phi", lambda v: SingleLoopPath(1.0, 0.0, v, 0.0)),
+    ("phi_prime", lambda v: SingleLoopPath(1.0, 0.0, 0.0, v)),
+    ("beta0", lambda v: SingleShotPath(0.5, v, 0.0, 0.0)),
+    ("beta1", lambda v: SingleShotPath(0.5, 0.0, v, 0.0)),
+]
+
+
+def _message(name, lo, hi, got):
+    return re.escape(f"{name} must lie in [{lo:.6g}, {hi:.6g}], got {got:.6g}")
+
+
+def outside(lo, hi):
+    """Values more than twice the slack outside [lo, hi], infinities included."""
+    return st.floats(hi + 2 * SLACK, math.inf) | st.floats(-math.inf, lo - 2 * SLACK)
+
+
+@pytest.mark.parametrize("name, lo, hi, build", RANGED, ids=RANGED_IDS)
+def test_range_boundary_rejects_nan(name, lo, hi, build):
+    with pytest.raises(ValueError, match=_message(name, lo, hi, math.nan)):
+        build(math.nan)
+
+
+@pytest.mark.parametrize("name, lo, hi, build", RANGED, ids=RANGED_IDS)
+@BOUNDARY_SETTINGS
+@given(data=st.data())
+def test_range_boundary_rejects_out_of_range(name, lo, hi, build, data):
+    value = data.draw(outside(lo, hi))
+    with pytest.raises(ValueError, match=_message(name, lo, hi, value)):
+        build(value)
+
+
+@pytest.mark.parametrize("name, lo, hi, build", RANGED, ids=RANGED_IDS)
+@BOUNDARY_SETTINGS
+@given(excess=st.floats(0.0, 0.999 * SLACK))  # the slack's last ulps depend on rounding
+def test_range_boundary_clips_within_slack(name, lo, hi, build, excess):
+    assert build(lo - excess) == build(lo)
+    assert build(hi + excess) == build(hi)
+
+
+@pytest.mark.parametrize("shape", [f1, f2, f3])
+@BOUNDARY_SETTINGS
+@given(
+    inside=st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=5),
+    bad=st.lists(outside(0.0, math.pi / 2) | st.just(math.nan), min_size=1, max_size=3),
+    at=st.integers(0, 5),
+    data=st.data(),
+)
+def test_shape_names_first_failing_entry(shape, inside, bad, at, data):
+    # later entries may be any value: the first failing one is named
+    values = inside[:at] + bad + data.draw(st.lists(st.floats(allow_nan=True), max_size=3))
+    with pytest.raises(ValueError, match=_message("theta_gate", 0.0, math.pi / 2, bad[0])):
+        shape(np.array(values).reshape(1, -1))
+
+
+@pytest.mark.parametrize("shape", [f1, f2, f3])
+def test_shape_clips_array_within_slack(shape):
+    edges = np.array([-0.5 * SLACK, math.pi / 2 + 0.5 * SLACK])
+    np.testing.assert_array_equal(shape(edges), shape(np.array([0.0, math.pi / 2])))
+
+
+@pytest.mark.parametrize("field, build", PHASES)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_phase_must_be_finite(field, build, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("field, build", PHASES)
+@BOUNDARY_SETTINGS
+@given(value=st.floats(-1e6, 1e6))
+def test_finite_phase_is_reduced(field, build, value):
+    reduced = getattr(build(value), field)
+    assert 0.0 <= reduced < 2 * math.pi
+
+
+def _orthogonal_path():
+    return TwoLoopPath(LoopParams(0.0, 0.0, 0.0), LoopParams(math.pi, 0.0, 0.3))
+
+
+def test_fid2_two_loop_at_eta_pi_matches_relative_formula():
+    dec = phi_b_of(_orthogonal_path())
+    assert dec.degenerate and math.isnan(dec.phi_b)
+    eps = 0.01
+    expected = fid2_relative(_orthogonal_path(), RabiError(eps))[1]
+    assert abs(expected - 0.99934) < 1e-5
+    assert abs(fid2_two_loop(dec.eta, dec.phi_b, eps) - expected) <= 1e-12
+    assert quad_coeff_two_loop(dec.eta, dec.phi_b) == (2.0 / 3.0) * math.pi**2
+
+
+def test_quad_coeff_two_loop_refuses_nan_phi_b_off_eta_pi():
+    with pytest.raises(ValueError, match="phi_b may be NaN only at eta = pi"):
+        quad_coeff_two_loop(math.pi / 2, math.nan)
+    with pytest.raises(ValueError, match="phi_b may be NaN only at eta = pi"):
+        fid2_two_loop(math.nan, math.nan, 0.01)
+
+
+def test_extract_quadratic_coefficient_refuses_nan_fidelity():
+    samples = [(1e-3, 0.999), (-1e-3, math.nan), (1e-4, 0.99999), (-1e-4, 0.99999)]
+    with pytest.raises(ValueError, match=r"fidelities must lie in \(0, 1\]"):
+        extract_quadratic_coefficient(samples)
+
+
+# --- where the checks are -----------------------------------------------------
+
+MODULES = (analytic, cli, linalg, oracle, pathfinder, schemes, verify)
+RANGE_CALLERS = {
+    "schemes.LoopParams.__post_init__",
+    "schemes.SingleLoopPath.__post_init__",
+    "schemes.SingleShotPath.__post_init__",
+    "analytic.TargetGate.__post_init__",
+    "analytic.f1",
+    "analytic.f2",
+    "analytic.f3",
+}
+UNCHECKED = ("bright_dark", "coupling_generator", "relative_error_angles", "bright_decomposition")
+VALIDATORS = {
+    "_in_range", "_phase", "RabiError", "TargetGate",
+    "require_common_error", "require_hermitian", "require_unitary",
+}
+
+
+def _called_names(node):
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _functions(module):
+    """(qualified name, def node) of every function of the module, methods as Class.method."""
+    tree = ast.parse(inspect.getsource(module))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_range_rule_is_called_only_at_the_boundary():
+    callers = {
+        f"{module.__name__.split('.')[-1]}.{name}"
+        for module in MODULES
+        for name, node in _functions(module)
+        if "_in_range" in _called_names(node)
+    }
+    assert callers == RANGE_CALLERS
+
+
+def test_bright_state_helpers_call_no_validator():
+    functions = dict(_functions(schemes))
+    for name in UNCHECKED:
+        called = set(_called_names(functions[name]))
+        assert not called & VALIDATORS, (name, called & VALIDATORS)

@@ -11,7 +11,7 @@ from holopath.linalg import (
     gate_fidelity,
 )
 
-from helpers import projective_distance_qubit
+from helpers import pauli_dot, projective_distance_qubit
 
 
 def lambda_generator(theta, psi, phi):
@@ -135,7 +135,7 @@ def test_projective_distance_rejects_non_block_diagonal():
 
 def test_pauli_dot_and_rotation():
     n = np.array([0.6, 0.0, 0.8])
-    op = linalg.pauli_dot(n)
+    op = pauli_dot(n)
     np.testing.assert_allclose(op[:2, :2] @ op[:2, :2], np.eye(2), atol=1e-15)
     rot = linalg.qubit_rotation(np.pi / 2, n)
     np.testing.assert_allclose(rot, 1j * op[:2, :2], atol=1e-15)

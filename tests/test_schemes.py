@@ -12,7 +12,6 @@ from holopath.linalg import (
     PROJ_E,
     expm,
     gate_fidelity,
-    pauli_dot,
     projector,
     qubit_rotation,
 )
@@ -33,7 +32,7 @@ from holopath.schemes import (
     two_loop_ideal,
 )
 
-from helpers import bloch_vector, projective_distance_qubit, single_shot_rabi_parameters
+from helpers import bloch_vector, pauli_dot, projective_distance_qubit, single_shot_rabi_parameters
 
 
 def random_two_loop(rng):
@@ -67,13 +66,6 @@ def test_bright_dark_orthonormal(rng):
         assert abs(np.vdot(d, d) - 1) <= 1e-14
         assert abs(np.vdot(b, d)) <= 1e-14
         assert abs(b[2]) == 0 and abs(d[2]) == 0
-
-
-def test_bright_dark_domain():
-    with pytest.raises(ValueError):
-        bright_dark(-0.2, 0.0)
-    with pytest.raises(ValueError):
-        bright_dark(np.pi + 0.2, 0.0)
 
 
 def test_bloch_vector_poles_and_equator():
