@@ -267,17 +267,18 @@ def fidelity_pair(scheme: str, path, error: RabiError):
     """Exact and second-order fidelity for one scheme/path/error point.
 
     For an error grid (array fields of ``error``) both are arrays of the
-    grid's shape, from one stacked evaluation.
+    grid's shape, from one stacked evaluation.  ``error`` was checked when
+    it was built, so the second-order values use its epsilon as it is.
     """
     if scheme == "two-loop":
         exact = gate_fidelity(schemes.two_loop_ideal(path), schemes.two_loop_errored_relative(path, error))
         analytic2 = fid2_relative(path, error)[1]
     elif scheme == "single-loop":
         exact = gate_fidelity(schemes.single_loop_ideal(path), schemes.single_loop_errored(path, error))
-        analytic2 = fid2_single_loop(path.phase_diff, error.epsilon)
+        analytic2 = 1.0 - quad_coeff_single_loop(path.phase_diff) * error.epsilon * error.epsilon
     elif scheme == "single-shot":
         exact = gate_fidelity(schemes.single_shot_ideal(path), schemes.single_shot_errored(path, error))
-        analytic2 = fid2_single_shot(path.gamma, error.epsilon)
+        analytic2 = 1.0 - quad_coeff_single_shot(path.gamma) * error.epsilon * error.epsilon
     else:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     return exact, analytic2

@@ -9,9 +9,12 @@ A :class:`ScheduleSegment` holds one fixed Hermitian generator G, so the
 steps of a segment commute and share G's eigenbasis: each step is the
 diagonal phase exp(-1j * a_k * vals) in that basis, and the segment's
 ordered product is exactly the basis change applied to the product of the
-per-step phases.  The phases are multiplied step by step; the areas are
-never summed first, which is the closed forms' shortcut.  A generator that
-depends on time would need a propagator of its own.
+per-step phases.  Each step's factor is cos(x) - 1j sin(x) of its own real
+angle x = a_k * v, from real cosine and sine kernels on an
+eigenvalue-major array whose step axis is contiguous; the factors are
+multiplied step by step, and the areas are never summed first, which is
+the closed forms' shortcut.  A generator that depends on time would need a
+propagator of its own.
 
 The only discretization error is then the midpoint quadrature error of the
 envelope area; the "square" and "sine-squared" shapes are integrated
@@ -22,6 +25,7 @@ to use for convergence-order measurements.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,6 +67,8 @@ class PulseEnvelope:
             raise ValueError(f"shape must be one of {SHAPES}, got {self.shape!r}")
         if self.duration < 0.0 or not np.isfinite(self.duration):
             raise ValueError("duration must be a finite nonnegative time")
+        if not np.isfinite(self.target_area):
+            raise ValueError(f"target_area must be finite, got {self.target_area!r}")
         if self.duration == 0.0 and self.target_area != 0.0:
             raise ValueError("zero-duration envelope cannot carry a nonzero area")
 
@@ -97,7 +103,10 @@ class ScheduleSegment:
         g = require_hermitian(self.generator).copy()
         g.setflags(write=False)
         object.__setattr__(self, "generator", g)
-        object.__setattr__(self, "scale", float(self.scale))
+        scale = float(self.scale)
+        if not np.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale!r}")
+        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
@@ -120,11 +129,20 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
     Each segment's generator is fixed, so its steps are diagonal in one
     eigenbasis and their ordered product is the product of the per-step
     phase factors in that basis; segments are then applied in time order.
-    Requires at least 100 steps per segment.  An empty schedule yields the
-    identity with a warning.  The result is unitary to roundoff and
-    converges to the accumulated-area propagator as steps increase.
+    Step k's factor on eigenvalue v is cos(a_k v) - 1j sin(a_k v) of its own
+    midpoint area a_k; the angles are laid out eigenvalue-major, so each
+    eigenvalue's factors are contiguous and are multiplied in step order,
+    never summed.  ``steps_per_segment`` must be an integer (``int`` or a
+    numpy integer; a float such as 1000.5 raises ValueError) and at least
+    100.  An empty schedule yields the identity with a warning.  The result
+    is unitary to roundoff and converges to the accumulated-area propagator
+    as steps increase.
     """
-    if steps_per_segment < 100:
+    try:
+        steps = operator.index(steps_per_segment)
+    except TypeError:
+        raise ValueError(f"steps_per_segment must be an integer, got {steps_per_segment!r}") from None
+    if steps < 100:
         raise ValueError("steps_per_segment must be >= 100")
     if not schedule.segments:
         warnings.warn("propagating an empty schedule: returning identity", RuntimeWarning, stacklevel=2)
@@ -133,11 +151,16 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
     for seg in schedule.segments:
         if seg.envelope.duration == 0.0:
             continue
-        h = seg.envelope.duration / steps_per_segment
-        midpoints = (np.arange(steps_per_segment) + 0.5) * h
+        h = seg.envelope.duration / steps
+        midpoints = (np.arange(steps) + 0.5) * h
         areas = seg.scale * seg.envelope.values(midpoints) * h
         vals, vecs = np.linalg.eigh(seg.generator)
-        phases = np.prod(np.exp(-1j * np.outer(areas, vals)), axis=0)
+        angles = np.outer(vals, areas)
+        factors = np.empty(angles.shape, dtype=complex)
+        np.cos(angles, out=factors.real)
+        np.sin(angles, out=factors.imag)
+        # conjugating the product conjugates every factor exactly: prod(cos - 1j sin)
+        phases = np.prod(factors, axis=1).conj()
         total = (vecs * phases) @ vecs.conj().T @ total
     return total
 

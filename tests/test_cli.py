@@ -49,8 +49,12 @@ def test_figure1_deterministic_bytes(tmp_path):
     assert b"\r" not in a.read_bytes()
 
 
-def test_figure1_bad_samples(tmp_path):
-    assert run(["figure1", "--samples", 1, "--out", tmp_path / "x.csv"]) == 2
+def test_figure1_bad_samples(tmp_path, capsys):
+    # the library's rule and text, mapped to exit 2 by main; no file is written
+    out = tmp_path / "x.csv"
+    assert run(["figure1", "--samples", 1, "--out", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "holopath: error: samples must be >= 2\n"
 
 
 def test_figure1_unwritable_path(tmp_path):

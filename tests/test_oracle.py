@@ -66,6 +66,19 @@ def test_envelope_validation():
         PulseEnvelope("square", 0.0, np.pi)
 
 
+@pytest.mark.parametrize("area", [np.nan, np.inf, -np.inf])
+def test_envelope_rejects_non_finite_area(area):
+    with pytest.raises(ValueError, match="target_area"):
+        PulseEnvelope("square", 1.0, area)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_segment_rejects_non_finite_scale(scale):
+    env = PulseEnvelope("square", 1.0, np.pi)
+    with pytest.raises(ValueError, match="scale"):
+        ScheduleSegment(env, coupling_generator(0.8, 0.4, 1.2), scale)
+
+
 def test_segment_requires_hermitian_generator():
     from holopath.linalg import ContractViolation
 
@@ -123,6 +136,37 @@ def test_propagate_requires_enough_steps(rng):
     schedule = schedule_for_two_loop(random_two_loop(rng))
     with pytest.raises(ValueError):
         propagate(schedule, 99)
+
+
+@pytest.mark.parametrize("steps", [1000.5, 1000.0, np.float64(1000.0), "1000"])
+def test_propagate_rejects_non_integer_steps(steps):
+    schedule = schedule_for_single_loop(SingleLoopPath(0.5, 0.1, 0.2, 0.3), RabiError(0.01))
+    with pytest.raises(ValueError, match="steps_per_segment"):
+        propagate(schedule, steps)
+
+
+def test_propagate_accepts_numpy_integer_steps():
+    schedule = schedule_for_single_loop(SingleLoopPath(0.5, 0.1, 0.2, 0.3), RabiError(0.01))
+    np.testing.assert_array_equal(propagate(schedule, np.int64(1000)), propagate(schedule, 1000))
+
+
+def test_propagate_matches_complex_exp_phase_product():
+    # the per-step factors against numpy's complex exp of the same midpoint
+    # angles, multiplied over the step axis, per segment in time order
+    steps = 10_000
+    segments = (
+        ScheduleSegment(PulseEnvelope("sine", 1.0, np.pi), coupling_generator(0.8, 0.4, 1.2), 1.03),
+        ScheduleSegment(PulseEnvelope("sine-squared", 0.6, np.pi / 2), coupling_generator(2.1, 1.7, -0.5), 0.97),
+    )
+    total = IDENTITY.copy()
+    for seg in segments:
+        h = seg.envelope.duration / steps
+        areas = seg.scale * seg.envelope.values((np.arange(steps) + 0.5) * h) * h
+        vals, vecs = np.linalg.eigh(seg.generator)
+        total = (vecs * np.prod(np.exp(-1j * np.outer(areas, vals)), axis=0)) @ vecs.conj().T @ total
+    assert np.max(np.abs(segments[0].generator @ segments[1].generator
+                         - segments[1].generator @ segments[0].generator)) > 0.1
+    assert np.max(np.abs(propagate(Schedule(segments), steps) - total)) <= 1e-12
 
 
 def test_propagate_empty_schedule_warns():
