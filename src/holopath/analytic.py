@@ -198,14 +198,13 @@ def dF_dkappa_at_zero(path: TwoLoopPath, epsilon: float) -> float:
     return float(-(2.0 / 3.0) * (1.0 - np.cos(dec.eta / 2.0)) * cos_sum * PI_SQ * e)
 
 
-def extract_quadratic_coefficient(samples, full_output: bool = False):
+def extract_quadratic_coefficient(samples) -> float:
     """Least-squares quadratic error coefficient c in F(eps) ~ 1 - c eps^2.
 
     ``samples`` is a sequence of (epsilon, fidelity) pairs.  Every epsilon
     magnitude must appear with both signs; sign pairs are averaged first so
     odd-order contamination cancels.  With two or more magnitudes the
-    residual quartic slope is fitted and removed (Richardson style); the fit
-    residual is returned alongside c when ``full_output`` is set.
+    residual quartic slope is fitted and removed (Richardson style).
     """
     pairs = [(float(e), float(f)) for e, f in samples]
     if len(pairs) < 3:
@@ -231,16 +230,10 @@ def extract_quadratic_coefficient(samples, full_output: bool = False):
     u = np.array(u)
     g = np.array(g)
     if mags.size == 1:
-        coeff, residual = float(g[0]), 0.0
-    else:
-        design = np.column_stack([np.ones_like(u), u])
-        (coeff, slope), *_ = np.linalg.lstsq(design, g, rcond=None)
-        fitvals = coeff + slope * u
-        residual = float(np.sqrt(np.mean((fitvals - g) ** 2)))
-        coeff = float(coeff)
-    if full_output:
-        return coeff, residual
-    return coeff
+        return float(g[0])
+    design = np.column_stack([np.ones_like(u), u])
+    (coeff, _), *_ = np.linalg.lstsq(design, g, rcond=None)
+    return float(coeff)
 
 
 @dataclass(frozen=True)

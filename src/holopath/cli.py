@@ -2,9 +2,12 @@
 
 Angle-valued flags are given in units of pi (``--theta-gate 0.5`` means
 pi/2) so the special angles are exact.  Options may also come from a plain
-``key=value`` config file (``--config``); explicit flags win over config
-values, and unknown config keys are rejected.  Exit codes: 0 success,
-2 usage error, 3 verification failure, 4 I/O error.
+``key=value`` config file (``--config``).  A config key is the flag's name
+with ``_`` for ``-`` (``theta_gate`` for ``--theta-gate``), converted and
+checked against its choices by the same ``_OPTIONS`` entry that declares
+the flag; explicit flags win over config values, and unknown config keys
+are rejected.  Exit codes: 0 success, 2 usage error, 3 verification
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -25,9 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
-
-LEVEL_CHOICES = ("fast", "full")
-ORIENTATION_SIGN_CHOICES = (1, -1)
 
 
 class UsageError(argparse.ArgumentTypeError, ValueError):
@@ -63,18 +63,6 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
-def _choice(choices: tuple, convert=str):
-    """Converter for a config value that must be one of the parser's ``choices``."""
-
-    def parse(text: str):
-        value = convert(text)
-        if value not in choices:
-            raise UsageError(f"expected one of {', '.join(map(str, choices))}, got {text!r}")
-        return value
-
-    return parse
-
-
 def load_config(path: str) -> dict[str, str]:
     """Parse a key=value config file; '#' starts a comment, blank lines ignored."""
     values: dict[str, str] = {}
@@ -90,30 +78,41 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-# per-command option tables: name -> (converter from string, default or REQUIRED)
+# the one declaration of each option, per command: name -> (converter from string,
+# default or _REQUIRED, choices or None, help); it builds the flag and reads the config key
 _REQUIRED = object()
 
 _OPTIONS = {
-    "figure1": {"samples": (int, 101), "out": (str, _REQUIRED)},
+    "figure1": {
+        "samples": (int, 101, None, "number of rotation-angle samples (>= 2)"),
+        "out": (str, _REQUIRED, None, "output CSV path"),
+    },
     "sweep": {
-        "scheme": (_choice(analytic.SCHEMES), _REQUIRED),
-        "theta_gate": (float, _REQUIRED),
-        "axis": (_parse_axis, _REQUIRED),
-        "phi_b": (float, 1.0),
-        "balanced": (_parse_bool, True),
-        "epsilon": (_parse_float_list, _REQUIRED),
-        "kappa": (_parse_float_list, [0.0]),
-        "out": (str, _REQUIRED),
+        "scheme": (str, _REQUIRED, analytic.SCHEMES, None),
+        "theta_gate": (float, _REQUIRED, None, "rotation angle in units of pi"),
+        "axis": (_parse_axis, _REQUIRED, None, "rotation axis as x,y,z (normalized)"),
+        "phi_b": (float, 1.0, None, "two-loop decomposition phase in units of pi"),
+        "balanced": (_parse_bool, True, None, "balanced two-loop solution (cos t1 + cos t2 = 0)"),
+        "epsilon": (_parse_float_list, _REQUIRED, None, "comma-separated average-error list"),
+        "kappa": (_parse_float_list, [0.0], None, "comma-separated relative-difference list (two-loop only)"),
+        "out": (str, _REQUIRED, None, "output JSON path"),
     },
     "optimize": {
-        "theta_gate": (float, _REQUIRED),
-        "axis": (_parse_axis, _REQUIRED),
-        "phi_b": (float, 1.0),
-        "balanced": (_parse_bool, True),
-        "orientation_sign": (_choice(ORIENTATION_SIGN_CHOICES, int), 1),
-        "out": (str, None),
+        "theta_gate": (float, _REQUIRED, None, "rotation angle in units of pi"),
+        "axis": (_parse_axis, _REQUIRED, None, "rotation axis as x,y,z (normalized)"),
+        "phi_b": (float, 1.0, None, "forced decomposition phase in units of pi"),
+        "balanced": (_parse_bool, True, None, None),
+        "orientation_sign": (int, 1, pathfinder.ORIENTATION_SIGNS, None),
+        "out": (str, None, None, "output JSON path (default: stdout)"),
     },
-    "verify": {"level": (_choice(LEVEL_CHOICES), "fast"), "seed": (int, None)},
+    "verify": {"level": (str, "fast", ("fast", "full"), None), "seed": (int, None, None, None)},
+}
+
+_COMMAND_HELP = {
+    "figure1": "write the f1/f2/f3 scheme-comparison curves as CSV",
+    "sweep": "exact vs second-order fidelity over an error grid (JSON)",
+    "optimize": "solve the robustness-optimal paths for a target gate (JSON)",
+    "verify": "run the acceptance suite",
 }
 
 
@@ -123,37 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robust-path analysis of holonomic one-qubit gates under Rabi amplitude errors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("figure1", help="write the f1/f2/f3 scheme-comparison curves as CSV")
-    p.add_argument("--samples", type=int, default=None, help="number of rotation-angle samples (>= 2)")
-    p.add_argument("--out", default=None, help="output CSV path")
-
-    p = sub.add_parser("sweep", help="exact vs second-order fidelity over an error grid (JSON)")
-    p.add_argument("--scheme", choices=analytic.SCHEMES, default=None)
-    p.add_argument("--theta-gate", type=float, default=None, help="rotation angle in units of pi")
-    p.add_argument("--axis", type=_parse_axis, default=None, help="rotation axis as x,y,z (normalized)")
-    p.add_argument("--phi-b", type=float, default=None, help="two-loop decomposition phase in units of pi")
-    p.add_argument("--balanced", action=argparse.BooleanOptionalAction, default=None,
-                   help="balanced two-loop solution (cos t1 + cos t2 = 0)")
-    p.add_argument("--epsilon", type=_parse_float_list, default=None, help="comma-separated average-error list")
-    p.add_argument("--kappa", type=_parse_float_list, default=None,
-                   help="comma-separated relative-difference list (two-loop only)")
-    p.add_argument("--out", default=None, help="output JSON path")
-
-    p = sub.add_parser("optimize", help="solve the robustness-optimal paths for a target gate (JSON)")
-    p.add_argument("--theta-gate", type=float, default=None, help="rotation angle in units of pi")
-    p.add_argument("--axis", type=_parse_axis, default=None, help="rotation axis as x,y,z (normalized)")
-    p.add_argument("--phi-b", type=float, default=None, help="forced decomposition phase in units of pi")
-    p.add_argument("--balanced", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--orientation-sign", type=int, choices=ORIENTATION_SIGN_CHOICES, default=None)
-    p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--level", choices=LEVEL_CHOICES, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--config", default=None, help="key=value config file supplying defaults")
+    for command, table in _OPTIONS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for name, (convert, _, choices, help_text) in table.items():
+            # every flag defaults to None, so _resolve_options can tell a given flag from an absent one
+            if convert is _parse_bool:
+                kind = {"action": argparse.BooleanOptionalAction}
+            else:
+                kind = {"type": convert, "choices": choices}
+            p.add_argument("--" + name.replace("_", "-"), **kind, default=None, help=help_text)
+        p.add_argument("--config", default=None, help="key=value config file supplying defaults")
     return parser
 
 
@@ -165,16 +143,15 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     resolved = {}
-    for name, (convert, default) in table.items():
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            resolved[name] = cli_value
-        elif name in config:
-            resolved[name] = convert(config[name])
-        elif default is _REQUIRED:
+    for name, (convert, default, choices, _) in table.items():
+        value = getattr(args, name)
+        if value is None and name in config:
+            value = convert(config[name])
+            if choices is not None and value not in choices:
+                raise UsageError(f"expected one of {', '.join(map(str, choices))}, got {config[name]!r}")
+        if value is None and default is _REQUIRED:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
-        else:
-            resolved[name] = default
+        resolved[name] = default if value is None else value
     return resolved
 
 

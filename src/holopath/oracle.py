@@ -71,6 +71,10 @@ class PulseEnvelope:
             raise ValueError(f"target_area must be finite, got {self.target_area!r}")
         if self.duration == 0.0 and self.target_area != 0.0:
             raise ValueError("zero-duration envelope cannot carry a nonzero area")
+        if not np.isfinite(self.amplitude):
+            raise ValueError(
+                f"amplitude overflows: target_area {self.target_area!r} over duration {self.duration!r}"
+            )
 
     def unit(self, t):
         """Unit-amplitude shape value(s) at time(s) t."""
@@ -117,10 +121,6 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-
-    @property
-    def duration(self) -> float:
-        return float(sum(seg.envelope.duration for seg in self.segments))
 
 
 def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:

@@ -20,6 +20,9 @@ from .schemes import LoopParams, SingleLoopPath, SingleShotPath, TwoLoopPath, br
 
 _DEGENERATE_ANGLE = 1e-14
 
+#: the two balanced-loop orientations, as PathConstraints.orientation_sign values
+ORIENTATION_SIGNS = (1, -1)
+
 
 @dataclass(frozen=True)
 class PathConstraints:
@@ -36,7 +39,7 @@ class PathConstraints:
     orientation_sign: int = 1
 
     def __post_init__(self):
-        if self.orientation_sign not in (1, -1):
+        if self.orientation_sign not in ORIENTATION_SIGNS:
             raise ValueError("orientation_sign must be +1 or -1")
 
 

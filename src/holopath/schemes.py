@@ -330,15 +330,19 @@ def single_shot_bright(path: SingleShotPath) -> np.ndarray:
     )
 
 
+def _single_shot_frame(path: SingleShotPath) -> tuple[np.ndarray, np.ndarray]:
+    """The bright-state projector |b><b| and the bright/excited coupling |b><e| + |e><b|."""
+    b = single_shot_bright(path)
+    return projector(b), np.outer(b, KET_E.conj()) + np.outer(KET_E, b.conj())
+
+
 def single_shot_generator(path: SingleShotPath, epsilon: float = 0.0) -> np.ndarray:
     """Full single-shot Hamiltonian structure (unit overall scale Omega).
 
     The amplitude error multiplies only the Rabi couplings; the detuning
     term is set by an independent frequency reference and stays exact.
     """
-    b = single_shot_bright(path)
-    pb = projector(b)
-    cross = np.outer(b, KET_E.conj()) + np.outer(KET_E, b.conj())
+    pb, cross = _single_shot_frame(path)
     sg, cg = np.sin(path.gamma), np.cos(path.gamma)
     return sg * (PROJ_E + pb) + (1.0 + epsilon) * cg * cross + sg * (PROJ_E - pb)
 
@@ -350,9 +354,7 @@ def single_shot_error_operator(path: SingleShotPath, epsilon: float) -> tuple[fl
     sigma squares to the bright/excited projector and is traceless.  An
     array epsilon gives lambda of its shape and a (..., 3, 3) sigma.
     """
-    b = single_shot_bright(path)
-    pb = projector(b)
-    cross = np.outer(b, KET_E.conj()) + np.outer(KET_E, b.conj())
+    pb, cross = _single_shot_frame(path)
     sg, cg = np.sin(path.gamma), np.cos(path.gamma)
     drive = (1.0 + epsilon) * cg
     lam = np.hypot(drive, sg)
@@ -366,7 +368,7 @@ def single_shot_ideal(path: SingleShotPath) -> np.ndarray:
     Closed form of the exponential of :func:`single_shot_generator` at total
     area pi; the acceptance suite compares the two.
     """
-    pb = projector(single_shot_bright(path))
+    pb, _ = _single_shot_frame(path)
     zeta = np.pi * (1.0 - np.sin(path.gamma))
     return np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
 
@@ -380,7 +382,7 @@ def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
     the acceptance suite compares the two.
     """
     require_common_error(error, "single_shot_errored")
-    pb = projector(single_shot_bright(path))
+    pb, _ = _single_shot_frame(path)
     lam, sigma = single_shot_error_operator(path, error.epsilon)
     return expm(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ expm(sigma, lam * np.pi)
 

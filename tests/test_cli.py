@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -364,6 +365,63 @@ def test_config_orientation_sign_accepted(tmp_path):
     assert run(["optimize", "--theta-gate", 0.3, "--axis", "0.2,-0.5,0.6", "--config", cfg, "--out", a]) == 0
     assert run(["optimize", "--theta-gate", 0.3, "--axis", "0.2,-0.5,0.6", "--orientation-sign", -1, "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# one sample value per option of every command, none of them the default
+OPTION_SAMPLES = {
+    "figure1": {"samples": "7", "out": "curves.csv"},
+    "sweep": {
+        "scheme": "single-shot", "theta_gate": "0.25", "axis": "1,-2,0.5", "phi_b": "0.3",
+        "balanced": "false", "epsilon": "0.01,-0.02", "kappa": "-0.0,0.005", "out": "sweep.json",
+    },
+    "optimize": {
+        "theta_gate": "-0.5", "axis": "0,0,-1", "phi_b": "0.5", "balanced": "false",
+        "orientation_sign": "-1", "out": "paths.json",
+    },
+    "verify": {"level": "full", "seed": "7"},
+}
+
+
+def test_option_samples_cover_every_option():
+    assert {c: list(t) for c, t in OPTION_SAMPLES.items()} == {c: list(t) for c, t in cli._OPTIONS.items()}
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, table in OPTION_SAMPLES.items() for n in table])
+def test_flag_and_config_key_resolve_alike(tmp_path, command, name):
+    # the other options come from the config file in both forms; only `name` moves
+    samples = OPTION_SAMPLES[command]
+    others = "".join(f"{key}={text}\n" for key, text in samples.items() if key != name)
+    flag_cfg, config_cfg = tmp_path / "flag.cfg", tmp_path / "config.cfg"
+    flag_cfg.write_text(others)
+    config_cfg.write_text(others + f"{name}={samples[name]}\n")
+    if cli._OPTIONS[command][name][0] is cli._parse_bool:
+        flag = ["--balanced" if samples[name] == "true" else "--no-balanced"]
+    else:
+        flag = [f"--{name.replace('_', '-')}={samples[name]}"]
+    parser = cli.build_parser()
+    by_flag = cli._resolve_options(parser.parse_args([command, "--config", str(flag_cfg), *flag]))
+    by_config = cli._resolve_options(parser.parse_args([command, "--config", str(config_cfg)]))
+    np.testing.assert_equal(by_flag, by_config)
+    assert not np.array_equal(by_config[name], cli._OPTIONS[command][name][1])
+
+
+def test_each_flag_is_declared_by_the_option_table():
+    # a flag added outside _OPTIONS, or a config key with no flag, fails here
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(cli._OPTIONS)
+    for command, subparser in subparsers.choices.items():
+        table = cli._OPTIONS[command]
+        actions = {action.dest: action for action in subparser._actions}
+        assert list(actions) == ["help", *table, "config"]
+        assert actions["help"].option_strings == ["-h", "--help"]
+        assert actions["config"].option_strings == ["--config"]
+        for name, (convert, _, choices, _) in table.items():
+            flag = "--" + name.replace("_", "-")
+            negated = ["--no-" + flag[2:]] if convert is cli._parse_bool else []
+            assert actions[name].option_strings == [flag, *negated]
+            # the flag's choices are the ones a config value is checked against
+            assert actions[name].choices == choices
 
 
 def test_unknown_command_usage_error():
