@@ -54,8 +54,8 @@ class PulseEnvelope:
     The amplitude divides ``target_area`` by the closed-form area of the
     unit shape (T, 2T/pi and T/2 for square, sine and sine-squared), so the
     integrated area matches ``target_area`` regardless of shape.
-    A zero-duration envelope is legal only with zero target area and
-    contributes the identity.
+    A duration whose unit-shape area is 0.0 (zero, or underflowing) is legal
+    only with zero target area; amplitude 0.0 then gives the identity.
     """
 
     shape: str
@@ -69,8 +69,8 @@ class PulseEnvelope:
             raise ValueError("duration must be a finite nonnegative time")
         if not np.isfinite(self.target_area):
             raise ValueError(f"target_area must be finite, got {self.target_area!r}")
-        if self.duration == 0.0 and self.target_area != 0.0:
-            raise ValueError("zero-duration envelope cannot carry a nonzero area")
+        if _UNIT_AREA[self.shape] * self.duration == 0.0 and self.target_area != 0.0:
+            raise ValueError(f"duration {self.duration!r} is too short to carry a nonzero area")
         if not np.isfinite(self.amplitude):
             raise ValueError(
                 f"amplitude overflows: target_area {self.target_area!r} over duration {self.duration!r}"
@@ -87,9 +87,8 @@ class PulseEnvelope:
 
     @cached_property
     def amplitude(self) -> float:
-        if self.duration == 0.0:
-            return 0.0
-        return self.target_area / (_UNIT_AREA[self.shape] * self.duration)
+        unit_area = _UNIT_AREA[self.shape] * self.duration
+        return self.target_area / unit_area if unit_area else 0.0
 
     def values(self, t):
         return self.amplitude * self.unit(t)

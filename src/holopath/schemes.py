@@ -6,14 +6,14 @@ phase jump), and the off-resonant single-shot scheme, each with its ideal
 propagator and its propagator under systematic Rabi-frequency errors.
 
 The amplitude error model multiplies the whole pulse envelope by an unknown
-constant fraction, so the accumulated pulse area is a sufficient statistic
-and every errored propagator below is one exponential per pulse at its
-errored area, exact for that model.  A :class:`RabiError` whose fields are
-arrays is an error grid: each constructor then stacks its exponentials
-for the whole grid into one call.  Pulse areas are enforced exactly (pi
-per two-loop loop, pi/2 per single-loop segment, and total area pi for the
-single-shot pulse); envelope-resolved time stepping lives in
-:mod:`holopath.oracle`.
+constant fraction, so the accumulated pulse area is a sufficient statistic:
+each propagator is one exponential per pulse, in closed form, for generators
+with G^3 = G (every pulse generator here), at the pulse's errored area;
+exact for that model, with no eigendecomposition.  A :class:`RabiError`
+whose fields are arrays is an error grid: each constructor then stacks its
+exponentials for the whole grid into one call.  Pulse areas are enforced
+exactly (pi per two-loop loop, pi/2 per single-loop segment, total area pi
+for the single-shot pulse); time stepping lives in :mod:`holopath.oracle`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .linalg import (
     KET_1,
     KET_E,
     PROJ_E,
-    expm,
     projector,
+    require_hermitian,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -256,6 +256,18 @@ def coupling_generator(theta, psi, phi) -> np.ndarray:
     return half + np.swapaxes(half.conj(), -1, -2)
 
 
+def _pulse(generator, area) -> np.ndarray:
+    """exp(-1j * area * G) = I - 1j sin(area) G + (cos(area) - 1) G^2 for a Hermitian G with G^3 = G.
+
+    G^3 = G (spectrum in {-1, 0, 1}) is not checked; operands broadcast and are checked as in linalg.expm.
+    """
+    g = require_hermitian(generator)
+    a = np.asarray(area, dtype=float)[..., None, None]
+    if not np.isfinite(a).all():
+        raise ValueError(f"area must be finite, got {area!r}")
+    return IDENTITY - 1j * np.sin(a) * g + (np.cos(a) - 1.0) * (g @ g)
+
+
 def _loop_angles(path: TwoLoopPath, ndim: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both loops' (theta, psi, phi) as three arrays of shape (2,) + (1,) * ndim.
 
@@ -274,7 +286,7 @@ def two_loop_ideal(path: TwoLoopPath) -> np.ndarray:
     twice the angle between the two loop Bloch vectors; it is independent
     of the total phases phi1, phi2.
     """
-    loops = expm(coupling_generator(*_loop_angles(path)), np.pi)
+    loops = _pulse(coupling_generator(*_loop_angles(path)), np.pi)
     return loops[1] @ loops[0]
 
 
@@ -303,13 +315,13 @@ def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray
     """
     theta, psi, phi = _loop_angles(path, error.ndim)
     theta_p, delta = relative_error_angles(theta, error)
-    loops = expm(coupling_generator(theta_p, psi, phi), (1.0 + delta) * np.pi)
+    loops = _pulse(coupling_generator(theta_p, psi, phi), (1.0 + delta) * np.pi)
     return loops[1] @ loops[0]
 
 
 def single_loop_ideal(path: SingleLoopPath) -> np.ndarray:
     """Single-loop multiple-pulse gate: two pi/2-area segments with a phase jump."""
-    segments = expm(coupling_generator(path.theta, path.psi, np.array([path.phi, path.phi_prime])), np.pi / 2)
+    segments = _pulse(coupling_generator(path.theta, path.psi, np.array([path.phi, path.phi_prime])), np.pi / 2)
     return segments[1] @ segments[0]
 
 
@@ -318,7 +330,7 @@ def single_loop_errored(path: SingleLoopPath, error: RabiError) -> np.ndarray:
     require_common_error(error, "single_loop_errored")
     area = (1.0 + error.epsilon) * np.pi / 2
     phases = np.array([path.phi, path.phi_prime]).reshape((2,) + (1,) * np.ndim(area))
-    segments = expm(coupling_generator(path.theta, path.psi, phases), area)
+    segments = _pulse(coupling_generator(path.theta, path.psi, phases), area)
     return segments[1] @ segments[0]
 
 
@@ -347,15 +359,14 @@ def single_shot_generator(path: SingleShotPath, epsilon: float = 0.0) -> np.ndar
     return sg * (PROJ_E + pb) + (1.0 + epsilon) * cg * cross + sg * (PROJ_E - pb)
 
 
-def single_shot_error_operator(path: SingleShotPath, epsilon: float) -> tuple[float, np.ndarray]:
-    """Normalized traceless rotation operator of the errored single-shot drive.
+def _error_operator(pb: np.ndarray, cross: np.ndarray, gamma: float, epsilon) -> tuple[float, np.ndarray]:
+    """Normalized traceless rotation operator of the errored single-shot drive, given its frame.
 
-    Returns (lambda, sigma) with lambda = hypot((1+eps) cos gamma, sin gamma);
-    sigma squares to the bright/excited projector and is traceless.  An
-    array epsilon gives lambda of its shape and a (..., 3, 3) sigma.
+    ``pb, cross`` is the path's :func:`_single_shot_frame`.  Returns (lambda, sigma) with
+    lambda = hypot((1+eps) cos gamma, sin gamma); sigma squares to the bright/excited projector
+    and is traceless.  An array epsilon gives lambda of its shape and a (..., 3, 3) sigma.
     """
-    pb, cross = _single_shot_frame(path)
-    sg, cg = np.sin(path.gamma), np.cos(path.gamma)
+    sg, cg = np.sin(gamma), np.cos(gamma)
     drive = (1.0 + epsilon) * cg
     lam = np.hypot(drive, sg)
     sigma = (drive[..., None, None] * cross + sg * (PROJ_E - pb)) / lam[..., None, None]
@@ -368,7 +379,7 @@ def single_shot_ideal(path: SingleShotPath) -> np.ndarray:
     Closed form of the exponential of :func:`single_shot_generator` at total
     area pi; the acceptance suite compares the two.
     """
-    pb, _ = _single_shot_frame(path)
+    pb = projector(single_shot_bright(path))
     zeta = np.pi * (1.0 - np.sin(path.gamma))
     return np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
 
@@ -382,9 +393,9 @@ def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
     the acceptance suite compares the two.
     """
     require_common_error(error, "single_shot_errored")
-    pb, _ = _single_shot_frame(path)
-    lam, sigma = single_shot_error_operator(path, error.epsilon)
-    return expm(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ expm(sigma, lam * np.pi)
+    pb, cross = _single_shot_frame(path)
+    lam, sigma = _error_operator(pb, cross, path.gamma, error.epsilon)
+    return _pulse(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ _pulse(sigma, lam * np.pi)
 
 
 def bright_decomposition(loop1, loop2) -> BrightDecomposition:

@@ -207,3 +207,14 @@ def test_bright_state_helpers_call_no_validator():
     for name in UNCHECKED:
         called = set(_called_names(functions[name]))
         assert not called & VALIDATORS, (name, called & VALIDATORS)
+
+
+def test_schemes_runs_no_eigendecomposition():
+    # every pulse is schemes._pulse's closed form; linalg.expm stays the independent reference
+    tree = ast.parse(inspect.getsource(schemes))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "expm" not in imported
+    for name, node in _functions(schemes):
+        reached = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        reached |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        assert not reached & {"expm", "linalg"}, (name, reached & {"expm", "linalg"})

@@ -79,6 +79,16 @@ def test_envelope_rejects_overflowing_amplitude(duration, area):
         PulseEnvelope("square", duration, area)
 
 
+def test_envelope_with_underflowing_unit_area():
+    # T/2 rounds to 0.0 at the smallest subnormal T: a zero area is legal, a nonzero one is refused
+    env = PulseEnvelope("sine-squared", 5e-324, 0.0)
+    assert env.amplitude == 0.0
+    schedule = Schedule((ScheduleSegment(env, coupling_generator(0.5, 0.1, 0.2)),))
+    np.testing.assert_allclose(propagate(schedule, 100), IDENTITY, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="duration 5e-324"):
+        PulseEnvelope("sine-squared", 5e-324, 1.0)
+
+
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
 def test_segment_rejects_non_finite_scale(scale):
     env = PulseEnvelope("square", 1.0, np.pi)

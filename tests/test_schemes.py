@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holopath import schemes
 from holopath.linalg import (
@@ -10,6 +13,7 @@ from holopath.linalg import (
     KET_1,
     KET_E,
     PROJ_E,
+    ContractViolation,
     expm,
     gate_fidelity,
     projector,
@@ -80,6 +84,76 @@ def test_bloch_vector_reconstructs_projector_difference(rng):
         assert abs(np.linalg.norm(n) - 1) <= 1e-14
         b, d = bright_dark(theta, psi)
         np.testing.assert_allclose(projector(b) - projector(d), pauli_dot(n), atol=1e-14)
+
+
+# ---------------------------------------------------------- closed-form pulses
+
+PHASES = st.floats(0.0, 2 * np.pi)
+#: None for one generator; n for a stack of n, the empty stack included
+STACKS = st.none() | st.integers(0, 3)
+AREAS = st.sampled_from([0.0, np.pi / 2, np.pi, 0.9 * np.pi, 1.1 * np.pi])
+PULSE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _floats(draw, stack, lo, hi):
+    if stack is None:
+        return draw(st.floats(lo, hi))
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=stack, max_size=stack)))
+
+
+def _single_shot_path(draw):
+    return SingleShotPath(draw(st.floats(0.0, np.pi / 2)), draw(PHASES), draw(PHASES),
+                          draw(st.floats(-np.pi / 2, np.pi / 2)))
+
+
+def _coupling(draw, stack):
+    return schemes.coupling_generator(*(_floats(draw, stack, 0.0, hi) for hi in (np.pi, 2 * np.pi, 2 * np.pi)))
+
+
+def _bright_excited(draw, stack):
+    # single_shot_errored builds this projector for one path only, so stack is unused
+    return PROJ_E + projector(schemes.single_shot_bright(_single_shot_path(draw)))
+
+
+def _sigma(draw, stack):
+    path = _single_shot_path(draw)
+    epsilon = _floats(draw, stack, -0.1, 0.1)
+    return schemes._error_operator(*schemes._single_shot_frame(path), path.gamma, epsilon)[1]
+
+
+#: every generator kind the gate constructors exponentiate, by name
+PULSE_GENERATORS = {"coupling": _coupling, "bright/excited projector": _bright_excited, "sigma": _sigma}
+
+
+@pytest.mark.parametrize("kind", PULSE_GENERATORS)
+@PULSE_SETTINGS
+@given(data=st.data())
+def test_pulse_matches_expm(kind, data):
+    g = PULSE_GENERATORS[kind](data.draw, data.draw(STACKS))
+    # an area per generator of the stack, or a (k,) array over one generator
+    shape = data.draw(st.sampled_from([(), g.shape[:-2] or (data.draw(st.integers(0, 3)),)]))
+    size = int(np.prod(shape))
+    area = np.array(data.draw(st.lists(AREAS, min_size=size, max_size=size))).reshape(shape)
+    area = float(area) if area.ndim == 0 else area
+    closed, reference = schemes._pulse(g, area), expm(g, area)
+    assert closed.shape == reference.shape
+    np.testing.assert_allclose(closed, reference, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", PULSE_GENERATORS)
+@PULSE_SETTINGS
+@given(data=st.data())
+def test_pulse_generators_satisfy_cube_identity(kind, data):
+    # _pulse's precondition G^3 = G, checked here for every kind rather than on every call
+    g = PULSE_GENERATORS[kind](data.draw, data.draw(STACKS))
+    np.testing.assert_allclose(g @ g @ g, g, rtol=0, atol=1e-15)
+
+
+def test_pulse_keeps_expm_contracts():
+    with pytest.raises(ContractViolation):
+        schemes._pulse(np.triu(np.ones((3, 3))), np.pi)
+    with pytest.raises(ValueError, match="area must be finite"):
+        schemes._pulse(schemes.coupling_generator(1.0, 0.0, 0.0), np.array([np.pi, np.nan]))
 
 
 # ------------------------------------------------------------------- two-loop
@@ -211,9 +285,10 @@ def test_single_loop_closed_form_no_phase_jump():
 
 
 def test_single_loop_segment_composition():
+    # scipy's Pade exponential, not linalg.expm: the eigh product is itself ~1e-15 from the exact answer
     path = SingleLoopPath(1.2, 0.5, 2.0, 0.7)
-    seg1 = expm(schemes.coupling_generator(1.2, 0.5, 2.0), np.pi / 2)
-    seg2 = expm(schemes.coupling_generator(1.2, 0.5, 0.7), np.pi / 2)
+    seg1 = scipy.linalg.expm(-0.5j * np.pi * schemes.coupling_generator(1.2, 0.5, 2.0))
+    seg2 = scipy.linalg.expm(-0.5j * np.pi * schemes.coupling_generator(1.2, 0.5, 0.7))
     np.testing.assert_allclose(single_loop_ideal(path), seg2 @ seg1, atol=1e-15)
 
 
@@ -306,7 +381,7 @@ def test_single_shot_error_operator_properties(rng):
     for _ in range(100):
         path = SingleShotPath(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi),
                               rng.uniform(0, 2 * np.pi), rng.uniform(-np.pi / 2, np.pi / 2))
-        lam, sigma = schemes.single_shot_error_operator(path, rng.uniform(-0.1, 0.1))
+        lam, sigma = schemes._error_operator(*schemes._single_shot_frame(path), path.gamma, rng.uniform(-0.1, 0.1))
         assert lam > 0
         assert abs(np.trace(sigma)) <= 1e-12
         pb = projector(schemes.single_shot_bright(path))
