@@ -7,6 +7,7 @@ by cubic (or higher) remainders, which the tests bound explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +148,9 @@ class RelativeErrorBreakdown:
 def fid2_relative(path: TwoLoopPath, error: RabiError) -> tuple[RelativeErrorBreakdown, float]:
     """Second-order two-loop fidelity under unequal drive errors.
 
-    Computes the errored loop angles, decomposes the errored bright states
-    to get (eta_prime, phi_b), and evaluates
+    Reads the errored loop angles and bright states from the record the
+    errored gate is built from (``schemes._errored_loops``), takes
+    (eta_prime, phi_b) from the errored bright states' overlap, and evaluates
     ``F = 1 - y^2/3 - pi^2 z^2/3`` with
     y^2 = theta11^2 + theta22^2 - 2 theta11 theta22 cos(psi21) and
     z^2 = delta1^2 + delta2^2 + 2 delta1 delta2 cos(eta'/2) cos(phi_b),
@@ -156,15 +158,18 @@ def fid2_relative(path: TwoLoopPath, error: RabiError) -> tuple[RelativeErrorBre
     kappa = 0 this reduces exactly to the common-error formula.  An error
     grid gives an array fidelity and array breakdown fields.
     """
-    loop1, loop2 = path.loop1, path.loop2
-    t1p, d1 = schemes.relative_error_angles(loop1.theta, error)
-    t2p, d2 = schemes.relative_error_angles(loop2.theta, error)
-    dec = schemes.bright_decomposition((t1p, loop1.psi, loop1.phi), (t2p, loop2.psi, loop2.phi))
-    theta11 = loop1.theta - t1p
-    theta22 = loop2.theta - t2p
-    psi21 = loop2.psi - loop1.psi
+    return _fid2_errored_loops(path, schemes._errored_loops(path, error))
+
+
+def _fid2_errored_loops(path: TwoLoopPath, loops) -> tuple[RelativeErrorBreakdown, float]:
+    """:func:`fid2_relative` of a path whose ``schemes._errored_loops`` record is ``loops``."""
+    (t1p, t2p), (d1, d2) = loops.theta_p, loops.delta
+    eta, phi_b, degenerate = schemes._overlap_angles(np.vecdot(*loops.bright), *loops.phi)
+    theta11 = path.loop1.theta - t1p
+    theta22 = path.loop2.theta - t2p
+    psi21 = path.loop2.psi - path.loop1.psi
     y_sq = _square(theta11) + _square(theta22) - 2.0 * theta11 * theta22 * np.cos(psi21)
-    cross = np.where(dec.degenerate, 0.0, 2.0 * d1 * d2 * np.cos(dec.eta / 2.0) * np.cos(dec.phi_b))
+    cross = np.where(degenerate, 0.0, 2.0 * d1 * d2 * np.cos(eta / 2.0) * np.cos(phi_b))
     z_sq = _square(d1) + _square(d2) + cross
     y = np.sqrt(np.maximum(0.0, y_sq))
     z = np.sqrt(np.maximum(0.0, z_sq))
@@ -175,11 +180,11 @@ def fid2_relative(path: TwoLoopPath, error: RabiError) -> tuple[RelativeErrorBre
         psi21=psi21,
         delta1=d1,
         delta2=d2,
-        eta_prime=dec.eta,
-        phi_b=dec.phi_b,
+        eta_prime=eta,
+        phi_b=phi_b,
         y=y,
         z=z,
-        degenerate=dec.degenerate,
+        degenerate=degenerate,
     )
     return breakdown, fidelity
 
@@ -204,36 +209,44 @@ def extract_quadratic_coefficient(samples) -> float:
     ``samples`` is a sequence of (epsilon, fidelity) pairs.  Every epsilon
     magnitude must appear with both signs; sign pairs are averaged first so
     odd-order contamination cancels.  With two or more magnitudes the
-    residual quartic slope is fitted and removed (Richardson style).
+    residual quartic slope is fitted and removed (Richardson style): the line
+    g = c + s u through u = eps^2, g = (1 - F)/eps^2 is fitted in plain floats
+    by the centered closed form s = sum (u - u_mean)(g - g_mean) / sum (u - u_mean)^2,
+    c = g_mean - s u_mean.  An epsilon that is not finite, or whose u is 0 or
+    whose u or g is not finite, is refused with a ValueError naming it.
     """
     pairs = [(float(e), float(f)) for e, f in samples]
     if len(pairs) < 3:
         raise ValueError("need at least 3 (epsilon, fidelity) samples")
-    eps = np.array([p[0] for p in pairs])
-    fid = np.array([p[1] for p in pairs])
-    if np.any(eps == 0.0):
+    if any(e == 0.0 for e, _ in pairs):
         raise ValueError("epsilon samples must be nonzero")
-    if not np.all((fid > 0.0) & (fid <= 1.0 + 1e-12)):  # NaN fails too
+    if not all(0.0 < f <= 1.0 + 1e-12 for _, f in pairs):  # NaN fails too
         raise ValueError("fidelities must lie in (0, 1]")
-    if np.unique(eps).size < 2:
+    for e, _ in pairs:
+        if not math.isfinite(e):
+            raise ValueError(f"epsilon samples must be finite, got {e!r}")
+    if len({e for e, _ in pairs}) < 2:
         raise ValueError("ill-conditioned sample set: all epsilon values equal")
-    mags = np.unique(np.abs(eps))
+    signs = {}
+    for e, f in pairs:
+        signs.setdefault(abs(e), ([], []))[e < 0].append(f)
     u, g = [], []
-    for m in mags:
-        plus = fid[eps == m]
-        minus = fid[eps == -m]
-        if plus.size == 0 or minus.size == 0:
+    for m, (plus, minus) in sorted(signs.items()):
+        if not (plus and minus):
             raise ValueError(f"epsilon magnitude {m:g} lacks a +/- sign pair")
-        f_even = 0.5 * (plus.mean() + minus.mean())
         u.append(m * m)
-        g.append((1.0 - f_even) / (m * m))
-    u = np.array(u)
-    g = np.array(g)
-    if mags.size == 1:
-        return float(g[0])
-    design = np.column_stack([np.ones_like(u), u])
-    (coeff, _), *_ = np.linalg.lstsq(design, g, rcond=None)
-    return float(coeff)
+        g.append((1.0 - 0.5 * (sum(plus) / len(plus) + sum(minus) / len(minus))) / u[-1] if u[-1] else math.inf)
+        if not (u[-1] < math.inf and math.isfinite(g[-1])):
+            raise ValueError(f"epsilon magnitude {m!r} cannot be fitted: eps^2 = {u[-1]!r}, (1 - F)/eps^2 = {g[-1]!r}")
+    if len(u) == 1:
+        return g[0]
+    u_mean, g_mean = sum(u) / len(u), sum(g) / len(g)
+    du = [x - u_mean for x in u]
+    spread = sum(d * d for d in du)
+    coeff = g_mean - sum(d * (y - g_mean) for d, y in zip(du, g)) / spread * u_mean if spread else math.nan
+    if not math.isfinite(coeff):  # magnitudes too close together or too far apart for float arithmetic
+        raise ValueError(f"ill-conditioned sample set: no finite fit through epsilon magnitudes {sorted(signs)}")
+    return coeff
 
 
 @dataclass(frozen=True)
@@ -262,10 +275,13 @@ def fidelity_pair(scheme: str, path, error: RabiError):
     For an error grid (array fields of ``error``) both are arrays of the
     grid's shape, from one stacked evaluation.  ``error`` was checked when
     it was built, so the second-order values use its epsilon as it is.
+    Two-loop: the errored loops (``schemes._errored_loops``) are built once,
+    and the errored gate and :func:`fid2_relative`'s value both read them.
     """
     if scheme == "two-loop":
-        exact = gate_fidelity(schemes.two_loop_ideal(path), schemes.two_loop_errored_relative(path, error))
-        analytic2 = fid2_relative(path, error)[1]
+        loops = schemes._errored_loops(path, error)
+        exact = gate_fidelity(schemes.two_loop_ideal(path), schemes._errored_gate(loops))
+        analytic2 = _fid2_errored_loops(path, loops)[1]
     elif scheme == "single-loop":
         exact = gate_fidelity(schemes.single_loop_ideal(path), schemes.single_loop_errored(path, error))
         analytic2 = 1.0 - quad_coeff_single_loop(path.phase_diff) * error.epsilon * error.epsilon

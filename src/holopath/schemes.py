@@ -19,6 +19,7 @@ for the single-shot pulse); time stepping lives in :mod:`holopath.oracle`.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -251,8 +252,12 @@ def coupling_generator(theta, psi, phi) -> np.ndarray:
 
     Array angles broadcast to a (..., 3, 3) stack.
     """
-    b, _ = bright_dark(theta, psi)
-    half = np.exp(1j * phi)[..., None, None] * (b[..., :, None] * KET_E.conj())
+    return _bright_coupling(bright_dark(theta, psi)[0], phi)
+
+
+def _bright_coupling(bright, phi) -> np.ndarray:
+    """e^{i phi}|b><e| + h.c. for bright states of shape (..., 3); phi broadcasts against (...)."""
+    half = np.exp(1j * phi)[..., None, None] * (bright[..., :, None] * KET_E.conj())
     return half + np.swapaxes(half.conj(), -1, -2)
 
 
@@ -305,6 +310,23 @@ def relative_error_angles(theta, error: RabiError):
     return 2.0 * np.arctan2(s1, c0), np.hypot(c0, s1) - 1.0
 
 
+#: both loops' errored ratio angles, area excesses, phases and bright states, stacked on a leading loop axis
+_ErroredLoops = namedtuple("_ErroredLoops", "theta_p delta psi phi bright")
+
+
+def _errored_loops(path: TwoLoopPath, error: RabiError) -> _ErroredLoops:
+    """One :func:`relative_error_angles` call and one bright state per loop, read by the gate and fid2_relative."""
+    theta, psi, phi = _loop_angles(path, error.ndim)
+    theta_p, delta = relative_error_angles(theta, error)
+    return _ErroredLoops(theta_p, delta, psi, phi, bright_dark(theta_p, psi)[0])
+
+
+def _errored_gate(loops: _ErroredLoops) -> np.ndarray:
+    """U2 U1 of errored loops, each one pulse of its errored coupling at area pi*(1+delta)."""
+    pulses = _pulse(_bright_coupling(loops.bright, loops.phi), (1.0 + loops.delta) * np.pi)
+    return pulses[1] @ pulses[0]
+
+
 def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray:
     """Two-loop gate under drive error fractions (epsilon0, epsilon1), any kappa.
 
@@ -313,10 +335,7 @@ def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray
     At kappa = 0 this is the common-error gate: theta_prime = theta and
     delta = epsilon.  An error grid gives a (..., 3, 3) stack.
     """
-    theta, psi, phi = _loop_angles(path, error.ndim)
-    theta_p, delta = relative_error_angles(theta, error)
-    loops = _pulse(coupling_generator(theta_p, psi, phi), (1.0 + delta) * np.pi)
-    return loops[1] @ loops[0]
+    return _errored_gate(_errored_loops(path, error))
 
 
 def single_loop_ideal(path: SingleLoopPath) -> np.ndarray:
@@ -407,14 +426,19 @@ def bright_decomposition(loop1, loop2) -> BrightDecomposition:
     (theta1, psi1, phi1), (theta2, psi2, phi2) = loop1, loop2
     b1, d1 = bright_dark(theta1, psi1)
     b2, _ = bright_dark(theta2, psi2)
-    overlap = np.vecdot(b1, b2)
+    eta, phi_b, degenerate = _overlap_angles(np.vecdot(b1, b2), phi1, phi2)
+    phi_d = _principal(phi2 + np.angle(np.vecdot(d1, b2)))
+    return BrightDecomposition(eta, phi_b, phi_d, degenerate)
+
+
+def _overlap_angles(overlap, phi1, phi2):
+    """(eta, phi_b, degenerate) of the overlap <b1|b2> of two bright states with total phases phi1, phi2."""
     # hypot, not np.abs: numpy's vectorized complex abs can differ from the scalar one in the last bit
     magnitude = np.hypot(overlap.real, overlap.imag)
     eta = 2.0 * np.arccos(np.minimum(1.0, magnitude))
     degenerate = magnitude <= DEGENERATE_OVERLAP
     phi_b = np.where(degenerate, np.nan, _principal(phi2 - phi1 + np.angle(overlap)))[()]
-    phi_d = _principal(phi2 + np.angle(np.vecdot(d1, b2)))
-    return BrightDecomposition(eta, phi_b, phi_d, degenerate)
+    return eta, phi_b, degenerate
 
 
 def phi_b_of(path: TwoLoopPath) -> BrightDecomposition:

@@ -47,3 +47,39 @@ def single_shot_rabi_parameters(path, omega: float) -> tuple[float, float, float
         omega * np.cos(path.alpha) * np.cos(path.gamma),
         omega * np.sin(path.alpha) * np.cos(path.gamma),
     )
+
+
+def reference_quadratic_coefficient(samples) -> float:
+    """Quadratic error coefficient by numpy least squares: the reference for extract_quadratic_coefficient.
+
+    The same validation, in the same order and with the same messages, then
+    ``np.unique`` grouping and ``np.linalg.lstsq`` on the design [1, eps^2].
+    """
+    pairs = [(float(e), float(f)) for e, f in samples]
+    if len(pairs) < 3:
+        raise ValueError("need at least 3 (epsilon, fidelity) samples")
+    eps = np.array([p[0] for p in pairs])
+    fid = np.array([p[1] for p in pairs])
+    if np.any(eps == 0.0):
+        raise ValueError("epsilon samples must be nonzero")
+    if not np.all((fid > 0.0) & (fid <= 1.0 + 1e-12)):  # NaN fails too
+        raise ValueError("fidelities must lie in (0, 1]")
+    if np.unique(eps).size < 2:
+        raise ValueError("ill-conditioned sample set: all epsilon values equal")
+    mags = np.unique(np.abs(eps))
+    u, g = [], []
+    for m in mags:
+        plus = fid[eps == m]
+        minus = fid[eps == -m]
+        if plus.size == 0 or minus.size == 0:
+            raise ValueError(f"epsilon magnitude {m:g} lacks a +/- sign pair")
+        f_even = 0.5 * (plus.mean() + minus.mean())
+        u.append(m * m)
+        g.append((1.0 - f_even) / (m * m))
+    u = np.array(u)
+    g = np.array(g)
+    if mags.size == 1:
+        return float(g[0])
+    design = np.column_stack([np.ones_like(u), u])
+    (coeff, _), *_ = np.linalg.lstsq(design, g, rcond=None)
+    return float(coeff)

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holopath import analytic
+from holopath import analytic, schemes
 from holopath.analytic import (
+    SCHEMES,
     TargetGate,
     dF_dkappa_at_zero,
     extract_quadratic_coefficient,
@@ -21,6 +26,8 @@ from holopath.pathfinder import PathConstraints, solve_single_shot, solve_two_lo
 from holopath.schemes import (
     LoopParams,
     RabiError,
+    SingleLoopPath,
+    SingleShotPath,
     TwoLoopPath,
     bright_dark,
     phi_b_of,
@@ -28,6 +35,8 @@ from holopath.schemes import (
     two_loop_ideal,
 )
 from holopath.verify import CUBIC_BOUND_CONSTANT
+
+from helpers import reference_quadratic_coefficient
 
 
 def unbalanced_fixture():
@@ -277,17 +286,80 @@ def test_extract_quadratic_single_shot_target():
     assert coeff == pytest.approx(1.85055, rel=1e-3)
 
 
+INVALID_SAMPLE_SETS = [
+    [(1e-3, 0.999)],
+    [(1e-3, 0.999), (1e-3, 0.999), (1e-3, 0.999)],
+    [(1e-3, 0.999), (2e-3, 0.996), (4e-3, 0.984)],  # missing sign pair
+    [(0.0, 1.0), (1e-3, 0.999), (-1e-3, 0.999)],  # zero epsilon
+    [(1e-3, 1.5), (-1e-3, 0.999), (1e-4, 0.9999)],  # fidelity out of range
+]
+
+
 def test_extract_quadratic_validation():
-    with pytest.raises(ValueError):
-        extract_quadratic_coefficient([(1e-3, 0.999)])
-    with pytest.raises(ValueError):
-        extract_quadratic_coefficient([(1e-3, 0.999), (1e-3, 0.999), (1e-3, 0.999)])
-    with pytest.raises(ValueError):  # missing sign pair
-        extract_quadratic_coefficient([(1e-3, 0.999), (2e-3, 0.996), (4e-3, 0.984)])
-    with pytest.raises(ValueError):  # zero epsilon
-        extract_quadratic_coefficient([(0.0, 1.0), (1e-3, 0.999), (-1e-3, 0.999)])
-    with pytest.raises(ValueError):  # fidelity out of range
-        extract_quadratic_coefficient([(1e-3, 1.5), (-1e-3, 0.999), (1e-4, 0.9999)])
+    for samples in INVALID_SAMPLE_SETS:
+        with pytest.raises(ValueError):
+            extract_quadratic_coefficient(samples)
+
+
+@pytest.mark.parametrize("samples", INVALID_SAMPLE_SETS)
+def test_extract_quadratic_validation_messages_match_reference(samples):
+    with pytest.raises(ValueError) as expected:
+        reference_quadratic_coefficient(samples)
+    with pytest.raises(ValueError) as got:
+        extract_quadratic_coefficient(samples)
+    assert str(got.value) == str(expected.value)
+
+
+@st.composite
+def fit_samples(draw):
+    """Valid sample sets: 1-4 magnitudes in [1e-4, 1e-1], adjacent ratio >= 1.1, repeats, any order."""
+    logs = draw(
+        st.lists(st.floats(-4.0, -1.0), min_size=1, max_size=4)
+        .map(sorted)
+        .filter(lambda v: all(b - a >= math.log10(1.1) for a, b in zip(v, v[1:])))
+    )
+    samples = []
+    for m in (10.0**x for x in logs):
+        for sign in (1.0, -1.0):
+            least = 2 if len(logs) == 1 and sign > 0 else 1  # at least 3 samples in all
+            fids = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=least, max_size=2))
+            samples += [(sign * m, f) for f in fids]
+    return draw(st.permutations(samples))
+
+
+def _extrapolation_scale(samples):
+    """sum |w_i g_i| for the fit c = sum w_i g_i over the magnitudes: |c| when no terms cancel."""
+    mags = sorted({abs(e) for e, _ in samples})
+    u = np.array([m * m for m in mags])
+    g = np.array(
+        [(1.0 - 0.5 * sum(np.mean([f for e, f in samples if e == s * m]) for s in (1, -1))) / (m * m) for m in mags]
+    )
+    du = u - u.mean()
+    w = 1.0 / u.size - (u.mean() * du / np.sum(du * du) if u.size > 1 else 0.0)
+    return float(np.sum(np.abs(w * g)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=fit_samples())
+def test_extract_quadratic_matches_lstsq_reference(samples):
+    # relative to the terms of the extrapolation, as random fidelities can make them cancel
+    reference = reference_quadratic_coefficient(samples)
+    got = extract_quadratic_coefficient(samples)
+    assert abs(got - reference) <= 1e-13 * _extrapolation_scale(samples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mags=st.sampled_from([(1e-4, 1e-3), (1e-3, 1e-2)]),
+    c=st.floats(0.01, 20.0),
+    odd=st.floats(-1.0, 1.0),
+    quartic=st.floats(-100.0, 100.0),
+)
+def test_extract_quadratic_probe_sets_match_lstsq_reference(mags, c, odd, quartic):
+    # F = 1 - c eps^2 - odd c eps^3 - quartic c eps^4 on the survey's and fidelity_report's magnitudes
+    samples = [(s * m, 1.0 - c * m * m * (1.0 + odd * s * m + quartic * m * m)) for m in mags for s in (1.0, -1.0)]
+    reference = reference_quadratic_coefficient(samples)
+    assert abs(extract_quadratic_coefficient(samples) - reference) <= 2e-15 * abs(reference)
 
 
 # ------------------------------------------------------------ report helpers
@@ -296,6 +368,138 @@ def test_extract_quadratic_validation():
 def test_fidelity_pair_rejects_unknown_scheme():
     with pytest.raises(ValueError):
         fidelity_pair("three-loop", None, RabiError(0.0))
+
+
+# --------------------------------------------- fidelity_pair answers and work
+
+ANSWER_PATHS = {
+    "two-loop": (
+        TwoLoopPath(LoopParams(0.7, 0.3, 1.1), LoopParams(2.0, 2.5, 4.0)),
+        TwoLoopPath(LoopParams(0.0, 0.0, 0.0), LoopParams(np.pi, 0.0, 0.3)),  # orthogonal bright states, eta' = pi
+        TwoLoopPath(LoopParams(np.pi / 2 + 0.35, 0.0, 0.0), LoopParams(np.pi / 2 - 0.35, 1.2, 2.9)),
+    ),
+    "single-loop": (SingleLoopPath(1.1, 0.4, 2.2, 0.3), SingleLoopPath(2.6, 5.1, 0.2, 1.7)),
+    "single-shot": (SingleShotPath(0.6, 0.2, 1.3, 0.4), SingleShotPath(np.pi / 4, 0.0, 0.0, -0.9)),
+}
+_COMMON_ERRORS = (RabiError(0.01), RabiError(-0.04), RabiError(np.array([-0.02, 0.001, 0.03])))
+ANSWER_ERRORS = {
+    "two-loop": (
+        RabiError(0.01, 0.005),
+        RabiError(-0.03, 0.02),
+        RabiError(0.002),
+        RabiError(np.array([[-0.02], [0.0], [0.015]]), np.array([[-0.01, 0.0, 0.01]])),
+    ),
+    "single-loop": _COMMON_ERRORS,
+    "single-shot": _COMMON_ERRORS,
+}
+
+# float.hex of fidelity_pair's exact values, then its second-order values, for
+# each path and error above, as computed before the two-loop record was shared
+PARENT_ANSWERS = {
+    "two-loop": [
+        [
+            ("0x1.ffae75f166aa4p-1", "0x1.ffaef13bedcbep-1"),
+            ("0x1.fd5ad3076248fp-1", "0x1.fd642a7a12c5ap-1"),
+            ("0x1.fffddfc6fb580p-1", "0x1.fffddfc6137abp-1"),
+            (
+                "0x1.feb8d5d774848p-1", "0x1.ff2b8cbd56927p-1", "0x1.ff0315bf78543p-1", "0x1.ffb2ea5a01cc4p-1",
+                "0x1.fffffffffffffp-1", "0x1.ffb327e812523p-1", "0x1.ff57b36352cccp-1", "0x1.ff887676ed668p-1",
+                "0x1.ff2066eedbbecp-1", "0x1.feb46a0028cacp-1", "0x1.ff2b695f9be9ep-1", "0x1.ff05b391967d5p-1",
+                "0x1.ffb332b3601cep-1", "0x1.0000000000000p+0", "0x1.ffb2d9ec6e639p-1", "0x1.ff5656246ee67p-1",
+                "0x1.ff886b45c7b39p-1", "0x1.ff2280b79aacep-1",
+            ),
+        ],
+        [
+            ("0x1.ff9438c5388b5p-1", "0x1.ff943295fa935p-1"),
+            ("0x1.fba156bb54cc9p-1", "0x1.fb9edae49462ap-1"),
+            ("0x1.fffc8ce3d7bcfp-1", "0x1.fffc8ce1fbbb0p-1"),
+            (
+                "0x1.fe512d43bbb74p-1", "0x1.fea750e02fc27p-1", "0x1.fe512d43bbb74p-1", "0x1.ffa9c69b96bacp-1",
+                "0x1.ffffffffffffdp-1", "0x1.ffa9c69b96bacp-1", "0x1.fee7de7de8fcdp-1", "0x1.ff3e0ba164bc5p-1",
+                "0x1.fee7de7de8fcdp-1", "0x1.fe50ca57ea4d5p-1", "0x1.fea70846550aap-1", "0x1.fe50ca57ea4d5p-1",
+                "0x1.ffa9c2119542bp-1", "0x1.0000000000000p+0", "0x1.ffa9c2119542bp-1", "0x1.fee7b6b92518bp-1",
+                "0x1.ff3df4a78fd60p-1", "0x1.fee7b6b92518bp-1",
+            ),
+        ],
+        [
+            ("0x1.ffdf21cdb1b8fp-1", "0x1.ffdf47d00272ap-1"),
+            ("0x1.fe951676a9975p-1", "0x1.fe99f5a717ae6p-1"),
+            ("0x1.ffff0e0e66cc0p-1", "0x1.ffff0e0e0811fp-1"),
+            (
+                "0x1.ff7c0a9b38620p-1", "0x1.ffa18bee05abdp-1", "0x1.ff7c0a9b3825bp-1", "0x1.ffdad6169273bp-1",
+                "0x1.0000000000004p+0", "0x1.ffdad6169272fp-1", "0x1.ffa5fc1b2e6ddp-1", "0x1.ffcadb27cea45p-1",
+                "0x1.ffa5fc1b2e630p-1", "0x1.ff7aad735fc38p-1", "0x1.ffa17d7b26ff1p-1", "0x1.ff7d3554d176ap-1",
+                "0x1.ffdadea863eeap-1", "0x1.0000000000000p+0", "0x1.ffdacb5834e46p-1", "0x1.ffa54396206ddp-1",
+                "0x1.ffcad69545ef7p-1", "0x1.ffa69ee155f54p-1",
+            ),
+        ],
+    ],
+    "single-loop": [
+        [
+            ("0x1.fff169372fc98p-1", "0x1.fff168e88bdbap-1"),
+            ("0x1.ff16dd22bd12bp-1", "0x1.ff168e88bdb9bp-1"),
+            (
+                "0x1.ffc5a88c4e83bp-1", "0x1.ffffdaa62c5f3p-1", "0x1.ff7cc90d1be4bp-1", "0x1.ffc5a3a22f6e7p-1",
+                "0x1.ffffdaa62a5bdp-1", "0x1.ff7cb02ceab87p-1",
+            ),
+        ],
+        [
+            ("0x1.ffe8ea9209685p-1", "0x1.ffe8ea159b4d4p-1"),
+            ("0x1.fe8f1db818e08p-1", "0x1.fe8ea159b4d3bp-1"),
+            (
+                "0x1.ffa3b01d1c9a7p-1", "0x1.ffffc4e6a0e60p-1", "0x1.ff30621ea5525p-1", "0x1.ffa3a8566d34fp-1",
+                "0x1.ffffc4e69db69p-1", "0x1.ff303ac275b71p-1",
+            ),
+        ],
+    ],
+    "single-shot": [
+        [
+            ("0x1.ffe0ebbd43575p-1", "0x1.ffe0f737fe556p-1"),
+            ("0x1.fe13073366acdp-1", "0x1.fe0f737fe555dp-1"),
+            (
+                "0x1.ff844652aa49bp-1", "0x1.ffffb08a4a49dp-1", "0x1.fee799d391269p-1", "0x1.ff83dcdff9557p-1",
+                "0x1.ffffb08d5c24bp-1", "0x1.fee8b0f7f1004p-1",
+            ),
+        ],
+        [
+            ("0x1.fff985c47d83fp-1", "0x1.fff98fd62bfe5p-1"),
+            ("0x1.ff9b8f8dfcafbp-1", "0x1.ff98fd62bfe49p-1"),
+            (
+                "0x1.ffe690f18cc2bp-1", "0x1.ffffef821d26cp-1", "0x1.ffc50116e6defp-1", "0x1.ffe63f58aff92p-1",
+                "0x1.ffffef84b3a3dp-1", "0x1.ffc60e878bf09p-1",
+            ),
+        ],
+    ],
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fidelity_pair_answers_are_unchanged(scheme):
+    for path, expected_row in zip(ANSWER_PATHS[scheme], PARENT_ANSWERS[scheme], strict=True):
+        for error, expected in zip(ANSWER_ERRORS[scheme], expected_row, strict=True):
+            exact, analytic2 = fidelity_pair(scheme, path, error)
+            got = tuple(float(x).hex() for x in np.concatenate([np.ravel(exact), np.ravel(analytic2)]))
+            assert got == expected, (path, error)
+
+
+def test_two_loop_fidelity_pair_builds_the_errored_loops_once(monkeypatch):
+    calls = {"relative_error_angles": 0, "bright_dark": 0}
+
+    def counting(name):
+        original = getattr(schemes, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(schemes, name, counting(name))
+    path = TwoLoopPath(LoopParams(0.7, 0.3, 1.1), LoopParams(2.0, 2.5, 4.0))
+    fidelity_pair("two-loop", path, RabiError(0.01, 0.005))
+    assert calls["relative_error_angles"] == 1
+    assert calls["bright_dark"] <= 2  # the ideal loops' and the errored loops' bright states
 
 
 def test_fidelity_report_consistency():

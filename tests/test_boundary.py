@@ -154,6 +154,41 @@ def test_extract_quadratic_coefficient_refuses_nan_fidelity():
         extract_quadratic_coefficient(samples)
 
 
+PAIR_1E3 = [(1e-3, 1 - 1e-6), (-1e-3, 1 - 1e-6)]
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        ([(math.inf, 0.9), (-math.inf, 0.9)] + PAIR_1E3, "epsilon samples must be finite, got inf"),
+        ([(-math.inf, 0.9), (1e-3, 0.99), (-1e-3, 0.99)], "epsilon samples must be finite, got -inf"),
+        ([(math.nan, 0.9)] + PAIR_1E3, "epsilon samples must be finite, got nan"),
+        # eps^2 underflows to 0: a silent NaN before
+        ([(1e-200, 1.0), (-1e-200, 1.0)] + PAIR_1E3, "epsilon magnitude 1e-200 cannot be fitted: eps^2 = 0.0"),
+        ([(1e200, 0.9), (-1e200, 0.9)] + PAIR_1E3, "epsilon magnitude 1e+200 cannot be fitted: eps^2 = inf"),
+        # eps^2 is subnormal, and (1 - F)/eps^2 overflows
+        (
+            [(1e-160, 0.9), (-1e-160, 0.9)] + PAIR_1E3,
+            "epsilon magnitude 1e-160 cannot be fitted: eps^2 = 1e-320, (1 - F)/eps^2 = inf",
+        ),
+        # each point is fine, but the fitted line overflows
+        (
+            [(1e-150, 1 - 1e-6), (-1e-150, 1 - 1e-6), (1e150, 0.9), (-1e150, 0.9)],
+            "ill-conditioned sample set: no finite fit",
+        ),
+    ],
+    ids=["inf", "minus-inf", "nan", "square-underflow", "square-overflow", "quotient-overflow", "fit-overflow"],
+)
+def test_extract_quadratic_coefficient_refuses_extreme_epsilon(samples, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        extract_quadratic_coefficient(samples)
+
+
+def test_extract_quadratic_coefficient_accepts_exact_fidelity_at_tiny_epsilon():
+    # F = 1 gives (1 - F)/eps^2 = 0 even where eps^2 is subnormal: a valid point, not a refusal
+    assert extract_quadratic_coefficient([(1e-160, 1.0), (-1e-160, 1.0), (-1e-160, 1.0)]) == 0.0
+
+
 # --- where the checks are -----------------------------------------------------
 
 MODULES = (analytic, cli, linalg, oracle, pathfinder, schemes, verify)
@@ -166,7 +201,10 @@ RANGE_CALLERS = {
     "analytic.f2",
     "analytic.f3",
 }
-UNCHECKED = ("bright_dark", "coupling_generator", "relative_error_angles", "bright_decomposition")
+UNCHECKED = (
+    "bright_dark", "coupling_generator", "relative_error_angles", "bright_decomposition",
+    "_bright_coupling", "_errored_loops", "_overlap_angles",
+)
 VALIDATORS = {
     "_in_range", "_phase", "RabiError", "TargetGate",
     "require_common_error", "require_hermitian", "require_unitary",
