@@ -34,7 +34,6 @@ from .linalg import (
     ContractViolation,
     expm,
     gate_fidelity,
-    qubit_rotation,
 )
 from .oracle import (
     PulseEnvelope,
@@ -111,7 +110,6 @@ __all__ = [
     "quad_coeff_single_loop",
     "quad_coeff_single_shot",
     "quad_coeff_two_loop",
-    "qubit_rotation",
     "schedule_for_single_loop",
     "schedule_for_single_shot",
     "schedule_for_two_loop",

@@ -130,7 +130,8 @@ class RelativeErrorBreakdown:
     flag (orthogonal errored bright states, eta' = pi), in which case phi_b
     is NaN while z and the fidelity stay finite: the phi_b term of z^2 is
     multiplied by cos(eta'/2) = 0 there and is taken as 0.  For an error
-    grid every field is an array of the grid's shape.
+    grid every field but psi21 is an array of the grid's shape; psi21
+    depends on the path only and stays its float.
     """
 
     theta11: float
@@ -148,21 +149,21 @@ class RelativeErrorBreakdown:
 def fid2_relative(path: TwoLoopPath, error: RabiError) -> tuple[RelativeErrorBreakdown, float]:
     """Second-order two-loop fidelity under unequal drive errors.
 
-    Reads the errored loop angles and bright states from the record the
-    errored gate is built from (``schemes._errored_loops``), takes
+    Reads the errored loop angles and bright states from the record that
+    :func:`holopath.schemes.two_loop_gates` returns with the gates, takes
     (eta_prime, phi_b) from the errored bright states' overlap, and evaluates
     ``F = 1 - y^2/3 - pi^2 z^2/3`` with
     y^2 = theta11^2 + theta22^2 - 2 theta11 theta22 cos(psi21) and
     z^2 = delta1^2 + delta2^2 + 2 delta1 delta2 cos(eta'/2) cos(phi_b),
     whose last term is 0 at eta' = pi, where phi_b is undefined.  At
     kappa = 0 this reduces exactly to the common-error formula.  An error
-    grid gives an array fidelity and array breakdown fields.
+    grid gives an array fidelity and array breakdown fields, psi21 aside.
     """
-    return _fid2_errored_loops(path, schemes._errored_loops(path, error))
+    return _fid2_errored_loops(path, schemes.two_loop_gates(path, error)[2])
 
 
 def _fid2_errored_loops(path: TwoLoopPath, loops) -> tuple[RelativeErrorBreakdown, float]:
-    """:func:`fid2_relative` of a path whose ``schemes._errored_loops`` record is ``loops``."""
+    """:func:`fid2_relative` of a path whose :func:`~holopath.schemes.two_loop_gates` record is ``loops``."""
     (t1p, t2p), (d1, d2) = loops.theta_p, loops.delta
     eta, phi_b, degenerate = schemes._overlap_angles(np.vecdot(*loops.bright), *loops.phi)
     theta11 = path.loop1.theta - t1p
@@ -273,24 +274,23 @@ def fidelity_pair(scheme: str, path, error: RabiError):
     """Exact and second-order fidelity for one scheme/path/error point.
 
     For an error grid (array fields of ``error``) both are arrays of the
-    grid's shape, from one stacked evaluation.  ``error`` was checked when
-    it was built, so the second-order values use its epsilon as it is.
-    Two-loop: the errored loops (``schemes._errored_loops``) are built once,
-    and the errored gate and :func:`fid2_relative`'s value both read them.
+    grid's shape.  Each scheme's builder in :mod:`holopath.schemes` makes the
+    ideal and errored gates in one stacked pass; the two-loop builder's record
+    also gives :func:`fid2_relative`'s value.  ``error`` was checked when it
+    was built, so the second-order values use its epsilon as it is.
     """
     if scheme == "two-loop":
-        loops = schemes._errored_loops(path, error)
-        exact = gate_fidelity(schemes.two_loop_ideal(path), schemes._errored_gate(loops))
+        ideal, errored, loops = schemes.two_loop_gates(path, error)
         analytic2 = _fid2_errored_loops(path, loops)[1]
     elif scheme == "single-loop":
-        exact = gate_fidelity(schemes.single_loop_ideal(path), schemes.single_loop_errored(path, error))
+        ideal, errored = schemes.single_loop_gates(path, error)
         analytic2 = 1.0 - quad_coeff_single_loop(path.phase_diff) * error.epsilon * error.epsilon
     elif scheme == "single-shot":
-        exact = gate_fidelity(schemes.single_shot_ideal(path), schemes.single_shot_errored(path, error))
+        ideal, errored = schemes.single_shot_gates(path, error)
         analytic2 = 1.0 - quad_coeff_single_shot(path.gamma) * error.epsilon * error.epsilon
     else:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    return exact, analytic2
+    return gate_fidelity(ideal, errored), analytic2
 
 
 #: error magnitudes of the symmetric +/- probe behind FidelityReport's quadratic coefficients

@@ -72,13 +72,6 @@ def projector(ket) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def qubit_rotation(theta_gate: float, axis) -> np.ndarray:
-    """The logical gate exp(1j * theta_gate * n.sigma) as a 2x2 matrix."""
-    n = np.asarray(axis, dtype=float)
-    ns = n[0] * PAULI_QUBIT[0] + n[1] * PAULI_QUBIT[1] + n[2] * PAULI_QUBIT[2]
-    return np.cos(theta_gate) * np.eye(2) + 1j * np.sin(theta_gate) * ns
-
-
 def expm(generator, angle) -> np.ndarray:
     """Unitary propagator exp(-1j * angle * generator) of a Hermitian generator.
 

@@ -10,10 +10,14 @@ constant fraction, so the accumulated pulse area is a sufficient statistic:
 each propagator is one exponential per pulse, in closed form, for generators
 with G^3 = G (every pulse generator here), at the pulse's errored area;
 exact for that model, with no eigendecomposition.  A :class:`RabiError`
-whose fields are arrays is an error grid: each constructor then stacks its
-exponentials for the whole grid into one call.  Pulse areas are enforced
-exactly (pi per two-loop loop, pi/2 per single-loop segment, total area pi
-for the single-shot pulse); time stepping lives in :mod:`holopath.oracle`.
+whose fields are arrays is an error grid.  Each scheme's builder
+(:func:`two_loop_gates`, :func:`single_loop_gates`, :func:`single_shot_gates`)
+makes the ideal gate and the errored gates of a whole grid in one stacked
+pass: the ideal rides along as one extra leading point of the flattened error
+axis, or shares the single-shot bright-state frame.  The ideal and errored
+constructors are slices of it.  Pulse areas are enforced exactly (pi per
+two-loop loop, pi/2 per single-loop segment, total area pi for the
+single-shot pulse); time stepping lives in :mod:`holopath.oracle`.
 """
 
 from __future__ import annotations
@@ -273,7 +277,7 @@ def _pulse(generator, area) -> np.ndarray:
     return IDENTITY - 1j * np.sin(a) * g + (np.cos(a) - 1.0) * (g @ g)
 
 
-def _loop_angles(path: TwoLoopPath, ndim: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _loop_angles(path: TwoLoopPath, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both loops' (theta, psi, phi) as three arrays of shape (2,) + (1,) * ndim.
 
     The leading axis indexes the loop; the ``ndim`` unit axes broadcast
@@ -282,17 +286,6 @@ def _loop_angles(path: TwoLoopPath, ndim: int = 0) -> tuple[np.ndarray, np.ndarr
     angles = np.array([[loop.theta, loop.psi, loop.phi] for loop in (path.loop1, path.loop2)])
     theta, psi, phi = angles.T.reshape((3, 2) + (1,) * ndim)
     return theta, psi, phi
-
-
-def two_loop_ideal(path: TwoLoopPath) -> np.ndarray:
-    """Ideal two-loop gate U = U2 U1, each loop a pi-area pulse: -|e><e| - n.sigma.
-
-    The logical block equals (n1.n2) I - 1j (n1 x n2).sigma, a rotation by
-    twice the angle between the two loop Bloch vectors; it is independent
-    of the total phases phi1, phi2.
-    """
-    loops = _pulse(coupling_generator(*_loop_angles(path)), np.pi)
-    return loops[1] @ loops[0]
 
 
 def relative_error_angles(theta, error: RabiError):
@@ -310,21 +303,37 @@ def relative_error_angles(theta, error: RabiError):
     return 2.0 * np.arctan2(s1, c0), np.hypot(c0, s1) - 1.0
 
 
-#: both loops' errored ratio angles, area excesses, phases and bright states, stacked on a leading loop axis
-_ErroredLoops = namedtuple("_ErroredLoops", "theta_p delta psi phi bright")
+#: both loops' errored ratio angles, area excesses, total phases and bright states, stacked on a leading loop axis
+_ErroredLoops = namedtuple("_ErroredLoops", "theta_p delta phi bright")
 
 
-def _errored_loops(path: TwoLoopPath, error: RabiError) -> _ErroredLoops:
-    """One :func:`relative_error_angles` call and one bright state per loop, read by the gate and fid2_relative."""
+def two_loop_gates(path: TwoLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredLoops]:
+    """(ideal, errored, loops): both two-loop gates U2 U1 from one bright-state, coupling and pulse call.
+
+    The ideal loops (ratio angle theta, area exactly pi) ride along as point 0
+    of the flattened error axis.  ``errored`` has the grid's shape (..., 3, 3);
+    ``loops`` is the errored loops' record that :func:`holopath.analytic.fid2_relative` reads.
+    """
     theta, psi, phi = _loop_angles(path, error.ndim)
     theta_p, delta = relative_error_angles(theta, error)
-    return _ErroredLoops(theta_p, delta, psi, phi, bright_dark(theta_p, psi)[0])
+    thetas = np.concatenate([theta.reshape(2, 1), theta_p.reshape(2, -1)], axis=1)
+    # one expression: a named area-excess stack kept alive across _pulse fragments the heap (+6% peak RSS, 100x100 grid)
+    areas = (1.0 + np.concatenate([np.zeros((2, 1)), delta.reshape(2, -1)], axis=1)) * np.pi
+    bright = bright_dark(thetas, psi.reshape(2, 1))[0]
+    pulses = _pulse(_bright_coupling(bright, phi.reshape(2, 1)), areas)
+    gates = pulses[1] @ pulses[0]
+    loops = _ErroredLoops(theta_p, delta, phi, bright[:, 1:].reshape(theta_p.shape + (3,)))
+    return gates[0], gates[1:].reshape(theta_p.shape[1:] + (3, 3)), loops
 
 
-def _errored_gate(loops: _ErroredLoops) -> np.ndarray:
-    """U2 U1 of errored loops, each one pulse of its errored coupling at area pi*(1+delta)."""
-    pulses = _pulse(_bright_coupling(loops.bright, loops.phi), (1.0 + loops.delta) * np.pi)
-    return pulses[1] @ pulses[0]
+def two_loop_ideal(path: TwoLoopPath) -> np.ndarray:
+    """Ideal two-loop gate U = U2 U1, each loop a pi-area pulse: -|e><e| - n.sigma.
+
+    The logical block equals (n1.n2) I - 1j (n1 x n2).sigma, a rotation by
+    twice the angle between the two loop Bloch vectors; it is independent
+    of the total phases phi1, phi2.
+    """
+    return two_loop_gates(path, NO_ERROR)[0]
 
 
 def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray:
@@ -335,22 +344,31 @@ def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray
     At kappa = 0 this is the common-error gate: theta_prime = theta and
     delta = epsilon.  An error grid gives a (..., 3, 3) stack.
     """
-    return _errored_gate(_errored_loops(path, error))
+    return two_loop_gates(path, error)[1]
+
+
+def single_loop_gates(path: SingleLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray]:
+    """(ideal, errored): both single-loop gates from one coupling generator and one pulse call.
+
+    Each gate is two segments with a phase jump, of area pi/2 for the ideal
+    (point 0 of the flattened error axis) and (1+eps)*pi/2 under a common
+    amplitude error.  ``errored`` has epsilon's shape (..., 3, 3).
+    """
+    require_common_error(error, "single_loop_errored")
+    areas = (1.0 + np.append(0.0, error.epsilon)) * np.pi / 2
+    segments = _pulse(coupling_generator(path.theta, path.psi, np.array([[path.phi], [path.phi_prime]])), areas)
+    gates = segments[1] @ segments[0]
+    return gates[0], gates[1:].reshape(np.shape(error.epsilon) + (3, 3))
 
 
 def single_loop_ideal(path: SingleLoopPath) -> np.ndarray:
     """Single-loop multiple-pulse gate: two pi/2-area segments with a phase jump."""
-    segments = _pulse(coupling_generator(path.theta, path.psi, np.array([path.phi, path.phi_prime])), np.pi / 2)
-    return segments[1] @ segments[0]
+    return single_loop_gates(path, NO_ERROR)[0]
 
 
 def single_loop_errored(path: SingleLoopPath, error: RabiError) -> np.ndarray:
     """Single-loop gate under a common amplitude error (each segment has area (1+eps)*pi/2)."""
-    require_common_error(error, "single_loop_errored")
-    area = (1.0 + error.epsilon) * np.pi / 2
-    phases = np.array([path.phi, path.phi_prime]).reshape((2,) + (1,) * np.ndim(area))
-    segments = _pulse(coupling_generator(path.theta, path.psi, phases), area)
-    return segments[1] @ segments[0]
+    return single_loop_gates(path, error)[1]
 
 
 def single_shot_bright(path: SingleShotPath) -> np.ndarray:
@@ -392,29 +410,30 @@ def _error_operator(pb: np.ndarray, cross: np.ndarray, gamma: float, epsilon) ->
     return lam, sigma
 
 
-def single_shot_ideal(path: SingleShotPath) -> np.ndarray:
-    """Ideal single-shot gate e^{i zeta}(|e><e| + |b><b|) + |d><d|, zeta = pi(1 - sin gamma).
+def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarray, np.ndarray]:
+    """(ideal, errored): both single-shot gates from one bright-state frame, in closed form.
 
-    Closed form of the exponential of :func:`single_shot_generator` at total
-    area pi; the acceptance suite compares the two.
-    """
-    pb = projector(single_shot_bright(path))
-    zeta = np.pi * (1.0 - np.sin(path.gamma))
-    return np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
-
-
-def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
-    """Single-shot gate under an amplitude error on the Rabi couplings only.
-
-    Closed form: a bright/excited phase times a rotation by lambda*pi about
-    the tilted error axis, identity on the dark state.  It equals the
-    exponential of the errored :func:`single_shot_generator` at area pi;
-    the acceptance suite compares the two.
+    Under an amplitude error on the Rabi couplings only, the errored gate is a
+    bright/excited phase times a rotation by lambda*pi about the tilted error
+    axis, identity on the dark state.  Each equals the exponential of its
+    :func:`single_shot_generator` at area pi; the acceptance suite compares them.
     """
     require_common_error(error, "single_shot_errored")
     pb, cross = _single_shot_frame(path)
+    zeta = np.pi * (1.0 - np.sin(path.gamma))
+    ideal = np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
     lam, sigma = _error_operator(pb, cross, path.gamma, error.epsilon)
-    return _pulse(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ _pulse(sigma, lam * np.pi)
+    return ideal, _pulse(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ _pulse(sigma, lam * np.pi)
+
+
+def single_shot_ideal(path: SingleShotPath) -> np.ndarray:
+    """Ideal single-shot gate e^{i zeta}(|e><e| + |b><b|) + |d><d|, zeta = pi(1 - sin gamma)."""
+    return single_shot_gates(path, NO_ERROR)[0]
+
+
+def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
+    """Single-shot gate under an amplitude error on the Rabi couplings only; see :func:`single_shot_gates`."""
+    return single_shot_gates(path, error)[1]
 
 
 def bright_decomposition(loop1, loop2) -> BrightDecomposition:

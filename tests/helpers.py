@@ -2,7 +2,16 @@
 
 import numpy as np
 
-from holopath.linalg import ContractViolation, is_block_diagonal, require_unitary
+from holopath import schemes
+from holopath.linalg import (
+    IDENTITY,
+    PAULI_QUBIT,
+    PROJ_E,
+    ContractViolation,
+    is_block_diagonal,
+    projector,
+    require_unitary,
+)
 
 
 # Pauli operators acting on the logical subspace, embedded in the 3x3 space
@@ -16,6 +25,13 @@ def pauli_dot(axis) -> np.ndarray:
     """n . sigma on the logical subspace, embedded as a 3x3 operator."""
     n = np.asarray(axis, dtype=float)
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+
+
+def qubit_rotation(theta_gate: float, axis) -> np.ndarray:
+    """The logical gate exp(1j * theta_gate * n.sigma) as a 2x2 matrix."""
+    n = np.asarray(axis, dtype=float)
+    ns = n[0] * PAULI_QUBIT[0] + n[1] * PAULI_QUBIT[1] + n[2] * PAULI_QUBIT[2]
+    return np.cos(theta_gate) * np.eye(2) + 1j * np.sin(theta_gate) * ns
 
 
 def bloch_vector(theta: float, psi: float) -> np.ndarray:
@@ -83,3 +99,53 @@ def reference_quadratic_coefficient(samples) -> float:
     design = np.column_stack([np.ones_like(u), u])
     (coeff, _), *_ = np.linalg.lstsq(design, g, rcond=None)
     return float(coeff)
+
+
+# --- separate ideal and errored constructors: the references for the stacked builders of holopath.schemes
+# Each builds one gate on its own, the ideal apart from the errored ones; the builders stack them
+# in one pass, and their slices must equal these bit for bit.
+
+
+def reference_two_loop_ideal(path) -> np.ndarray:
+    loops = schemes._pulse(schemes.coupling_generator(*schemes._loop_angles(path, 0)), np.pi)
+    return loops[1] @ loops[0]
+
+
+def reference_errored_loops(path, error) -> tuple:
+    """The errored loops' (theta_p, delta, phi, bright), from the errored angles alone."""
+    theta, psi, phi = schemes._loop_angles(path, error.ndim)
+    theta_p, delta = schemes.relative_error_angles(theta, error)
+    return theta_p, delta, phi, schemes.bright_dark(theta_p, psi)[0]
+
+
+def reference_two_loop_errored_relative(path, error) -> np.ndarray:
+    _, delta, phi, bright = reference_errored_loops(path, error)
+    pulses = schemes._pulse(schemes._bright_coupling(bright, phi), (1.0 + delta) * np.pi)
+    return pulses[1] @ pulses[0]
+
+
+def reference_single_loop_ideal(path) -> np.ndarray:
+    phases = np.array([path.phi, path.phi_prime])
+    segments = schemes._pulse(schemes.coupling_generator(path.theta, path.psi, phases), np.pi / 2)
+    return segments[1] @ segments[0]
+
+
+def reference_single_loop_errored(path, error) -> np.ndarray:
+    schemes.require_common_error(error, "single_loop_errored")
+    area = (1.0 + error.epsilon) * np.pi / 2
+    phases = np.array([path.phi, path.phi_prime]).reshape((2,) + (1,) * np.ndim(area))
+    segments = schemes._pulse(schemes.coupling_generator(path.theta, path.psi, phases), area)
+    return segments[1] @ segments[0]
+
+
+def reference_single_shot_ideal(path) -> np.ndarray:
+    pb = projector(schemes.single_shot_bright(path))
+    zeta = np.pi * (1.0 - np.sin(path.gamma))
+    return np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
+
+
+def reference_single_shot_errored(path, error) -> np.ndarray:
+    schemes.require_common_error(error, "single_shot_errored")
+    pb, cross = schemes._single_shot_frame(path)
+    lam, sigma = schemes._error_operator(pb, cross, path.gamma, error.epsilon)
+    return schemes._pulse(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ schemes._pulse(sigma, lam * np.pi)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from holopath import analytic, schemes
 from holopath.analytic import (
     SCHEMES,
+    RelativeErrorBreakdown,
     TargetGate,
     dF_dkappa_at_zero,
     extract_quadratic_coefficient,
@@ -482,8 +483,9 @@ def test_fidelity_pair_answers_are_unchanged(scheme):
             assert got == expected, (path, error)
 
 
-def test_two_loop_fidelity_pair_builds_the_errored_loops_once(monkeypatch):
-    calls = {"relative_error_angles": 0, "bright_dark": 0}
+def count_calls(monkeypatch, *names):
+    """Wrap each named ``schemes`` function in a counter; returns the live {name: calls} dict."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name):
         original = getattr(schemes, name)
@@ -494,12 +496,41 @@ def test_two_loop_fidelity_pair_builds_the_errored_loops_once(monkeypatch):
 
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(schemes, name, counting(name))
+    return calls
+
+
+def test_two_loop_fidelity_pair_builds_the_errored_loops_once(monkeypatch):
+    calls = count_calls(monkeypatch, "relative_error_angles", "bright_dark", "_pulse")
     path = TwoLoopPath(LoopParams(0.7, 0.3, 1.1), LoopParams(2.0, 2.5, 4.0))
     fidelity_pair("two-loop", path, RabiError(0.01, 0.005))
-    assert calls["relative_error_angles"] == 1
-    assert calls["bright_dark"] <= 2  # the ideal loops' and the errored loops' bright states
+    # the ideal loops ride along with the errored ones: one bright-state call, one pulse call
+    assert calls == {"relative_error_angles": 1, "bright_dark": 1, "_pulse": 1}
+
+
+def test_single_loop_fidelity_pair_builds_one_coupling_generator(monkeypatch):
+    calls = count_calls(monkeypatch, "coupling_generator", "_pulse")
+    fidelity_pair("single-loop", SingleLoopPath(0.7, 0.3, 1.1, 2.0), RabiError(0.01))
+    assert calls == {"coupling_generator": 1, "_pulse": 1}
+
+
+def test_single_shot_fidelity_pair_builds_one_frame(monkeypatch):
+    calls = count_calls(monkeypatch, "_single_shot_frame", "single_shot_bright")
+    fidelity_pair("single-shot", SingleShotPath(0.4, 0.3, 1.2, 0.5), RabiError(0.01))
+    assert calls == {"_single_shot_frame": 1, "single_shot_bright": 1}
+
+
+def test_relative_error_breakdown_field_shapes_on_a_grid():
+    path = TwoLoopPath(LoopParams(0.7, 0.3, 1.1), LoopParams(2.0, 2.5, 4.0))
+    breakdown, fidelity = fid2_relative(path, RabiError(np.array([0.01, 0.02]), 0.005))
+    assert np.shape(fidelity) == (2,)
+    for field in RelativeErrorBreakdown.__dataclass_fields__:
+        value = getattr(breakdown, field)
+        if field == "psi21":  # the path's relative-phase difference, the same at every error point
+            assert type(value) is float
+        else:
+            assert np.shape(value) == (2,), field
 
 
 def test_fidelity_report_consistency():

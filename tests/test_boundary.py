@@ -203,7 +203,7 @@ RANGE_CALLERS = {
 }
 UNCHECKED = (
     "bright_dark", "coupling_generator", "relative_error_angles", "bright_decomposition",
-    "_bright_coupling", "_errored_loops", "_overlap_angles",
+    "_bright_coupling", "two_loop_gates", "_overlap_angles",
 )
 VALIDATORS = {
     "_in_range", "_phase", "RabiError", "TargetGate",

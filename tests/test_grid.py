@@ -2,7 +2,9 @@
 
 The per-point loop is the reference.  The grid call runs the same
 arithmetic on stacked arrays, so every value must be identical
-(``np.array_equal``), not merely close.
+(``np.array_equal``), not merely close.  In the same way each scheme's
+builder, which stacks the ideal gate with the errored ones, must equal
+separate ideal and errored constructors (``helpers.reference_*``).
 """
 
 import math
@@ -29,8 +31,25 @@ from holopath.schemes import (
     bright_dark,
     bright_decomposition,
     relative_error_angles,
+    single_loop_errored,
+    single_loop_gates,
+    single_loop_ideal,
+    single_shot_errored,
+    single_shot_gates,
+    single_shot_ideal,
     two_loop_errored_relative,
+    two_loop_gates,
     two_loop_ideal,
+)
+
+from helpers import (
+    reference_errored_loops,
+    reference_single_loop_errored,
+    reference_single_loop_ideal,
+    reference_single_shot_errored,
+    reference_single_shot_ideal,
+    reference_two_loop_errored_relative,
+    reference_two_loop_ideal,
 )
 
 GRID_SETTINGS = settings(max_examples=25, deadline=None)
@@ -121,6 +140,72 @@ def test_fidelity_pair_single_shot_grid_equals_loop(path, grid):
 def test_two_loop_errored_relative_grid_equals_loop(path, grid):
     stack = two_loop_errored_relative(path, RabiError(*grid))
     assert np.array_equal(stack, per_point(lambda error: two_loop_errored_relative(path, error), *grid))
+
+
+@st.composite
+def errors(draw, relative: bool = True):
+    """One error point or a 2-D error grid; kappa != 0 only if ``relative``."""
+    if draw(st.booleans()):
+        return RabiError(draw(fractions), draw(fractions) if relative else 0.0)
+    return RabiError(*draw(error_grids(relative)))
+
+
+#: uniform random paths of each scheme: a last-bit difference shows on typical angles, which
+#: hypothesis's own floats, favouring simple ones, draw less often
+UNIFORM_PATHS = {
+    "two-loop": lambda rng: TwoLoopPath(
+        *(LoopParams(rng.uniform(0, math.pi), *rng.uniform(0, TAU, 2)) for _ in range(2))
+    ),
+    "single-loop": lambda rng: SingleLoopPath(rng.uniform(0, math.pi), *rng.uniform(0, TAU, 3)),
+    "single-shot": lambda rng: SingleShotPath(
+        rng.uniform(0, math.pi / 2), *rng.uniform(0, TAU, 2), rng.uniform(-math.pi / 2, math.pi / 2)
+    ),
+}
+
+
+def drawn_and_uniform(scheme, path, seed, count=16):
+    """The drawn path followed by ``count`` uniform ones from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [path] + [UNIFORM_PATHS[scheme](rng) for _ in range(count)]
+
+
+def assert_gates_equal(got, reference):
+    assert len(got) == len(reference)
+    for gate, expected in zip(got, reference):
+        assert np.array_equal(gate, expected), (np.shape(gate), np.shape(expected))
+
+
+BUILDER_SETTINGS = settings(max_examples=60, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@BUILDER_SETTINGS
+@given(two_loop_paths(), errors(), seeds)
+def test_two_loop_builder_equals_separate_constructors(drawn, error, seed):
+    for path in drawn_and_uniform("two-loop", drawn, seed):
+        ideal, errored, loops = two_loop_gates(path, error)
+        reference = (reference_two_loop_ideal(path), reference_two_loop_errored_relative(path, error))
+        assert_gates_equal((ideal, errored), reference)
+        assert_gates_equal((two_loop_ideal(path), two_loop_errored_relative(path, error)), reference)
+        assert_gates_equal(loops, reference_errored_loops(path, error))
+
+
+@BUILDER_SETTINGS
+@given(single_loop_paths(), errors(relative=False), seeds)
+def test_single_loop_builder_equals_separate_constructors(drawn, error, seed):
+    for path in drawn_and_uniform("single-loop", drawn, seed):
+        reference = (reference_single_loop_ideal(path), reference_single_loop_errored(path, error))
+        assert_gates_equal(single_loop_gates(path, error), reference)
+        assert_gates_equal((single_loop_ideal(path), single_loop_errored(path, error)), reference)
+
+
+@BUILDER_SETTINGS
+@given(single_shot_paths(), errors(relative=False), seeds)
+def test_single_shot_builder_equals_separate_constructors(drawn, error, seed):
+    for path in drawn_and_uniform("single-shot", drawn, seed):
+        reference = (reference_single_shot_ideal(path), reference_single_shot_errored(path, error))
+        assert_gates_equal(single_shot_gates(path, error), reference)
+        assert_gates_equal((single_shot_ideal(path), single_shot_errored(path, error)), reference)
 
 
 def report_by_loop(scheme, path, error):

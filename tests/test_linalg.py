@@ -11,7 +11,7 @@ from holopath.linalg import (
     gate_fidelity,
 )
 
-from helpers import pauli_dot, projective_distance_qubit
+from helpers import pauli_dot, projective_distance_qubit, qubit_rotation
 
 
 def lambda_generator(theta, psi, phi):
@@ -110,7 +110,7 @@ def test_gate_fidelity_rejects_non_unitary():
 
 
 def test_projective_distance_zero_cases(rng):
-    block = linalg.qubit_rotation(0.6, [0.3, 0.8, np.sqrt(1 - 0.73)])
+    block = qubit_rotation(0.6, [0.3, 0.8, np.sqrt(1 - 0.73)])
     v = np.eye(3, dtype=complex)
     v[:2, :2] = block
     assert projective_distance_qubit(v, v) <= 1e-14
@@ -137,5 +137,5 @@ def test_pauli_dot_and_rotation():
     n = np.array([0.6, 0.0, 0.8])
     op = pauli_dot(n)
     np.testing.assert_allclose(op[:2, :2] @ op[:2, :2], np.eye(2), atol=1e-15)
-    rot = linalg.qubit_rotation(np.pi / 2, n)
+    rot = qubit_rotation(np.pi / 2, n)
     np.testing.assert_allclose(rot, 1j * op[:2, :2], atol=1e-15)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from holopath.analytic import TargetGate, dF_dkappa_at_zero
-from holopath.linalg import gate_fidelity, qubit_rotation
+from holopath.linalg import gate_fidelity
 from holopath.pathfinder import (
     PathConstraints,
     gate_angle_axis,
@@ -19,7 +19,7 @@ from holopath.schemes import (
     two_loop_ideal,
 )
 
-from helpers import bloch_vector, projective_distance_qubit
+from helpers import bloch_vector, projective_distance_qubit, qubit_rotation
 
 
 def embed(block):

@@ -17,7 +17,6 @@ from holopath.linalg import (
     expm,
     gate_fidelity,
     projector,
-    qubit_rotation,
 )
 from holopath.schemes import (
     LoopParams,
@@ -36,7 +35,7 @@ from holopath.schemes import (
     two_loop_ideal,
 )
 
-from helpers import bloch_vector, pauli_dot, projective_distance_qubit, single_shot_rabi_parameters
+from helpers import bloch_vector, pauli_dot, projective_distance_qubit, qubit_rotation, single_shot_rabi_parameters
 
 
 def random_two_loop(rng):
