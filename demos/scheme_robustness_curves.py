@@ -31,34 +31,14 @@ assert np.all(table[1:, 1] < table[1:, 2]) and np.all(table[1:, 1] < table[1:, 3
 print("\nf1 < f2 and f1 < f3 at every sampled angle: the two-loop paths win.")
 
 # Cross-check one point of each analytic curve against exact propagation:
-# extract the quadratic coefficient c in F ~ 1 - c eps^2 and compare with
-# f_k * pi^2 / 3.
+# fidelity_report extracts the quadratic coefficient c in F ~ 1 - c eps^2
+# from +/- probes at eps = 1e-3 and 1e-4; compare it with f_k * pi^2 / 3.
 print("\nexact-propagation cross-check at theta = pi/4:")
 target = hp.TargetGate(np.pi / 4, [1, 0, 0])
-probes = (1e-3, -1e-3, 1e-4, -1e-4)
-
-path2 = hp.solve_two_loop(target).path
-ideal2 = hp.two_loop_ideal(path2)
-c2 = hp.extract_quadratic_coefficient(
-    [(e, hp.gate_fidelity(ideal2, hp.two_loop_errored_relative(path2, hp.RabiError(e)))) for e in probes]
-)
-path_sl = hp.solve_single_loop(target)
-ideal_sl = hp.single_loop_ideal(path_sl)
-c_sl = hp.extract_quadratic_coefficient(
-    [(e, hp.gate_fidelity(ideal_sl, hp.single_loop_errored(path_sl, hp.RabiError(e)))) for e in probes]
-)
-path_ss = hp.solve_single_shot(target)
-ideal_ss = hp.single_shot_ideal(path_ss)
-c_ss = hp.extract_quadratic_coefficient(
-    [(e, hp.gate_fidelity(ideal_ss, hp.single_shot_errored(path_ss, hp.RabiError(e)))) for e in probes]
-)
-
-for name, measured, shape in (
-    ("two-loop", c2, hp.f1(np.pi / 4)),
-    ("single-loop", c_sl, hp.f2(np.pi / 4)),
-    ("single-shot", c_ss, hp.f3(np.pi / 4)),
-):
-    predicted = shape * np.pi**2 / 3
+for name, scheme in hp.analytic.SCHEMES.items():
+    path = scheme.solve(target, hp.PathConstraints())
+    measured = hp.fidelity_report(name, path, hp.RabiError(0.0)).quad_coeff_exact
+    predicted = scheme.shape(np.pi / 4) * np.pi**2 / 3
     print(f"  {name:12s} extracted c = {measured:.6f}   f * pi^2/3 = {predicted:.6f}")
 
 try:

@@ -13,7 +13,6 @@ a relative error difference between the two drives.
 from .analytic import (
     FidelityReport,
     RelativeErrorBreakdown,
-    TargetGate,
     comparison_table,
     dF_dkappa_at_zero,
     extract_quadratic_coefficient,
@@ -60,6 +59,7 @@ from .schemes import (
     RabiError,
     SingleLoopPath,
     SingleShotPath,
+    TargetGate,
     TwoLoopPath,
     phi_b_of,
     single_loop_errored,

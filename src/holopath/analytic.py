@@ -1,4 +1,4 @@
-"""Second-order fidelity formulas, scheme comparison curves, and coefficient extraction.
+"""The scheme table, second-order fidelity formulas, scheme comparison curves, and coefficient extraction.
 
 All closed-form fidelities here are exact through second order in the error
 fractions; the exact propagators in :mod:`holopath.schemes` differ from them
@@ -8,38 +8,16 @@ by cubic (or higher) remainders, which the tests bound explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import schemes
+from . import pathfinder, schemes
 from .linalg import gate_fidelity
-from .schemes import RabiError, TwoLoopPath, _in_range
+from .schemes import TWO_PI, LoopParams, RabiError, SingleLoopPath, SingleShotPath, TargetGate, TwoLoopPath, _in_range
 
 PI_SQ = np.pi**2
-
-
-@dataclass(frozen=True, eq=False)
-class TargetGate:
-    """Desired logical gate exp(1j * theta_gate * axis.sigma).
-
-    theta_gate is half the Bloch rotation angle and lies in [0, pi/2]; the
-    axis is normalized at construction.
-    """
-
-    theta_gate: float
-    axis: np.ndarray
-
-    def __post_init__(self):
-        t = float(_in_range(self.theta_gate, 0.0, np.pi / 2, "theta_gate"))
-        m = np.asarray(self.axis, dtype=float).reshape(3)
-        norm = np.linalg.norm(m)
-        if not np.isfinite(norm) or norm == 0.0:
-            raise ValueError("axis must be a nonzero finite 3-vector")
-        m = m / norm
-        m.setflags(write=False)
-        object.__setattr__(self, "theta_gate", t)
-        object.__setattr__(self, "axis", m)
 
 
 def _square(x):
@@ -266,31 +244,98 @@ class FidelityReport:
     quad_coeff_analytic: float
 
 
-#: scheme names accepted by fidelity_pair and the CLI
-SCHEMES = ("two-loop", "single-loop", "single-shot")
+def _two_loop_params(path: TwoLoopPath) -> dict:
+    dec = schemes.phi_b_of(path)
+    return {
+        "theta1": path.loop1.theta,
+        "psi1": path.loop1.psi,
+        "phi1": path.loop1.phi,
+        "theta2": path.loop2.theta,
+        "psi2": path.loop2.psi,
+        "phi2": path.loop2.phi,
+        "eta": dec.eta,
+        "phi_b": None if dec.degenerate else dec.phi_b,
+        "cos_theta_sum": np.cos(path.loop1.theta) + np.cos(path.loop2.theta),
+    }
+
+
+def _random_loop(rng) -> LoopParams:
+    return LoopParams(rng.uniform(0, np.pi), rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Every scheme-specific choice of one gate scheme, read by fidelity_pair, the CLI and verify.
+
+    ``build(path, error)`` gives ``(ideal, errored, ...)``, from which ``second_order(path, error, built)``
+    reads; ``shape`` is f_k in F = 1 - f_k(theta) (pi eps)^2 / 3; only the two-loop ``solve(target,
+    constraints)`` reads the constraints.  Builders and solvers are called through their modules, so a
+    function rebound there (by a test or a tracer) is the one that runs.
+    """
+
+    path_type: type
+    build: Callable
+    second_order: Callable
+    shape: Callable
+    solve: Callable
+    params: Callable
+    random_path: Callable
+    models_kappa: bool
+
+
+#: the three schemes by name, in the order the paper compares them
+SCHEMES = {
+    "two-loop": Scheme(
+        path_type=TwoLoopPath,
+        build=lambda path, error: schemes.two_loop_gates(path, error),
+        second_order=lambda path, error, built: _fid2_errored_loops(path, built[2])[1],
+        shape=f1,
+        solve=lambda target, constraints: pathfinder.solve_two_loop(target, constraints).path,
+        params=_two_loop_params,
+        random_path=lambda rng: TwoLoopPath(_random_loop(rng), _random_loop(rng)),
+        models_kappa=True,
+    ),
+    "single-loop": Scheme(
+        path_type=SingleLoopPath,
+        build=lambda path, error: schemes.single_loop_gates(path, error),
+        second_order=lambda path, error, built: fid2_single_loop(path.phase_diff, error.epsilon),
+        shape=f2,
+        solve=lambda target, constraints: pathfinder.solve_single_loop(target),
+        params=asdict,
+        random_path=lambda rng: SingleLoopPath(
+            rng.uniform(0, np.pi), rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)
+        ),
+        models_kappa=False,
+    ),
+    "single-shot": Scheme(
+        path_type=SingleShotPath,
+        build=lambda path, error: schemes.single_shot_gates(path, error),
+        second_order=lambda path, error, built: fid2_single_shot(path.gamma, error.epsilon),
+        shape=f3,
+        solve=lambda target, constraints: pathfinder.solve_single_shot(target),
+        params=asdict,
+        random_path=lambda rng: SingleShotPath(
+            rng.uniform(0, np.pi / 2), rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI), rng.uniform(-np.pi / 2, np.pi / 2)
+        ),
+        models_kappa=False,
+    ),
+}
 
 
 def fidelity_pair(scheme: str, path, error: RabiError):
-    """Exact and second-order fidelity for one scheme/path/error point.
+    """Exact and second-order fidelity for one scheme/path/error point, from the scheme's :data:`SCHEMES` entry.
 
     For an error grid (array fields of ``error``) both are arrays of the
-    grid's shape.  Each scheme's builder in :mod:`holopath.schemes` makes the
-    ideal and errored gates in one stacked pass; the two-loop builder's record
-    also gives :func:`fid2_relative`'s value.  ``error`` was checked when it
-    was built, so the second-order values use its epsilon as it is.
+    grid's shape.  A path of another scheme's type is refused with a
+    ValueError naming the type the scheme takes.
     """
-    if scheme == "two-loop":
-        ideal, errored, loops = schemes.two_loop_gates(path, error)
-        analytic2 = _fid2_errored_loops(path, loops)[1]
-    elif scheme == "single-loop":
-        ideal, errored = schemes.single_loop_gates(path, error)
-        analytic2 = 1.0 - quad_coeff_single_loop(path.phase_diff) * error.epsilon * error.epsilon
-    elif scheme == "single-shot":
-        ideal, errored = schemes.single_shot_gates(path, error)
-        analytic2 = 1.0 - quad_coeff_single_shot(path.gamma) * error.epsilon * error.epsilon
-    else:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    return gate_fidelity(ideal, errored), analytic2
+    entry = SCHEMES.get(scheme)
+    if entry is None:
+        raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
+    if not isinstance(path, entry.path_type):
+        raise ValueError(f"scheme {scheme} takes a {entry.path_type.__name__}, got {type(path).__name__}")
+    built = entry.build(path, error)
+    return gate_fidelity(built[0], built[1]), entry.second_order(path, error, built)
 
 
 #: error magnitudes of the symmetric +/- probe behind FidelityReport's quadratic coefficients

@@ -19,10 +19,9 @@ import sys
 
 import numpy as np
 
-from . import analytic, pathfinder, schemes
-from .analytic import TargetGate
+from . import analytic, pathfinder
 from .pathfinder import PathConstraints
-from .schemes import RabiError
+from .schemes import RabiError, TargetGate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -174,39 +173,20 @@ def cmd_figure1(opts: dict) -> int:
     return EXIT_OK
 
 
-def _two_loop_params(path: schemes.TwoLoopPath) -> dict:
-    dec = schemes.phi_b_of(path)
-    return {
-        "theta1": path.loop1.theta,
-        "psi1": path.loop1.psi,
-        "phi1": path.loop1.phi,
-        "theta2": path.loop2.theta,
-        "psi2": path.loop2.psi,
-        "phi2": path.loop2.phi,
-        "eta": dec.eta,
-        "phi_b": None if dec.degenerate else dec.phi_b,
-        "cos_theta_sum": np.cos(path.loop1.theta) + np.cos(path.loop2.theta),
-    }
-
-
 def cmd_sweep(opts: dict) -> int:
     kappas = sorted(opts["kappa"])
     epsilons = sorted(opts["epsilon"])
-    scheme = opts["scheme"]
-    if scheme != "two-loop" and any(k != 0.0 for k in kappas):
+    name = opts["scheme"]
+    scheme = analytic.SCHEMES[name]
+    if not scheme.models_kappa and any(k != 0.0 for k in kappas):
         raise UsageError("nonzero --kappa is only legal for the two-loop scheme")
     target = TargetGate(opts["theta_gate"] * np.pi, opts["axis"])
-    if scheme == "two-loop":
-        constraints = PathConstraints(force_phi_b=opts["phi_b"] * np.pi, force_balanced=opts["balanced"])
-        path = pathfinder.solve_two_loop(target, constraints).path
-        params = _two_loop_params(path)
-    else:
-        solve = pathfinder.solve_single_loop if scheme == "single-loop" else pathfinder.solve_single_shot
-        path = solve(target)
-        params = dataclasses.asdict(path)
+    # --phi-b and --balanced pin the two-loop gauge; the other solvers ignore them
+    path = scheme.solve(target, PathConstraints(force_phi_b=opts["phi_b"] * np.pi, force_balanced=opts["balanced"]))
+    params = scheme.params(path)
     # the whole sorted grid, epsilon major, as one stacked evaluation
     grid = RabiError(np.repeat(epsilons, len(kappas)), np.tile(kappas, len(epsilons)))
-    exact, second_order = analytic.fidelity_pair(scheme, path, grid)
+    exact, second_order = analytic.fidelity_pair(name, path, grid)
     columns = {
         "epsilon": grid.epsilon,
         "kappa": grid.kappa,
@@ -214,7 +194,7 @@ def cmd_sweep(opts: dict) -> int:
         "fidelity_analytic2": second_order,
         "abs_gap": np.abs(exact - second_order),
     }
-    _write_sweep(scheme, params, columns, opts["out"])
+    _write_sweep(name, params, columns, opts["out"])
     return EXIT_OK
 
 
@@ -258,13 +238,12 @@ def cmd_optimize(opts: dict) -> int:
     theta_gate = target.theta_gate
     payload = {
         "target": {"theta_gate": theta_gate, "axis": list(target.axis)},
-        "two_loop": {**_two_loop_params(solution.path), "degenerate": solution.degenerate},
+        "two_loop": {**analytic.SCHEMES["two-loop"].params(solution.path), "degenerate": solution.degenerate},
         "single_loop": dataclasses.asdict(single_loop),
         "single_shot": dataclasses.asdict(single_shot),
         "coefficients": {
-            "two_loop": analytic.f1(theta_gate) * np.pi**2 / 3.0,
-            "single_loop": analytic.f2(theta_gate) * np.pi**2 / 3.0,
-            "single_shot": analytic.f3(theta_gate) * np.pi**2 / 3.0,
+            name.replace("-", "_"): scheme.shape(theta_gate) * np.pi**2 / 3.0
+            for name, scheme in analytic.SCHEMES.items()
         },
     }
     if solution.degenerate:

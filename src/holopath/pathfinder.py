@@ -14,9 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import TargetGate
 from .linalg import ContractViolation, is_block_diagonal, PAULI_QUBIT
-from .schemes import LoopParams, SingleLoopPath, SingleShotPath, TwoLoopPath, bright_dark
+from .schemes import LoopParams, SingleLoopPath, SingleShotPath, TargetGate, TwoLoopPath, bright_dark
 
 _DEGENERATE_ANGLE = 1e-14
 

@@ -156,6 +156,29 @@ class SingleShotPath:
         object.__setattr__(self, "gamma", float(_in_range(self.gamma, -np.pi / 2, np.pi / 2, "gamma")))
 
 
+@dataclass(frozen=True, eq=False)
+class TargetGate:
+    """Desired logical gate exp(1j * theta_gate * axis.sigma).
+
+    theta_gate is half the Bloch rotation angle and lies in [0, pi/2]; the
+    axis is normalized at construction.
+    """
+
+    theta_gate: float
+    axis: np.ndarray
+
+    def __post_init__(self):
+        t = float(_in_range(self.theta_gate, 0.0, np.pi / 2, "theta_gate"))
+        m = np.asarray(self.axis, dtype=float).reshape(3)
+        norm = np.sqrt(m.dot(m))  # what np.linalg.norm computes for a real vector; schemes names no linalg
+        if not np.isfinite(norm) or norm == 0.0:
+            raise ValueError("axis must be a nonzero finite 3-vector")
+        m = m / norm
+        m.setflags(write=False)
+        object.__setattr__(self, "theta_gate", t)
+        object.__setattr__(self, "axis", m)
+
+
 def _check_fraction(value, name: str) -> float:
     v = float(value)
     if not abs(v) <= 0.1:  # NaN fails too

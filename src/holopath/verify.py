@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, oracle, pathfinder, schemes
-from .analytic import TargetGate
 from .linalg import IDENTITY, expm
 from .pathfinder import PathConstraints
-from .schemes import NO_ERROR, LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
+from .schemes import NO_ERROR, LoopParams, RabiError, SingleLoopPath, TargetGate, TwoLoopPath
 
 DEFAULT_SEED = 20260809
 
@@ -49,26 +48,6 @@ def _result(name: str, started: float, passed: bool, detail: str) -> CheckResult
     return CheckResult(name, bool(passed), detail, time.perf_counter() - started)
 
 
-def _random_two_loop_path(rng) -> TwoLoopPath:
-    return TwoLoopPath(
-        LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
-        LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
-    )
-
-
-def _random_single_loop_path(rng) -> SingleLoopPath:
-    return SingleLoopPath(
-        rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
-    )
-
-
-def _random_single_shot_path(rng) -> SingleShotPath:
-    return SingleShotPath(
-        rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi),
-        rng.uniform(-np.pi / 2, np.pi / 2),
-    )
-
-
 def check_figure1(level: str, seed: int) -> CheckResult:
     """Criterion 1: figure1 CSV curves (dominance, monotonicity, endpoints, runtime)."""
     from . import cli
@@ -95,15 +74,23 @@ def check_figure1(level: str, seed: int) -> CheckResult:
     return _result("criterion-1 figure1", started, ok, detail)
 
 
+def _worst_coefficient_error(names) -> float:
+    """Largest relative error of the named schemes' exact quadratic coefficients against f_k * pi^2 / 3."""
+    worst = 0.0
+    for theta_gate in _THETA_GRID:
+        target = TargetGate(theta_gate, _COEFF_AXIS)
+        for name in names:
+            scheme = analytic.SCHEMES[name]
+            path = scheme.solve(target, PathConstraints())
+            coeff = analytic.fidelity_report(name, path, NO_ERROR).quad_coeff_exact
+            worst = max(worst, abs(coeff / (scheme.shape(theta_gate) * np.pi**2 / 3.0) - 1.0))
+    return worst
+
+
 def check_two_loop_coefficients(level: str, seed: int) -> CheckResult:
     """Criterion 2: exact two-loop quadratic coefficients vs f1 * pi^2 / 3 at phi_b = pi."""
     started = time.perf_counter()
-    worst = 0.0
-    for theta_gate in _THETA_GRID:
-        sol = pathfinder.solve_two_loop(TargetGate(theta_gate, _COEFF_AXIS))
-        coeff = analytic.fidelity_report("two-loop", sol.path, NO_ERROR).quad_coeff_exact
-        target = analytic.f1(theta_gate) * np.pi**2 / 3.0
-        worst = max(worst, abs(coeff / target - 1.0))
+    worst = _worst_coefficient_error(("two-loop",))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-3 and elapsed < 5.0
     detail = f"max relative coefficient error={worst:.2e} (<=1e-3), runtime={elapsed:.2f} s (<5 s)"
@@ -113,22 +100,9 @@ def check_two_loop_coefficients(level: str, seed: int) -> CheckResult:
 def check_other_scheme_coefficients(level: str, seed: int) -> CheckResult:
     """Criterion 3: single-loop and single-shot coefficients vs f2, f3 * pi^2 / 3."""
     started = time.perf_counter()
-    worst = 0.0
-    for theta_gate in _THETA_GRID:
-        target = TargetGate(theta_gate, _COEFF_AXIS)
-        for scheme, path, shape in (
-            ("single-loop", pathfinder.solve_single_loop(target), analytic.f2),
-            ("single-shot", pathfinder.solve_single_shot(target), analytic.f3),
-        ):
-            coeff = analytic.fidelity_report(scheme, path, NO_ERROR).quad_coeff_exact
-            worst = max(worst, abs(coeff / (shape(theta_gate) * np.pi**2 / 3.0) - 1.0))
-    ok = worst <= 1e-3
-    return _result(
-        "criterion-3 single-loop/single-shot coefficients",
-        started,
-        ok,
-        f"max relative coefficient error={worst:.2e} (<=1e-3)",
-    )
+    worst = _worst_coefficient_error(("single-loop", "single-shot"))
+    detail = f"max relative coefficient error={worst:.2e} (<=1e-3)"
+    return _result("criterion-3 single-loop/single-shot coefficients", started, worst <= 1e-3, detail)
 
 
 def check_phi_b_optimality(level: str, seed: int) -> CheckResult:
@@ -166,7 +140,7 @@ def check_relative_error_consistency(level: str, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 5)
     paths = []
     while len(paths) < 10:
-        path = _random_two_loop_path(rng)
+        path = analytic.SCHEMES["two-loop"].random_path(rng)
         if schemes.phi_b_of(path).eta < np.pi - 0.2:
             paths.append(path)
     grid = np.linspace(-0.02, 0.02, 10)
@@ -237,25 +211,18 @@ def check_oracle_equivalence(level: str, seed: int) -> CheckResult:
     points = 100 if level == "full" else 10
     steps = 100_000 if level == "full" else 10_000
     worst = 0.0
+    # the oracle keeps its own schedule builder per scheme, listed in the table's order
+    schedules = (oracle.schedule_for_two_loop, oracle.schedule_for_single_loop, oracle.schedule_for_single_shot)
     for index in range(points):
         # first point of each scheme exercises the zero-error (ideal) case
         eps = 0.0 if index == 0 else rng.uniform(-0.05, 0.05)
         kappa = 0.0 if index == 0 else rng.uniform(-0.05, 0.05)
-
-        path2 = _random_two_loop_path(rng)
-        closed2 = schemes.two_loop_errored_relative(path2, RabiError(eps, kappa))
-        path_sl = _random_single_loop_path(rng)
-        closed_sl = schemes.single_loop_errored(path_sl, RabiError(eps))
-        path_ss = _random_single_shot_path(rng)
-        closed_ss = schemes.single_shot_errored(path_ss, RabiError(eps))
-        for shape in ("square", "sine-squared"):
-            pairs = (
-                (oracle.schedule_for_two_loop(path2, RabiError(eps, kappa), shape), closed2),
-                (oracle.schedule_for_single_loop(path_sl, RabiError(eps), shape), closed_sl),
-                (oracle.schedule_for_single_shot(path_ss, RabiError(eps), shape), closed_ss),
-            )
-            for schedule, closed in pairs:
-                stepped = oracle.propagate(schedule, steps)
+        for scheme, schedule_for in zip(analytic.SCHEMES.values(), schedules, strict=True):
+            error = RabiError(eps, kappa if scheme.models_kappa else 0.0)
+            path = scheme.random_path(rng)
+            closed = scheme.build(path, error)[1]
+            for shape in ("square", "sine-squared"):
+                stepped = oracle.propagate(schedule_for(path, error, shape), steps)
                 worst = max(worst, float(np.max(np.abs(stepped - closed))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and (level != "full" or elapsed < 120.0)
@@ -278,36 +245,26 @@ def check_structural(level: str, seed: int) -> CheckResult:
     worst_closed = 0.0
     for _ in range(n_paths):
         eps, kappa = rng.uniform(-0.1, 0.1, 2)
-        path2 = _random_two_loop_path(rng)
-        path_sl = _random_single_loop_path(rng)
-        path_ss = _random_single_shot_path(rng)
-        gates = (
-            schemes.two_loop_ideal(path2),
-            schemes.two_loop_errored_relative(path2, RabiError(eps)),
-            schemes.two_loop_errored_relative(path2, RabiError(eps, kappa)),
-            schemes.single_loop_ideal(path_sl),
-            schemes.single_loop_errored(path_sl, RabiError(eps)),
-            schemes.single_shot_ideal(path_ss),
-            schemes.single_shot_errored(path_ss, RabiError(eps)),
-        )
-        for gate in gates:
-            worst_unitary = max(worst_unitary, float(np.max(np.abs(gate.conj().T @ gate - IDENTITY))))
-        zero = RabiError(0.0)
-        worst_reduction = max(
-            worst_reduction,
-            float(np.max(np.abs(schemes.two_loop_errored_relative(path2, zero) - gates[0]))),
-            float(np.max(np.abs(schemes.single_loop_errored(path_sl, zero) - gates[3]))),
-            float(np.max(np.abs(schemes.single_shot_errored(path_ss, zero) - gates[5]))),
-        )
+        built = {}
+        for name, scheme in analytic.SCHEMES.items():
+            path = scheme.random_path(rng)
+            # zero error, eps, then (eps, kappa) where the scheme models kappa: one builder call
+            kappas = np.array([0.0, 0.0, kappa if scheme.models_kappa else 0.0])
+            ideal, errored = scheme.build(path, RabiError(np.array([0.0, eps, eps]), kappas))[:2]
+            for gate in (ideal, *errored[1:]):
+                worst_unitary = max(worst_unitary, float(np.max(np.abs(gate.conj().T @ gate - IDENTITY))))
+            worst_reduction = max(worst_reduction, float(np.max(np.abs(errored[0] - ideal))))
+            built[name] = path, ideal, errored[1]
         # the single-shot closed forms against the exponential of the full Hamiltonian
+        path_ss, ideal_ss, errored_ss = built["single-shot"]
         worst_closed = max(
             worst_closed,
-            float(np.max(np.abs(gates[5] - expm(schemes.single_shot_generator(path_ss), np.pi)))),
-            float(np.max(np.abs(gates[6] - expm(schemes.single_shot_generator(path_ss, eps), np.pi)))),
+            float(np.max(np.abs(ideal_ss - expm(schemes.single_shot_generator(path_ss), np.pi)))),
+            float(np.max(np.abs(errored_ss - expm(schemes.single_shot_generator(path_ss, eps), np.pi)))),
         )
 
     worst_gauge = 0.0
-    path2 = _random_two_loop_path(rng)
+    path2 = analytic.SCHEMES["two-loop"].random_path(rng)
     ideal2 = schemes.two_loop_ideal(path2)
     fid2 = analytic.fidelity_pair("two-loop", path2, RabiError(1e-2))[0]
     path_sl = SingleLoopPath(0.8, 0.3, 1.1, 0.0)
@@ -334,12 +291,8 @@ def check_structural(level: str, seed: int) -> CheckResult:
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         target = TargetGate(theta_gate, axis)
-        reconstructions = (
-            schemes.two_loop_ideal(pathfinder.solve_two_loop(target).path),
-            schemes.single_loop_ideal(pathfinder.solve_single_loop(target)),
-            schemes.single_shot_ideal(pathfinder.solve_single_shot(target)),
-        )
-        for gate in reconstructions:
+        for scheme in analytic.SCHEMES.values():
+            gate = scheme.build(scheme.solve(target, PathConstraints()), NO_ERROR)[0]
             measured_theta, measured_axis = pathfinder.gate_angle_axis(gate)
             worst_round = max(worst_round, abs(measured_theta - theta_gate))
             # chord form of the axis angle stays precise near zero

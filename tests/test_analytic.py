@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -367,8 +368,23 @@ def test_extract_quadratic_probe_sets_match_lstsq_reference(mags, c, odd, quarti
 
 
 def test_fidelity_pair_rejects_unknown_scheme():
-    with pytest.raises(ValueError):
+    message = "scheme must be one of ('two-loop', 'single-loop', 'single-shot'), got 'three-loop'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         fidelity_pair("three-loop", None, RabiError(0.0))
+
+
+def test_fidelity_pair_rejects_a_path_of_another_scheme():
+    paths = {
+        "two-loop": TwoLoopPath(LoopParams(0.7, 0.3, 1.1), LoopParams(2.0, 2.5, 4.0)),
+        "single-loop": SingleLoopPath(0.7, 0.3, 1.1, 2.0),
+        "single-shot": SingleShotPath(0.4, 0.3, 1.2, 0.5),
+    }
+    for scheme, expected in paths.items():
+        for other, path in paths.items():
+            if other != scheme:
+                message = f"scheme {scheme} takes a {type(expected).__name__}, got {type(path).__name__}"
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    fidelity_pair(scheme, path, RabiError(0.01))
 
 
 # --------------------------------------------- fidelity_pair answers and work

@@ -196,7 +196,7 @@ RANGE_CALLERS = {
     "schemes.LoopParams.__post_init__",
     "schemes.SingleLoopPath.__post_init__",
     "schemes.SingleShotPath.__post_init__",
-    "analytic.TargetGate.__post_init__",
+    "schemes.TargetGate.__post_init__",
     "analytic.f1",
     "analytic.f2",
     "analytic.f3",
@@ -245,6 +245,17 @@ def test_bright_state_helpers_call_no_validator():
     for name in UNCHECKED:
         called = set(_called_names(functions[name]))
         assert not called & VALIDATORS, (name, called & VALIDATORS)
+
+
+def test_no_comparison_on_a_scheme_name():
+    # every scheme-specific choice is read from analytic.SCHEMES, never picked by comparing a name
+    names = set(analytic.SCHEMES)
+    for module in MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Compare):
+                operands = (node.left, *node.comparators)
+                literals = {n.value for o in operands for n in ast.walk(o) if isinstance(n, ast.Constant)}
+                assert not literals & names, (module.__name__, node.lineno, literals & names)
 
 
 def test_schemes_runs_no_eigendecomposition():

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -197,7 +198,7 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False) | special_float
 
 @st.composite
 def sweep_payloads(draw):
-    scheme = draw(st.sampled_from(analytic.SCHEMES))
+    scheme = draw(st.sampled_from(tuple(analytic.SCHEMES)))
     params = {key: draw(finite_floats) for key in PARAM_KEYS[scheme]}
     if scheme == "two-loop" and draw(st.booleans()):
         params["phi_b"] = None
@@ -241,7 +242,8 @@ def test_sweep_rejects_non_finite_column_and_writes_nothing(tmp_path, capsys, mo
 
 
 def test_sweep_rejects_non_finite_params_and_writes_nothing(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_two_loop_params", lambda path: {"eta": math.nan})
+    two_loop = dataclasses.replace(analytic.SCHEMES["two-loop"], params=lambda path: {"eta": math.nan})
+    monkeypatch.setitem(analytic.SCHEMES, "two-loop", two_loop)
     out = tmp_path / "bad.json"
     code = run(["sweep", "--scheme", "two-loop", "--theta-gate", 0.25, "--axis", "1,0,0",
                 "--epsilon=0.01", "--out", out])

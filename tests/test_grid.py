@@ -18,6 +18,8 @@ from holopath.analytic import (
     RelativeErrorBreakdown,
     extract_quadratic_coefficient,
     fid2_relative,
+    fid2_single_loop,
+    fid2_single_shot,
     fidelity_pair,
     fidelity_report,
 )
@@ -127,12 +129,17 @@ def test_fidelity_pair_two_loop_grid_equals_loop(path, grid):
 @given(single_loop_paths(), error_grids(relative=False))
 def test_fidelity_pair_single_loop_grid_equals_loop(path, grid):
     assert_pair_equals_loop("single-loop", path, *grid)
+    # the second-order value is the public formula's, bit for bit
+    second_order = fidelity_pair("single-loop", path, RabiError(*grid))[1]
+    assert np.array_equal(second_order, fid2_single_loop(path.phase_diff, grid[0]))
 
 
 @GRID_SETTINGS
 @given(single_shot_paths(), error_grids(relative=False))
 def test_fidelity_pair_single_shot_grid_equals_loop(path, grid):
     assert_pair_equals_loop("single-shot", path, *grid)
+    second_order = fidelity_pair("single-shot", path, RabiError(*grid))[1]
+    assert np.array_equal(second_order, fid2_single_shot(path.gamma, grid[0]))
 
 
 @GRID_SETTINGS
