@@ -10,11 +10,12 @@ steps of a segment commute and share G's eigenbasis: each step is the
 diagonal phase exp(-1j * a_k * vals) in that basis, and the segment's
 ordered product is exactly the basis change applied to the product of the
 per-step phases.  Each step's factor is cos(x) - 1j sin(x) of its own real
-angle x = a_k * v, from real cosine and sine kernels on an
-eigenvalue-major array whose step axis is contiguous; the factors are
-multiplied step by step, and the areas are never summed first, which is
-the closed forms' shortcut.  A generator that depends on time would need a
-propagator of its own.
+angle x = a_k * v.  A segment is stepped in blocks of ``_BLOCK_STEPS``
+steps through one reused buffer whose first column carries the running
+product, so every factor is multiplied in step order, the areas are never
+summed (the closed forms' shortcut), and memory per segment is bounded by
+the block, not by the step count.  A generator that depends on time would
+need a propagator of its own.
 
 The only discretization error is then the midpoint quadrature error of the
 envelope area; the "square" and "sine-squared" shapes are integrated
@@ -46,6 +47,9 @@ ROUNDOFF_FLOOR = 1e-12
 #: duration of every schedule_for_* pulse; a pulse's propagator depends only on its area
 _PULSE_DURATION = 1.0
 
+#: steps per block of propagate's step loop: a block's arrays fit in cache
+_BLOCK_STEPS = 8192
+
 
 @dataclass(frozen=True)
 class PulseEnvelope:
@@ -55,7 +59,7 @@ class PulseEnvelope:
     unit shape (T, 2T/pi and T/2 for square, sine and sine-squared), so the
     integrated area matches ``target_area`` regardless of shape.
     A duration whose unit-shape area is 0.0 (zero, or underflowing) is legal
-    only with zero target area; amplitude 0.0 then gives the identity.
+    only with zero target area; amplitude and values 0.0 then give the identity.
     """
 
     shape: str
@@ -91,7 +95,8 @@ class PulseEnvelope:
         return self.target_area / unit_area if unit_area else 0.0
 
     def values(self, t):
-        return self.amplitude * self.unit(t)
+        # zero amplitude is zero everywhere, also at zero duration where the unit shape is 0/0
+        return self.amplitude * (self.unit(t) if self.amplitude else np.zeros_like(t, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +134,15 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
     eigenbasis and their ordered product is the product of the per-step
     phase factors in that basis; segments are then applied in time order.
     Step k's factor on eigenvalue v is cos(a_k v) - 1j sin(a_k v) of its own
-    midpoint area a_k; the angles are laid out eigenvalue-major, so each
-    eigenvalue's factors are contiguous and are multiplied in step order,
-    never summed.  ``steps_per_segment`` must be an integer (``int`` or a
-    numpy integer; a float such as 1000.5 raises ValueError) and at least
-    100.  An empty schedule yields the identity with a warning.  The result
-    is unitary to roundoff and converges to the accumulated-area propagator
-    as steps increase.
+    midpoint area a_k.  The steps run in blocks of ``_BLOCK_STEPS``: each
+    block's factors fill columns 1.. of a reused buffer whose column 0 holds
+    the product of all earlier factors, so each eigenvalue's factors are
+    multiplied in step order, never summed, and the result is the same, bit
+    for bit, as one product over all steps.  ``steps_per_segment`` must be
+    an integer (``int`` or a numpy integer; a float such as 1000.5 raises
+    ValueError) and at least 100.  An empty schedule yields the identity
+    with a warning.  The result is unitary to roundoff and converges to the
+    accumulated-area propagator as steps increase.
     """
     try:
         steps = operator.index(steps_per_segment)
@@ -151,16 +158,17 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
         if seg.envelope.duration == 0.0:
             continue
         h = seg.envelope.duration / steps
-        midpoints = (np.arange(steps) + 0.5) * h
-        areas = seg.scale * seg.envelope.values(midpoints) * h
         vals, vecs = np.linalg.eigh(seg.generator)
-        angles = np.outer(vals, areas)
-        factors = np.empty(angles.shape, dtype=complex)
-        np.cos(angles, out=factors.real)
-        np.sin(angles, out=factors.imag)
+        buf = np.ones((3, _BLOCK_STEPS + 1), dtype=complex)
+        for start in range(0, steps, _BLOCK_STEPS):
+            n = min(_BLOCK_STEPS, steps - start)
+            areas = seg.scale * seg.envelope.values((np.arange(start, start + n) + 0.5) * h) * h
+            angles = np.outer(vals, areas)
+            np.cos(angles, out=buf[:, 1:n + 1].real)
+            np.sin(angles, out=buf[:, 1:n + 1].imag)
+            buf[:, 0] = np.prod(buf[:, :n + 1], axis=1)
         # conjugating the product conjugates every factor exactly: prod(cos - 1j sin)
-        phases = np.prod(factors, axis=1).conj()
-        total = (vecs * phases) @ vecs.conj().T @ total
+        total = (vecs * buf[:, 0].conj()) @ vecs.conj().T @ total
     return total
 
 

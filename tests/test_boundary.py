@@ -230,6 +230,12 @@ def _functions(module):
                     yield f"{node.name}.{item.name}", item
 
 
+def _reached_names(node):
+    """Every attribute and bare name the node's code mentions."""
+    reached = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return reached | {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
 def test_range_rule_is_called_only_at_the_boundary():
     callers = {
         f"{module.__name__.split('.')[-1]}.{name}"
@@ -264,6 +270,12 @@ def test_schemes_runs_no_eigendecomposition():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "expm" not in imported
     for name, node in _functions(schemes):
-        reached = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-        reached |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        reached = _reached_names(node)
         assert not reached & {"expm", "linalg"}, (name, reached & {"expm", "linalg"})
+
+
+def test_oracle_propagate_reuses_no_closed_form_shortcut():
+    # the oracle multiplies per-step factors; summing areas or calling a closed form would not check them
+    reached = _reached_names(dict(_functions(oracle))["propagate"])
+    shortcuts = {"sum", "cumsum", "expm", "_pulse", "closed_form_limit", "target_area"}
+    assert not reached & shortcuts, reached & shortcuts

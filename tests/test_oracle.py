@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,60 @@ def test_propagate_matches_complex_exp_phase_product():
     assert np.max(np.abs(segments[0].generator @ segments[1].generator
                          - segments[1].generator @ segments[0].generator)) > 0.1
     assert np.max(np.abs(propagate(Schedule(segments), steps) - total)) <= 1e-12
+
+
+def _whole_segment_propagate(schedule, steps):
+    # the one-product formula: every step's factor in one (3, steps) array, one np.prod per segment
+    total = IDENTITY.copy()
+    for seg in schedule.segments:
+        h = seg.envelope.duration / steps
+        areas = seg.scale * seg.envelope.values((np.arange(steps) + 0.5) * h) * h
+        vals, vecs = np.linalg.eigh(seg.generator)
+        angles = np.outer(vals, areas)
+        factors = np.empty(angles.shape, dtype=complex)
+        np.cos(angles, out=factors.real)
+        np.sin(angles, out=factors.imag)
+        total = (vecs * np.prod(factors, axis=1).conj()) @ vecs.conj().T @ total
+    return total
+
+
+def _two_segment_schedule(shape):
+    return Schedule((
+        ScheduleSegment(PulseEnvelope(shape, 1.0, np.pi), coupling_generator(0.8, 0.4, 1.2), 1.03),
+        ScheduleSegment(PulseEnvelope(shape, 0.6, np.pi / 2), coupling_generator(2.1, 1.7, -0.5), 0.97),
+    ))
+
+
+B = oracle._BLOCK_STEPS
+
+
+@pytest.mark.parametrize("steps", [100, B - 1, B, B + 1, 2 * B + 3, 100_000])
+@pytest.mark.parametrize("shape", oracle.SHAPES)
+def test_blocked_propagate_equals_whole_segment_product_bit_for_bit(shape, steps):
+    # the running product carried between blocks multiplies every factor in step order
+    schedule = _two_segment_schedule(shape)
+    assert np.array_equal(propagate(schedule, steps), _whole_segment_propagate(schedule, steps))
+
+
+def test_propagate_memory_is_bounded_by_the_block():
+    # a whole-segment array of 1e5 steps is 4.8 MB of complex factors alone
+    schedule = _two_segment_schedule("sine")
+    propagate(schedule, 100)
+    tracemalloc.start()
+    try:
+        propagate(schedule, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", oracle.SHAPES)
+def test_zero_duration_envelope_values_are_zero(shape):
+    env = PulseEnvelope(shape, 0.0, 0.0)
+    assert env.values(0.0) == 0.0
+    np.testing.assert_array_equal(env.values(np.array([0.0, 0.0])), [0.0, 0.0])
 
 
 def test_propagate_empty_schedule_warns():
