@@ -5,6 +5,11 @@ Independent validator for every closed-form propagator in
 Hamiltonian H(t) = scale * Omega(t) * G is integrated as an ordered product
 of per-step exponentials with midpoint sampling.
 
+The ``schedule_for_*`` builders write each pulse's G in the bare basis
+{|0>, |1>, |e>} from the two complex drives and the detuning, drive k off by
+its own fraction epsilon_k, for every scheme and any kappa.  They share none
+of the closed forms' derived error model (tilted angle, area excess, frames).
+
 A :class:`ScheduleSegment` holds one fixed Hermitian generator G, so the
 steps of a segment commute and share G's eigenbasis: each step is the
 diagonal phase exp(-1j * a_k * vals) in that basis, and the segment's
@@ -33,9 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import schemes
 from .linalg import IDENTITY, expm, require_hermitian
-from .schemes import RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
+from .schemes import NO_ERROR, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 
 #: area of each unit-amplitude shape over [0, T], in units of T
 _UNIT_AREA = {"square": 1.0, "sine": 2.0 / np.pi, "sine-squared": 0.5}
@@ -81,10 +85,12 @@ class PulseEnvelope:
             )
 
     def unit(self, t):
-        """Unit-amplitude shape value(s) at time(s) t."""
+        """Unit-amplitude shape value(s) at time(s) t; at zero duration a sine shape is 0.0, its endpoint value."""
         t = np.asarray(t, dtype=float)
         if self.shape == "square":
             return np.ones_like(t)
+        if self.duration == 0.0:
+            return np.zeros_like(t)
         if self.shape == "sine":
             return np.sin(np.pi * t / self.duration)
         return np.sin(np.pi * t / self.duration) ** 2
@@ -197,39 +203,41 @@ def convergence_order(schedule: Schedule, steps: int = 1000) -> float:
     return float(np.log2(err1 / err2))
 
 
-def schedule_for_two_loop(path: TwoLoopPath, error: RabiError | None = None, shape: str = "square") -> Schedule:
-    """Two-segment schedule equivalent to the (errored) two-loop gate.
+def _drive_pulse(shape: str, area: float, error: RabiError, rabi, mixing, phases, detuning) -> ScheduleSegment:
+    """One pulse of H = d0 |0><e| + d1 |1><e| + h.c. + detuning |e><e|, written in the bare basis.
 
-    Each loop becomes one pi-area pulse of the errored bright-state
-    coupling, scaled by its effective amplitude fraction 1 + delta; with
-    zero error this is the ideal gate's schedule.
+    d0 = (1 + epsilon0) rabi cos(mixing) e^{i phases[0]}, d1 = (1 + epsilon1) rabi sin(mixing) e^{i phases[1]}:
+    each drive is off by its own error fraction, the detuning by none.  H is not normalized.
     """
-    err = error or schemes.NO_ERROR
-    segs = []
-    for loop in (path.loop1, path.loop2):
-        theta_p, delta = schemes.relative_error_angles(loop.theta, err)
-        gen = schemes.coupling_generator(theta_p, loop.psi, loop.phi)
-        segs.append(ScheduleSegment(PulseEnvelope(shape, _PULSE_DURATION, np.pi), gen, 1.0 + delta))
-    return Schedule(tuple(segs))
+    fractions = 1.0 + np.array([error.epsilon0, error.epsilon1])
+    d0, d1 = fractions * rabi * np.array([np.cos(mixing), np.sin(mixing)]) * np.exp(1j * np.asarray(phases))
+    generator = np.array([[0.0, 0.0, d0], [0.0, 0.0, d1], [d0.conjugate(), d1.conjugate(), detuning]])
+    return ScheduleSegment(PulseEnvelope(shape, _PULSE_DURATION, area), generator)
+
+
+def schedule_for_two_loop(path: TwoLoopPath, error: RabiError | None = None, shape: str = "square") -> Schedule:
+    """One pi-area pulse per loop, drives cos(theta/2) e^{i phi}, sin(theta/2) e^{i (phi + psi)}; any kappa."""
+    err = error or NO_ERROR
+    loops = ((lp.theta / 2, (lp.phi, lp.phi + lp.psi)) for lp in (path.loop1, path.loop2))
+    return Schedule(tuple(_drive_pulse(shape, np.pi, err, 1.0, half, pair, 0.0) for half, pair in loops))
 
 
 def schedule_for_single_loop(
     path: SingleLoopPath, error: RabiError | None = None, shape: str = "square"
 ) -> Schedule:
-    """Two pi/2-area segments at total phases phi then phi_prime, both scaled by 1 + eps."""
-    err = schemes.require_common_error(error or schemes.NO_ERROR, "schedule_for_single_loop")
-    scale = 1.0 + err.epsilon
-    segs = []
-    for phase in (path.phi, path.phi_prime):
-        gen = schemes.coupling_generator(path.theta, path.psi, phase)
-        segs.append(ScheduleSegment(PulseEnvelope(shape, _PULSE_DURATION, np.pi / 2), gen, scale))
-    return Schedule(tuple(segs))
+    """Two pi/2-area pulses as in :func:`schedule_for_two_loop`, at total phases phi then phi_prime; any kappa."""
+    err, half = error or NO_ERROR, path.theta / 2
+    phases = ((phi, phi + path.psi) for phi in (path.phi, path.phi_prime))
+    return Schedule(tuple(_drive_pulse(shape, np.pi / 2, err, 1.0, half, pair, 0.0) for pair in phases))
 
 
 def schedule_for_single_shot(
     path: SingleShotPath, error: RabiError | None = None, shape: str = "square"
 ) -> Schedule:
-    """One pi-area segment of the full (errored) single-shot Hamiltonian structure."""
-    err = schemes.require_common_error(error or schemes.NO_ERROR, "schedule_for_single_shot")
-    gen = schemes.single_shot_generator(path, err.epsilon)
-    return Schedule((ScheduleSegment(PulseEnvelope(shape, _PULSE_DURATION, np.pi), gen, 1.0),))
+    """One pi-area pulse, drives cos(gamma) cos(alpha) e^{i beta0}, cos(gamma) sin(alpha) e^{i beta1}; any kappa.
+
+    The |e><e| term 2 sin(gamma) is a detuning, which the amplitude error leaves exact.
+    """
+    err, phases = error or NO_ERROR, (path.beta0, path.beta1)
+    pulse = _drive_pulse(shape, np.pi, err, np.cos(path.gamma), path.alpha, phases, 2.0 * np.sin(path.gamma))
+    return Schedule((pulse,))

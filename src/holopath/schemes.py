@@ -408,17 +408,6 @@ def _single_shot_frame(path: SingleShotPath) -> tuple[np.ndarray, np.ndarray]:
     return projector(b), np.outer(b, KET_E.conj()) + np.outer(KET_E, b.conj())
 
 
-def single_shot_generator(path: SingleShotPath, epsilon: float = 0.0) -> np.ndarray:
-    """Full single-shot Hamiltonian structure (unit overall scale Omega).
-
-    The amplitude error multiplies only the Rabi couplings; the detuning
-    term is set by an independent frequency reference and stays exact.
-    """
-    pb, cross = _single_shot_frame(path)
-    sg, cg = np.sin(path.gamma), np.cos(path.gamma)
-    return sg * (PROJ_E + pb) + (1.0 + epsilon) * cg * cross + sg * (PROJ_E - pb)
-
-
 def _error_operator(pb: np.ndarray, cross: np.ndarray, gamma: float, epsilon) -> tuple[float, np.ndarray]:
     """Normalized traceless rotation operator of the errored single-shot drive, given its frame.
 
@@ -438,8 +427,8 @@ def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarra
 
     Under an amplitude error on the Rabi couplings only, the errored gate is a
     bright/excited phase times a rotation by lambda*pi about the tilted error
-    axis, identity on the dark state.  Each equals the exponential of its
-    :func:`single_shot_generator` at area pi; the acceptance suite compares them.
+    axis, identity on the dark state.  The acceptance suite compares each with the
+    oracle's exponential of the full single-shot Hamiltonian at area pi.
     """
     require_common_error(error, "single_shot_errored")
     pb, cross = _single_shot_frame(path)

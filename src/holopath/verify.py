@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, oracle, pathfinder, schemes
-from .linalg import IDENTITY, expm
+from .linalg import IDENTITY
 from .pathfinder import PathConstraints
 from .schemes import NO_ERROR, LoopParams, RabiError, SingleLoopPath, TargetGate, TwoLoopPath
 
@@ -255,13 +255,11 @@ def check_structural(level: str, seed: int) -> CheckResult:
                 worst_unitary = max(worst_unitary, float(np.max(np.abs(gate.conj().T @ gate - IDENTITY))))
             worst_reduction = max(worst_reduction, float(np.max(np.abs(errored[0] - ideal))))
             built[name] = path, ideal, errored[1]
-        # the single-shot closed forms against the exponential of the full Hamiltonian
+        # the single-shot closed forms against the exponential of the oracle's full Hamiltonian
         path_ss, ideal_ss, errored_ss = built["single-shot"]
-        worst_closed = max(
-            worst_closed,
-            float(np.max(np.abs(ideal_ss - expm(schemes.single_shot_generator(path_ss), np.pi)))),
-            float(np.max(np.abs(errored_ss - expm(schemes.single_shot_generator(path_ss, eps), np.pi)))),
-        )
+        for error, gate in ((NO_ERROR, ideal_ss), (RabiError(eps), errored_ss)):
+            direct = oracle.closed_form_limit(oracle.schedule_for_single_shot(path_ss, error))
+            worst_closed = max(worst_closed, float(np.max(np.abs(gate - direct))))
 
     worst_gauge = 0.0
     path2 = analytic.SCHEMES["two-loop"].random_path(rng)

@@ -279,3 +279,17 @@ def test_oracle_propagate_reuses_no_closed_form_shortcut():
     reached = _reached_names(dict(_functions(oracle))["propagate"])
     shortcuts = {"sum", "cumsum", "expm", "_pulse", "closed_form_limit", "target_area"}
     assert not reached & shortcuts, reached & shortcuts
+
+
+def test_oracle_shares_no_helper_of_the_closed_forms():
+    # the schedules write the bare-basis drives themselves, so criterion 7 checks the closed forms' error model
+    tree = ast.parse(inspect.getsource(oracle))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert not (node.level == 1 and node.module is None and "schemes" in {a.name for a in node.names})
+    helpers = {
+        "relative_error_angles", "coupling_generator", "bright_dark", "_bright_coupling", "single_shot_bright",
+        "_single_shot_frame", "_error_operator", "require_common_error", "_pulse",
+    }
+    for name, node in _functions(oracle):
+        assert not _reached_names(node) & helpers, (name, _reached_names(node) & helpers)

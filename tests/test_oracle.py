@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from holopath import oracle
-from holopath.linalg import IDENTITY
+from holopath.linalg import IDENTITY, expm
 from holopath.oracle import (
     PulseEnvelope,
     Schedule,
@@ -28,6 +29,7 @@ from holopath.schemes import (
     SingleShotPath,
     TwoLoopPath,
     coupling_generator,
+    relative_error_angles,
     single_loop_errored,
     single_shot_errored,
     two_loop_errored_relative,
@@ -233,6 +235,16 @@ def test_propagate_memory_is_bounded_by_the_block():
     assert peak < 2_000_000, peak
 
 
+@pytest.mark.parametrize("shape", ["sine", "sine-squared"])
+def test_zero_duration_sine_shapes_are_zero_at_their_endpoint(shape):
+    env = PulseEnvelope(shape, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert env.unit(0.0) == 0.0
+        np.testing.assert_array_equal(env.unit(np.array([0.0, 0.0])), [0.0, 0.0])
+    assert PulseEnvelope("square", 0.0, 0.0).unit(0.0) == 1.0
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shape", oracle.SHAPES)
 def test_zero_duration_envelope_values_are_zero(shape):
@@ -278,11 +290,18 @@ def test_schedules_match_scheme_constructors(rng):
         assert np.max(np.abs(stepped - closed)) <= 1e-8
 
 
-def test_schedule_builders_reject_relative_error_where_undefined(rng):
-    with pytest.raises(ValueError):
-        schedule_for_single_loop(SingleLoopPath(0.5, 0.1, 0.2, 0.3), RabiError(0.01, 0.001))
-    with pytest.raises(ValueError):
-        schedule_for_single_shot(SingleShotPath(0.5, 0.1, 0.2, 0.3), RabiError(0.01, 0.001))
+def test_single_loop_schedule_under_relative_error_is_the_tilted_loop_formula(rng):
+    # each segment is the two-loop loop formula at area (1 + delta) pi/2 with the tilted theta'
+    for _ in range(20):
+        path = SingleLoopPath(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
+                              rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
+        error = RabiError(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+        theta_p, delta = relative_error_angles(path.theta, error)
+        reference = IDENTITY
+        for phase in (path.phi, path.phi_prime):
+            reference = expm(coupling_generator(theta_p, path.psi, phase), (1.0 + delta) * np.pi / 2) @ reference
+        limit = closed_form_limit(schedule_for_single_loop(path, error))
+        assert np.max(np.abs(limit - reference)) <= 1e-12
 
 
 def test_two_loop_ideal_schedule(rng):

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holopath import schemes
+from holopath import oracle, schemes
 from holopath.linalg import (
     IDENTITY,
     KET_0,
@@ -367,7 +367,7 @@ def test_single_shot_closed_vs_full_hamiltonian_grid():
     worst = 0.0
     for alpha, gamma, b0, b1, eps in itertools.product(alphas, gammas, betas, betas, epsilons):
         path = SingleShotPath(alpha, b0, b1, gamma)
-        direct = expm(schemes.single_shot_generator(path, eps), np.pi)
+        direct = expm(oracle.schedule_for_single_shot(path, RabiError(eps)).segments[0].generator, np.pi)
         worst = max(worst, np.max(np.abs(single_shot_errored(path, RabiError(eps)) - direct)))
         if eps == 0.0:
             worst = max(worst, np.max(np.abs(single_shot_ideal(path) - direct)))
@@ -417,7 +417,8 @@ def test_single_shot_rabi_parameters():
     # the detuning and the two phased Rabi drives rebuild the scaled single-shot generator
     drive = np.outer(om0 * np.exp(1j * path.beta0) * KET_0 + om1 * np.exp(1j * path.beta1) * KET_1, KET_E)
     hamiltonian = -delta * PROJ_E + drive + drive.conj().T
-    np.testing.assert_allclose(hamiltonian, 2.0 * schemes.single_shot_generator(path), atol=1e-14)
+    generator = oracle.schedule_for_single_shot(path, RabiError(0.0)).segments[0].generator
+    np.testing.assert_allclose(hamiltonian, 2.0 * generator, atol=1e-14)
 
 
 # --------------------------------------------------------------------- phi_b
