@@ -7,8 +7,8 @@ the per-step exponentials in order.  This script propagates one path per
 scheme with two envelope shapes, reports the deviation from the closed
 forms, and measures the convergence order on the half-sine envelope (the
 one shape whose midpoint quadrature error does not vanish).  It closes with
-the oracle's single-loop and single-shot gates under a relative drive error,
-which only the oracle models for those two schemes.
+the single-loop and single-shot gate fidelities under a relative drive error,
+from the oracle and from the closed forms.
 
 Run:  python demos/time_stepped_crosscheck.py
 """
@@ -27,16 +27,13 @@ path_sl = hp.solve_single_loop(target)
 path_ss = hp.solve_single_shot(target)
 
 cases = (
-    ("two-loop (relative error)", hp.schedule_for_two_loop, path2, error,
-     hp.two_loop_errored_relative(path2, error)),
-    ("single-loop", hp.schedule_for_single_loop, path_sl, common,
-     hp.single_loop_errored(path_sl, common)),
-    ("single-shot", hp.schedule_for_single_shot, path_ss, common,
-     hp.single_shot_errored(path_ss, common)),
+    ("two-loop", hp.schedule_for_two_loop, path2, error, hp.two_loop_errored_relative(path2, error)),
+    ("single-loop", hp.schedule_for_single_loop, path_sl, error, hp.single_loop_errored(path_sl, error)),
+    ("single-shot", hp.schedule_for_single_shot, path_ss, error, hp.single_shot_errored(path_ss, error)),
 )
 
 steps = 50_000
-print(f"time-stepped vs closed-form propagators at {steps} steps per pulse:")
+print(f"time-stepped vs closed-form propagators at {steps} steps per pulse, {error}:")
 for name, builder, path, err, closed in cases:
     for shape in ("square", "sine-squared"):
         schedule = builder(path, err, shape)
@@ -59,14 +56,16 @@ for shape in ("square", "sine-squared"):
     print(f"{shape}: order = {hp.convergence_order(flat, steps=1000)} "
           "(midpoint integrates this shape exactly; error sits at roundoff)")
 
-# The oracle writes each pulse from the two drives in the bare basis, so it
-# models a relative drive error kappa for every scheme; the closed forms of the
-# single-loop and single-shot schemes cover kappa = 0 only.
-print(f"\noracle gate fidelity at eps = {error.epsilon}, sine-squared, {steps} steps per pulse:")
-print(f"  {'scheme':12s} {'kappa = 0':>14s} {f'kappa = {error.kappa}':>14s}")
-for name, builder, path, ideal in (
-    ("single-loop", hp.schedule_for_single_loop, path_sl, hp.single_loop_ideal(path_sl)),
-    ("single-shot", hp.schedule_for_single_shot, path_ss, hp.single_shot_ideal(path_ss)),
+# The oracle writes each pulse from the two drives in the bare basis; the closed
+# forms tilt each pulse's ratio angle and scale its area.  Both model kappa.
+print(f"\ngate fidelity at eps = {error.epsilon}, oracle (square, {steps} steps per pulse) / closed form:")
+print(f"  {'scheme':12s}{'kappa = 0':>30s}{f'kappa = {error.kappa}':>30s}")
+for name, builder, path, ideal, closed_form in (
+    ("single-loop", hp.schedule_for_single_loop, path_sl, hp.single_loop_ideal(path_sl), hp.single_loop_errored),
+    ("single-shot", hp.schedule_for_single_shot, path_ss, hp.single_shot_ideal(path_ss), hp.single_shot_errored),
 ):
-    gates = [hp.propagate(builder(path, err, "sine-squared"), steps) for err in (common, error)]
-    print(f"  {name:12s}" + "".join(f" {hp.gate_fidelity(ideal, gate):14.10f}" for gate in gates))
+    line = f"  {name:12s}"
+    for err in (common, error):
+        oracle_f = hp.gate_fidelity(ideal, hp.propagate(builder(path, err, "square"), steps))
+        line += f" {oracle_f:14.10f} {hp.gate_fidelity(ideal, closed_form(path, err)):14.10f}"
+    print(line)

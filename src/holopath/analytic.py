@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import pathfinder, schemes
-from .linalg import gate_fidelity
+from .linalg import _trace_fidelity
 from .schemes import TWO_PI, LoopParams, RabiError, SingleLoopPath, SingleShotPath, TargetGate, TwoLoopPath, _in_range
 
 PI_SQ = np.pi**2
@@ -168,6 +168,19 @@ def _fid2_errored_loops(path: TwoLoopPath, loops) -> tuple[RelativeErrorBreakdow
     return breakdown, fidelity
 
 
+def _fid2_errored_segments(path: SingleLoopPath, segments) -> float:
+    """1 - (1/6)(1 + cos(phi - phi')) pi^2 (delta^2 + (theta - theta')^2 / pi^2) of a single_loop_gates record."""
+    delta, tilt = segments.delta[0], path.theta - segments.theta_p[0]
+    return 1.0 - quad_coeff_single_loop(path.phase_diff) * (delta * delta + tilt * tilt / PI_SQ)
+
+
+def _fid2_errored_pulse(path: SingleShotPath, pulse) -> float:
+    """1 - (1/3) pi^2 cos^4(gamma) delta^2 - (2/3)(1 - cos zeta)(alpha - alpha')^2 of a single_shot_gates record."""
+    delta, tilt = pulse.delta, path.alpha - pulse.theta_p / 2.0
+    tilt_coeff = (2.0 / 3.0) * (1.0 - np.cos(np.pi * (1.0 - np.sin(path.gamma))))
+    return 1.0 - quad_coeff_single_shot(path.gamma) * delta * delta - tilt_coeff * tilt * tilt
+
+
 def dF_dkappa_at_zero(path: TwoLoopPath, epsilon: float) -> float:
     """First derivative of the relative-error fidelity in kappa at kappa = 0.
 
@@ -267,10 +280,11 @@ def _random_loop(rng) -> LoopParams:
 class Scheme:
     """Every scheme-specific choice of one gate scheme, read by fidelity_pair, the CLI and verify.
 
-    ``build(path, error)`` gives ``(ideal, errored, ...)``, from which ``second_order(path, error, built)``
-    reads; ``shape`` is f_k in F = 1 - f_k(theta) (pi eps)^2 / 3; only the two-loop ``solve(target,
-    constraints)`` reads the constraints.  Builders and solvers are called through their modules, so a
-    function rebound there (by a test or a tracer) is the one that runs.
+    ``build(path, error)`` gives ``(ideal, errored, record)`` for any (epsilon, kappa) error point or
+    grid, and ``second_order(path, record)`` reads the record; ``shape`` is f_k in
+    F = 1 - f_k(theta) (pi eps)^2 / 3; only the two-loop ``solve(target, constraints)`` reads the
+    constraints.  Builders and solvers are called through their modules, so a function rebound there
+    (by a test or a tracer) is the one that runs.
     """
 
     path_type: type
@@ -280,7 +294,6 @@ class Scheme:
     solve: Callable
     params: Callable
     random_path: Callable
-    models_kappa: bool
 
 
 #: the three schemes by name, in the order the paper compares them
@@ -288,36 +301,33 @@ SCHEMES = {
     "two-loop": Scheme(
         path_type=TwoLoopPath,
         build=lambda path, error: schemes.two_loop_gates(path, error),
-        second_order=lambda path, error, built: _fid2_errored_loops(path, built[2])[1],
+        second_order=lambda path, record: _fid2_errored_loops(path, record)[1],
         shape=f1,
         solve=lambda target, constraints: pathfinder.solve_two_loop(target, constraints).path,
         params=_two_loop_params,
         random_path=lambda rng: TwoLoopPath(_random_loop(rng), _random_loop(rng)),
-        models_kappa=True,
     ),
     "single-loop": Scheme(
         path_type=SingleLoopPath,
         build=lambda path, error: schemes.single_loop_gates(path, error),
-        second_order=lambda path, error, built: fid2_single_loop(path.phase_diff, error.epsilon),
+        second_order=_fid2_errored_segments,
         shape=f2,
         solve=lambda target, constraints: pathfinder.solve_single_loop(target),
         params=asdict,
         random_path=lambda rng: SingleLoopPath(
             rng.uniform(0, np.pi), rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI)
         ),
-        models_kappa=False,
     ),
     "single-shot": Scheme(
         path_type=SingleShotPath,
         build=lambda path, error: schemes.single_shot_gates(path, error),
-        second_order=lambda path, error, built: fid2_single_shot(path.gamma, error.epsilon),
+        second_order=_fid2_errored_pulse,
         shape=f3,
         solve=lambda target, constraints: pathfinder.solve_single_shot(target),
         params=asdict,
         random_path=lambda rng: SingleShotPath(
             rng.uniform(0, np.pi / 2), rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI), rng.uniform(-np.pi / 2, np.pi / 2)
         ),
-        models_kappa=False,
     ),
 }
 
@@ -327,15 +337,16 @@ def fidelity_pair(scheme: str, path, error: RabiError):
 
     For an error grid (array fields of ``error``) both are arrays of the
     grid's shape.  A path of another scheme's type is refused with a
-    ValueError naming the type the scheme takes.
+    ValueError naming the type the scheme takes.  The built gates are unitary
+    by construction (criterion 8 checks it), so their unitarity is not rechecked.
     """
     entry = SCHEMES.get(scheme)
     if entry is None:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
     if not isinstance(path, entry.path_type):
         raise ValueError(f"scheme {scheme} takes a {entry.path_type.__name__}, got {type(path).__name__}")
-    built = entry.build(path, error)
-    return gate_fidelity(built[0], built[1]), entry.second_order(path, error, built)
+    ideal, errored, record = entry.build(path, error)
+    return _trace_fidelity(ideal, errored), entry.second_order(path, record)
 
 
 #: error magnitudes of the symmetric +/- probe behind FidelityReport's quadratic coefficients

@@ -93,7 +93,7 @@ _OPTIONS = {
         "phi_b": (float, 1.0, None, "two-loop decomposition phase in units of pi"),
         "balanced": (_parse_bool, True, None, "balanced two-loop solution (cos t1 + cos t2 = 0)"),
         "epsilon": (_parse_float_list, _REQUIRED, None, "comma-separated average-error list"),
-        "kappa": (_parse_float_list, [0.0], None, "comma-separated relative-difference list (two-loop only)"),
+        "kappa": (_parse_float_list, [0.0], None, "comma-separated relative-difference list"),
         "out": (str, _REQUIRED, None, "output JSON path"),
     },
     "optimize": {
@@ -178,8 +178,6 @@ def cmd_sweep(opts: dict) -> int:
     epsilons = sorted(opts["epsilon"])
     name = opts["scheme"]
     scheme = analytic.SCHEMES[name]
-    if not scheme.models_kappa and any(k != 0.0 for k in kappas):
-        raise UsageError("nonzero --kappa is only legal for the two-loop scheme")
     target = TargetGate(opts["theta_gate"] * np.pi, opts["axis"])
     # --phi-b and --balanced pin the two-loop gauge; the other solvers ignore them
     path = scheme.solve(target, PathConstraints(force_phi_b=opts["phi_b"] * np.pi, force_balanced=opts["balanced"]))

@@ -108,8 +108,11 @@ def gate_fidelity(ideal, errored):
     value lies in [0, 1].  Stacks broadcast: a float for one pair, an array
     of shape (...) for (..., 3, 3) operands.
     """
-    v = require_unitary(ideal, "ideal")
-    ve = require_unitary(errored, "errored")
+    return _trace_fidelity(require_unitary(ideal, "ideal"), require_unitary(errored, "errored"))
+
+
+def _trace_fidelity(v: np.ndarray, ve: np.ndarray):
+    """:func:`gate_fidelity` of two complex (..., 3, 3) arrays trusted to be unitary, unchecked."""
     trace = np.trace(_dagger(v) @ ve, axis1=-2, axis2=-1)
     # hypot, not np.abs: numpy's vectorized complex abs can differ from the scalar one in the last bit
     fidelity = np.hypot(trace.real, trace.imag) / 3.0

@@ -144,7 +144,10 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
     block's factors fill columns 1.. of a reused buffer whose column 0 holds
     the product of all earlier factors, so each eigenvalue's factors are
     multiplied in step order, never summed, and the result is the same, bit
-    for bit, as one product over all steps.  ``steps_per_segment`` must be
+    for bit, as one product over all steps.  Each eigenvalue's product is
+    then divided by its modulus once, which uses only |cos x - 1j sin x| = 1:
+    on a square envelope all factors round alike, and their modulus error
+    would otherwise compound to about N ulp.  ``steps_per_segment`` must be
     an integer (``int`` or a numpy integer; a float such as 1000.5 raises
     ValueError) and at least 100.  An empty schedule yields the identity
     with a warning.  The result is unitary to roundoff and converges to the
@@ -173,6 +176,7 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
             np.cos(angles, out=buf[:, 1:n + 1].real)
             np.sin(angles, out=buf[:, 1:n + 1].imag)
             buf[:, 0] = np.prod(buf[:, :n + 1], axis=1)
+        buf[:, 0] /= np.abs(buf[:, 0])
         # conjugating the product conjugates every factor exactly: prod(cos - 1j sin)
         total = (vecs * buf[:, 0].conj()) @ vecs.conj().T @ total
     return total

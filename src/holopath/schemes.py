@@ -5,18 +5,18 @@ multiple-pulse scheme (one loop split into two pi/2-area segments with a
 phase jump), and the off-resonant single-shot scheme, each with its ideal
 propagator and its propagator under systematic Rabi-frequency errors.
 
-The amplitude error model multiplies the whole pulse envelope by an unknown
-constant fraction, so the accumulated pulse area is a sufficient statistic:
-each propagator is one exponential per pulse, in closed form, for generators
-with G^3 = G (every pulse generator here), at the pulse's errored area;
-exact for that model, with no eigendecomposition.  A :class:`RabiError`
+The amplitude error model multiplies each drive's envelope by its own unknown
+constant fraction, so in every scheme a pulse is its coupling at a tilted ratio
+angle and an errored area (:func:`relative_error_angles`): one exponential per
+pulse, in closed form, for generators with G^3 = G (every pulse generator
+here); exact for that model, with no eigendecomposition.  A :class:`RabiError`
 whose fields are arrays is an error grid.  Each scheme's builder
 (:func:`two_loop_gates`, :func:`single_loop_gates`, :func:`single_shot_gates`)
-makes the ideal gate and the errored gates of a whole grid in one stacked
-pass: the ideal rides along as one extra leading point of the flattened error
-axis, or shares the single-shot bright-state frame.  The ideal and errored
-constructors are slices of it.  Pulse areas are enforced exactly (pi per
-two-loop loop, pi/2 per single-loop segment, total area pi for the
+makes the ideal gate, the errored gates of a whole grid and the record its
+second-order formula reads in one stacked pass: the ideal bright state rides
+along as one extra leading point of the flattened error axis.  The ideal and
+errored constructors are slices of it.  Pulse areas are enforced exactly (pi
+per two-loop loop, pi/2 per single-loop segment, total area pi for the
 single-shot pulse); time stepping lives in :mod:`holopath.oracle`.
 """
 
@@ -35,8 +35,6 @@ from .linalg import (
     KET_1,
     KET_E,
     PROJ_E,
-    projector,
-    require_hermitian,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -249,16 +247,6 @@ class BrightDecomposition(NamedTuple):
     degenerate: bool
 
 
-def require_common_error(error: RabiError, scheme: str) -> RabiError:
-    """Return ``error`` unchanged if kappa = 0 everywhere; raise ValueError naming ``scheme`` otherwise."""
-    if np.count_nonzero(error.kappa):
-        raise ValueError(
-            f"{scheme} is analyzed under the common-error model only (kappa = 0); "
-            "only the two-loop scheme models kappa != 0"
-        )
-    return error
-
-
 def bright_dark(theta, psi) -> tuple[np.ndarray, np.ndarray]:
     """Bright and dark logical states for ratio angle theta and relative phase psi.
 
@@ -291,28 +279,18 @@ def _bright_coupling(bright, phi) -> np.ndarray:
 def _pulse(generator, area) -> np.ndarray:
     """exp(-1j * area * G) = I - 1j sin(area) G + (cos(area) - 1) G^2 for a Hermitian G with G^3 = G.
 
-    G^3 = G (spectrum in {-1, 0, 1}) is not checked; operands broadcast and are checked as in linalg.expm.
+    Every generator comes from this module's builders: neither hermiticity nor G^3 = G (spectrum in
+    {-1, 0, 1}) is checked here, but by the tests and the acceptance suite.  Operands broadcast; a
+    non-finite area raises ValueError.
     """
-    g = require_hermitian(generator)
     a = np.asarray(area, dtype=float)[..., None, None]
     if not np.isfinite(a).all():
         raise ValueError(f"area must be finite, got {area!r}")
-    return IDENTITY - 1j * np.sin(a) * g + (np.cos(a) - 1.0) * (g @ g)
-
-
-def _loop_angles(path: TwoLoopPath, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both loops' (theta, psi, phi) as three arrays of shape (2,) + (1,) * ndim.
-
-    The leading axis indexes the loop; the ``ndim`` unit axes broadcast
-    against an error grid with that many axes.
-    """
-    angles = np.array([[loop.theta, loop.psi, loop.phi] for loop in (path.loop1, path.loop2)])
-    theta, psi, phi = angles.T.reshape((3, 2) + (1,) * ndim)
-    return theta, psi, phi
+    return IDENTITY - 1j * np.sin(a) * generator + (np.cos(a) - 1.0) * (generator @ generator)
 
 
 def relative_error_angles(theta, error: RabiError):
-    """Errored ratio angle and area excess (theta_prime, delta) for one loop.
+    """Errored ratio angle and area excess (theta_prime, delta) of one pulse.
 
     With drive fractions (1+e0, 1+e1) the coupled direction tilts to
     theta_prime = 2 arctan(tan(theta/2) (1+e1)/(1+e0)) and the effective
@@ -326,27 +304,31 @@ def relative_error_angles(theta, error: RabiError):
     return 2.0 * np.arctan2(s1, c0), np.hypot(c0, s1) - 1.0
 
 
-#: both loops' errored ratio angles, area excesses, total phases and bright states, stacked on a leading loop axis
-_ErroredLoops = namedtuple("_ErroredLoops", "theta_p delta phi bright")
+#: errored ratio angles, area excesses, total phases and bright states; two pulses on a leading axis, or one pulse
+_ErroredPulses = namedtuple("_ErroredPulses", "theta_p delta phi bright")
 
 
-def two_loop_gates(path: TwoLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredLoops]:
-    """(ideal, errored, loops): both two-loop gates U2 U1 from one bright-state, coupling and pulse call.
+def _pulse_pair_gates(rows, area: float, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
+    """(ideal, errored, pulses): gates U2 U1 of two pulses given as (theta, psi, phi) rows, from one pulse call.
 
-    The ideal loops (ratio angle theta, area exactly pi) ride along as point 0
-    of the flattened error axis.  ``errored`` has the grid's shape (..., 3, 3);
-    ``loops`` is the errored loops' record that :func:`holopath.analytic.fid2_relative` reads.
+    Each pulse is e^{i phi}|b><e| + h.c. at ``area``, the ideal riding along as point 0 of the flattened
+    error axis, the errored at theta' and (1 + delta) ``area``.  ``errored`` has the grid's shape (..., 3, 3).
     """
-    theta, psi, phi = _loop_angles(path, error.ndim)
+    theta, psi, phi = np.array(rows, dtype=float).T.reshape((3, 2) + (1,) * error.ndim)
     theta_p, delta = relative_error_angles(theta, error)
     thetas = np.concatenate([theta.reshape(2, 1), theta_p.reshape(2, -1)], axis=1)
     # one expression: a named area-excess stack kept alive across _pulse fragments the heap (+6% peak RSS, 100x100 grid)
-    areas = (1.0 + np.concatenate([np.zeros((2, 1)), delta.reshape(2, -1)], axis=1)) * np.pi
+    areas = (1.0 + np.concatenate([np.zeros((2, 1)), delta.reshape(2, -1)], axis=1)) * area
     bright = bright_dark(thetas, psi.reshape(2, 1))[0]
     pulses = _pulse(_bright_coupling(bright, phi.reshape(2, 1)), areas)
     gates = pulses[1] @ pulses[0]
-    loops = _ErroredLoops(theta_p, delta, phi, bright[:, 1:].reshape(theta_p.shape + (3,)))
-    return gates[0], gates[1:].reshape(theta_p.shape[1:] + (3, 3)), loops
+    record = _ErroredPulses(theta_p, delta, phi, bright[:, 1:].reshape(theta_p.shape + (3,)))
+    return gates[0], gates[1:].reshape(theta_p.shape[1:] + (3, 3)), record
+
+
+def two_loop_gates(path: TwoLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
+    """(ideal, errored, loops): both two-loop gates U2 U1, one pi-area pulse per loop; fid2_relative reads ``loops``."""
+    return _pulse_pair_gates([(loop.theta, loop.psi, loop.phi) for loop in (path.loop1, path.loop2)], np.pi, error)
 
 
 def two_loop_ideal(path: TwoLoopPath) -> np.ndarray:
@@ -370,18 +352,13 @@ def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray
     return two_loop_gates(path, error)[1]
 
 
-def single_loop_gates(path: SingleLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray]:
-    """(ideal, errored): both single-loop gates from one coupling generator and one pulse call.
+def single_loop_gates(path: SingleLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
+    """(ideal, errored, segments): both single-loop gates, two pi/2-area segments with a phase jump, any kappa.
 
-    Each gate is two segments with a phase jump, of area pi/2 for the ideal
-    (point 0 of the flattened error axis) and (1+eps)*pi/2 under a common
-    amplitude error.  ``errored`` has epsilon's shape (..., 3, 3).
+    The two-loop machinery at rows (theta, psi, phi) and (theta, psi, phi_prime): each segment is the
+    loop formula at the tilted theta' and area (1 + delta) pi/2.
     """
-    require_common_error(error, "single_loop_errored")
-    areas = (1.0 + np.append(0.0, error.epsilon)) * np.pi / 2
-    segments = _pulse(coupling_generator(path.theta, path.psi, np.array([[path.phi], [path.phi_prime]])), areas)
-    gates = segments[1] @ segments[0]
-    return gates[0], gates[1:].reshape(np.shape(error.epsilon) + (3, 3))
+    return _pulse_pair_gates([(path.theta, path.psi, phi) for phi in (path.phi, path.phi_prime)], np.pi / 2, error)
 
 
 def single_loop_ideal(path: SingleLoopPath) -> np.ndarray:
@@ -390,52 +367,47 @@ def single_loop_ideal(path: SingleLoopPath) -> np.ndarray:
 
 
 def single_loop_errored(path: SingleLoopPath, error: RabiError) -> np.ndarray:
-    """Single-loop gate under a common amplitude error (each segment has area (1+eps)*pi/2)."""
+    """Single-loop gate under drive errors (epsilon0, epsilon1), any kappa; see :func:`single_loop_gates`."""
     return single_loop_gates(path, error)[1]
 
 
-def single_shot_bright(path: SingleShotPath) -> np.ndarray:
-    """Bright state cos(alpha) e^{i beta0}|0> + sin(alpha) e^{i beta1}|1>."""
-    return (
-        np.cos(path.alpha) * np.exp(1j * path.beta0) * KET_0
-        + np.sin(path.alpha) * np.exp(1j * path.beta1) * KET_1
-    )
+def _single_shot_frame(bright, phase) -> tuple[np.ndarray, np.ndarray]:
+    """The projectors |b><b| and couplings e^{i phase}|b><e| + h.c. of a (..., 3) bright-state stack."""
+    return bright[..., :, None] * bright[..., None, :].conj(), _bright_coupling(bright, phase)
 
 
-def _single_shot_frame(path: SingleShotPath) -> tuple[np.ndarray, np.ndarray]:
-    """The bright-state projector |b><b| and the bright/excited coupling |b><e| + |e><b|."""
-    b = single_shot_bright(path)
-    return projector(b), np.outer(b, KET_E.conj()) + np.outer(KET_E, b.conj())
-
-
-def _error_operator(pb: np.ndarray, cross: np.ndarray, gamma: float, epsilon) -> tuple[float, np.ndarray]:
+def _error_operator(pb: np.ndarray, cross: np.ndarray, gamma: float, delta) -> tuple[float, np.ndarray]:
     """Normalized traceless rotation operator of the errored single-shot drive, given its frame.
 
-    ``pb, cross`` is the path's :func:`_single_shot_frame`.  Returns (lambda, sigma) with
-    lambda = hypot((1+eps) cos gamma, sin gamma); sigma squares to the bright/excited projector
-    and is traceless.  An array epsilon gives lambda of its shape and a (..., 3, 3) sigma.
+    ``pb, cross`` are a :func:`_single_shot_frame`, stacked to match an array delta.  Returns
+    (lambda, sigma) with lambda = hypot((1+delta) cos gamma, sin gamma); sigma squares to the
+    bright/excited projector and is traceless.
     """
     sg, cg = np.sin(gamma), np.cos(gamma)
-    drive = (1.0 + epsilon) * cg
+    drive = (1.0 + delta) * cg
     lam = np.hypot(drive, sg)
     sigma = (drive[..., None, None] * cross + sg * (PROJ_E - pb)) / lam[..., None, None]
     return lam, sigma
 
 
-def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarray, np.ndarray]:
-    """(ideal, errored): both single-shot gates from one bright-state frame, in closed form.
+def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
+    """(ideal, errored, pulse): both single-shot gates from one bright-state and one pulse call, any kappa.
 
-    Under an amplitude error on the Rabi couplings only, the errored gate is a
-    bright/excited phase times a rotation by lambda*pi about the tilted error
-    axis, identity on the dark state.  The acceptance suite compares each with the
-    oracle's exponential of the full single-shot Hamiltonian at area pi.
+    The drives tilt as a loop's do: the bright state is e^{i beta0} bright_dark(2 alpha', beta1 - beta0)
+    and its area excess delta, from relative_error_angles(2 alpha).  The errored gate is a bright/excited
+    phase times a rotation by lambda*pi about the tilted error axis, identity on the dark state.  The
+    acceptance suite compares both with the oracle's exponential of the full Hamiltonian at area pi.
     """
-    require_common_error(error, "single_shot_errored")
-    pb, cross = _single_shot_frame(path)
+    theta_p, delta = relative_error_angles(2.0 * path.alpha, error)
+    bright = bright_dark(np.append(2.0 * path.alpha, theta_p), path.beta1 - path.beta0)[0]
+    pb, cross = _single_shot_frame(bright, path.beta0)
     zeta = np.pi * (1.0 - np.sin(path.gamma))
-    ideal = np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
-    lam, sigma = _error_operator(pb, cross, path.gamma, error.epsilon)
-    return ideal, _pulse(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ _pulse(sigma, lam * np.pi)
+    ideal = np.exp(1j * zeta) * (PROJ_E + pb[0]) + (IDENTITY - PROJ_E - pb[0])
+    lam, sigma = _error_operator(pb[1:], cross[1:], path.gamma, np.ravel(delta))
+    areas = np.stack([np.full_like(lam, np.pi * np.sin(path.gamma)), lam * np.pi])
+    phase, rotation = _pulse(np.stack([PROJ_E + pb[1:], sigma]), areas)
+    record = _ErroredPulses(theta_p, delta, path.beta0, bright[1:].reshape(np.shape(delta) + (3,)))
+    return ideal, (phase @ rotation).reshape(np.shape(delta) + (3, 3)), record
 
 
 def single_shot_ideal(path: SingleShotPath) -> np.ndarray:
@@ -444,7 +416,7 @@ def single_shot_ideal(path: SingleShotPath) -> np.ndarray:
 
 
 def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
-    """Single-shot gate under an amplitude error on the Rabi couplings only; see :func:`single_shot_gates`."""
+    """Single-shot gate under drive errors (epsilon0, epsilon1), any kappa; see :func:`single_shot_gates`."""
     return single_shot_gates(path, error)[1]
 
 

@@ -1,10 +1,15 @@
 """Reference helpers the tests share; the library itself has no use for them."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from holopath import schemes
+from holopath.schemes import SingleLoopPath
 from holopath.linalg import (
     IDENTITY,
+    KET_0,
+    KET_1,
     PAULI_QUBIT,
     PROJ_E,
     ContractViolation,
@@ -101,27 +106,62 @@ def reference_quadratic_coefficient(samples) -> float:
     return float(coeff)
 
 
+def exact_quadratic_fit(samples) -> tuple[list, list, Fraction]:
+    """(u, g, c): extract_quadratic_coefficient's sign-averaged points and fit, in exact rational arithmetic.
+
+    Every float of ``samples`` is taken at its exact value, so c is the exact least-squares
+    intercept of g = c + s u through the points, with no rounding at all.  Valid samples only.
+    """
+    signs = {}
+    for e, f in samples:
+        signs.setdefault(abs(Fraction(e)), ([], []))[e < 0].append(Fraction(f))
+    u, g = [], []
+    for m, (plus, minus) in sorted(signs.items()):
+        u.append(m * m)
+        g.append((1 - (sum(plus) / len(plus) + sum(minus) / len(minus)) / 2) / u[-1])
+    u_mean, g_mean = sum(u) / len(u), sum(g) / len(g)
+    spread = sum((x - u_mean) ** 2 for x in u)
+    if not spread:
+        return u, g, g[0]
+    slope = sum((x - u_mean) * (y - g_mean) for x, y in zip(u, g)) / spread
+    return u, g, g_mean - slope * u_mean
+
+
 # --- separate ideal and errored constructors: the references for the stacked builders of holopath.schemes
 # Each builds one gate on its own, the ideal apart from the errored ones; the builders stack them
 # in one pass, and their slices must equal these bit for bit.
 
 
+def pulse_angles(path, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pulse's (theta, psi, phi) of a two-loop or single-loop path, as arrays of shape (2,) + (1,) * ndim."""
+    if isinstance(path, SingleLoopPath):
+        rows = [(path.theta, path.psi, phi) for phi in (path.phi, path.phi_prime)]
+    else:
+        rows = [(loop.theta, loop.psi, loop.phi) for loop in (path.loop1, path.loop2)]
+    theta, psi, phi = np.array(rows).T.reshape((3, 2) + (1,) * ndim)
+    return theta, psi, phi
+
+
 def reference_two_loop_ideal(path) -> np.ndarray:
-    loops = schemes._pulse(schemes.coupling_generator(*schemes._loop_angles(path, 0)), np.pi)
+    loops = schemes._pulse(schemes.coupling_generator(*pulse_angles(path, 0)), np.pi)
     return loops[1] @ loops[0]
 
 
 def reference_errored_loops(path, error) -> tuple:
-    """The errored loops' (theta_p, delta, phi, bright), from the errored angles alone."""
-    theta, psi, phi = schemes._loop_angles(path, error.ndim)
+    """The errored pulses' (theta_p, delta, phi, bright), from the errored angles alone."""
+    theta, psi, phi = pulse_angles(path, error.ndim)
     theta_p, delta = schemes.relative_error_angles(theta, error)
     return theta_p, delta, phi, schemes.bright_dark(theta_p, psi)[0]
 
 
-def reference_two_loop_errored_relative(path, error) -> np.ndarray:
+def reference_pulse_pair_errored(path, error, area) -> np.ndarray:
     _, delta, phi, bright = reference_errored_loops(path, error)
-    pulses = schemes._pulse(schemes._bright_coupling(bright, phi), (1.0 + delta) * np.pi)
+    pulses = schemes._pulse(schemes._bright_coupling(bright, phi), (1.0 + delta) * area)
     return pulses[1] @ pulses[0]
+
+
+def reference_two_loop_errored_relative(path, error) -> np.ndarray:
+    return reference_pulse_pair_errored(path, error, np.pi)
 
 
 def reference_single_loop_ideal(path) -> np.ndarray:
@@ -131,21 +171,28 @@ def reference_single_loop_ideal(path) -> np.ndarray:
 
 
 def reference_single_loop_errored(path, error) -> np.ndarray:
-    schemes.require_common_error(error, "single_loop_errored")
-    area = (1.0 + error.epsilon) * np.pi / 2
-    phases = np.array([path.phi, path.phi_prime]).reshape((2,) + (1,) * np.ndim(area))
-    segments = schemes._pulse(schemes.coupling_generator(path.theta, path.psi, phases), area)
-    return segments[1] @ segments[0]
+    return reference_pulse_pair_errored(path, error, np.pi / 2)
+
+
+def single_shot_bright(path) -> np.ndarray:
+    """Bright state cos(alpha) e^{i beta0}|0> + sin(alpha) e^{i beta1}|1> of a single-shot path."""
+    return np.cos(path.alpha) * np.exp(1j * path.beta0) * KET_0 + np.sin(path.alpha) * np.exp(1j * path.beta1) * KET_1
+
+
+def single_shot_frame(path, error) -> tuple:
+    """(theta_p, delta, |b><b|, e^{i beta0}|b><e| + h.c.) of the errored single-shot bright state."""
+    theta_p, delta = schemes.relative_error_angles(2.0 * path.alpha, error)
+    bright = schemes.bright_dark(theta_p, path.beta1 - path.beta0)[0]
+    return (theta_p, delta, *schemes._single_shot_frame(bright, path.beta0))
 
 
 def reference_single_shot_ideal(path) -> np.ndarray:
-    pb = projector(schemes.single_shot_bright(path))
+    pb = projector(schemes.bright_dark(2.0 * path.alpha, path.beta1 - path.beta0)[0])
     zeta = np.pi * (1.0 - np.sin(path.gamma))
     return np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
 
 
 def reference_single_shot_errored(path, error) -> np.ndarray:
-    schemes.require_common_error(error, "single_shot_errored")
-    pb, cross = schemes._single_shot_frame(path)
-    lam, sigma = schemes._error_operator(pb, cross, path.gamma, error.epsilon)
+    _, delta, pb, cross = single_shot_frame(path, error)
+    lam, sigma = schemes._error_operator(pb, cross, path.gamma, delta)
     return schemes._pulse(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ schemes._pulse(sigma, lam * np.pi)

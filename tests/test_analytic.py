@@ -1,9 +1,10 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holopath import analytic, schemes
@@ -38,7 +39,7 @@ from holopath.schemes import (
 )
 from holopath.verify import CUBIC_BOUND_CONSTANT
 
-from helpers import reference_quadratic_coefficient
+from helpers import exact_quadratic_fit, reference_quadratic_coefficient
 
 
 def unbalanced_fixture():
@@ -329,25 +330,31 @@ def fit_samples(draw):
     return draw(st.permutations(samples))
 
 
-def _extrapolation_scale(samples):
-    """sum |w_i g_i| for the fit c = sum w_i g_i over the magnitudes: |c| when no terms cancel."""
-    mags = sorted({abs(e) for e, _ in samples})
-    u = np.array([m * m for m in mags])
-    g = np.array(
-        [(1.0 - 0.5 * sum(np.mean([f for e, f in samples if e == s * m]) for s in (1, -1))) / (m * m) for m in mags]
-    )
+def _rounding_scale(u, g) -> float:
+    """First-order rounding sensitivity of extract_quadratic_coefficient at exact fit points (u, g).
+
+    Each sign-averaged 1 - F carries an absolute rounding error of order eps, so g_i = (1 - F)/u_i one
+    of order eps (|g_i| + 1/u_i), weighted by w_i in c = sum w_i g_i; the centered form g_mean - s u_mean
+    adds one of order eps |g_mean|, and eps u_max u_mean sum |g_i - g_mean| / spread from the rounded u_i.
+    """
+    u, g = np.array(u, dtype=float), np.array(g, dtype=float)
+    if u.size == 1:
+        return float(abs(g[0]) + 1.0 / u[0])
     du = u - u.mean()
-    w = 1.0 / u.size - (u.mean() * du / np.sum(du * du) if u.size > 1 else 0.0)
-    return float(np.sum(np.abs(w * g)))
+    spread = np.sum(du * du)
+    w = 1.0 / u.size - u.mean() * du / spread
+    centered = abs(g.mean()) + u.max() * u.mean() * np.sum(np.abs(g - g.mean())) / spread
+    return float(np.sum(np.abs(w) * (np.abs(g) + 1.0 / u)) + centered)
 
 
 @settings(max_examples=200, deadline=None)
 @given(samples=fit_samples())
+@example(samples=[(1e-4, 1.0), (-1e-4, 1.0), (0.1, 1.0), (-0.1, 0.5)])
 def test_extract_quadratic_matches_lstsq_reference(samples):
-    # relative to the terms of the extrapolation, as random fidelities can make them cancel
-    reference = reference_quadratic_coefficient(samples)
+    # the least-squares reference is exact, so the bound is the code's own rounding alone
+    u, g, exact = exact_quadratic_fit(samples)
     got = extract_quadratic_coefficient(samples)
-    assert abs(got - reference) <= 1e-13 * _extrapolation_scale(samples)
+    assert abs(Fraction(got) - exact) <= 1e-14 * _rounding_scale(u, g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -411,7 +418,9 @@ ANSWER_ERRORS = {
 }
 
 # float.hex of fidelity_pair's exact values, then its second-order values, for
-# each path and error above, as computed before the two-loop record was shared
+# each path and error above, as computed before the two-loop record was shared; five
+# single-loop and single-shot exact values moved by at most 3 ulp when those schemes
+# took the tilted (epsilon, kappa) error model
 PARENT_ANSWERS = {
     "two-loop": [
         [
@@ -453,7 +462,7 @@ PARENT_ANSWERS = {
     ],
     "single-loop": [
         [
-            ("0x1.fff169372fc98p-1", "0x1.fff168e88bdbap-1"),
+            ("0x1.fff169372fc99p-1", "0x1.fff168e88bdbap-1"),
             ("0x1.ff16dd22bd12bp-1", "0x1.ff168e88bdb9bp-1"),
             (
                 "0x1.ffc5a88c4e83bp-1", "0x1.ffffdaa62c5f3p-1", "0x1.ff7cc90d1be4bp-1", "0x1.ffc5a3a22f6e7p-1",
@@ -472,9 +481,9 @@ PARENT_ANSWERS = {
     "single-shot": [
         [
             ("0x1.ffe0ebbd43575p-1", "0x1.ffe0f737fe556p-1"),
-            ("0x1.fe13073366acdp-1", "0x1.fe0f737fe555dp-1"),
+            ("0x1.fe13073366ad3p-1", "0x1.fe0f737fe555dp-1"),
             (
-                "0x1.ff844652aa49bp-1", "0x1.ffffb08a4a49dp-1", "0x1.fee799d391269p-1", "0x1.ff83dcdff9557p-1",
+                "0x1.ff844652aa498p-1", "0x1.ffffb08a4a49dp-1", "0x1.fee799d391268p-1", "0x1.ff83dcdff9557p-1",
                 "0x1.ffffb08d5c24bp-1", "0x1.fee8b0f7f1004p-1",
             ),
         ],
@@ -482,7 +491,7 @@ PARENT_ANSWERS = {
             ("0x1.fff985c47d83fp-1", "0x1.fff98fd62bfe5p-1"),
             ("0x1.ff9b8f8dfcafbp-1", "0x1.ff98fd62bfe49p-1"),
             (
-                "0x1.ffe690f18cc2bp-1", "0x1.ffffef821d26cp-1", "0x1.ffc50116e6defp-1", "0x1.ffe63f58aff92p-1",
+                "0x1.ffe690f18cc27p-1", "0x1.ffffef821d26cp-1", "0x1.ffc50116e6defp-1", "0x1.ffe63f58aff92p-1",
                 "0x1.ffffef84b3a3dp-1", "0x1.ffc60e878bf09p-1",
             ),
         ],
@@ -526,15 +535,17 @@ def test_two_loop_fidelity_pair_builds_the_errored_loops_once(monkeypatch):
 
 
 def test_single_loop_fidelity_pair_builds_one_coupling_generator(monkeypatch):
-    calls = count_calls(monkeypatch, "coupling_generator", "_pulse")
-    fidelity_pair("single-loop", SingleLoopPath(0.7, 0.3, 1.1, 2.0), RabiError(0.01))
-    assert calls == {"coupling_generator": 1, "_pulse": 1}
+    calls = count_calls(monkeypatch, "bright_dark", "_bright_coupling", "_pulse")
+    fidelity_pair("single-loop", SingleLoopPath(0.7, 0.3, 1.1, 2.0), RabiError(0.01, 0.005))
+    # both segments, ideal and errored, in one pass
+    assert calls == {"bright_dark": 1, "_bright_coupling": 1, "_pulse": 1}
 
 
 def test_single_shot_fidelity_pair_builds_one_frame(monkeypatch):
-    calls = count_calls(monkeypatch, "_single_shot_frame", "single_shot_bright")
-    fidelity_pair("single-shot", SingleShotPath(0.4, 0.3, 1.2, 0.5), RabiError(0.01))
-    assert calls == {"_single_shot_frame": 1, "single_shot_bright": 1}
+    calls = count_calls(monkeypatch, "bright_dark", "_single_shot_frame", "_pulse")
+    fidelity_pair("single-shot", SingleShotPath(0.4, 0.3, 1.2, 0.5), RabiError(0.01, 0.005))
+    # the ideal bright state rides along with the errored one; both factors of the errored gate in one pulse call
+    assert calls == {"bright_dark": 1, "_single_shot_frame": 1, "_pulse": 1}
 
 
 def test_relative_error_breakdown_field_shapes_on_a_grid():
@@ -555,6 +566,24 @@ def test_fidelity_report_consistency():
     assert report.exact == pytest.approx(report.analytic2, abs=1e-6)
     assert report.quad_coeff_exact == pytest.approx(report.quad_coeff_analytic, rel=1e-3)
     assert report.quad_coeff_analytic == pytest.approx(f1(np.pi / 4) * np.pi**2 / 3, rel=1e-6)
+
+
+@pytest.mark.parametrize("theta_gate", [np.pi / 8, np.pi / 4, np.pi / 2 - 1e-3])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fidelity_report_pure_kappa_coefficients_agree(scheme, theta_gate):
+    path = SCHEMES[scheme].solve(TargetGate(theta_gate, np.ones(3)), PathConstraints())
+    report = fidelity_report(scheme, path, RabiError(0.0, 1e-2))
+    assert report.quad_coeff_exact == pytest.approx(report.quad_coeff_analytic, rel=1e-6)
+
+
+@pytest.mark.parametrize("scheme", ["single-loop", "single-shot"])
+def test_relative_error_second_order_cubic_bound_grid(scheme, rng):
+    # criterion 5's bound on the two-loop formula holds for the other schemes' (epsilon, kappa) formulas
+    eps, kappa = np.meshgrid(np.linspace(-0.02, 0.02, 10), np.linspace(-0.02, 0.02, 10), indexing="ij")
+    bound = CUBIC_BOUND_CONSTANT * (np.abs(eps) + np.abs(kappa)) ** 3
+    for _ in range(30):
+        exact, second_order = fidelity_pair(scheme, SCHEMES[scheme].random_path(rng), RabiError(eps, kappa))
+        assert np.all(np.abs(exact - second_order) <= bound)
 
 
 @pytest.mark.parametrize("error", [RabiError(np.array([0.01, 0.02])), RabiError(0.01, np.array([0.0, 0.01]))])

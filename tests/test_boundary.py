@@ -207,7 +207,7 @@ UNCHECKED = (
 )
 VALIDATORS = {
     "_in_range", "_phase", "RabiError", "TargetGate",
-    "require_common_error", "require_hermitian", "require_unitary",
+    "require_hermitian", "require_unitary",
 }
 
 
@@ -288,8 +288,8 @@ def test_oracle_shares_no_helper_of_the_closed_forms():
         if isinstance(node, ast.ImportFrom):
             assert not (node.level == 1 and node.module is None and "schemes" in {a.name for a in node.names})
     helpers = {
-        "relative_error_angles", "coupling_generator", "bright_dark", "_bright_coupling", "single_shot_bright",
-        "_single_shot_frame", "_error_operator", "require_common_error", "_pulse",
+        "relative_error_angles", "coupling_generator", "bright_dark", "_bright_coupling", "_single_shot_frame",
+        "_error_operator", "_pulse",
     }
     for name, node in _functions(oracle):
         assert not _reached_names(node) & helpers, (name, _reached_names(node) & helpers)

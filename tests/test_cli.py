@@ -100,12 +100,16 @@ def test_sweep_record_count_and_order(tmp_path):
     assert keys == sorted(keys)
 
 
-def test_sweep_kappa_rejected_for_single_loop(tmp_path):
+def test_sweep_kappa_accepted_for_single_loop(tmp_path):
+    out = tmp_path / "x.json"
     code = run(
         ["sweep", "--scheme", "single-loop", "--theta-gate", 0.25, "--axis", "1,0,0",
-         "--epsilon", "0.01", "--kappa", "0.001", "--out", tmp_path / "x.json"]
+         "--epsilon", "0.01", "--kappa", "0.001", "--out", out]
     )
-    assert code == 2
+    assert code == 0
+    (record,) = json.loads(out.read_text())
+    assert (record["epsilon"], record["kappa"]) == (0.01, 0.001)
+    assert 0.0 < record["fidelity_exact"] < 1.0
 
 
 def test_sweep_single_shot(tmp_path):
@@ -151,7 +155,11 @@ def test_sweep_grid_value_out_of_range(tmp_path, capsys, scheme, grid, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scheme, kappa", [("two-loop", "-0.02,0,0.013"), ("single-loop", "0"), ("single-shot", "0")])
+@pytest.mark.parametrize(
+    "scheme, kappa",
+    [("two-loop", "-0.02,0,0.013"), ("single-loop", "0"), ("single-shot", "0"),
+     ("single-loop", "-0.01,0,0.01"), ("single-shot", "-0.01,0,0.01")],
+)
 def test_sweep_records_equal_per_point_fidelity_pair(tmp_path, scheme, kappa):
     # the grid evaluation against the loop over its points, value for value, in json.dumps's bytes
     from holopath.schemes import LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath

@@ -7,10 +7,13 @@ them fails.  The oracle writes its own drives, so criterion 7 catches every
 mutant of the closed forms' error model.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from holopath import schemes, verify
+from holopath import pathfinder, schemes, verify
+from holopath.linalg import IDENTITY, KET_E
 
 _relative_error_angles = schemes.relative_error_angles
 _bright_coupling = schemes._bright_coupling
@@ -27,10 +30,21 @@ def _two_eps_squared_in_delta(theta, error):
     return theta_p, delta + 2.0 * error.epsilon**2
 
 
+def _coupling_without_hermitian_conjugate(bright, phi):
+    return np.exp(1j * phi)[..., None, None] * (bright[..., :, None] * KET_E.conj())
+
+
+def _pulse_without_second_order_term(generator, area):
+    return IDENTITY - 1j * np.sin(np.asarray(area, dtype=float)[..., None, None]) * generator
+
+
 MUTANTS = [
     ("kappa^2", "relative_error_angles", _kappa_squared_on_drive_1, {7}),
     ("+2 eps^2 in delta", "relative_error_angles", _two_eps_squared_in_delta, {5, 6, 7}),
     ("phi -> -phi", "_bright_coupling", lambda bright, phi: _bright_coupling(bright, -phi), {2, 4, 5, 6, 7, 8}),
+    # _pulse checks neither hermiticity nor G^3 = G: these two rows show the criteria catch either defect
+    ("no + h.c.", "_bright_coupling", _coupling_without_hermitian_conjugate, {2, 4, 5, 6, 7, 8}),
+    ("no (cos a - 1) G^2", "_pulse", _pulse_without_second_order_term, {5, 6, 7, 8}),
 ]
 
 
@@ -40,3 +54,12 @@ def test_mutant_fails_its_criteria(monkeypatch, name, target, replacement, crite
     results = [verify.ALL_CHECKS[n - 1](level="fast", seed=verify.DEFAULT_SEED) for n in sorted(criteria)]
     survivors = [result.line for result in results if result.passed]
     assert not survivors, (name, survivors)
+
+
+def test_criterion_8_fails_on_an_identity_solution(monkeypatch):
+    # an identity-like gate has no rotation axis: the round trip counts it as the largest axis error, pi
+    trivial = schemes.TwoLoopPath(schemes.LoopParams(0.0, 0.0, 0.0), schemes.LoopParams(0.0, 0.0, 0.0))
+    monkeypatch.setattr(pathfinder, "solve_two_loop", lambda target, constraints: SimpleNamespace(path=trivial))
+    result = verify.check_structural(level="fast", seed=verify.DEFAULT_SEED)
+    assert result.line.startswith("[FAIL] criterion-8 structural suite:")
+    assert "round trips=3.14e+00" in result.detail

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from holopath import oracle
-from holopath.linalg import IDENTITY, expm
+from holopath.linalg import IDENTITY, expm, gate_fidelity
 from holopath.oracle import (
     PulseEnvelope,
     Schedule,
@@ -22,11 +22,13 @@ from holopath.oracle import (
     schedule_for_single_shot,
     schedule_for_two_loop,
 )
+from holopath.pathfinder import solve_single_loop
 from holopath.schemes import (
     LoopParams,
     RabiError,
     SingleLoopPath,
     SingleShotPath,
+    TargetGate,
     TwoLoopPath,
     coupling_generator,
     relative_error_angles,
@@ -190,7 +192,8 @@ def test_propagate_matches_complex_exp_phase_product():
 
 
 def _whole_segment_propagate(schedule, steps):
-    # the one-product formula: every step's factor in one (3, steps) array, one np.prod per segment
+    # the one-product formula: every step's factor in one (3, steps) array, one np.prod per segment,
+    # then divided by its modulus once, as propagate does
     total = IDENTITY.copy()
     for seg in schedule.segments:
         h = seg.envelope.duration / steps
@@ -200,7 +203,8 @@ def _whole_segment_propagate(schedule, steps):
         factors = np.empty(angles.shape, dtype=complex)
         np.cos(angles, out=factors.real)
         np.sin(angles, out=factors.imag)
-        total = (vecs * np.prod(factors, axis=1).conj()) @ vecs.conj().T @ total
+        product = np.prod(factors, axis=1)
+        total = (vecs * (product / np.abs(product)).conj()) @ vecs.conj().T @ total
     return total
 
 
@@ -220,6 +224,16 @@ def test_blocked_propagate_equals_whole_segment_product_bit_for_bit(shape, steps
     # the running product carried between blocks multiplies every factor in step order
     schedule = _two_segment_schedule(shape)
     assert np.array_equal(propagate(schedule, steps), _whole_segment_propagate(schedule, steps))
+
+
+def test_square_envelope_oracle_gate_passes_the_unitarity_contract():
+    # 5e4 equal square-envelope factors round alike: without propagate's final division their modulus
+    # error compounds past linalg's 1e-12 unitarity contract, and gate_fidelity refuses the gate
+    rng = np.random.default_rng(7)
+    path = solve_single_loop(TargetGate(rng.uniform(0.1, np.pi / 2), rng.normal(size=3)))
+    gate = propagate(oracle.schedule_for_single_loop(path, RabiError(0.03), "square"), 50_000)
+    assert np.max(np.abs(gate.conj().T @ gate - IDENTITY)) <= 1e-13
+    assert gate_fidelity(single_loop_errored(path, RabiError(0.03)), gate) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_propagate_memory_is_bounded_by_the_block():

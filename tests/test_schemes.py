@@ -13,7 +13,6 @@ from holopath.linalg import (
     KET_1,
     KET_E,
     PROJ_E,
-    ContractViolation,
     expm,
     gate_fidelity,
     projector,
@@ -35,7 +34,15 @@ from holopath.schemes import (
     two_loop_ideal,
 )
 
-from helpers import bloch_vector, pauli_dot, projective_distance_qubit, qubit_rotation, single_shot_rabi_parameters
+from helpers import (
+    bloch_vector,
+    pauli_dot,
+    projective_distance_qubit,
+    qubit_rotation,
+    single_shot_bright,
+    single_shot_frame,
+    single_shot_rabi_parameters,
+)
 
 
 def random_two_loop(rng):
@@ -109,15 +116,20 @@ def _coupling(draw, stack):
     return schemes.coupling_generator(*(_floats(draw, stack, 0.0, hi) for hi in (np.pi, 2 * np.pi, 2 * np.pi)))
 
 
+def _errored_frame(draw, stack):
+    """A drawn single-shot path and its errored frame, one per drawn (epsilon, kappa) point."""
+    path = _single_shot_path(draw)
+    error = RabiError(_floats(draw, stack, -0.1, 0.1), _floats(draw, stack, -0.1, 0.1))
+    return path, single_shot_frame(path, error)
+
+
 def _bright_excited(draw, stack):
-    # single_shot_errored builds this projector for one path only, so stack is unused
-    return PROJ_E + projector(schemes.single_shot_bright(_single_shot_path(draw)))
+    return PROJ_E + _errored_frame(draw, stack)[1][2]
 
 
 def _sigma(draw, stack):
-    path = _single_shot_path(draw)
-    epsilon = _floats(draw, stack, -0.1, 0.1)
-    return schemes._error_operator(*schemes._single_shot_frame(path), path.gamma, epsilon)[1]
+    path, (_, delta, pb, cross) = _errored_frame(draw, stack)
+    return schemes._error_operator(pb, cross, path.gamma, delta)[1]
 
 
 #: every generator kind the gate constructors exponentiate, by name
@@ -149,8 +161,7 @@ def test_pulse_generators_satisfy_cube_identity(kind, data):
 
 
 def test_pulse_keeps_expm_contracts():
-    with pytest.raises(ContractViolation):
-        schemes._pulse(np.triu(np.ones((3, 3))), np.pi)
+    # _pulse trusts its generators' hermiticity; a non-Hermitian coupling is a row of test_mutants.py
     with pytest.raises(ValueError, match="area must be finite"):
         schemes._pulse(schemes.coupling_generator(1.0, 0.0, 0.0), np.array([np.pi, np.nan]))
 
@@ -323,9 +334,12 @@ def test_single_loop_zero_error_and_common_shift(rng):
         assert abs(f - f_ref) <= 1e-13
 
 
-def test_single_loop_rejects_relative_error():
-    with pytest.raises(ValueError):
-        single_loop_errored(SingleLoopPath(0.8, 0.3, 1.1, 0.0), RabiError(0.01, 0.001))
+def test_single_loop_relative_error_matches_oracle_limit(rng):
+    for _ in range(50):
+        path = SingleLoopPath(rng.uniform(0, np.pi), *rng.uniform(0, 2 * np.pi, 3))
+        error = RabiError(rng.uniform(-0.1, 0.1), rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.1))
+        limit = oracle.closed_form_limit(oracle.schedule_for_single_loop(path, error))
+        assert np.max(np.abs(single_loop_errored(path, error) - limit)) <= 1e-12
 
 
 # ---------------------------------------------------------------- single-shot
@@ -339,7 +353,7 @@ def test_single_shot_gamma_half_pi_is_identity():
 def test_single_shot_resonant_limit():
     # gamma = 0 is a resonant pi pulse: -|e><e| - |b><b| + |d><d|
     path = SingleShotPath(0.4, 0.2, 1.0, 0.0)
-    pb = projector(schemes.single_shot_bright(path))
+    pb = projector(single_shot_bright(path))
     expected = -PROJ_E - pb + (IDENTITY - PROJ_E - pb)
     np.testing.assert_allclose(single_shot_ideal(path), expected, atol=1e-12)
 
@@ -380,10 +394,10 @@ def test_single_shot_error_operator_properties(rng):
     for _ in range(100):
         path = SingleShotPath(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi),
                               rng.uniform(0, 2 * np.pi), rng.uniform(-np.pi / 2, np.pi / 2))
-        lam, sigma = schemes._error_operator(*schemes._single_shot_frame(path), path.gamma, rng.uniform(-0.1, 0.1))
+        _, delta, pb, cross = single_shot_frame(path, RabiError(*rng.uniform(-0.1, 0.1, 2)))
+        lam, sigma = schemes._error_operator(pb, cross, path.gamma, delta)
         assert lam > 0
         assert abs(np.trace(sigma)) <= 1e-12
-        pb = projector(schemes.single_shot_bright(path))
         np.testing.assert_allclose(sigma @ sigma, PROJ_E + pb, atol=1e-12)
 
 
@@ -403,9 +417,14 @@ def test_single_shot_zero_error_reduction(rng):
     assert np.max(np.abs(diff)) <= 1e-13
 
 
-def test_single_shot_rejects_relative_error():
-    with pytest.raises(ValueError):
-        single_shot_errored(SingleShotPath(0.4, 0.0, 0.9, 0.1), RabiError(0.01, 0.001))
+def test_single_shot_relative_error_matches_oracle_limit(rng):
+    for _ in range(50):
+        path = SingleShotPath(
+            rng.uniform(0, np.pi / 2), *rng.uniform(0, 2 * np.pi, 2), rng.uniform(-np.pi / 2, np.pi / 2)
+        )
+        error = RabiError(rng.uniform(-0.1, 0.1), rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.1))
+        limit = oracle.closed_form_limit(oracle.schedule_for_single_shot(path, error))
+        assert np.max(np.abs(single_shot_errored(path, error) - limit)) <= 1e-12
 
 
 def test_single_shot_rabi_parameters():
