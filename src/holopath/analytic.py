@@ -332,21 +332,39 @@ SCHEMES = {
 }
 
 
+#: error-grid points per block of fidelity_pair: a block's gate stacks are (2, _BLOCK_POINTS + 1, 3, 3),
+#: so the memory of a grid evaluation is bounded by the block, not by the grid
+_BLOCK_POINTS = 1024
+
+
 def fidelity_pair(scheme: str, path, error: RabiError):
     """Exact and second-order fidelity for one scheme/path/error point, from the scheme's :data:`SCHEMES` entry.
 
     For an error grid (array fields of ``error``) both are arrays of the
-    grid's shape.  A path of another scheme's type is refused with a
-    ValueError naming the type the scheme takes.  The built gates are unitary
-    by construction (criterion 8 checks it), so their unitarity is not rechecked.
+    grid's shape.  A grid of more than ``_BLOCK_POINTS`` points is flattened
+    and evaluated one block of that many points per builder call, so memory
+    is bounded by the block; every value still equals the one-point
+    evaluation bit for bit.  A path of another scheme's type is refused with
+    a ValueError naming the type the scheme takes.  The built gates are
+    unitary by construction (criterion 8 checks it), so their unitarity is
+    not rechecked.
     """
     entry = SCHEMES.get(scheme)
     if entry is None:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
     if not isinstance(path, entry.path_type):
         raise ValueError(f"scheme {scheme} takes a {entry.path_type.__name__}, got {type(path).__name__}")
-    ideal, errored, record = entry.build(path, error)
-    return _trace_fidelity(ideal, errored), entry.second_order(path, record)
+    grid = np.broadcast(error.epsilon, error.kappa)
+    if grid.size <= _BLOCK_POINTS:
+        ideal, errored, record = entry.build(path, error)
+        return _trace_fidelity(ideal, errored), entry.second_order(path, record)
+    epsilon, kappa = (np.broadcast_to(field, grid.shape).ravel() for field in (error.epsilon, error.kappa))
+    exact, second_order = np.empty(grid.size), np.empty(grid.size)
+    for start in range(0, grid.size, _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        ideal, errored, record = entry.build(path, RabiError(epsilon[block], kappa[block]))
+        exact[block], second_order[block] = _trace_fidelity(ideal, errored), entry.second_order(path, record)
+    return exact.reshape(grid.shape), second_order.reshape(grid.shape)
 
 
 #: error magnitudes of the symmetric +/- probe behind FidelityReport's quadratic coefficients

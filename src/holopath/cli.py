@@ -182,7 +182,7 @@ def cmd_sweep(opts: dict) -> int:
     # --phi-b and --balanced pin the two-loop gauge; the other solvers ignore them
     path = scheme.solve(target, PathConstraints(force_phi_b=opts["phi_b"] * np.pi, force_balanced=opts["balanced"]))
     params = scheme.params(path)
-    # the whole sorted grid, epsilon major, as one stacked evaluation
+    # the whole sorted grid, epsilon major, as one fidelity_pair call (which walks it in blocks)
     grid = RabiError(np.repeat(epsilons, len(kappas)), np.tile(kappas, len(epsilons)))
     exact, second_order = analytic.fidelity_pair(name, path, grid)
     columns = {
@@ -194,6 +194,10 @@ def cmd_sweep(opts: dict) -> int:
     }
     _write_sweep(name, params, columns, opts["out"])
     return EXIT_OK
+
+
+#: sweep records converted to Python floats at a time by _write_sweep
+_BLOCK_ROWS = 1024
 
 
 def _write_sweep(scheme: str, params: dict, columns: dict, out: str) -> None:
@@ -214,12 +218,14 @@ def _write_sweep(scheme: str, params: dict, columns: dict, out: str) -> None:
         '    "fidelity_exact": %r,\n    "kappa": %r,\n    "params": '
     )
     tail = f'{params_text},\n    "scheme": {json.dumps(scheme)}\n  }}'
-    rows = zip(*(columns[name].tolist() for name in sorted(columns)))
+    names = sorted(columns)
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
         separator = "[\n"
-        for row in rows:
-            handle.write(separator + head % row + tail)
-            separator = ",\n"
+        # Python floats for one block of rows at a time, not five whole columns of them
+        for start in range(0, len(columns[names[0]]), _BLOCK_ROWS):
+            for row in zip(*(columns[name][start : start + _BLOCK_ROWS].tolist() for name in names)):
+                handle.write(separator + head % row + tail)
+                separator = ",\n"
         handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 

@@ -58,8 +58,10 @@ def _circle_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = np.array([1.0, 0.0, 0.0])
     else:
         u = np.array([0.0, 0.0, 1.0]) - axis[2] * axis
-        u = u / np.linalg.norm(u)
-    return u, np.cross(axis, u)
+        u = u / np.sqrt(u.dot(u))  # what np.linalg.norm computes for a real vector, without its overhead
+    # axis x u by components, in np.cross's order of operations
+    (ax, ay, az), (ux, uy, uz) = axis.tolist(), u.tolist()
+    return u, np.array([ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux])
 
 
 def solve_two_loop(target: TargetGate, constraints: PathConstraints | None = None) -> TwoLoopSolution:

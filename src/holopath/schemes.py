@@ -286,7 +286,14 @@ def _pulse(generator, area) -> np.ndarray:
     a = np.asarray(area, dtype=float)[..., None, None]
     if not np.isfinite(a).all():
         raise ValueError(f"area must be finite, got {area!r}")
-    return IDENTITY - 1j * np.sin(a) * generator + (np.cos(a) - 1.0) * (generator @ generator)
+    # the sum above, operation for operation and so bit for bit, in place: three full stacks alive
+    # (generator, out, square), not five; square takes the broadcast shape of a and G to be scaled in place
+    out = 1j * np.sin(a) * generator
+    np.subtract(IDENTITY, out, out=out)
+    square = np.matmul(generator, generator, out=np.empty_like(out))
+    square *= np.cos(a) - 1.0
+    out += square
+    return out
 
 
 def relative_error_angles(theta, error: RabiError):
@@ -317,7 +324,6 @@ def _pulse_pair_gates(rows, area: float, error: RabiError) -> tuple[np.ndarray, 
     theta, psi, phi = np.array(rows, dtype=float).T.reshape((3, 2) + (1,) * error.ndim)
     theta_p, delta = relative_error_angles(theta, error)
     thetas = np.concatenate([theta.reshape(2, 1), theta_p.reshape(2, -1)], axis=1)
-    # one expression: a named area-excess stack kept alive across _pulse fragments the heap (+6% peak RSS, 100x100 grid)
     areas = (1.0 + np.concatenate([np.zeros((2, 1)), delta.reshape(2, -1)], axis=1)) * area
     bright = bright_dark(thetas, psi.reshape(2, 1))[0]
     pulses = _pulse(_bright_coupling(bright, phi.reshape(2, 1)), areas)

@@ -74,34 +74,44 @@ def check_figure1(level: str, seed: int) -> CheckResult:
     return _result("criterion-1 figure1", started, ok, detail)
 
 
-def _worst_coefficient_error(names) -> float:
-    """Largest relative error of the named schemes' exact quadratic coefficients against f_k * pi^2 / 3."""
-    worst = 0.0
+def _worst_coefficient_error(names) -> tuple[float, str]:
+    """Largest relative error of the named schemes' exact quadratic coefficients against f_k * pi^2 / 3.
+
+    A point whose fidelities the coefficient fit refuses counts as failed, with an error of inf; the
+    second value is then a detail fragment naming how many points were refused and the first refusal.
+    """
+    worst, refusals = 0.0, []
     for theta_gate in _THETA_GRID:
         target = TargetGate(theta_gate, _COEFF_AXIS)
         for name in names:
             scheme = analytic.SCHEMES[name]
             path = scheme.solve(target, PathConstraints())
-            coeff = analytic.fidelity_report(name, path, NO_ERROR).quad_coeff_exact
+            try:
+                coeff = analytic.fidelity_report(name, path, NO_ERROR).quad_coeff_exact
+            except ValueError as exc:
+                refusals.append(f"{name} at theta_gate={theta_gate:.4f}: {exc}")
+                worst = np.inf
+                continue
             worst = max(worst, abs(coeff / (scheme.shape(theta_gate) * np.pi**2 / 3.0) - 1.0))
-    return worst
+    total = len(_THETA_GRID) * len(names)
+    return worst, f", {len(refusals)} of {total} points refused, first {refusals[0]}" if refusals else ""
 
 
 def check_two_loop_coefficients(level: str, seed: int) -> CheckResult:
     """Criterion 2: exact two-loop quadratic coefficients vs f1 * pi^2 / 3 at phi_b = pi."""
     started = time.perf_counter()
-    worst = _worst_coefficient_error(("two-loop",))
+    worst, refused = _worst_coefficient_error(("two-loop",))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-3 and elapsed < 5.0
-    detail = f"max relative coefficient error={worst:.2e} (<=1e-3), runtime={elapsed:.2f} s (<5 s)"
+    detail = f"max relative coefficient error={worst:.2e} (<=1e-3){refused}, runtime={elapsed:.2f} s (<5 s)"
     return _result("criterion-2 two-loop coefficients", started, ok, detail)
 
 
 def check_other_scheme_coefficients(level: str, seed: int) -> CheckResult:
     """Criterion 3: single-loop and single-shot coefficients vs f2, f3 * pi^2 / 3."""
     started = time.perf_counter()
-    worst = _worst_coefficient_error(("single-loop", "single-shot"))
-    detail = f"max relative coefficient error={worst:.2e} (<=1e-3)"
+    worst, refused = _worst_coefficient_error(("single-loop", "single-shot"))
+    detail = f"max relative coefficient error={worst:.2e} (<=1e-3){refused}"
     return _result("criterion-3 single-loop/single-shot coefficients", started, worst <= 1e-3, detail)
 
 

@@ -228,6 +228,16 @@ def test_sweep_writer_bytes_equal_json_dump(tmp_path_factory, payload):
     assert out.read_bytes() == reference_sweep_bytes(scheme, params, columns)
 
 
+def test_sweep_writer_blocks_of_rows_equal_json_dump(tmp_path, monkeypatch, rng):
+    # seven records in blocks of three: two whole blocks and a partial one
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    params = dict.fromkeys(PARAM_KEYS["single-loop"], 0.25)
+    columns = {name: rng.uniform(-1.0, 1.0, 7) for name in SWEEP_COLUMNS}
+    out = tmp_path / "sweep.json"
+    cli._write_sweep("single-loop", params, columns, str(out))
+    assert out.read_bytes() == reference_sweep_bytes("single-loop", params, columns)
+
+
 @pytest.mark.parametrize("column, value", [("fidelity_exact", math.nan), ("fidelity_analytic2", math.inf)])
 def test_sweep_rejects_non_finite_column_and_writes_nothing(tmp_path, capsys, monkeypatch, column, value):
     real_pair = analytic.fidelity_pair

@@ -8,12 +8,14 @@ separate ideal and errored constructors (``helpers.reference_*``).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holopath import analytic
 from holopath.analytic import (
     RelativeErrorBreakdown,
     extract_quadratic_coefficient,
@@ -325,6 +327,32 @@ def test_empty_grid_gives_empty_arrays():
     path = TwoLoopPath(LoopParams(0.4, 0.1, 0.2), LoopParams(1.9, 2.0, 3.0))
     exact, second_order = fidelity_pair("two-loop", path, RabiError(np.zeros(0), np.zeros(0)))
     assert exact.shape == second_order.shape == (0,)
+
+
+@pytest.mark.parametrize("scheme", UNIFORM_PATHS)
+def test_blocked_grid_equals_loop(scheme, rng):
+    # more points than one block: fidelity_pair walks the flattened grid in blocks, the last one partial
+    block = analytic._BLOCK_POINTS
+    path = UNIFORM_PATHS[scheme](rng)
+    line = rng.uniform(-0.1, 0.1, block + 1)
+    assert_pair_equals_loop(scheme, path, line, np.asarray(rng.uniform(-0.1, 0.1)))
+    eps, kappa = rng.uniform(-0.1, 0.1, (37, 1)), rng.uniform(-0.1, 0.1, block // 37 + 5)
+    assert eps.size * kappa.size > block and eps.size * kappa.size % block
+    assert_pair_equals_loop(scheme, path, eps, kappa)
+
+
+@pytest.mark.parametrize("scheme", ["two-loop", "single-shot"])
+def test_grid_memory_is_bounded_by_the_block(scheme, rng):
+    path = UNIFORM_PATHS[scheme](rng)
+    error = RabiError(rng.uniform(-0.1, 0.1, (200, 1)), rng.uniform(-0.1, 0.1, 200))
+    tracemalloc.start()
+    try:
+        exact, _ = fidelity_pair(scheme, path, error)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exact.shape == (200, 200)
+    assert peak < 8_000_000, peak
 
 
 def test_stacked_reductions_match_scalar_builtins(rng):

@@ -43,8 +43,8 @@ MUTANTS = [
     ("+2 eps^2 in delta", "relative_error_angles", _two_eps_squared_in_delta, {5, 6, 7}),
     ("phi -> -phi", "_bright_coupling", lambda bright, phi: _bright_coupling(bright, -phi), {2, 4, 5, 6, 7, 8}),
     # _pulse checks neither hermiticity nor G^3 = G: these two rows show the criteria catch either defect
-    ("no + h.c.", "_bright_coupling", _coupling_without_hermitian_conjugate, {2, 4, 5, 6, 7, 8}),
-    ("no (cos a - 1) G^2", "_pulse", _pulse_without_second_order_term, {5, 6, 7, 8}),
+    ("no + h.c.", "_bright_coupling", _coupling_without_hermitian_conjugate, {2, 3, 4, 5, 6, 7, 8}),
+    ("no (cos a - 1) G^2", "_pulse", _pulse_without_second_order_term, {2, 3, 5, 6, 7, 8}),
 ]
 
 
@@ -63,3 +63,11 @@ def test_criterion_8_fails_on_an_identity_solution(monkeypatch):
     result = verify.check_structural(level="fast", seed=verify.DEFAULT_SEED)
     assert result.line.startswith("[FAIL] criterion-8 structural suite:")
     assert "round trips=3.14e+00" in result.detail
+
+
+def test_coefficient_criteria_name_the_refused_fit(monkeypatch):
+    # fidelities outside (0, 1] are refused by the fit: the point counts as failed, and the detail names it
+    monkeypatch.setattr(schemes, "_pulse", _pulse_without_second_order_term)
+    result = verify.check_two_loop_coefficients(level="fast", seed=verify.DEFAULT_SEED)
+    assert result.line.startswith("[FAIL] criterion-2 two-loop coefficients: max relative coefficient error=inf")
+    assert "4 of 4 points refused, first two-loop at theta_gate=0.3927: fidelities must lie in (0, 1]" in result.detail
