@@ -20,9 +20,7 @@ target = hp.TargetGate(np.pi / 3, [1, 1, 0])
 
 
 def kappa_derivative(path):
-    ideal = hp.two_loop_ideal(path)
-    f_plus = hp.gate_fidelity(ideal, hp.two_loop_errored_relative(path, hp.RabiError(eps, h)))
-    f_minus = hp.gate_fidelity(ideal, hp.two_loop_errored_relative(path, hp.RabiError(eps, -h)))
+    f_plus, f_minus = hp.fidelity_pair("two-loop", path, hp.RabiError(eps, np.array([h, -h])))[0]
     return (f_plus - f_minus) / (2 * h)
 
 
@@ -42,11 +40,11 @@ for name, path in (("balanced", balanced), ("unbalanced", unbalanced)):
 
 print("\nfidelity vs kappa at fixed eps (exact propagation):")
 print(f"{'kappa':>9} {'1 - F balanced':>15} {'1 - F unbalanced':>17}")
-for kappa in (-0.01, -0.005, 0.0, 0.005, 0.01):
-    err = hp.RabiError(eps, kappa)
-    f_bal = hp.gate_fidelity(hp.two_loop_ideal(balanced), hp.two_loop_errored_relative(balanced, err))
-    f_unb = hp.gate_fidelity(hp.two_loop_ideal(unbalanced), hp.two_loop_errored_relative(unbalanced, err))
-    print(f"{kappa:9.3f} {1 - f_bal:15.6e} {1 - f_unb:17.6e}")
+kappas = hp.RabiError(eps, np.array([-0.01, -0.005, 0.0, 0.005, 0.01]))
+f_bal = hp.fidelity_pair("two-loop", balanced, kappas)[0]
+f_unb = hp.fidelity_pair("two-loop", unbalanced, kappas)[0]
+for row in zip(kappas.kappa, 1 - f_bal, 1 - f_unb):
+    print("{:9.3f} {:15.6e} {:17.6e}".format(*row))
 
 print("\nthe balanced column is flat to first order in kappa; the unbalanced")
 print("column tilts linearly, trading fidelity for any drive imbalance.")

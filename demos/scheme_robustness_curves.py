@@ -74,7 +74,7 @@ for theta_gate in (np.pi / 4, np.pi / 2 - 1e-3):
         path = scheme.solve(target, hp.PathConstraints())
         ideal = scheme.build(path, hp.RabiError(0.0))[0]
         samples = [
-            (k, hp.gate_fidelity(ideal, hp.closed_form_limit(schedules[name](path, hp.RabiError(0.0, k)))))
+            (k, hp.gate_fidelity(ideal, hp.closed_form_limit(schedules[name](path, hp.RabiError(0.0, k), "square"))))
             for k in (1e-3, -1e-3, 1e-4, -1e-4)
         ]
         closed = hp.fidelity_report(name, path, pure_kappa).quad_coeff_analytic

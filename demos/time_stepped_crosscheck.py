@@ -27,16 +27,16 @@ path_sl = hp.solve_single_loop(target)
 path_ss = hp.solve_single_shot(target)
 
 cases = (
-    ("two-loop", hp.schedule_for_two_loop, path2, error, hp.two_loop_errored_relative(path2, error)),
-    ("single-loop", hp.schedule_for_single_loop, path_sl, error, hp.single_loop_errored(path_sl, error)),
-    ("single-shot", hp.schedule_for_single_shot, path_ss, error, hp.single_shot_errored(path_ss, error)),
+    ("two-loop", hp.schedule_for_two_loop, path2, hp.two_loop_gates(path2, error)[1]),
+    ("single-loop", hp.schedule_for_single_loop, path_sl, hp.single_loop_gates(path_sl, error)[1]),
+    ("single-shot", hp.schedule_for_single_shot, path_ss, hp.single_shot_gates(path_ss, error)[1]),
 )
 
 steps = 50_000
 print(f"time-stepped vs closed-form propagators at {steps} steps per pulse, {error}:")
-for name, builder, path, err, closed in cases:
+for name, builder, path, closed in cases:
     for shape in ("square", "sine-squared"):
-        schedule = builder(path, err, shape)
+        schedule = builder(path, error, shape)
         stepped = hp.propagate(schedule, steps)
         dev = np.max(np.abs(stepped - closed))
         print(f"  {name:28s} {shape:13s} max deviation = {dev:.2e}")
@@ -60,12 +60,13 @@ for shape in ("square", "sine-squared"):
 # forms tilt each pulse's ratio angle and scale its area.  Both model kappa.
 print(f"\ngate fidelity at eps = {error.epsilon}, oracle (square, {steps} steps per pulse) / closed form:")
 print(f"  {'scheme':12s}{'kappa = 0':>30s}{f'kappa = {error.kappa}':>30s}")
-for name, builder, path, ideal, closed_form in (
-    ("single-loop", hp.schedule_for_single_loop, path_sl, hp.single_loop_ideal(path_sl), hp.single_loop_errored),
-    ("single-shot", hp.schedule_for_single_shot, path_ss, hp.single_shot_ideal(path_ss), hp.single_shot_errored),
+for name, builder, path, gates in (
+    ("single-loop", hp.schedule_for_single_loop, path_sl, hp.single_loop_gates),
+    ("single-shot", hp.schedule_for_single_shot, path_ss, hp.single_shot_gates),
 ):
     line = f"  {name:12s}"
     for err in (common, error):
+        ideal, closed = gates(path, err)[:2]
         oracle_f = hp.gate_fidelity(ideal, hp.propagate(builder(path, err, "square"), steps))
-        line += f" {oracle_f:14.10f} {hp.gate_fidelity(ideal, closed_form(path, err)):14.10f}"
+        line += f" {oracle_f:14.10f} {hp.gate_fidelity(ideal, closed):14.10f}"
     print(line)

@@ -26,7 +26,7 @@ for offset in np.linspace(0.0, 2 * np.pi, 48, endpoint=False):
     loop2 = hp.LoopParams(base.loop2.theta, base.loop2.psi, base.loop2.phi + offset)
     path = hp.TwoLoopPath(base.loop1, loop2)
     dec = hp.phi_b_of(path)
-    exact = hp.gate_fidelity(hp.two_loop_ideal(path), hp.two_loop_errored_relative(path, hp.RabiError(eps)))
+    exact = hp.fidelity_pair("two-loop", path, hp.RabiError(eps))[0]
     approx = hp.fid2_two_loop(dec.eta, dec.phi_b, eps)
     rows.append((dec.phi_b, 1 - exact, 1 - approx))
 rows.sort()
@@ -42,8 +42,8 @@ path_worst = hp.solve_two_loop(target, hp.PathConstraints(force_phi_b=0.0)).path
 print(f"{'epsilon':>9} {'1 - F (phi_b = pi)':>19} {'1 - F (phi_b = 0)':>18} {'ratio':>7}")
 for e in (1e-3, 3e-3, 1e-2, 3e-2):
     error = hp.RabiError(e)
-    f_best = hp.gate_fidelity(hp.two_loop_ideal(path_best), hp.two_loop_errored_relative(path_best, error))
-    f_worst = hp.gate_fidelity(hp.two_loop_ideal(path_worst), hp.two_loop_errored_relative(path_worst, error))
+    f_best = hp.fidelity_pair("two-loop", path_best, error)[0]
+    f_worst = hp.fidelity_pair("two-loop", path_worst, error)[0]
     print(f"{e:9.0e} {1 - f_best:19.3e} {1 - f_worst:18.3e} {(1 - f_worst) / (1 - f_best):7.1f}")
 
 # And the punchline of the comparison: a phi_b = 0 two-loop path is *worse*

@@ -20,8 +20,6 @@ from .analytic import (
     f2,
     f3,
     fid2_relative,
-    fid2_single_loop,
-    fid2_single_shot,
     fid2_two_loop,
     fidelity_pair,
     fidelity_report,
@@ -62,12 +60,9 @@ from .schemes import (
     TargetGate,
     TwoLoopPath,
     phi_b_of,
-    single_loop_errored,
-    single_loop_ideal,
-    single_shot_errored,
-    single_shot_ideal,
-    two_loop_errored_relative,
-    two_loop_ideal,
+    single_loop_gates,
+    single_shot_gates,
+    two_loop_gates,
 )
 
 __version__ = "0.1.0"
@@ -98,8 +93,6 @@ __all__ = [
     "f2",
     "f3",
     "fid2_relative",
-    "fid2_single_loop",
-    "fid2_single_shot",
     "fid2_two_loop",
     "fidelity_pair",
     "fidelity_report",
@@ -113,13 +106,10 @@ __all__ = [
     "schedule_for_single_loop",
     "schedule_for_single_shot",
     "schedule_for_two_loop",
-    "single_loop_errored",
-    "single_loop_ideal",
-    "single_shot_errored",
-    "single_shot_ideal",
+    "single_loop_gates",
+    "single_shot_gates",
     "solve_single_loop",
     "solve_single_shot",
     "solve_two_loop",
-    "two_loop_errored_relative",
-    "two_loop_ideal",
+    "two_loop_gates",
 ]

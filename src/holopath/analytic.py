@@ -84,18 +84,6 @@ def fid2_two_loop(eta: float, phi_b: float, epsilon: float) -> float:
     return 1.0 - quad_coeff_two_loop(eta, phi_b) * e * e
 
 
-def fid2_single_loop(phase_diff: float, epsilon: float) -> float:
-    """Second-order single-loop fidelity 1 - (1/6)(1 + cos(phi - phi')) pi^2 eps^2."""
-    e = RabiError(epsilon).epsilon
-    return 1.0 - quad_coeff_single_loop(phase_diff) * e * e
-
-
-def fid2_single_shot(gamma: float, epsilon: float) -> float:
-    """Second-order single-shot fidelity 1 - (1/3) pi^2 eps^2 cos^4(gamma)."""
-    e = RabiError(epsilon).epsilon
-    return 1.0 - quad_coeff_single_shot(gamma) * e * e
-
-
 @dataclass(frozen=True, eq=False)
 class RelativeErrorBreakdown:
     """Intermediate quantities of the two-loop relative-error fidelity.

@@ -66,12 +66,6 @@ def require_unitary(matrix, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def projector(ket) -> np.ndarray:
-    """Rank-one projector |k><k| of a length-3 amplitude vector."""
-    k = np.asarray(ket, dtype=complex)
-    return np.outer(k, k.conj())
-
-
 def expm(generator, angle) -> np.ndarray:
     """Unitary propagator exp(-1j * angle * generator) of a Hermitian generator.
 

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import IDENTITY, expm, require_hermitian
-from .schemes import NO_ERROR, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
+from .schemes import RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 
 #: area of each unit-amplitude shape over [0, T], in units of T
 _UNIT_AREA = {"square": 1.0, "sine": 2.0 / np.pi, "sine-squared": 0.5}
@@ -219,29 +219,23 @@ def _drive_pulse(shape: str, area: float, error: RabiError, rabi, mixing, phases
     return ScheduleSegment(PulseEnvelope(shape, _PULSE_DURATION, area), generator)
 
 
-def schedule_for_two_loop(path: TwoLoopPath, error: RabiError | None = None, shape: str = "square") -> Schedule:
+def schedule_for_two_loop(path: TwoLoopPath, error: RabiError, shape: str) -> Schedule:
     """One pi-area pulse per loop, drives cos(theta/2) e^{i phi}, sin(theta/2) e^{i (phi + psi)}; any kappa."""
-    err = error or NO_ERROR
     loops = ((lp.theta / 2, (lp.phi, lp.phi + lp.psi)) for lp in (path.loop1, path.loop2))
-    return Schedule(tuple(_drive_pulse(shape, np.pi, err, 1.0, half, pair, 0.0) for half, pair in loops))
+    return Schedule(tuple(_drive_pulse(shape, np.pi, error, 1.0, half, pair, 0.0) for half, pair in loops))
 
 
-def schedule_for_single_loop(
-    path: SingleLoopPath, error: RabiError | None = None, shape: str = "square"
-) -> Schedule:
+def schedule_for_single_loop(path: SingleLoopPath, error: RabiError, shape: str) -> Schedule:
     """Two pi/2-area pulses as in :func:`schedule_for_two_loop`, at total phases phi then phi_prime; any kappa."""
-    err, half = error or NO_ERROR, path.theta / 2
     phases = ((phi, phi + path.psi) for phi in (path.phi, path.phi_prime))
-    return Schedule(tuple(_drive_pulse(shape, np.pi / 2, err, 1.0, half, pair, 0.0) for pair in phases))
+    return Schedule(tuple(_drive_pulse(shape, np.pi / 2, error, 1.0, path.theta / 2, pair, 0.0) for pair in phases))
 
 
-def schedule_for_single_shot(
-    path: SingleShotPath, error: RabiError | None = None, shape: str = "square"
-) -> Schedule:
+def schedule_for_single_shot(path: SingleShotPath, error: RabiError, shape: str) -> Schedule:
     """One pi-area pulse, drives cos(gamma) cos(alpha) e^{i beta0}, cos(gamma) sin(alpha) e^{i beta1}; any kappa.
 
     The |e><e| term 2 sin(gamma) is a detuning, which the amplitude error leaves exact.
     """
-    err, phases = error or NO_ERROR, (path.beta0, path.beta1)
-    pulse = _drive_pulse(shape, np.pi, err, np.cos(path.gamma), path.alpha, phases, 2.0 * np.sin(path.gamma))
+    phases = (path.beta0, path.beta1)
+    pulse = _drive_pulse(shape, np.pi, error, np.cos(path.gamma), path.alpha, phases, 2.0 * np.sin(path.gamma))
     return Schedule((pulse,))

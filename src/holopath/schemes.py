@@ -14,10 +14,10 @@ whose fields are arrays is an error grid.  Each scheme's builder
 (:func:`two_loop_gates`, :func:`single_loop_gates`, :func:`single_shot_gates`)
 makes the ideal gate, the errored gates of a whole grid and the record its
 second-order formula reads in one stacked pass: the ideal bright state rides
-along as one extra leading point of the flattened error axis.  The ideal and
-errored constructors are slices of it.  Pulse areas are enforced exactly (pi
-per two-loop loop, pi/2 per single-loop segment, total area pi for the
-single-shot pulse); time stepping lives in :mod:`holopath.oracle`.
+along as one extra leading point of the flattened error axis.  Pulse areas
+are enforced exactly (pi per two-loop loop, pi/2 per single-loop segment,
+total area pi for the single-shot pulse); time stepping lives in
+:mod:`holopath.oracle`.
 """
 
 from __future__ import annotations
@@ -193,10 +193,10 @@ class RabiError:
     magnitude; the perturbative analysis assumes small fractions.
 
     Either field may be a float array, and the two broadcast against each
-    other: such an instance is an error grid, and every errored
-    constructor and second-order formula then returns one value per grid
-    point.  The cap is checked per point; the first failing point is
-    named, epsilon before kappa.  A grid instance holds arrays: it is not
+    other: such an instance is an error grid, and every builder's errored
+    gates and second-order formula then hold one value per grid point.
+    The cap is checked per point; the first failing point is named,
+    epsilon before kappa.  A grid instance holds arrays: it is not
     hashable, and == between two grids raises as it does between arrays.
     """
 
@@ -262,14 +262,6 @@ def bright_dark(theta, psi) -> tuple[np.ndarray, np.ndarray]:
     return b, d
 
 
-def coupling_generator(theta, psi, phi) -> np.ndarray:
-    """Hamiltonian structure e^{i phi}|b><e| + h.c. with the envelope taken out.
-
-    Array angles broadcast to a (..., 3, 3) stack.
-    """
-    return _bright_coupling(bright_dark(theta, psi)[0], phi)
-
-
 def _bright_coupling(bright, phi) -> np.ndarray:
     """e^{i phi}|b><e| + h.c. for bright states of shape (..., 3); phi broadcasts against (...)."""
     half = np.exp(1j * phi)[..., None, None] * (bright[..., :, None] * KET_E.conj())
@@ -333,27 +325,22 @@ def _pulse_pair_gates(rows, area: float, error: RabiError) -> tuple[np.ndarray, 
 
 
 def two_loop_gates(path: TwoLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
-    """(ideal, errored, loops): both two-loop gates U2 U1, one pi-area pulse per loop; fid2_relative reads ``loops``."""
+    """(ideal, errored, loops): both two-loop gates U2 U1, one pi-area pulse per loop; fid2_relative reads ``loops``.
+
+    Each ideal loop is -|e><e| - n_k.sigma, so the ideal gate's logical block equals
+    (n1.n2) I - 1j (n1 x n2).sigma, a rotation by twice the angle between the two loop Bloch vectors,
+    independent of the total phases phi1, phi2.  Under drive errors each loop is one exponential of
+    its errored coupling (ratio angle theta') at area pi (1 + delta), see :func:`relative_error_angles`;
+    at kappa = 0, theta' = theta and delta = epsilon.
+    """
     return _pulse_pair_gates([(loop.theta, loop.psi, loop.phi) for loop in (path.loop1, path.loop2)], np.pi, error)
 
 
-def two_loop_ideal(path: TwoLoopPath) -> np.ndarray:
-    """Ideal two-loop gate U = U2 U1, each loop a pi-area pulse: -|e><e| - n.sigma.
-
-    The logical block equals (n1.n2) I - 1j (n1 x n2).sigma, a rotation by
-    twice the angle between the two loop Bloch vectors; it is independent
-    of the total phases phi1, phi2.
-    """
-    return two_loop_gates(path, NO_ERROR)[0]
-
-
 def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray:
-    """Two-loop gate under drive error fractions (epsilon0, epsilon1), any kappa.
+    """``two_loop_gates(path, error)[1]``.
 
-    Each loop is one exponential of its errored coupling (ratio angle
-    theta_prime) at area pi*(1+delta); see :func:`relative_error_angles`.
-    At kappa = 0 this is the common-error gate: theta_prime = theta and
-    delta = epsilon.  An error grid gives a (..., 3, 3) stack.
+    Not exported by :mod:`holopath`; it stays here only because the benchmark's oracle-crosscheck
+    workload (``benchmarks/workloads.py``) calls it by name, as it does the other two errored views.
     """
     return two_loop_gates(path, error)[1]
 
@@ -367,13 +354,8 @@ def single_loop_gates(path: SingleLoopPath, error: RabiError) -> tuple[np.ndarra
     return _pulse_pair_gates([(path.theta, path.psi, phi) for phi in (path.phi, path.phi_prime)], np.pi / 2, error)
 
 
-def single_loop_ideal(path: SingleLoopPath) -> np.ndarray:
-    """Single-loop multiple-pulse gate: two pi/2-area segments with a phase jump."""
-    return single_loop_gates(path, NO_ERROR)[0]
-
-
 def single_loop_errored(path: SingleLoopPath, error: RabiError) -> np.ndarray:
-    """Single-loop gate under drive errors (epsilon0, epsilon1), any kappa; see :func:`single_loop_gates`."""
+    """``single_loop_gates(path, error)[1]``; kept for the benchmark, see :func:`two_loop_errored_relative`."""
     return single_loop_gates(path, error)[1]
 
 
@@ -399,7 +381,8 @@ def _error_operator(pb: np.ndarray, cross: np.ndarray, gamma: float, delta) -> t
 def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
     """(ideal, errored, pulse): both single-shot gates from one bright-state and one pulse call, any kappa.
 
-    The drives tilt as a loop's do: the bright state is e^{i beta0} bright_dark(2 alpha', beta1 - beta0)
+    The ideal gate is e^{i zeta}(|e><e| + |b><b|) + |d><d|, zeta = pi (1 - sin gamma).  Under drive errors
+    the drives tilt as a loop's do: the bright state is e^{i beta0} bright_dark(2 alpha', beta1 - beta0)
     and its area excess delta, from relative_error_angles(2 alpha).  The errored gate is a bright/excited
     phase times a rotation by lambda*pi about the tilted error axis, identity on the dark state.  The
     acceptance suite compares both with the oracle's exponential of the full Hamiltonian at area pi.
@@ -416,13 +399,8 @@ def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarra
     return ideal, (phase @ rotation).reshape(np.shape(delta) + (3, 3)), record
 
 
-def single_shot_ideal(path: SingleShotPath) -> np.ndarray:
-    """Ideal single-shot gate e^{i zeta}(|e><e| + |b><b|) + |d><d|, zeta = pi(1 - sin gamma)."""
-    return single_shot_gates(path, NO_ERROR)[0]
-
-
 def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
-    """Single-shot gate under drive errors (epsilon0, epsilon1), any kappa; see :func:`single_shot_gates`."""
+    """``single_shot_gates(path, error)[1]``; kept for the benchmark, see :func:`two_loop_errored_relative`."""
     return single_shot_gates(path, error)[1]
 
 

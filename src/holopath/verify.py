@@ -268,12 +268,13 @@ def check_structural(level: str, seed: int) -> CheckResult:
         # the single-shot closed forms against the exponential of the oracle's full Hamiltonian
         path_ss, ideal_ss, errored_ss = built["single-shot"]
         for error, gate in zip((NO_ERROR, RabiError(eps), RabiError(eps, kappa)), (ideal_ss, *errored_ss)):
-            direct = oracle.closed_form_limit(oracle.schedule_for_single_shot(path_ss, error))
+            direct = oracle.closed_form_limit(oracle.schedule_for_single_shot(path_ss, error, "square"))
             worst_closed = max(worst_closed, float(np.max(np.abs(gate - direct))))
 
     worst_gauge = 0.0
     path2 = analytic.SCHEMES["two-loop"].random_path(rng)
-    ideal2 = schemes.two_loop_ideal(path2)
+    build2 = analytic.SCHEMES["two-loop"].build
+    ideal2 = build2(path2, NO_ERROR)[0]
     fid2 = analytic.fidelity_pair("two-loop", path2, RabiError(1e-2))[0]
     path_sl = SingleLoopPath(0.8, 0.3, 1.1, 0.0)
     fid_sl = analytic.fidelity_pair("single-loop", path_sl, RabiError(1e-2))[0]
@@ -282,7 +283,7 @@ def check_structural(level: str, seed: int) -> CheckResult:
             LoopParams(path2.loop1.theta, path2.loop1.psi, path2.loop1.phi + 1.3 * shift),
             LoopParams(path2.loop2.theta, path2.loop2.psi, path2.loop2.phi + 0.7 * shift),
         )
-        worst_gauge = max(worst_gauge, float(np.max(np.abs(schemes.two_loop_ideal(shifted) - ideal2))))
+        worst_gauge = max(worst_gauge, float(np.max(np.abs(build2(shifted, NO_ERROR)[0] - ideal2))))
         common = TwoLoopPath(
             LoopParams(path2.loop1.theta, path2.loop1.psi, path2.loop1.phi + shift),
             LoopParams(path2.loop2.theta, path2.loop2.psi, path2.loop2.phi + shift),

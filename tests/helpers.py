@@ -14,7 +14,6 @@ from holopath.linalg import (
     PROJ_E,
     ContractViolation,
     is_block_diagonal,
-    projector,
     require_unitary,
 )
 
@@ -37,6 +36,20 @@ def qubit_rotation(theta_gate: float, axis) -> np.ndarray:
     n = np.asarray(axis, dtype=float)
     ns = n[0] * PAULI_QUBIT[0] + n[1] * PAULI_QUBIT[1] + n[2] * PAULI_QUBIT[2]
     return np.cos(theta_gate) * np.eye(2) + 1j * np.sin(theta_gate) * ns
+
+
+def projector(ket) -> np.ndarray:
+    """Rank-one projector |k><k| of a length-3 amplitude vector."""
+    k = np.asarray(ket, dtype=complex)
+    return np.outer(k, k.conj())
+
+
+def coupling_generator(theta, psi, phi) -> np.ndarray:
+    """Hamiltonian structure e^{i phi}|b><e| + h.c. with the envelope taken out.
+
+    Array angles broadcast to a (..., 3, 3) stack.
+    """
+    return schemes._bright_coupling(schemes.bright_dark(theta, psi)[0], phi)
 
 
 def bloch_vector(theta: float, psi: float) -> np.ndarray:
@@ -143,7 +156,7 @@ def pulse_angles(path, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def reference_two_loop_ideal(path) -> np.ndarray:
-    loops = schemes._pulse(schemes.coupling_generator(*pulse_angles(path, 0)), np.pi)
+    loops = schemes._pulse(coupling_generator(*pulse_angles(path, 0)), np.pi)
     return loops[1] @ loops[0]
 
 
@@ -166,7 +179,7 @@ def reference_two_loop_errored_relative(path, error) -> np.ndarray:
 
 def reference_single_loop_ideal(path) -> np.ndarray:
     phases = np.array([path.phi, path.phi_prime])
-    segments = schemes._pulse(schemes.coupling_generator(path.theta, path.psi, phases), np.pi / 2)
+    segments = schemes._pulse(coupling_generator(path.theta, path.psi, phases), np.pi / 2)
     return segments[1] @ segments[0]
 
 

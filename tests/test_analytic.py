@@ -18,8 +18,6 @@ from holopath.analytic import (
     f2,
     f3,
     fid2_relative,
-    fid2_single_loop,
-    fid2_single_shot,
     fid2_two_loop,
     fidelity_pair,
     fidelity_report,
@@ -27,6 +25,7 @@ from holopath.analytic import (
 from holopath.linalg import gate_fidelity
 from holopath.pathfinder import PathConstraints, solve_single_shot, solve_two_loop
 from holopath.schemes import (
+    NO_ERROR,
     LoopParams,
     RabiError,
     SingleLoopPath,
@@ -34,8 +33,8 @@ from holopath.schemes import (
     TwoLoopPath,
     bright_dark,
     phi_b_of,
-    two_loop_errored_relative,
-    two_loop_ideal,
+    single_shot_gates,
+    two_loop_gates,
 )
 from holopath.verify import CUBIC_BOUND_CONSTANT
 
@@ -114,23 +113,33 @@ def test_fid2_two_loop_values():
     assert fid2_two_loop(np.pi / 2, 0.0, 1e-2) == pytest.approx(0.99887686, abs=1e-7)
 
 
+def single_loop_second_order(phase_diff, epsilon):
+    """fidelity_pair's single-loop second order at (epsilon, kappa = 0), on a path with that phase jump."""
+    return fidelity_pair("single-loop", SingleLoopPath(0.9, 0.4, phase_diff, 0.0), RabiError(epsilon))[1]
+
+
+def single_shot_second_order(gamma, epsilon):
+    """fidelity_pair's single-shot second order at (epsilon, kappa = 0), on a path with that gamma."""
+    return fidelity_pair("single-shot", SingleShotPath(0.6, 0.2, 1.3, gamma), RabiError(epsilon))[1]
+
+
 def test_fid2_single_loop_values():
-    assert fid2_single_loop(0.3, 0.0) == 1.0
-    assert fid2_single_loop(np.pi, 0.05) == pytest.approx(1.0, abs=1e-15)
-    assert fid2_single_loop(0.0, 1e-2) == pytest.approx(0.999671013186630, abs=1e-15)
-    assert fid2_single_loop(0.0, 1e-2) == pytest.approx(0.99967101, abs=1e-8)
+    assert single_loop_second_order(0.3, 0.0) == 1.0
+    assert single_loop_second_order(np.pi, 0.05) == pytest.approx(1.0, abs=1e-15)
+    assert single_loop_second_order(0.0, 1e-2) == pytest.approx(0.999671013186630, abs=1e-15)
+    assert single_loop_second_order(0.0, 1e-2) == pytest.approx(0.99967101, abs=1e-8)
 
 
 def test_fid2_single_shot_values():
-    assert fid2_single_shot(np.pi / 2, 0.05) == pytest.approx(1.0, abs=1e-15)
-    assert fid2_single_shot(0.0, 1e-2) == pytest.approx(0.999671013186630, abs=1e-15)
+    assert single_shot_second_order(np.pi / 2, 0.05) == pytest.approx(1.0, abs=1e-15)
+    assert single_shot_second_order(0.0, 1e-2) == pytest.approx(0.999671013186630, abs=1e-15)
 
 
 def test_fid2_single_shot_rotation_angle_identity():
     # cos^4(gamma) = 16 t^2 (1 - t/pi)^2 / pi^2 when sin(gamma) = 1 - 2 t / pi
     for theta_gate in np.linspace(0.0, np.pi / 2, 50):
         gamma = np.arcsin(1 - 2 * theta_gate / np.pi)
-        lhs = fid2_single_shot(gamma, 0.03)
+        lhs = single_shot_second_order(gamma, 0.03)
         rhs = 1 - (16 / 3) * theta_gate**2 * (1 - theta_gate / np.pi) ** 2 * 0.03**2
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
@@ -138,10 +147,11 @@ def test_fid2_single_shot_rotation_angle_identity():
 def test_fid2_epsilon_domain():
     with pytest.raises(ValueError):
         fid2_two_loop(1.0, np.pi, 0.2)
+    # the single-loop and single-shot second orders take a RabiError, which holds the cap
     with pytest.raises(ValueError):
-        fid2_single_loop(1.0, -0.2)
+        single_loop_second_order(1.0, -0.2)
     with pytest.raises(ValueError):
-        fid2_single_shot(1.0, 0.11)
+        single_shot_second_order(1.0, 0.11)
 
 
 # ------------------------------------------------------------- fid2_relative
@@ -181,10 +191,7 @@ def test_fid2_relative_regression_fixture():
     breakdown, fid = fid2_relative(unbalanced_fixture(), RabiError(1e-2, 5e-3))
     assert fid == pytest.approx(0.999682496088484, abs=1e-12)
     assert not breakdown.degenerate
-    exact = gate_fidelity(
-        two_loop_ideal(unbalanced_fixture()),
-        two_loop_errored_relative(unbalanced_fixture(), RabiError(1e-2, 5e-3)),
-    )
+    exact = gate_fidelity(*two_loop_gates(unbalanced_fixture(), RabiError(1e-2, 5e-3))[:2])
     assert abs(fid - exact) <= 6.0 * (1e-2 + 5e-3) ** 3
 
 
@@ -217,7 +224,7 @@ def test_fid2_relative_orthogonal_bright_states(kappa):
     breakdown, fid = fid2_relative(path, error)
     assert breakdown.degenerate
     assert np.isnan(breakdown.phi_b)
-    exact = gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, error))
+    exact = gate_fidelity(*two_loop_gates(path, error)[:2])
     assert abs(exact - fid) <= CUBIC_BOUND_CONSTANT * (abs(error.epsilon) + abs(kappa)) ** 3
     assert fidelity_pair("two-loop", path, error) == (exact, fid)
 
@@ -240,9 +247,9 @@ def test_dF_dkappa_fixture_value():
 def test_dF_dkappa_matches_finite_difference():
     path = unbalanced_fixture()
     eps, h = 1e-2, 1e-5
-    ideal = two_loop_ideal(path)
-    f_plus = gate_fidelity(ideal, two_loop_errored_relative(path, RabiError(eps, h)))
-    f_minus = gate_fidelity(ideal, two_loop_errored_relative(path, RabiError(eps, -h)))
+    ideal = two_loop_gates(path, NO_ERROR)[0]
+    f_plus = gate_fidelity(ideal, two_loop_gates(path, RabiError(eps, h))[1])
+    f_minus = gate_fidelity(ideal, two_loop_gates(path, RabiError(eps, -h))[1])
     fd = (f_plus - f_minus) / (2 * h)
     assert abs(fd - dF_dkappa_at_zero(path, eps)) <= 1e-5
 
@@ -264,9 +271,9 @@ def test_extract_quadratic_synthetic_exact():
 
 def test_extract_quadratic_two_loop_target():
     path = solve_two_loop(TargetGate(np.pi / 2, [1, 0, 0])).path
-    ideal = two_loop_ideal(path)
+    ideal = two_loop_gates(path, NO_ERROR)[0]
     samples = [
-        (e, gate_fidelity(ideal, two_loop_errored_relative(path, RabiError(e))))
+        (e, gate_fidelity(ideal, two_loop_gates(path, RabiError(e))[1]))
         for e in (1e-3, -1e-3, 1e-4, -1e-4)
     ]
     coeff = extract_quadratic_coefficient(samples)
@@ -275,13 +282,11 @@ def test_extract_quadratic_two_loop_target():
 
 
 def test_extract_quadratic_single_shot_target():
-    from holopath.schemes import single_shot_errored, single_shot_ideal
-
     path = solve_single_shot(TargetGate(np.pi / 4, [1, 0, 0]))
     assert path.gamma == pytest.approx(np.pi / 6, abs=1e-14)
-    ideal = single_shot_ideal(path)
+    ideal = single_shot_gates(path, NO_ERROR)[0]
     samples = [
-        (e, gate_fidelity(ideal, single_shot_errored(path, RabiError(e))))
+        (e, gate_fidelity(ideal, single_shot_gates(path, RabiError(e))[1]))
         for e in (1e-3, -1e-3, 1e-4, -1e-4)
     ]
     coeff = extract_quadratic_coefficient(samples)

@@ -20,13 +20,14 @@ from holopath.analytic import (
     RelativeErrorBreakdown,
     extract_quadratic_coefficient,
     fid2_relative,
-    fid2_single_loop,
-    fid2_single_shot,
     fidelity_pair,
     fidelity_report,
+    quad_coeff_single_loop,
+    quad_coeff_single_shot,
 )
 from holopath.linalg import expm, gate_fidelity
 from holopath.schemes import (
+    NO_ERROR,
     LoopParams,
     RabiError,
     SingleLoopPath,
@@ -37,13 +38,10 @@ from holopath.schemes import (
     relative_error_angles,
     single_loop_errored,
     single_loop_gates,
-    single_loop_ideal,
     single_shot_errored,
     single_shot_gates,
-    single_shot_ideal,
     two_loop_errored_relative,
     two_loop_gates,
-    two_loop_ideal,
 )
 
 from helpers import (
@@ -133,7 +131,8 @@ def test_fidelity_pair_single_loop_grid_equals_loop(path, grid):
     assert_pair_equals_loop("single-loop", path, *grid)
     # at kappa = 0 the second-order value is the common-error formula's, to roundoff
     second_order = fidelity_pair("single-loop", path, RabiError(grid[0], 0.0))[1]
-    np.testing.assert_allclose(second_order, fid2_single_loop(path.phase_diff, grid[0]), rtol=0, atol=1e-15)
+    common = 1.0 - quad_coeff_single_loop(path.phase_diff) * grid[0] * grid[0]
+    np.testing.assert_allclose(second_order, common, rtol=0, atol=1e-15)
 
 
 @GRID_SETTINGS
@@ -141,14 +140,15 @@ def test_fidelity_pair_single_loop_grid_equals_loop(path, grid):
 def test_fidelity_pair_single_shot_grid_equals_loop(path, grid):
     assert_pair_equals_loop("single-shot", path, *grid)
     second_order = fidelity_pair("single-shot", path, RabiError(grid[0], 0.0))[1]
-    np.testing.assert_allclose(second_order, fid2_single_shot(path.gamma, grid[0]), rtol=0, atol=1e-15)
+    common = 1.0 - quad_coeff_single_shot(path.gamma) * grid[0] * grid[0]
+    np.testing.assert_allclose(second_order, common, rtol=0, atol=1e-15)
 
 
 @GRID_SETTINGS
 @given(two_loop_paths(), error_grids())
 def test_two_loop_errored_relative_grid_equals_loop(path, grid):
-    stack = two_loop_errored_relative(path, RabiError(*grid))
-    assert np.array_equal(stack, per_point(lambda error: two_loop_errored_relative(path, error), *grid))
+    stack = two_loop_gates(path, RabiError(*grid))[1]
+    assert np.array_equal(stack, per_point(lambda error: two_loop_gates(path, error)[1], *grid))
 
 
 @st.composite
@@ -170,6 +170,25 @@ UNIFORM_PATHS = {
         rng.uniform(0, math.pi / 2), *rng.uniform(0, TAU, 2), rng.uniform(-math.pi / 2, math.pi / 2)
     ),
 }
+
+
+#: the errored views that schemes keeps beside the builders, each with its builder
+ERRORED_VIEWS = {
+    "two-loop": (two_loop_errored_relative, two_loop_gates),
+    "single-loop": (single_loop_errored, single_loop_gates),
+    "single-shot": (single_shot_errored, single_shot_gates),
+}
+
+
+@pytest.mark.parametrize("scheme", ERRORED_VIEWS)
+def test_errored_view_is_the_builders_errored_gates(scheme, rng):
+    view, builder = ERRORED_VIEWS[scheme]
+    for _ in range(8):
+        path = UNIFORM_PATHS[scheme](rng)
+        point = RabiError(*rng.uniform(-0.1, 0.1, 2))
+        grid = RabiError(rng.uniform(-0.1, 0.1, 7), rng.uniform(-0.1, 0.1, 7))
+        for error in (point, grid):
+            assert np.array_equal(view(path, error), builder(path, error)[1])
 
 
 def drawn_and_uniform(scheme, path, seed, count=16):
@@ -195,7 +214,7 @@ def test_two_loop_builder_equals_separate_constructors(drawn, error, seed):
         ideal, errored, loops = two_loop_gates(path, error)
         reference = (reference_two_loop_ideal(path), reference_two_loop_errored_relative(path, error))
         assert_gates_equal((ideal, errored), reference)
-        assert_gates_equal((two_loop_ideal(path), two_loop_errored_relative(path, error)), reference)
+        assert np.array_equal(two_loop_gates(path, NO_ERROR)[0], ideal)  # the ideal does not depend on the grid
         assert_gates_equal(loops, reference_errored_loops(path, error))
 
 
@@ -206,7 +225,7 @@ def test_single_loop_builder_equals_separate_constructors(drawn, error, seed):
         ideal, errored, segments = single_loop_gates(path, error)
         reference = (reference_single_loop_ideal(path), reference_single_loop_errored(path, error))
         assert_gates_equal((ideal, errored), reference)
-        assert_gates_equal((single_loop_ideal(path), single_loop_errored(path, error)), reference)
+        assert np.array_equal(single_loop_gates(path, NO_ERROR)[0], ideal)
         assert_gates_equal(segments, reference_errored_loops(path, error))
 
 
@@ -214,9 +233,9 @@ def test_single_loop_builder_equals_separate_constructors(drawn, error, seed):
 @given(single_shot_paths(), errors(), seeds)
 def test_single_shot_builder_equals_separate_constructors(drawn, error, seed):
     for path in drawn_and_uniform("single-shot", drawn, seed):
-        reference = (reference_single_shot_ideal(path), reference_single_shot_errored(path, error))
-        assert_gates_equal(single_shot_gates(path, error)[:2], reference)
-        assert_gates_equal((single_shot_ideal(path), single_shot_errored(path, error)), reference)
+        ideal, errored, _ = single_shot_gates(path, error)
+        assert_gates_equal((ideal, errored), (reference_single_shot_ideal(path), reference_single_shot_errored(path, error)))
+        assert np.array_equal(single_shot_gates(path, NO_ERROR)[0], ideal)
 
 
 def report_by_loop(scheme, path, error):
@@ -360,8 +379,8 @@ def test_stacked_reductions_match_scalar_builtins(rng):
     # builtin abs() and np.vdot that the one-point formulas were first written with
     path = TwoLoopPath(LoopParams(0.4, 0.1, 0.2), LoopParams(1.9, 2.0, 3.0))
     error = RabiError(rng.uniform(-0.1, 0.1, (20, 1)), rng.uniform(-0.1, 0.1, 20))
-    ideal = two_loop_ideal(path)
-    stack = two_loop_errored_relative(path, error).reshape(-1, 3, 3)
+    ideal, stack, _ = two_loop_gates(path, error)
+    stack = stack.reshape(-1, 3, 3)
     expected = [abs(np.trace(ideal.conj().T @ gate)) / 3.0 for gate in stack]
     assert np.array_equal(gate_fidelity(ideal, stack), expected)
 

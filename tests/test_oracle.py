@@ -24,19 +24,20 @@ from holopath.oracle import (
 )
 from holopath.pathfinder import solve_single_loop
 from holopath.schemes import (
+    NO_ERROR,
     LoopParams,
     RabiError,
     SingleLoopPath,
     SingleShotPath,
     TargetGate,
     TwoLoopPath,
-    coupling_generator,
     relative_error_angles,
-    single_loop_errored,
-    single_shot_errored,
-    two_loop_errored_relative,
-    two_loop_ideal,
+    single_loop_gates,
+    single_shot_gates,
+    two_loop_gates,
 )
+
+from helpers import coupling_generator
 
 
 def random_two_loop(rng):
@@ -155,20 +156,20 @@ def test_propagate_is_literal_ordered_product_of_midpoint_steps():
 
 
 def test_propagate_requires_enough_steps(rng):
-    schedule = schedule_for_two_loop(random_two_loop(rng))
+    schedule = schedule_for_two_loop(random_two_loop(rng), NO_ERROR, "square")
     with pytest.raises(ValueError):
         propagate(schedule, 99)
 
 
 @pytest.mark.parametrize("steps", [1000.5, 1000.0, np.float64(1000.0), "1000"])
 def test_propagate_rejects_non_integer_steps(steps):
-    schedule = schedule_for_single_loop(SingleLoopPath(0.5, 0.1, 0.2, 0.3), RabiError(0.01))
+    schedule = schedule_for_single_loop(SingleLoopPath(0.5, 0.1, 0.2, 0.3), RabiError(0.01), "square")
     with pytest.raises(ValueError, match="steps_per_segment"):
         propagate(schedule, steps)
 
 
 def test_propagate_accepts_numpy_integer_steps():
-    schedule = schedule_for_single_loop(SingleLoopPath(0.5, 0.1, 0.2, 0.3), RabiError(0.01))
+    schedule = schedule_for_single_loop(SingleLoopPath(0.5, 0.1, 0.2, 0.3), RabiError(0.01), "square")
     np.testing.assert_array_equal(propagate(schedule, np.int64(1000)), propagate(schedule, 1000))
 
 
@@ -233,7 +234,7 @@ def test_square_envelope_oracle_gate_passes_the_unitarity_contract():
     path = solve_single_loop(TargetGate(rng.uniform(0.1, np.pi / 2), rng.normal(size=3)))
     gate = propagate(oracle.schedule_for_single_loop(path, RabiError(0.03), "square"), 50_000)
     assert np.max(np.abs(gate.conj().T @ gate - IDENTITY)) <= 1e-13
-    assert gate_fidelity(single_loop_errored(path, RabiError(0.03)), gate) == pytest.approx(1.0, abs=1e-12)
+    assert gate_fidelity(single_loop_gates(path, RabiError(0.03))[1], gate) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_propagate_memory_is_bounded_by_the_block():
@@ -286,20 +287,20 @@ def test_schedules_match_scheme_constructors(rng):
         common = RabiError(error.epsilon)
 
         path2 = random_two_loop(rng)
-        closed = two_loop_errored_relative(path2, error)
+        closed = two_loop_gates(path2, error)[1]
         for shape in ("square", "sine-squared"):
             stepped = propagate(schedule_for_two_loop(path2, error, shape), 20_000)
             assert np.max(np.abs(stepped - closed)) <= 1e-8
 
         path_sl = SingleLoopPath(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
                                  rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
-        closed = single_loop_errored(path_sl, common)
+        closed = single_loop_gates(path_sl, common)[1]
         stepped = propagate(schedule_for_single_loop(path_sl, common, "sine-squared"), 20_000)
         assert np.max(np.abs(stepped - closed)) <= 1e-8
 
         path_ss = SingleShotPath(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi),
                                  rng.uniform(0, 2 * np.pi), rng.uniform(-np.pi / 2, np.pi / 2))
-        closed = single_shot_errored(path_ss, common)
+        closed = single_shot_gates(path_ss, common)[1]
         stepped = propagate(schedule_for_single_shot(path_ss, common, "square"), 20_000)
         assert np.max(np.abs(stepped - closed)) <= 1e-8
 
@@ -314,14 +315,14 @@ def test_single_loop_schedule_under_relative_error_is_the_tilted_loop_formula(rn
         reference = IDENTITY
         for phase in (path.phi, path.phi_prime):
             reference = expm(coupling_generator(theta_p, path.psi, phase), (1.0 + delta) * np.pi / 2) @ reference
-        limit = closed_form_limit(schedule_for_single_loop(path, error))
+        limit = closed_form_limit(schedule_for_single_loop(path, error, "square"))
         assert np.max(np.abs(limit - reference)) <= 1e-12
 
 
 def test_two_loop_ideal_schedule(rng):
     path = random_two_loop(rng)
-    stepped = propagate(schedule_for_two_loop(path), 10_000)
-    assert np.max(np.abs(stepped - two_loop_ideal(path))) <= 1e-8
+    stepped = propagate(schedule_for_two_loop(path, NO_ERROR, "square"), 10_000)
+    assert np.max(np.abs(stepped - two_loop_gates(path, NO_ERROR)[0])) <= 1e-8
 
 
 def test_convergence_second_order_for_half_sine():
@@ -349,6 +350,6 @@ def test_convergence_exact_shapes_hit_roundoff_floor():
 def test_closed_form_limit_matches_constructor(rng):
     path = random_two_loop(rng)
     error = RabiError(0.02, 0.01)
-    limit = closed_form_limit(schedule_for_two_loop(path, error))
-    assert np.max(np.abs(limit - two_loop_errored_relative(path, error))) <= 1e-12
+    limit = closed_form_limit(schedule_for_two_loop(path, error, "square"))
+    assert np.max(np.abs(limit - two_loop_gates(path, error)[1])) <= 1e-12
 

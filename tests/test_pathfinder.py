@@ -11,12 +11,12 @@ from holopath.pathfinder import (
     solve_two_loop,
 )
 from holopath.schemes import (
+    NO_ERROR,
     RabiError,
     phi_b_of,
-    single_loop_ideal,
-    single_shot_ideal,
-    two_loop_errored_relative,
-    two_loop_ideal,
+    single_loop_gates,
+    single_shot_gates,
+    two_loop_gates,
 )
 
 from helpers import bloch_vector, projective_distance_qubit, qubit_rotation
@@ -56,7 +56,7 @@ def test_solve_two_loop_x_axis_balanced():
     assert abs(cos_sum) <= 1e-12
     # n1_z = -n2_z = cos(pi/2 + theta/2) magnitude sin(pi/4)
     assert abs(abs(np.cos(path.loop1.theta)) - np.sin(np.pi / 4)) <= 1e-12
-    u = two_loop_ideal(path)
+    u = two_loop_gates(path, NO_ERROR)[0]
     np.testing.assert_allclose(u[:2, :2], qubit_rotation(np.pi / 2, [1, 0, 0]), atol=1e-12)
 
 
@@ -91,7 +91,7 @@ def test_solve_two_loop_geometry(rng):
 def test_solve_two_loop_reconstruction_exact(rng):
     for _ in range(200):
         target = random_target(rng)
-        u = two_loop_ideal(solve_two_loop(target).path)
+        u = two_loop_gates(solve_two_loop(target).path, NO_ERROR)[0]
         expected = qubit_rotation(target.theta_gate, target.axis)
         # exact gate match, no global-phase quotient needed
         assert np.max(np.abs(u[:2, :2] - expected)) <= 1e-12
@@ -112,8 +112,8 @@ def test_solve_two_loop_orientation_solutions_equivalent(rng):
         pa = solve_two_loop(target, PathConstraints(orientation_sign=1)).path
         pb = solve_two_loop(target, PathConstraints(orientation_sign=-1)).path
         error = RabiError(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
-        fa = gate_fidelity(two_loop_ideal(pa), two_loop_errored_relative(pa, error))
-        fb = gate_fidelity(two_loop_ideal(pb), two_loop_errored_relative(pb, error))
+        fa = gate_fidelity(*two_loop_gates(pa, error)[:2])
+        fb = gate_fidelity(*two_loop_gates(pb, error)[:2])
         assert fa == pytest.approx(fb, abs=1e-13)
 
 
@@ -121,7 +121,7 @@ def test_solve_two_loop_degenerate_identity_target():
     sol = solve_two_loop(TargetGate(0.0, [1, 0, 0]))
     assert sol.degenerate
     assert sol.path.loop1 == sol.path.loop2
-    u = two_loop_ideal(sol.path)
+    u = two_loop_gates(sol.path, NO_ERROR)[0]
     np.testing.assert_allclose(u[:2, :2], np.eye(2), atol=1e-14)
 
 
@@ -150,7 +150,7 @@ def test_solve_single_loop_example():
     assert path.theta == pytest.approx(np.pi / 2, abs=1e-14)
     assert path.psi == pytest.approx(0.0, abs=1e-14)
     assert path.phase_diff == pytest.approx(np.pi / 2, abs=1e-12)
-    u = single_loop_ideal(path)
+    u = single_loop_gates(path, NO_ERROR)[0]
     target = embed(qubit_rotation(np.pi / 4, [1, 0, 0]))
     assert projective_distance_qubit(u, target) <= 1e-12
 
@@ -158,7 +158,7 @@ def test_solve_single_loop_example():
 def test_solve_single_loop_round_trip(rng):
     for _ in range(300):
         target = random_target(rng)
-        u = single_loop_ideal(solve_single_loop(target))
+        u = single_loop_gates(solve_single_loop(target), NO_ERROR)[0]
         theta, axis = gate_angle_axis(u)
         assert abs(theta - target.theta_gate) <= 1e-10
         assert axis_angle(axis, target.axis) <= 1e-10
@@ -176,7 +176,7 @@ def test_solve_single_shot_quarter_rotation():
     path = solve_single_shot(TargetGate(np.pi / 4, [1, 0, 0]))
     assert path.gamma == pytest.approx(np.pi / 6, abs=1e-14)
     assert path.beta0 == 0.0
-    u = single_shot_ideal(path)
+    u = single_shot_gates(path, NO_ERROR)[0]
     target = embed(qubit_rotation(np.pi / 4, [1, 0, 0]))
     assert projective_distance_qubit(u, target) <= 1e-12
 
@@ -184,7 +184,7 @@ def test_solve_single_shot_quarter_rotation():
 def test_solve_single_shot_round_trip(rng):
     for _ in range(300):
         target = random_target(rng)
-        u = single_shot_ideal(solve_single_shot(target))
+        u = single_shot_gates(solve_single_shot(target), NO_ERROR)[0]
         theta, axis = gate_angle_axis(u)
         assert abs(theta - target.theta_gate) <= 1e-10
         assert axis_angle(axis, target.axis) <= 1e-10
@@ -212,7 +212,7 @@ def test_gate_angle_axis_identity():
 
 def test_two_loop_phi_b_scan_minimum_at_pi():
     # coarse version of the optimality scan: 36 points at theta = pi/4
-    from holopath.schemes import LoopParams, TwoLoopPath, two_loop_errored_relative
+    from holopath.schemes import LoopParams, TwoLoopPath
 
     base = solve_two_loop(TargetGate(np.pi / 4, [0, 1, 0]), PathConstraints(force_phi_b=0.0)).path
     best_phi_b, best_infidelity = None, np.inf
@@ -220,7 +220,7 @@ def test_two_loop_phi_b_scan_minimum_at_pi():
         path = TwoLoopPath(
             base.loop1, LoopParams(base.loop2.theta, base.loop2.psi, base.loop2.phi + offset)
         )
-        infidelity = 1 - gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, RabiError(1e-2)))
+        infidelity = 1 - gate_fidelity(*two_loop_gates(path, RabiError(1e-2))[:2])
         if infidelity < best_infidelity:
             best_infidelity = infidelity
             best_phi_b = phi_b_of(path).phi_b

@@ -15,9 +15,9 @@ from holopath.linalg import (
     PROJ_E,
     expm,
     gate_fidelity,
-    projector,
 )
 from holopath.schemes import (
+    NO_ERROR,
     LoopParams,
     RabiError,
     SingleLoopPath,
@@ -26,17 +26,16 @@ from holopath.schemes import (
     bright_dark,
     phi_b_of,
     relative_error_angles,
-    single_loop_errored,
-    single_loop_ideal,
-    single_shot_errored,
-    single_shot_ideal,
-    two_loop_errored_relative,
-    two_loop_ideal,
+    single_loop_gates,
+    single_shot_gates,
+    two_loop_gates,
 )
 
 from helpers import (
     bloch_vector,
+    coupling_generator,
     pauli_dot,
+    projector,
     projective_distance_qubit,
     qubit_rotation,
     single_shot_bright,
@@ -113,7 +112,7 @@ def _single_shot_path(draw):
 
 
 def _coupling(draw, stack):
-    return schemes.coupling_generator(*(_floats(draw, stack, 0.0, hi) for hi in (np.pi, 2 * np.pi, 2 * np.pi)))
+    return coupling_generator(*(_floats(draw, stack, 0.0, hi) for hi in (np.pi, 2 * np.pi, 2 * np.pi)))
 
 
 def _errored_frame(draw, stack):
@@ -163,7 +162,7 @@ def test_pulse_generators_satisfy_cube_identity(kind, data):
 def test_pulse_keeps_expm_contracts():
     # _pulse trusts its generators' hermiticity; a non-Hermitian coupling is a row of test_mutants.py
     with pytest.raises(ValueError, match="area must be finite"):
-        schemes._pulse(schemes.coupling_generator(1.0, 0.0, 0.0), np.array([np.pi, np.nan]))
+        schemes._pulse(coupling_generator(1.0, 0.0, 0.0), np.array([np.pi, np.nan]))
 
 
 # ------------------------------------------------------------------- two-loop
@@ -171,7 +170,7 @@ def test_pulse_keeps_expm_contracts():
 
 def test_two_loop_parallel_loops_give_identity_qubit_block():
     loop = LoopParams(0.7, 1.1, 0.3)
-    u = two_loop_ideal(TwoLoopPath(loop, LoopParams(0.7, 1.1, 2.9)))
+    u = two_loop_gates(TwoLoopPath(loop, LoopParams(0.7, 1.1, 2.9)), NO_ERROR)[0]
     np.testing.assert_allclose(u[:2, :2], np.eye(2), atol=1e-14)
 
 
@@ -181,12 +180,12 @@ def test_two_loop_cross_product_form(rng):
         n1 = bloch_vector(path.loop1.theta, path.loop1.psi)
         n2 = bloch_vector(path.loop2.theta, path.loop2.psi)
         expected = PROJ_E + np.dot(n1, n2) * (IDENTITY - PROJ_E) - 1j * pauli_dot(np.cross(n1, n2))
-        np.testing.assert_allclose(two_loop_ideal(path), expected, atol=1e-12)
+        np.testing.assert_allclose(two_loop_gates(path, NO_ERROR)[0], expected, atol=1e-12)
 
 
 def test_two_loop_example_quarter_rotation_about_minus_z():
     path = TwoLoopPath(LoopParams(np.pi / 2, 0.0, 0.0), LoopParams(np.pi / 2, np.pi / 2, 0.0))
-    u = two_loop_ideal(path)
+    u = two_loop_gates(path, NO_ERROR)[0]
     np.testing.assert_allclose(u[:2, :2], qubit_rotation(np.pi / 2, [0, 0, -1]), atol=1e-14)
     assert abs(u[2, 2] - 1) <= 1e-14
 
@@ -195,7 +194,7 @@ def test_two_loop_total_phase_independence():
     u_ref = None
     for phi1, phi2 in itertools.product(np.linspace(0, 2 * np.pi, 5), repeat=2):
         path = TwoLoopPath(LoopParams(0.9, 0.4, phi1), LoopParams(1.7, 2.2, phi2))
-        u = two_loop_ideal(path)
+        u = two_loop_gates(path, NO_ERROR)[0]
         if u_ref is None:
             u_ref = u
         np.testing.assert_allclose(u, u_ref, atol=1e-12)
@@ -204,7 +203,8 @@ def test_two_loop_total_phase_independence():
 def test_two_loop_errored_zero_error_reduction(rng):
     for _ in range(100):
         path = random_two_loop(rng)
-        diff = two_loop_errored_relative(path, RabiError(0.0)) - two_loop_ideal(path)
+        ideal, errored, _ = two_loop_gates(path, RabiError(0.0))
+        diff = errored - ideal
         assert np.max(np.abs(diff)) <= 1e-13
 
 
@@ -215,7 +215,7 @@ def test_two_loop_errored_fidelity_fixture():
     phi2 = np.pi - np.angle(np.vdot(b1, b2))
     path = TwoLoopPath(LoopParams(np.pi / 2, 3 * np.pi / 4, 0.0), LoopParams(np.pi / 2, np.pi / 4, phi2))
     eps = 1e-3
-    exact = gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, RabiError(eps)))
+    exact = gate_fidelity(*two_loop_gates(path, RabiError(eps))[:2])
     expected = 1 - (2 / 3) * (1 - np.cos(np.pi / 4)) * np.pi**2 * eps**2
     assert expected == pytest.approx(1 - 1.9272e-6, abs=1e-10)
     assert abs(exact - expected) <= 1e-11
@@ -224,13 +224,13 @@ def test_two_loop_errored_fidelity_fixture():
 def test_two_loop_fidelity_depends_only_on_phase_difference(rng):
     path = random_two_loop(rng)
     eps = RabiError(5e-3)
-    f_ref = gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, eps))
+    f_ref = gate_fidelity(*two_loop_gates(path, eps)[:2])
     for shift in np.linspace(0, 2 * np.pi, 9):
         shifted = TwoLoopPath(
             LoopParams(path.loop1.theta, path.loop1.psi, path.loop1.phi + shift),
             LoopParams(path.loop2.theta, path.loop2.psi, path.loop2.phi + shift),
         )
-        f = gate_fidelity(two_loop_ideal(shifted), two_loop_errored_relative(shifted, eps))
+        f = gate_fidelity(*two_loop_gates(shifted, eps)[:2])
         assert abs(f - f_ref) <= 1e-13
 
 
@@ -258,16 +258,17 @@ def test_relative_reduces_to_common_error(rng):
     for _ in range(200):
         path = random_two_loop(rng)
         eps = rng.uniform(-0.1, 0.1)
-        g1 = schemes.coupling_generator(path.loop1.theta, path.loop1.psi, path.loop1.phi)
-        g2 = schemes.coupling_generator(path.loop2.theta, path.loop2.psi, path.loop2.phi)
+        g1 = coupling_generator(path.loop1.theta, path.loop1.psi, path.loop1.phi)
+        g2 = coupling_generator(path.loop2.theta, path.loop2.psi, path.loop2.phi)
         common = expm(g2, np.pi) @ expm(g2, eps * np.pi) @ expm(g1, eps * np.pi) @ expm(g1, np.pi)
-        diff = two_loop_errored_relative(path, RabiError(eps)) - common
+        diff = two_loop_gates(path, RabiError(eps))[1] - common
         assert np.max(np.abs(diff)) <= 1e-13
 
 
 def test_relative_zero_error_is_ideal(rng):
     path = random_two_loop(rng)
-    diff = two_loop_errored_relative(path, RabiError(0.0, 0.0)) - two_loop_ideal(path)
+    ideal, errored, _ = two_loop_gates(path, RabiError(0.0, 0.0))
+    diff = errored - ideal
     assert np.max(np.abs(diff)) <= 1e-13
 
 
@@ -279,9 +280,9 @@ def test_relative_factored_vs_direct(rng):
         factored = IDENTITY
         for loop in (path.loop1, path.loop2):
             theta_p, delta = relative_error_angles(loop.theta, error)
-            gen = schemes.coupling_generator(theta_p, loop.psi, loop.phi)
+            gen = coupling_generator(theta_p, loop.psi, loop.phi)
             factored = expm(gen, delta * np.pi) @ expm(gen, np.pi) @ factored
-        assert np.max(np.abs(two_loop_errored_relative(path, error) - factored)) <= 1e-13
+        assert np.max(np.abs(two_loop_gates(path, error)[1] - factored)) <= 1e-13
 
 
 # ---------------------------------------------------------------- single-loop
@@ -291,15 +292,15 @@ def test_single_loop_closed_form_no_phase_jump():
     path = SingleLoopPath(0.8, 1.9, 1.1, 1.1)
     b, d = bright_dark(0.8, 1.9)
     expected = -PROJ_E - projector(b) + projector(d)
-    np.testing.assert_allclose(single_loop_ideal(path), expected, atol=1e-12)
+    np.testing.assert_allclose(single_loop_gates(path, NO_ERROR)[0], expected, atol=1e-12)
 
 
 def test_single_loop_segment_composition():
     # scipy's Pade exponential, not linalg.expm: the eigh product is itself ~1e-15 from the exact answer
     path = SingleLoopPath(1.2, 0.5, 2.0, 0.7)
-    seg1 = scipy.linalg.expm(-0.5j * np.pi * schemes.coupling_generator(1.2, 0.5, 2.0))
-    seg2 = scipy.linalg.expm(-0.5j * np.pi * schemes.coupling_generator(1.2, 0.5, 0.7))
-    np.testing.assert_allclose(single_loop_ideal(path), seg2 @ seg1, atol=1e-15)
+    seg1 = scipy.linalg.expm(-0.5j * np.pi * coupling_generator(1.2, 0.5, 2.0))
+    seg2 = scipy.linalg.expm(-0.5j * np.pi * coupling_generator(1.2, 0.5, 0.7))
+    np.testing.assert_allclose(single_loop_gates(path, NO_ERROR)[0], seg2 @ seg1, atol=1e-15)
 
 
 def test_single_loop_realizes_rotation(rng):
@@ -307,7 +308,7 @@ def test_single_loop_realizes_rotation(rng):
         theta, psi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
         theta_gate = rng.uniform(0, np.pi / 2)
         path = SingleLoopPath(theta, psi, np.pi - 2 * theta_gate, 0.0)
-        u = single_loop_ideal(path)
+        u = single_loop_gates(path, NO_ERROR)[0]
         target = np.eye(3, dtype=complex)
         target[:2, :2] = qubit_rotation(theta_gate, bloch_vector(theta, psi))
         assert projective_distance_qubit(u, target) <= 1e-12
@@ -317,7 +318,7 @@ def test_single_loop_errored_fixture():
     # phase jump pi/2: F = 1 - (1/6)(1 + cos(pi/2)) pi^2 eps^2 + O(eps^3)
     path = SingleLoopPath(0.7, 1.1, np.pi / 2, 0.0)
     eps = 1e-3
-    exact = gate_fidelity(single_loop_ideal(path), single_loop_errored(path, RabiError(eps)))
+    exact = gate_fidelity(*single_loop_gates(path, RabiError(eps))[:2])
     expected = 1 - (1 / 6) * (1 + np.cos(np.pi / 2)) * np.pi**2 * eps**2
     assert expected == pytest.approx(1 - 1.6449e-6, abs=1e-10)
     assert abs(exact - expected) <= 1e-11
@@ -325,12 +326,13 @@ def test_single_loop_errored_fixture():
 
 def test_single_loop_zero_error_and_common_shift(rng):
     path = SingleLoopPath(0.8, 0.3, 1.1, 0.0)
-    diff = single_loop_errored(path, RabiError(0.0)) - single_loop_ideal(path)
+    ideal, errored, _ = single_loop_gates(path, RabiError(0.0))
+    diff = errored - ideal
     assert np.max(np.abs(diff)) <= 1e-13
-    f_ref = gate_fidelity(single_loop_ideal(path), single_loop_errored(path, RabiError(1e-2)))
+    f_ref = gate_fidelity(*single_loop_gates(path, RabiError(1e-2))[:2])
     for shift in np.linspace(0, 2 * np.pi, 9):
         shifted = SingleLoopPath(0.8, 0.3, 1.1 + shift, shift)
-        f = gate_fidelity(single_loop_ideal(shifted), single_loop_errored(shifted, RabiError(1e-2)))
+        f = gate_fidelity(*single_loop_gates(shifted, RabiError(1e-2))[:2])
         assert abs(f - f_ref) <= 1e-13
 
 
@@ -338,15 +340,15 @@ def test_single_loop_relative_error_matches_oracle_limit(rng):
     for _ in range(50):
         path = SingleLoopPath(rng.uniform(0, np.pi), *rng.uniform(0, 2 * np.pi, 3))
         error = RabiError(rng.uniform(-0.1, 0.1), rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.1))
-        limit = oracle.closed_form_limit(oracle.schedule_for_single_loop(path, error))
-        assert np.max(np.abs(single_loop_errored(path, error) - limit)) <= 1e-12
+        limit = oracle.closed_form_limit(oracle.schedule_for_single_loop(path, error, "square"))
+        assert np.max(np.abs(single_loop_gates(path, error)[1] - limit)) <= 1e-12
 
 
 # ---------------------------------------------------------------- single-shot
 
 
 def test_single_shot_gamma_half_pi_is_identity():
-    u = single_shot_ideal(SingleShotPath(0.4, 0.0, 1.0, np.pi / 2))
+    u = single_shot_gates(SingleShotPath(0.4, 0.0, 1.0, np.pi / 2), NO_ERROR)[0]
     np.testing.assert_allclose(u, IDENTITY, atol=1e-12)
 
 
@@ -355,7 +357,7 @@ def test_single_shot_resonant_limit():
     path = SingleShotPath(0.4, 0.2, 1.0, 0.0)
     pb = projector(single_shot_bright(path))
     expected = -PROJ_E - pb + (IDENTITY - PROJ_E - pb)
-    np.testing.assert_allclose(single_shot_ideal(path), expected, atol=1e-12)
+    np.testing.assert_allclose(single_shot_gates(path, NO_ERROR)[0], expected, atol=1e-12)
 
 
 def test_single_shot_realizes_rotation(rng):
@@ -368,7 +370,7 @@ def test_single_shot_realizes_rotation(rng):
         axis = bloch_vector(2 * alpha, beta1)
         target = np.eye(3, dtype=complex)
         target[:2, :2] = qubit_rotation(zeta / 2, axis)
-        assert projective_distance_qubit(single_shot_ideal(path), target) <= 1e-12
+        assert projective_distance_qubit(single_shot_gates(path, NO_ERROR)[0], target) <= 1e-12
 
 
 def test_single_shot_closed_vs_full_hamiltonian_grid():
@@ -381,10 +383,10 @@ def test_single_shot_closed_vs_full_hamiltonian_grid():
     worst = 0.0
     for alpha, gamma, b0, b1, eps in itertools.product(alphas, gammas, betas, betas, epsilons):
         path = SingleShotPath(alpha, b0, b1, gamma)
-        direct = expm(oracle.schedule_for_single_shot(path, RabiError(eps)).segments[0].generator, np.pi)
-        worst = max(worst, np.max(np.abs(single_shot_errored(path, RabiError(eps)) - direct)))
+        direct = expm(oracle.schedule_for_single_shot(path, RabiError(eps), "square").segments[0].generator, np.pi)
+        worst = max(worst, np.max(np.abs(single_shot_gates(path, RabiError(eps))[1] - direct)))
         if eps == 0.0:
-            worst = max(worst, np.max(np.abs(single_shot_ideal(path) - direct)))
+            worst = max(worst, np.max(np.abs(single_shot_gates(path, NO_ERROR)[0] - direct)))
         count += 1
     assert count >= 1000
     assert worst <= 1e-11
@@ -405,7 +407,7 @@ def test_single_shot_errored_fixture():
     # gamma = pi/6: F = 1 - (1/3) pi^2 eps^2 (9/16) + O(eps^3)
     path = SingleShotPath(0.4, 0.0, 0.9, np.pi / 6)
     eps = 1e-3
-    exact = gate_fidelity(single_shot_ideal(path), single_shot_errored(path, RabiError(eps)))
+    exact = gate_fidelity(*single_shot_gates(path, RabiError(eps))[:2])
     expected = 1 - np.pi**2 * eps**2 * (9 / 16) / 3
     assert expected == pytest.approx(1 - 1.8506e-6, abs=1e-10)
     assert abs(exact - expected) <= 1e-8
@@ -413,7 +415,8 @@ def test_single_shot_errored_fixture():
 
 def test_single_shot_zero_error_reduction(rng):
     path = SingleShotPath(0.7, 0.1, 2.2, -0.4)
-    diff = single_shot_errored(path, RabiError(0.0)) - single_shot_ideal(path)
+    ideal, errored, _ = single_shot_gates(path, RabiError(0.0))
+    diff = errored - ideal
     assert np.max(np.abs(diff)) <= 1e-13
 
 
@@ -423,8 +426,8 @@ def test_single_shot_relative_error_matches_oracle_limit(rng):
             rng.uniform(0, np.pi / 2), *rng.uniform(0, 2 * np.pi, 2), rng.uniform(-np.pi / 2, np.pi / 2)
         )
         error = RabiError(rng.uniform(-0.1, 0.1), rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 0.1))
-        limit = oracle.closed_form_limit(oracle.schedule_for_single_shot(path, error))
-        assert np.max(np.abs(single_shot_errored(path, error) - limit)) <= 1e-12
+        limit = oracle.closed_form_limit(oracle.schedule_for_single_shot(path, error, "square"))
+        assert np.max(np.abs(single_shot_gates(path, error)[1] - limit)) <= 1e-12
 
 
 def test_single_shot_rabi_parameters():
@@ -436,7 +439,7 @@ def test_single_shot_rabi_parameters():
     # the detuning and the two phased Rabi drives rebuild the scaled single-shot generator
     drive = np.outer(om0 * np.exp(1j * path.beta0) * KET_0 + om1 * np.exp(1j * path.beta1) * KET_1, KET_E)
     hamiltonian = -delta * PROJ_E + drive + drive.conj().T
-    generator = oracle.schedule_for_single_shot(path, RabiError(0.0)).segments[0].generator
+    generator = oracle.schedule_for_single_shot(path, RabiError(0.0), "square").segments[0].generator
     np.testing.assert_allclose(hamiltonian, 2.0 * generator, atol=1e-14)
 
 
@@ -505,15 +508,15 @@ def test_second_order_agreement_cubic_suppression(scheme, rng):
         path = random_two_loop(rng)
         dec = phi_b_of(path)
         coeff = analytic.quad_coeff_two_loop(dec.eta, dec.phi_b)
-        make = lambda e: gate_fidelity(two_loop_ideal(path), two_loop_errored_relative(path, RabiError(e)))
+        make = lambda e: gate_fidelity(*two_loop_gates(path, RabiError(e))[:2])
     elif scheme == "single-loop":
         path = SingleLoopPath(0.9, 0.3, 2.1, 0.6)
         coeff = analytic.quad_coeff_single_loop(path.phase_diff)
-        make = lambda e: gate_fidelity(single_loop_ideal(path), single_loop_errored(path, RabiError(e)))
+        make = lambda e: gate_fidelity(*single_loop_gates(path, RabiError(e))[:2])
     else:
         path = SingleShotPath(0.7, 0.2, 1.4, 0.5)
         coeff = analytic.quad_coeff_single_shot(path.gamma)
-        make = lambda e: gate_fidelity(single_shot_ideal(path), single_shot_errored(path, RabiError(e)))
+        make = lambda e: gate_fidelity(*single_shot_gates(path, RabiError(e))[:2])
     r = second_order_residuals(make, coeff)
     floor = 5e-16
     assert r[0] / max(r[1], floor) >= 1e2
@@ -562,12 +565,12 @@ def test_all_constructors_return_unitary(rng):
                             rng.uniform(0, 2 * np.pi), rng.uniform(-np.pi / 2, np.pi / 2))
         common = RabiError(err.epsilon)
         for u in (
-            two_loop_ideal(path),
-            two_loop_errored_relative(path, common),
-            two_loop_errored_relative(path, err),
-            single_loop_ideal(sl),
-            single_loop_errored(sl, common),
-            single_shot_ideal(ss),
-            single_shot_errored(ss, common),
+            two_loop_gates(path, NO_ERROR)[0],
+            two_loop_gates(path, common)[1],
+            two_loop_gates(path, err)[1],
+            single_loop_gates(sl, NO_ERROR)[0],
+            single_loop_gates(sl, common)[1],
+            single_shot_gates(ss, NO_ERROR)[0],
+            single_shot_gates(ss, common)[1],
         ):
             assert np.max(np.abs(u.conj().T @ u - IDENTITY)) <= 1e-12
