@@ -43,17 +43,17 @@ for name, builder, path, closed in cases:
 
 print("\nconvergence study on the half-sine envelope (genuine O(1/N^2) error):")
 gen = hp.schedule_for_two_loop(path2, error, "square").segments[0].generator
-schedule = hp.Schedule((hp.ScheduleSegment(hp.PulseEnvelope("sine", 1.0, np.pi), gen),))
+schedule = hp.Schedule((hp.ScheduleSegment(hp.PulseEnvelope("sine", np.pi), gen),))
 reference = hp.closed_form_limit(schedule)
 print(f"{'steps':>8} {'max error':>12}")
 for n in (200, 800, 3200, 12800):
     dev = np.max(np.abs(hp.propagate(schedule, n) - reference))
     print(f"{n:8d} {dev:12.3e}")
-print(f"measured order p = {hp.convergence_order(schedule, steps=1000):.3f} (expect ~2)")
+print(f"measured order p = {hp.convergence_order(schedule):.3f} (expect ~2)")
 
 for shape in ("square", "sine-squared"):
-    flat = hp.Schedule((hp.ScheduleSegment(hp.PulseEnvelope(shape, 1.0, np.pi), gen),))
-    print(f"{shape}: order = {hp.convergence_order(flat, steps=1000)} "
+    flat = hp.Schedule((hp.ScheduleSegment(hp.PulseEnvelope(shape, np.pi), gen),))
+    print(f"{shape}: order = {hp.convergence_order(flat)} "
           "(midpoint integrates this shape exactly; error sits at roundoff)")
 
 # The oracle writes each pulse from the two drives in the bare basis; the closed

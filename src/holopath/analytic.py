@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import pathfinder, schemes
+from . import oracle, pathfinder, schemes
 from .linalg import _trace_fidelity
 from .schemes import TWO_PI, LoopParams, RabiError, SingleLoopPath, SingleShotPath, TargetGate, TwoLoopPath, _in_range
 
@@ -269,14 +269,15 @@ class Scheme:
     """Every scheme-specific choice of one gate scheme, read by fidelity_pair, the CLI and verify.
 
     ``build(path, error)`` gives ``(ideal, errored, record)`` for any (epsilon, kappa) error point or
-    grid, and ``second_order(path, record)`` reads the record; ``shape`` is f_k in
-    F = 1 - f_k(theta) (pi eps)^2 / 3; only the two-loop ``solve(target, constraints)`` reads the
-    constraints.  Builders and solvers are called through their modules, so a function rebound there
-    (by a test or a tracer) is the one that runs.
+    grid, ``second_order(path, record)`` reads the record, ``schedule(path, error, shape)`` is the
+    oracle's model of the errored gate; ``shape`` is f_k in F = 1 - f_k(theta) (pi eps)^2 / 3; only
+    the two-loop ``solve(target, constraints)`` reads the constraints.  Builders, schedules and
+    solvers are called through their modules, so a rebound function (test, tracer) is the one that runs.
     """
 
     path_type: type
     build: Callable
+    schedule: Callable
     second_order: Callable
     shape: Callable
     solve: Callable
@@ -289,6 +290,7 @@ SCHEMES = {
     "two-loop": Scheme(
         path_type=TwoLoopPath,
         build=lambda path, error: schemes.two_loop_gates(path, error),
+        schedule=lambda path, error, shape: oracle.schedule_for_two_loop(path, error, shape),
         second_order=lambda path, record: _fid2_errored_loops(path, record)[1],
         shape=f1,
         solve=lambda target, constraints: pathfinder.solve_two_loop(target, constraints).path,
@@ -298,6 +300,7 @@ SCHEMES = {
     "single-loop": Scheme(
         path_type=SingleLoopPath,
         build=lambda path, error: schemes.single_loop_gates(path, error),
+        schedule=lambda path, error, shape: oracle.schedule_for_single_loop(path, error, shape),
         second_order=_fid2_errored_segments,
         shape=f2,
         solve=lambda target, constraints: pathfinder.solve_single_loop(target),
@@ -309,6 +312,7 @@ SCHEMES = {
     "single-shot": Scheme(
         path_type=SingleShotPath,
         build=lambda path, error: schemes.single_shot_gates(path, error),
+        schedule=lambda path, error, shape: oracle.schedule_for_single_shot(path, error, shape),
         second_order=_fid2_errored_pulse,
         shape=f3,
         solve=lambda target, constraints: pathfinder.solve_single_shot(target),
@@ -328,14 +332,14 @@ _BLOCK_POINTS = 1024
 def fidelity_pair(scheme: str, path, error: RabiError):
     """Exact and second-order fidelity for one scheme/path/error point, from the scheme's :data:`SCHEMES` entry.
 
-    For an error grid (array fields of ``error``) both are arrays of the
-    grid's shape.  A grid of more than ``_BLOCK_POINTS`` points is flattened
-    and evaluated one block of that many points per builder call, so memory
-    is bounded by the block; every value still equals the one-point
-    evaluation bit for bit.  A path of another scheme's type is refused with
-    a ValueError naming the type the scheme takes.  The built gates are
-    unitary by construction (criterion 8 checks it), so their unitarity is
-    not rechecked.
+    Both are Python floats at one error point, and arrays of the grid's shape
+    for an error grid (array fields of ``error``).  A grid of more than
+    ``_BLOCK_POINTS`` points is flattened and evaluated one block of that many
+    points per builder call, so memory is bounded by the block; every value
+    still equals the one-point evaluation bit for bit.  A path of another
+    scheme's type is refused with a ValueError naming the type the scheme
+    takes.  The built gates are unitary by construction (criterion 8 checks
+    it), so their unitarity is not rechecked.
     """
     entry = SCHEMES.get(scheme)
     if entry is None:
@@ -345,7 +349,8 @@ def fidelity_pair(scheme: str, path, error: RabiError):
     grid = np.broadcast(error.epsilon, error.kappa)
     if grid.size <= _BLOCK_POINTS:
         ideal, errored, record = entry.build(path, error)
-        return _trace_fidelity(ideal, errored), entry.second_order(path, record)
+        second_order = entry.second_order(path, record)
+        return _trace_fidelity(ideal, errored), second_order if grid.ndim else float(second_order)
     epsilon, kappa = (np.broadcast_to(field, grid.shape).ravel() for field in (error.epsilon, error.kappa))
     exact, second_order = np.empty(grid.size), np.empty(grid.size)
     for start in range(0, grid.size, _BLOCK_POINTS):

@@ -48,16 +48,16 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def require_hermitian(matrix, name: str = "generator") -> np.ndarray:
-    """The operand as a complex (..., 3, 3) array, checked Hermitian in one pass over the stack."""
-    m = _as_matrix(matrix, name)
+def require_hermitian(generator) -> np.ndarray:
+    """The generator as a complex (..., 3, 3) array, checked Hermitian in one pass over the stack."""
+    m = _as_matrix(generator, "generator")
     dev = np.abs(m - _dagger(m)).max(initial=0.0)
     if dev > ATOL_ALGEBRAIC:
-        raise ContractViolation(f"{name} is not Hermitian (max |M - M^dag| = {dev:.3e})")
+        raise ContractViolation(f"generator is not Hermitian (max |M - M^dag| = {dev:.3e})")
     return m
 
 
-def require_unitary(matrix, name: str = "matrix") -> np.ndarray:
+def require_unitary(matrix, name: str) -> np.ndarray:
     """The operand as a complex (..., 3, 3) array, checked unitary in one pass over the stack."""
     m = _as_matrix(matrix, name)
     dev = np.abs(_dagger(m) @ m - IDENTITY).max(initial=0.0)

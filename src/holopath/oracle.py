@@ -2,8 +2,8 @@
 
 Independent validator for every closed-form propagator in
 :mod:`holopath.schemes`: instead of using the accumulated pulse area, the
-Hamiltonian H(t) = scale * Omega(t) * G is integrated as an ordered product
-of per-step exponentials with midpoint sampling.
+Hamiltonian H(t) = Omega(t) * G of each pulse, t in [0, 1], is integrated
+as an ordered product of per-step exponentials with midpoint sampling.
 
 The ``schedule_for_*`` builders write each pulse's G in the bare basis
 {|0>, |1>, |e>} from the two complex drives and the detuning, drive k off by
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,15 +41,12 @@ import numpy as np
 from .linalg import IDENTITY, expm, require_hermitian
 from .schemes import RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 
-#: area of each unit-amplitude shape over [0, T], in units of T
+#: area of each unit-amplitude shape over [0, 1]
 _UNIT_AREA = {"square": 1.0, "sine": 2.0 / np.pi, "sine-squared": 0.5}
 SHAPES = tuple(_UNIT_AREA)
 
 #: propagation error below this is roundoff; convergence order is then indeterminate
 ROUNDOFF_FLOOR = 1e-12
-
-#: duration of every schedule_for_* pulse; a pulse's propagator depends only on its area
-_PULSE_DURATION = 1.0
 
 #: steps per block of propagate's step loop: a block's arrays fit in cache
 _BLOCK_STEPS = 8192
@@ -57,84 +54,67 @@ _BLOCK_STEPS = 8192
 
 @dataclass(frozen=True)
 class PulseEnvelope:
-    """Scalar envelope Omega(t) on [0, duration] calibrated to a target area.
+    """Scalar envelope Omega(t) on [0, 1] calibrated to a target area, all a pulse's propagator depends on.
 
     The amplitude divides ``target_area`` by the closed-form area of the
-    unit shape (T, 2T/pi and T/2 for square, sine and sine-squared), so the
-    integrated area matches ``target_area`` regardless of shape.
-    A duration whose unit-shape area is 0.0 (zero, or underflowing) is legal
-    only with zero target area; amplitude and values 0.0 then give the identity.
+    unit shape (1, 2/pi and 1/2 for square, sine and sine-squared), so the
+    integrated area matches ``target_area`` regardless of shape.  The area is
+    stored as a Python float; a non-finite one, or one whose amplitude
+    overflows, is refused.
     """
 
     shape: str
-    duration: float
     target_area: float
 
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}, got {self.shape!r}")
-        if self.duration < 0.0 or not np.isfinite(self.duration):
-            raise ValueError("duration must be a finite nonnegative time")
-        if not np.isfinite(self.target_area):
-            raise ValueError(f"target_area must be finite, got {self.target_area!r}")
-        if _UNIT_AREA[self.shape] * self.duration == 0.0 and self.target_area != 0.0:
-            raise ValueError(f"duration {self.duration!r} is too short to carry a nonzero area")
+        object.__setattr__(self, "target_area", float(self.target_area))
         if not np.isfinite(self.amplitude):
-            raise ValueError(
-                f"amplitude overflows: target_area {self.target_area!r} over duration {self.duration!r}"
-            )
+            raise ValueError(f"target_area {self.target_area!r} must be finite with a finite amplitude")
 
     def unit(self, t):
-        """Unit-amplitude shape value(s) at time(s) t; at zero duration a sine shape is 0.0, its endpoint value."""
+        """Unit-amplitude shape value(s) at time(s) t."""
         t = np.asarray(t, dtype=float)
         if self.shape == "square":
             return np.ones_like(t)
-        if self.duration == 0.0:
-            return np.zeros_like(t)
         if self.shape == "sine":
-            return np.sin(np.pi * t / self.duration)
-        return np.sin(np.pi * t / self.duration) ** 2
+            return np.sin(np.pi * t)
+        return np.sin(np.pi * t) ** 2
 
     @cached_property
     def amplitude(self) -> float:
-        unit_area = _UNIT_AREA[self.shape] * self.duration
-        return self.target_area / unit_area if unit_area else 0.0
+        return self.target_area / _UNIT_AREA[self.shape]
 
     def values(self, t):
-        # zero amplitude is zero everywhere, also at zero duration where the unit shape is 0/0
-        return self.amplitude * (self.unit(t) if self.amplitude else np.zeros_like(t, dtype=float))
+        return self.amplitude * self.unit(t)
 
 
 @dataclass(frozen=True, eq=False)
 class ScheduleSegment:
-    """One pulse: envelope, fixed Hermitian generator structure, error multiplier."""
+    """One pulse: envelope and fixed Hermitian generator structure (a scaled pulse scales its generator)."""
 
     envelope: PulseEnvelope
     generator: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         g = require_hermitian(self.generator).copy()
         g.setflags(write=False)
         object.__setattr__(self, "generator", g)
-        scale = float(self.scale)
-        if not np.isfinite(scale):
-            raise ValueError(f"scale must be finite, got {scale!r}")
-        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
 class Schedule:
     """Ordered, non-overlapping pulse segments applied left to right in time."""
 
-    segments: tuple[ScheduleSegment, ...] = field(default_factory=tuple)
+    segments: tuple[ScheduleSegment, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
 
 
 def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
-    """Ordered product of per-step exponentials exp(-1j H(t_k) dt), midpoint sampled.
+    """Ordered product of per-step exponentials exp(-1j H(t_k) dt), midpoint sampled at dt = 1 / steps.
 
     Each segment's generator is fixed, so its steps are diagonal in one
     eigenbasis and their ordered product is the product of the per-step
@@ -163,15 +143,13 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
         warnings.warn("propagating an empty schedule: returning identity", RuntimeWarning, stacklevel=2)
         return IDENTITY.copy()
     total = IDENTITY.copy()
+    h = 1.0 / steps
     for seg in schedule.segments:
-        if seg.envelope.duration == 0.0:
-            continue
-        h = seg.envelope.duration / steps
         vals, vecs = np.linalg.eigh(seg.generator)
         buf = np.ones((3, _BLOCK_STEPS + 1), dtype=complex)
         for start in range(0, steps, _BLOCK_STEPS):
             n = min(_BLOCK_STEPS, steps - start)
-            areas = seg.scale * seg.envelope.values((np.arange(start, start + n) + 0.5) * h) * h
+            areas = seg.envelope.values((np.arange(start, start + n) + 0.5) * h) * h
             angles = np.outer(vals, areas)
             np.cos(angles, out=buf[:, 1:n + 1].real)
             np.sin(angles, out=buf[:, 1:n + 1].imag)
@@ -183,15 +161,15 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
 
 
 def closed_form_limit(schedule: Schedule) -> np.ndarray:
-    """Infinite-step limit: per-segment exponential at the exact scaled area."""
+    """Infinite-step limit: per-segment exponential at the exact area."""
     total = IDENTITY.copy()
     for seg in schedule.segments:
-        total = expm(seg.generator, seg.scale * seg.envelope.target_area) @ total
+        total = expm(seg.generator, seg.envelope.target_area) @ total
     return total
 
 
-def convergence_order(schedule: Schedule, steps: int = 1000) -> float:
-    """Empirical order p from propagation errors at ``steps`` and ``2*steps``.
+def convergence_order(schedule: Schedule) -> float:
+    """Empirical order p from propagation errors at 1000 and 2000 steps per segment.
 
     Errors are measured against the closed-form limit.  Midpoint sampling
     of a time-constant generator structure is second order, so p ~ 2 for
@@ -200,8 +178,8 @@ def convergence_order(schedule: Schedule, steps: int = 1000) -> float:
     integrated exactly), the order is indeterminate and +inf is returned.
     """
     reference = closed_form_limit(schedule)
-    err1 = float(np.max(np.abs(propagate(schedule, steps) - reference)))
-    err2 = float(np.max(np.abs(propagate(schedule, 2 * steps) - reference)))
+    err1 = float(np.max(np.abs(propagate(schedule, 1000) - reference)))
+    err2 = float(np.max(np.abs(propagate(schedule, 2000) - reference)))
     if err1 <= ROUNDOFF_FLOOR or err2 <= ROUNDOFF_FLOOR:
         return float("inf")
     return float(np.log2(err1 / err2))
@@ -216,7 +194,7 @@ def _drive_pulse(shape: str, area: float, error: RabiError, rabi, mixing, phases
     fractions = 1.0 + np.array([error.epsilon0, error.epsilon1])
     d0, d1 = fractions * rabi * np.array([np.cos(mixing), np.sin(mixing)]) * np.exp(1j * np.asarray(phases))
     generator = np.array([[0.0, 0.0, d0], [0.0, 0.0, d1], [d0.conjugate(), d1.conjugate(), detuning]])
-    return ScheduleSegment(PulseEnvelope(shape, _PULSE_DURATION, area), generator)
+    return ScheduleSegment(PulseEnvelope(shape, area), generator)
 
 
 def schedule_for_two_loop(path: TwoLoopPath, error: RabiError, shape: str) -> Schedule:

@@ -27,17 +27,19 @@ ORIENTATION_SIGNS = (1, -1)
 class PathConstraints:
     """Gauge-fixing choices for the two-loop solver.
 
-    force_phi_b pins the bright-state decomposition phase (None leaves
-    phi2 = phi1 = 0); force_balanced pins the loops to theta = pi/2 +/- s;
-    orientation_sign selects between the two balanced solutions, which
-    realize identical gates with identical error sensitivity.
+    force_phi_b pins the bright-state decomposition phase, a finite angle
+    (None or NaN is refused); force_balanced pins the loops to
+    theta = pi/2 +/- s; orientation_sign selects between the two balanced
+    solutions, which realize identical gates with identical error sensitivity.
     """
 
-    force_phi_b: float | None = np.pi
+    force_phi_b: float = np.pi
     force_balanced: bool = True
     orientation_sign: int = 1
 
     def __post_init__(self):
+        if self.force_phi_b is None or not np.isfinite(self.force_phi_b):
+            raise ValueError(f"force_phi_b must be a finite phase, got {self.force_phi_b!r}")
         if self.orientation_sign not in ORIENTATION_SIGNS:
             raise ValueError("orientation_sign must be +1 or -1")
 
@@ -96,13 +98,10 @@ def solve_two_loop(target: TargetGate, constraints: PathConstraints | None = Non
 
     loop1 = LoopParams(*_polar_of(n1), 0.0)
     polar2 = _polar_of(n2)
-    phi2 = 0.0
-    if cons.force_phi_b is not None:
-        b1, _ = bright_dark(loop1.theta, loop1.psi)
-        b2, _ = bright_dark(*polar2)
-        phi2 = float(cons.force_phi_b) - float(np.angle(np.vdot(b1, b2)))
-    loop2 = LoopParams(*polar2, phi2)
-    return TwoLoopSolution(TwoLoopPath(loop1, loop2), False)
+    b1, _ = bright_dark(loop1.theta, loop1.psi)
+    b2, _ = bright_dark(*polar2)
+    phi2 = float(cons.force_phi_b) - float(np.angle(np.vdot(b1, b2)))
+    return TwoLoopSolution(TwoLoopPath(loop1, LoopParams(*polar2, phi2)), False)
 
 
 def solve_single_loop(target: TargetGate) -> SingleLoopPath:

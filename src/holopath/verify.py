@@ -221,18 +221,16 @@ def check_oracle_equivalence(level: str, seed: int) -> CheckResult:
     points = 100 if level == "full" else 10
     steps = 100_000 if level == "full" else 10_000
     worst = worst_unitary = 0.0
-    # the oracle keeps its own schedule builder per scheme, listed in the table's order
-    schedules = (oracle.schedule_for_two_loop, oracle.schedule_for_single_loop, oracle.schedule_for_single_shot)
     for index in range(points):
         # first point of each scheme exercises the zero-error (ideal) case
         eps = 0.0 if index == 0 else rng.uniform(-0.05, 0.05)
         kappa = 0.0 if index == 0 else rng.uniform(-0.05, 0.05)
-        for scheme, schedule_for in zip(analytic.SCHEMES.values(), schedules, strict=True):
+        for scheme in analytic.SCHEMES.values():
             error = RabiError(eps, kappa)
             path = scheme.random_path(rng)
             closed = scheme.build(path, error)[1]
             for shape in ("square", "sine-squared"):
-                stepped = oracle.propagate(schedule_for(path, error, shape), steps)
+                stepped = oracle.propagate(scheme.schedule(path, error, shape), steps)
                 worst = max(worst, float(np.max(np.abs(stepped - closed))))
                 worst_unitary = max(worst_unitary, float(np.max(np.abs(stepped.conj().T @ stepped - IDENTITY))))
     elapsed = time.perf_counter() - started

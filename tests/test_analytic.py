@@ -399,6 +399,15 @@ def test_fidelity_pair_rejects_a_path_of_another_scheme():
                     fidelity_pair(scheme, path, RabiError(0.01))
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fidelity_pair_at_one_point_returns_python_floats(scheme):
+    path = SCHEMES[scheme].random_path(np.random.default_rng(3))
+    exact, second_order = fidelity_pair(scheme, path, RabiError(0.01, 0.003))
+    assert type(exact) is float and type(second_order) is float
+    for column in fidelity_pair(scheme, path, RabiError(np.array([0.01]), 0.003)):
+        assert type(column) is np.ndarray and column.shape == (1,)
+
+
 # --------------------------------------------- fidelity_pair answers and work
 
 ANSWER_PATHS = {

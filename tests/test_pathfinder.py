@@ -135,6 +135,12 @@ def test_path_constraints_validation():
         PathConstraints(orientation_sign=2)
 
 
+@pytest.mark.parametrize("phi_b", [None, np.nan])
+def test_path_constraints_refuse_a_missing_or_nan_phi_b(phi_b):
+    with pytest.raises(ValueError, match="force_phi_b"):
+        PathConstraints(force_phi_b=phi_b)
+
+
 # --------------------------------------------------------------- single-loop
 
 
