@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -185,47 +186,46 @@ def cmd_sweep(opts: dict) -> int:
     # the whole sorted grid, epsilon major, as one fidelity_pair call (which walks it in blocks)
     grid = RabiError(np.repeat(epsilons, len(kappas)), np.tile(kappas, len(epsilons)))
     exact, second_order = analytic.fidelity_pair(name, path, grid)
-    columns = {
-        "epsilon": grid.epsilon,
-        "kappa": grid.kappa,
-        "fidelity_exact": exact,
-        "fidelity_analytic2": second_order,
-        "abs_gap": np.abs(exact - second_order),
-    }
-    _write_sweep(name, params, columns, opts["out"])
+    values = {"fidelity_exact": exact, "fidelity_analytic2": second_order, "abs_gap": np.abs(exact - second_order)}
+    _write_sweep(name, params, epsilons, kappas, values, opts["out"])
     return EXIT_OK
 
 
-#: sweep records converted to Python floats at a time by _write_sweep
-_BLOCK_ROWS = 1024
+#: sweep records converted to text, and written, at a time by _write_sweep
+_BLOCK_ROWS = 128
 
 
-def _write_sweep(scheme: str, params: dict, columns: dict, out: str) -> None:
-    """Write the records one by one, in the bytes of ``json.dump(records, indent=2, sort_keys=True)``.
+def _write_sweep(scheme: str, params: dict, epsilons, kappas, values: dict, out: str) -> None:
+    """Write the epsilon-major grid's records in the bytes of ``json.dump(records, indent=2, sort_keys=True)``.
 
-    Keys are in sorted order.  Each record's column floats go into one
-    template through ``%r``, the ``float.__repr__`` that json calls; the
-    ``params`` and ``scheme`` text that follows is the same in every record
-    and is encoded once.  Strict JSON: a NaN or infinity raises ValueError
-    before the file is opened.
+    ``values`` holds the fidelity_exact, fidelity_analytic2 and abs_gap columns, one entry per point
+    of the outer product of ``epsilons`` and ``kappas``.  Each coordinate's text is made once per list
+    position (never looked up by value: 0.0 == -0.0), and the ``params`` and ``scheme`` text shared by
+    every record is encoded once; floats go through ``repr``, the ``float.__repr__`` that json calls.
+    Records are joined and written ``_BLOCK_ROWS`` at a time.  Strict JSON: a NaN or infinity raises
+    ValueError before the file is opened.
     """
-    for name, column in columns.items():
+    for name, column in {"epsilon": epsilons, "kappa": kappas, **values}.items():
         if not np.isfinite(column).all():
             raise ValueError(f"Out of range float values are not JSON compliant: {name} is not finite")
     params_text = json.dumps(params, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n    ")
-    head = (
-        '  {\n    "abs_gap": %r,\n    "epsilon": %r,\n    "fidelity_analytic2": %r,\n'
-        '    "fidelity_exact": %r,\n    "kappa": %r,\n    "params": '
-    )
     tail = f'{params_text},\n    "scheme": {json.dumps(scheme)}\n  }}'
-    names = sorted(columns)
+    # the text of each list position, from Python floats (the repr of a numpy float is np.float64(...))
+    texts = ([repr(x) for x in np.asarray(axis, dtype=float).tolist()] for axis in (epsilons, kappas))
+    coordinates = itertools.product(*texts)
+    columns = [values[name] for name in ("abs_gap", "fidelity_analytic2", "fidelity_exact")]
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
         separator = "[\n"
-        # Python floats for one block of rows at a time, not five whole columns of them
-        for start in range(0, len(columns[names[0]]), _BLOCK_ROWS):
-            for row in zip(*(columns[name][start : start + _BLOCK_ROWS].tolist() for name in names)):
-                handle.write(separator + head % row + tail)
-                separator = ",\n"
+        # one chunk of records as text at a time, one write each
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            chunk = [column[start : start + _BLOCK_ROWS].tolist() for column in columns]
+            records = ",\n".join([
+                f'  {{\n    "abs_gap": {g!r},\n    "epsilon": {e},\n    "fidelity_analytic2": {a!r},\n'
+                f'    "fidelity_exact": {x!r},\n    "kappa": {k},\n    "params": {tail}'
+                for (e, k), g, a, x in zip(itertools.islice(coordinates, _BLOCK_ROWS), *chunk)
+            ])
+            handle.write(separator + records)
+            separator = ",\n"
         handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import ContractViolation, is_block_diagonal, PAULI_QUBIT
-from .schemes import LoopParams, SingleLoopPath, SingleShotPath, TargetGate, TwoLoopPath, bright_dark
+from .schemes import LoopParams, SingleLoopPath, SingleShotPath, TargetGate, TwoLoopPath, bright_state
 
 _DEGENERATE_ANGLE = 1e-14
 
@@ -98,8 +98,8 @@ def solve_two_loop(target: TargetGate, constraints: PathConstraints | None = Non
 
     loop1 = LoopParams(*_polar_of(n1), 0.0)
     polar2 = _polar_of(n2)
-    b1, _ = bright_dark(loop1.theta, loop1.psi)
-    b2, _ = bright_dark(*polar2)
+    b1 = bright_state(loop1.theta, loop1.psi)
+    b2 = bright_state(*polar2)
     phi2 = float(cons.force_phi_b) - float(np.angle(np.vdot(b1, b2)))
     return TwoLoopSolution(TwoLoopPath(loop1, LoopParams(*polar2, phi2)), False)
 

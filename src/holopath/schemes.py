@@ -247,19 +247,24 @@ class BrightDecomposition(NamedTuple):
     degenerate: bool
 
 
-def bright_dark(theta, psi) -> tuple[np.ndarray, np.ndarray]:
-    """Bright and dark logical states for ratio angle theta and relative phase psi.
+def bright_state(theta, psi) -> np.ndarray:
+    """The bright logical state |b> = cos(theta/2)|0> + sin(theta/2) e^{i psi}|1>, the one the drive couples to |e>.
 
-    |b> = cos(theta/2)|0> + sin(theta/2) e^{i psi}|1> couples to |e> under
-    the drive; |d> = sin(theta/2)|0> - cos(theta/2) e^{i psi}|1> does not.
-    Array angles broadcast; the states then have shape (..., 3).  theta
-    must already lie in [0, pi]; it is not checked here.
+    Array angles broadcast; the states then have shape (..., 3).  theta must already lie in [0, pi];
+    it is not checked here.
     """
     half = theta / 2.0
-    cos, sin, phase = np.cos(half), np.sin(half), np.exp(1j * psi)
-    b = cos[..., None] * KET_0 + (sin * phase)[..., None] * KET_1
-    d = sin[..., None] * KET_0 - (cos * phase)[..., None] * KET_1
-    return b, d
+    return np.cos(half)[..., None] * KET_0 + (np.sin(half) * np.exp(1j * psi))[..., None] * KET_1
+
+
+def bright_dark(theta, psi) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`bright_state` and the dark state |d> = sin(theta/2)|0> - cos(theta/2) e^{i psi}|1>.
+
+    |d> does not couple to |e> under the drive.  Array angles broadcast as in :func:`bright_state`.
+    """
+    half = theta / 2.0
+    dark = np.sin(half)[..., None] * KET_0 - (np.cos(half) * np.exp(1j * psi))[..., None] * KET_1
+    return bright_state(theta, psi), dark
 
 
 def _bright_coupling(bright, phi) -> np.ndarray:
@@ -317,7 +322,7 @@ def _pulse_pair_gates(rows, area: float, error: RabiError) -> tuple[np.ndarray, 
     theta_p, delta = relative_error_angles(theta, error)
     thetas = np.concatenate([theta.reshape(2, 1), theta_p.reshape(2, -1)], axis=1)
     areas = (1.0 + np.concatenate([np.zeros((2, 1)), delta.reshape(2, -1)], axis=1)) * area
-    bright = bright_dark(thetas, psi.reshape(2, 1))[0]
+    bright = bright_state(thetas, psi.reshape(2, 1))
     pulses = _pulse(_bright_coupling(bright, phi.reshape(2, 1)), areas)
     gates = pulses[1] @ pulses[0]
     record = _ErroredPulses(theta_p, delta, phi, bright[:, 1:].reshape(theta_p.shape + (3,)))
@@ -382,13 +387,13 @@ def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarra
     """(ideal, errored, pulse): both single-shot gates from one bright-state and one pulse call, any kappa.
 
     The ideal gate is e^{i zeta}(|e><e| + |b><b|) + |d><d|, zeta = pi (1 - sin gamma).  Under drive errors
-    the drives tilt as a loop's do: the bright state is e^{i beta0} bright_dark(2 alpha', beta1 - beta0)
+    the drives tilt as a loop's do: the bright state is e^{i beta0} bright_state(2 alpha', beta1 - beta0)
     and its area excess delta, from relative_error_angles(2 alpha).  The errored gate is a bright/excited
     phase times a rotation by lambda*pi about the tilted error axis, identity on the dark state.  The
     acceptance suite compares both with the oracle's exponential of the full Hamiltonian at area pi.
     """
     theta_p, delta = relative_error_angles(2.0 * path.alpha, error)
-    bright = bright_dark(np.append(2.0 * path.alpha, theta_p), path.beta1 - path.beta0)[0]
+    bright = bright_state(np.append(2.0 * path.alpha, theta_p), path.beta1 - path.beta0)
     pb, cross = _single_shot_frame(bright, path.beta0)
     zeta = np.pi * (1.0 - np.sin(path.gamma))
     ideal = np.exp(1j * zeta) * (PROJ_E + pb[0]) + (IDENTITY - PROJ_E - pb[0])
@@ -412,7 +417,7 @@ def bright_decomposition(loop1, loop2) -> BrightDecomposition:
     """
     (theta1, psi1, phi1), (theta2, psi2, phi2) = loop1, loop2
     b1, d1 = bright_dark(theta1, psi1)
-    b2, _ = bright_dark(theta2, psi2)
+    b2 = bright_state(theta2, psi2)
     eta, phi_b, degenerate = _overlap_angles(np.vecdot(b1, b2), phi1, phi2)
     phi_d = _principal(phi2 + np.angle(np.vecdot(d1, b2)))
     return BrightDecomposition(eta, phi_b, phi_d, degenerate)

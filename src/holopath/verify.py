@@ -183,8 +183,8 @@ def _kappa_derivative(path: TwoLoopPath, eps: float) -> float:
 def unbalanced_fixture_path() -> TwoLoopPath:
     """theta1 = pi/3, theta2 = pi/2, eta = pi/2 (psi21 = pi/2), tuned to phi_b = pi."""
     loop1 = LoopParams(np.pi / 3, 0.0, 0.0)
-    b1, _ = schemes.bright_dark(np.pi / 3, 0.0)
-    b2, _ = schemes.bright_dark(np.pi / 2, np.pi / 2)
+    b1 = schemes.bright_state(np.pi / 3, 0.0)
+    b2 = schemes.bright_state(np.pi / 2, np.pi / 2)
     phi2 = np.pi - np.angle(np.vdot(b1, b2))
     return TwoLoopPath(loop1, LoopParams(np.pi / 2, np.pi / 2, phi2))
 

@@ -541,25 +541,25 @@ def count_calls(monkeypatch, *names):
 
 
 def test_two_loop_fidelity_pair_builds_the_errored_loops_once(monkeypatch):
-    calls = count_calls(monkeypatch, "relative_error_angles", "bright_dark", "_pulse")
+    calls = count_calls(monkeypatch, "relative_error_angles", "bright_state", "bright_dark", "_pulse")
     path = TwoLoopPath(LoopParams(0.7, 0.3, 1.1), LoopParams(2.0, 2.5, 4.0))
     fidelity_pair("two-loop", path, RabiError(0.01, 0.005))
-    # the ideal loops ride along with the errored ones: one bright-state call, one pulse call
-    assert calls == {"relative_error_angles": 1, "bright_dark": 1, "_pulse": 1}
+    # the ideal loops ride along with the errored ones: one bright-state call (no dark state), one pulse call
+    assert calls == {"relative_error_angles": 1, "bright_state": 1, "bright_dark": 0, "_pulse": 1}
 
 
 def test_single_loop_fidelity_pair_builds_one_coupling_generator(monkeypatch):
-    calls = count_calls(monkeypatch, "bright_dark", "_bright_coupling", "_pulse")
+    calls = count_calls(monkeypatch, "bright_state", "bright_dark", "_bright_coupling", "_pulse")
     fidelity_pair("single-loop", SingleLoopPath(0.7, 0.3, 1.1, 2.0), RabiError(0.01, 0.005))
     # both segments, ideal and errored, in one pass
-    assert calls == {"bright_dark": 1, "_bright_coupling": 1, "_pulse": 1}
+    assert calls == {"bright_state": 1, "bright_dark": 0, "_bright_coupling": 1, "_pulse": 1}
 
 
 def test_single_shot_fidelity_pair_builds_one_frame(monkeypatch):
-    calls = count_calls(monkeypatch, "bright_dark", "_single_shot_frame", "_pulse")
+    calls = count_calls(monkeypatch, "bright_state", "bright_dark", "_single_shot_frame", "_pulse")
     fidelity_pair("single-shot", SingleShotPath(0.4, 0.3, 1.2, 0.5), RabiError(0.01, 0.005))
     # the ideal bright state rides along with the errored one; both factors of the errored gate in one pulse call
-    assert calls == {"bright_dark": 1, "_single_shot_frame": 1, "_pulse": 1}
+    assert calls == {"bright_state": 1, "bright_dark": 0, "_single_shot_frame": 1, "_pulse": 1}
 
 
 def test_relative_error_breakdown_field_shapes_on_a_grid():

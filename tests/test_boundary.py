@@ -203,7 +203,7 @@ RANGE_CALLERS = {
     "analytic.f3",
 }
 UNCHECKED = (
-    "bright_dark", "relative_error_angles", "bright_decomposition",
+    "bright_state", "bright_dark", "relative_error_angles", "bright_decomposition",
     "_bright_coupling", "two_loop_gates", "_overlap_angles",
 )
 VALIDATORS = {
@@ -289,7 +289,7 @@ def test_oracle_shares_no_helper_of_the_closed_forms():
         if isinstance(node, ast.ImportFrom):
             assert not (node.level == 1 and node.module is None and "schemes" in {a.name for a in node.names})
     helpers = {
-        "relative_error_angles", "bright_dark", "_bright_coupling", "_single_shot_frame",
+        "relative_error_angles", "bright_state", "bright_dark", "_bright_coupling", "_single_shot_frame",
         "_error_operator", "_pulse",
     }
     for name, node in _functions(oracle):

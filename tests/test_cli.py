@@ -155,19 +155,33 @@ def test_sweep_grid_value_out_of_range(tmp_path, capsys, scheme, grid, message):
     assert not out.exists()
 
 
+SWEEP_EPSILONS = "0.05,-0.05,0.0071,0.0,-0.003"
+# the north star's boundary inputs: theta_gate 0 and pi/2, axis +/-z, both errors at the cap |0.1|
+BOUNDARY_SWEEPS = [
+    pytest.param(scheme, "-0.1,0,0.1", theta_gate, axis, "-0.1,-0.0,0.1", id=f"{scheme}-{theta_gate}-{axis}-cap")
+    for scheme in analytic.SCHEMES
+    for theta_gate in (0, 0.5)
+    for axis in ("0,0,1", "0,0,-1")
+]
+
+
 @pytest.mark.parametrize(
-    "scheme, kappa",
-    [("two-loop", "-0.02,0,0.013"), ("single-loop", "0"), ("single-shot", "0"),
-     ("single-loop", "-0.01,0,0.01"), ("single-shot", "-0.01,0,0.01")],
+    "scheme, kappa, theta_gate, axis, epsilon",
+    [
+        # a general target and axis, named by scheme and kappa
+        pytest.param(scheme, kappa, 0.3, "-1,2,0.5", SWEEP_EPSILONS, id=f"{scheme}-{kappa}")
+        for scheme, kappa in [("two-loop", "-0.02,0,0.013"), ("single-loop", "0"), ("single-shot", "0"),
+                              ("single-loop", "-0.01,0,0.01"), ("single-shot", "-0.01,0,0.01")]
+    ]
+    + BOUNDARY_SWEEPS,
 )
-def test_sweep_records_equal_per_point_fidelity_pair(tmp_path, scheme, kappa):
+def test_sweep_records_equal_per_point_fidelity_pair(tmp_path, scheme, kappa, theta_gate, axis, epsilon):
     # the grid evaluation against the loop over its points, value for value, in json.dumps's bytes
     from holopath.schemes import LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 
     out = tmp_path / "sweep.json"
-    epsilons = [0.05, -0.05, 0.0071, 0.0, -0.003]
-    code = run(["sweep", "--scheme", scheme, "--theta-gate", 0.3, "--axis=-1,2,0.5",
-                "--epsilon=" + ",".join(map(str, epsilons)), f"--kappa={kappa}", "--out", out])
+    code = run(["sweep", "--scheme", scheme, "--theta-gate", theta_gate, f"--axis={axis}",
+                f"--epsilon={epsilon}", f"--kappa={kappa}", "--out", out])
     assert code == 0
     raw = out.read_bytes()
     records = json.loads(raw)
@@ -177,24 +191,29 @@ def test_sweep_records_equal_per_point_fidelity_pair(tmp_path, scheme, kappa):
         path = TwoLoopPath(*(LoopParams(*(params[f"{k}{i}"] for k in ("theta", "psi", "phi"))) for i in (1, 2)))
     else:
         path = (SingleLoopPath if scheme == "single-loop" else SingleShotPath)(**params)
-    grid = [(e, k) for e in sorted(epsilons) for k in sorted(map(float, kappa.split(",")))]
+    grid = [(e, k) for e in sorted(map(float, epsilon.split(","))) for k in sorted(map(float, kappa.split(",")))]
     assert [(r["epsilon"], r["kappa"]) for r in records] == grid
     for record in records:
+        assert 0.0 <= record["fidelity_exact"] <= 1.0 and 0.0 <= record["fidelity_analytic2"] <= 1.0
         exact, second_order = analytic.fidelity_pair(scheme, path, RabiError(record["epsilon"], record["kappa"]))
         assert (record["fidelity_exact"], record["fidelity_analytic2"]) == (exact, second_order)
         assert record["abs_gap"] == abs(exact - second_order)
 
 
-def reference_sweep_bytes(scheme, params, columns):
+def reference_sweep_bytes(scheme, params, epsilons, kappas, values):
     # the records and the json.dump call that sweep wrote before it streamed its records
-    rows = zip(*(column.tolist() for column in columns.values()))
-    records = [{"scheme": scheme, "params": params, **dict(zip(columns, row))} for row in rows]
+    grid = [(e, k) for e in epsilons for k in kappas]
+    rows = zip(*(column.tolist() for column in values.values()))
+    records = [
+        {"scheme": scheme, "params": params, "epsilon": e, "kappa": k, **dict(zip(values, row))}
+        for (e, k), row in zip(grid, rows, strict=True)
+    ]
     buffer = io.StringIO()
     json.dump(records, buffer, indent=2, sort_keys=True, allow_nan=False)
     return (buffer.getvalue() + "\n").encode()
 
 
-SWEEP_COLUMNS = ("epsilon", "kappa", "fidelity_exact", "fidelity_analytic2", "abs_gap")
+VALUE_COLUMNS = ("fidelity_exact", "fidelity_analytic2", "abs_gap")
 PARAM_KEYS = {
     "two-loop": ("theta1", "psi1", "phi1", "theta2", "psi2", "phi2", "eta", "phi_b", "cos_theta_sum"),
     "single-loop": ("theta", "psi", "phi", "phi_prime"),
@@ -210,32 +229,54 @@ def sweep_payloads(draw):
     params = {key: draw(finite_floats) for key in PARAM_KEYS[scheme]}
     if scheme == "two-loop" and draw(st.booleans()):
         params["phi_b"] = None
-    size = draw(st.integers(0, 4))
-    columns = {name: np.array(draw(st.lists(finite_floats, min_size=size, max_size=size))) for name in SWEEP_COLUMNS}
-    return scheme, params, columns
+    # coordinates may repeat, as a sweep's own lists may
+    epsilons, kappas = (draw(st.lists(finite_floats, max_size=4)) for _ in range(2))
+    size = len(epsilons) * len(kappas)
+    values = {name: np.array(draw(st.lists(finite_floats, min_size=size, max_size=size))) for name in VALUE_COLUMNS}
+    return scheme, params, epsilons, kappas, values
+
+
+def write_sweep(tmp_path, payload):
+    out = tmp_path / "sweep.json"
+    cli._write_sweep(*payload, str(out))
+    return out.read_bytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(payload=sweep_payloads())
 @example(payload=("two-loop", dict.fromkeys(PARAM_KEYS["two-loop"], 0.5) | {"phi_b": None},
-                  dict(zip(SWEEP_COLUMNS, np.array([[-0.0, 5e-324, 1e-300, 1e16, -0.02]] * 5)))))
-@example(payload=("single-shot", dict.fromkeys(PARAM_KEYS["single-shot"], -0.0),
-                  {name: np.array([]) for name in SWEEP_COLUMNS}))
+                  [-0.0, 0.0, 5e-324, 1e16], [1e16, 0.0, -0.0, 5e-324],
+                  dict(zip(VALUE_COLUMNS, np.array([[-0.0, 5e-324, 1e-300, 1e16] * 4] * 3)))))
+@example(payload=("single-shot", dict.fromkeys(PARAM_KEYS["single-shot"], -0.0), [0.01], [],
+                  {name: np.array([]) for name in VALUE_COLUMNS}))
 def test_sweep_writer_bytes_equal_json_dump(tmp_path_factory, payload):
-    scheme, params, columns = payload
-    out = tmp_path_factory.mktemp("sweep") / "sweep.json"
-    cli._write_sweep(scheme, params, columns, str(out))
-    assert out.read_bytes() == reference_sweep_bytes(scheme, params, columns)
+    assert write_sweep(tmp_path_factory.mktemp("sweep"), payload) == reference_sweep_bytes(*payload)
 
 
 def test_sweep_writer_blocks_of_rows_equal_json_dump(tmp_path, monkeypatch, rng):
-    # seven records in blocks of three: two whole blocks and a partial one
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
-    params = dict.fromkeys(PARAM_KEYS["single-loop"], 0.25)
-    columns = {name: rng.uniform(-1.0, 1.0, 7) for name in SWEEP_COLUMNS}
-    out = tmp_path / "sweep.json"
-    cli._write_sweep("single-loop", params, columns, str(out))
-    assert out.read_bytes() == reference_sweep_bytes("single-loop", params, columns)
+    # a 3x4 grid in chunks of five records: the chunk boundaries fall inside the second and third epsilon rows
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+    payload = ("single-loop", dict.fromkeys(PARAM_KEYS["single-loop"], 0.25), [-0.01, 0.0, 0.02],
+               [-0.0, 0.0, 0.005, 0.1], {name: rng.uniform(-1.0, 1.0, 12) for name in VALUE_COLUMNS})
+    assert write_sweep(tmp_path, payload) == reference_sweep_bytes(*payload)
+
+
+@pytest.mark.parametrize("size", [0, 1, 127, 128, 129, 300])
+def test_sweep_writer_writes_whole_chunks(tmp_path, monkeypatch, size):
+    # at most one write per chunk of _BLOCK_ROWS records, plus the opening and the closing bracket
+    writes = []
+
+    def counting_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        write = handle.write
+        handle.write = lambda text: writes.append(text) or write(text)
+        return handle
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    payload = ("two-loop", dict.fromkeys(PARAM_KEYS["two-loop"], 0.5), [0.01] * size, [0.0],
+               {name: np.full(size, 0.5) for name in VALUE_COLUMNS})
+    assert write_sweep(tmp_path, payload) == reference_sweep_bytes(*payload)
+    assert 1 <= len(writes) <= math.ceil(size / cli._BLOCK_ROWS) + 2
 
 
 @pytest.mark.parametrize("column, value", [("fidelity_exact", math.nan), ("fidelity_analytic2", math.inf)])

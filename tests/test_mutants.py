@@ -1,6 +1,6 @@
 """Every named acceptance criterion catches its mutant of the physics.
 
-Each row is (name, monkeypatch target in ``holopath.schemes``, replacement,
+Each row is (name, patched module, monkeypatch target in it, replacement,
 criteria expected to fail).  A case patches the closed forms in process,
 runs only the criteria it names at fast level, and asserts that each of
 them fails.  The oracle writes its own drives, so criterion 7 catches every
@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holopath import pathfinder, schemes, verify
+from holopath import analytic, pathfinder, schemes, verify
 from holopath.linalg import IDENTITY, KET_E
 
 _relative_error_angles = schemes.relative_error_angles
@@ -38,19 +38,27 @@ def _pulse_without_second_order_term(generator, area):
     return IDENTITY - 1j * np.sin(np.asarray(area, dtype=float)[..., None, None]) * generator
 
 
+def _f2_with_cos_theta(theta_gate):
+    # (1 - cos(theta)) / 2 for (1 - cos(2 theta)) / 2: the figure1 endpoint at pi/2 moves from 1 to 0.5
+    out = 0.5 * (1.0 - np.cos(np.asarray(theta_gate, dtype=float)))
+    return out if out.ndim else float(out)
+
+
 MUTANTS = [
-    ("kappa^2", "relative_error_angles", _kappa_squared_on_drive_1, {7}),
-    ("+2 eps^2 in delta", "relative_error_angles", _two_eps_squared_in_delta, {5, 6, 7}),
-    ("phi -> -phi", "_bright_coupling", lambda bright, phi: _bright_coupling(bright, -phi), {2, 4, 5, 6, 7, 8}),
+    ("kappa^2", schemes, "relative_error_angles", _kappa_squared_on_drive_1, {7}),
+    ("+2 eps^2 in delta", schemes, "relative_error_angles", _two_eps_squared_in_delta, {5, 6, 7}),
+    ("phi -> -phi", schemes, "_bright_coupling", lambda b, phi: _bright_coupling(b, -phi), {2, 4, 5, 6, 7, 8}),
     # _pulse checks neither hermiticity nor G^3 = G: these two rows show the criteria catch either defect
-    ("no + h.c.", "_bright_coupling", _coupling_without_hermitian_conjugate, {2, 3, 4, 5, 6, 7, 8}),
-    ("no (cos a - 1) G^2", "_pulse", _pulse_without_second_order_term, {2, 3, 5, 6, 7, 8}),
+    ("no + h.c.", schemes, "_bright_coupling", _coupling_without_hermitian_conjugate, {2, 3, 4, 5, 6, 7, 8}),
+    ("no (cos a - 1) G^2", schemes, "_pulse", _pulse_without_second_order_term, {2, 3, 5, 6, 7, 8}),
+    # the figure1 curve alone: the scheme table keeps its own reference to the true f2
+    ("f2 with cos theta", analytic, "f2", _f2_with_cos_theta, {1}),
 ]
 
 
-@pytest.mark.parametrize("name, target, replacement, criteria", MUTANTS, ids=[row[0] for row in MUTANTS])
-def test_mutant_fails_its_criteria(monkeypatch, name, target, replacement, criteria):
-    monkeypatch.setattr(schemes, target, replacement)
+@pytest.mark.parametrize("name, module, target, replacement, criteria", MUTANTS, ids=[row[0] for row in MUTANTS])
+def test_mutant_fails_its_criteria(monkeypatch, name, module, target, replacement, criteria):
+    monkeypatch.setattr(module, target, replacement)
     results = [verify.ALL_CHECKS[n - 1](level="fast", seed=verify.DEFAULT_SEED) for n in sorted(criteria)]
     survivors = [result.line for result in results if result.passed]
     assert not survivors, (name, survivors)
