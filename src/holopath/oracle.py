@@ -19,8 +19,9 @@ angle x = a_k * v.  A segment is stepped in blocks of ``_BLOCK_STEPS``
 steps through one reused buffer whose first column carries the running
 product, so every factor is multiplied in step order, the areas are never
 summed (the closed forms' shortcut), and memory per segment is bounded by
-the block, not by the step count.  A generator that depends on time would
-need a propagator of its own.
+the block, not by the step count.  Segments are stepped concurrently, on up
+to the usable CPUs, and multiplied in time order, bit for bit as serially.
+A generator that depends on time would need a propagator of its own.
 
 The only discretization error is then the midpoint quadrature error of the
 envelope area; the "square" and "sine-squared" shapes are integrated
@@ -32,9 +33,10 @@ to use for convergence-order measurements.
 from __future__ import annotations
 
 import operator
+import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -118,7 +120,8 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
 
     Each segment's generator is fixed, so its steps are diagonal in one
     eigenbasis and their ordered product is the product of the per-step
-    phase factors in that basis; segments are then applied in time order.
+    phase factors in that basis; segments are stepped concurrently, on up to
+    the usable CPUs, and multiplied in time order, bit for bit as serially.
     Step k's factor on eigenvalue v is cos(a_k v) - 1j sin(a_k v) of its own
     midpoint area a_k.  The steps run in blocks of ``_BLOCK_STEPS``: each
     block's factors fill columns 1.. of a reused buffer whose column 0 holds
@@ -142,22 +145,39 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
     if not schedule.segments:
         warnings.warn("propagating an empty schedule: returning identity", RuntimeWarning, stacklevel=2)
         return IDENTITY.copy()
-    total = IDENTITY.copy()
-    h = 1.0 / steps
-    for seg in schedule.segments:
-        vals, vecs = np.linalg.eigh(seg.generator)
-        buf = np.ones((3, _BLOCK_STEPS + 1), dtype=complex)
-        for start in range(0, steps, _BLOCK_STEPS):
-            n = min(_BLOCK_STEPS, steps - start)
-            areas = seg.envelope.values((np.arange(start, start + n) + 0.5) * h) * h
-            angles = np.outer(vals, areas)
-            np.cos(angles, out=buf[:, 1:n + 1].real)
-            np.sin(angles, out=buf[:, 1:n + 1].imag)
-            buf[:, 0] = np.prod(buf[:, :n + 1], axis=1)
-        buf[:, 0] /= np.abs(buf[:, 0])
-        # conjugating the product conjugates every factor exactly: prod(cos - 1j sin)
-        total = (vecs * buf[:, 0].conj()) @ vecs.conj().T @ total
+    # the calling thread steps the first segment itself: a one-segment schedule never waits on a pool thread
+    pool = _pool(os.getpid())
+    later = [pool.submit(_step_segment, seg, steps) for seg in schedule.segments[1:]]
+    total = _step_segment(schedule.segments[0], steps) @ IDENTITY
+    for future in later:
+        total = future.result() @ total
     return total
+
+
+def _step_segment(seg: ScheduleSegment, steps: int) -> np.ndarray:
+    """One segment's ordered step product, in blocks of ``_BLOCK_STEPS``, as the 3x3 unitary."""
+    vals, vecs = np.linalg.eigh(seg.generator)
+    h = 1.0 / steps
+    angles = np.empty((3, _BLOCK_STEPS))
+    buf = np.ones((3, _BLOCK_STEPS + 1), dtype=complex)
+    for start in range(0, steps, _BLOCK_STEPS):
+        n = min(_BLOCK_STEPS, steps - start)
+        # the midpoint areas are a temporary: no block's areas stay alive while the next block's are made
+        np.multiply.outer(vals, seg.envelope.values((np.arange(start, start + n) + 0.5) * h) * h, out=angles[:, :n])
+        np.cos(angles[:, :n], out=buf[:, 1:n + 1].real)
+        np.sin(angles[:, :n], out=buf[:, 1:n + 1].imag)
+        buf[:, 0] = np.prod(buf[:, :n + 1], axis=1)
+    buf[:, 0] /= np.abs(buf[:, 0])
+    # conjugating the product conjugates every factor exactly: prod(cos - 1j sin)
+    return (vecs * buf[:, 0].conj()) @ vecs.conj().T
+
+
+@cache
+def _pool(pid: int):
+    """One pool per process id, with a thread per usable CPU: a forked child inherits no thread of its parent's pool."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def closed_form_limit(schedule: Schedule) -> np.ndarray:

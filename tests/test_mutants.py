@@ -1,10 +1,10 @@
 """Every named acceptance criterion catches its mutant of the physics.
 
 Each row is (name, patched module, monkeypatch target in it, replacement,
-criteria expected to fail).  A case patches the closed forms in process,
-runs only the criteria it names at fast level, and asserts that each of
-them fails.  The oracle writes its own drives, so criterion 7 catches every
-mutant of the closed forms' error model.
+criteria expected to fail).  A case patches the closed forms, or the oracle,
+in process, runs only the criteria it names at fast level, and asserts that
+each of them fails.  The oracle writes its own drives, so criterion 7 catches
+every mutant of the closed forms' error model, and a mutant of the oracle.
 """
 
 from types import SimpleNamespace
@@ -12,11 +12,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holopath import analytic, pathfinder, schemes, verify
+from holopath import analytic, oracle, pathfinder, schemes, verify
 from holopath.linalg import IDENTITY, KET_E
 
 _relative_error_angles = schemes.relative_error_angles
 _bright_coupling = schemes._bright_coupling
+_propagate = oracle.propagate
 
 
 def _kappa_squared_on_drive_1(theta, error):
@@ -38,6 +39,11 @@ def _pulse_without_second_order_term(generator, area):
     return IDENTITY - 1j * np.sin(np.asarray(area, dtype=float)[..., None, None]) * generator
 
 
+def _propagate_segments_reversed(schedule, steps_per_segment):
+    # the oracle's combine step multiplying the stepped segments out of time order
+    return _propagate(oracle.Schedule(schedule.segments[::-1]), steps_per_segment)
+
+
 def _f2_with_cos_theta(theta_gate):
     # (1 - cos(theta)) / 2 for (1 - cos(2 theta)) / 2: the figure1 endpoint at pi/2 moves from 1 to 0.5
     out = 0.5 * (1.0 - np.cos(np.asarray(theta_gate, dtype=float)))
@@ -53,6 +59,8 @@ MUTANTS = [
     ("no (cos a - 1) G^2", schemes, "_pulse", _pulse_without_second_order_term, {2, 3, 5, 6, 7, 8}),
     # the figure1 curve alone: the scheme table keeps its own reference to the true f2
     ("f2 with cos theta", analytic, "f2", _f2_with_cos_theta, {1}),
+    # the oracle itself: criterion 7 holds it against the closed forms, so it catches a wrong oracle too
+    ("segments out of time order", oracle, "propagate", _propagate_segments_reversed, {7}),
 ]
 
 

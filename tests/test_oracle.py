@@ -54,13 +54,44 @@ def test_envelope_calibrated_area(shape):
     assert abs(area - np.pi) <= 1e-10
 
 
-def test_import_does_not_load_scipy():
+def _run_fresh_interpreter(code):
     # a fresh interpreter that finds the same holopath as this test session
     src = str(Path(oracle.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, holopath; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert result.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_import_does_not_load_scipy():
+    # nor the thread pool's module: the oracle imports it when it first steps a schedule
+    code = "import sys, holopath, holopath.cli; print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
+    result = _run_fresh_interpreter(code)
+    assert result.returncode == 0 and result.stdout.strip() == "False False", result.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_propagate_in_a_forked_child_steps_on_its_own_pool():
+    # the child inherits the parent's pool but not its threads: a task queued there would never run
+    code = """if True:
+        import os, signal, time
+        import numpy as np
+        from holopath import oracle, schemes
+        path = schemes.SingleLoopPath(0.5, 0.1, 0.2, 0.3)
+        schedule = oracle.schedule_for_single_loop(path, schemes.RabiError(0.01), "sine")
+        parent = oracle.propagate(schedule, 1000)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if np.array_equal(oracle.propagate(schedule, 1000), parent) else 1)
+        deadline = time.monotonic() + 30
+        while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise SystemExit("the forked child hangs")
+            time.sleep(0.05)
+        print(os.waitstatus_to_exitcode(waited[1]))
+    """
+    result = _run_fresh_interpreter(code)
+    assert result.returncode == 0 and result.stdout.strip() == "0", result.stderr
 
 
 def test_envelope_validation():
@@ -138,7 +169,7 @@ def test_propagate_is_literal_ordered_product_of_midpoint_steps():
     from holopath.linalg import expm
 
     steps = 200
-    segments = _two_segment_schedule("sine", "sine-squared").segments
+    segments = _pulse_schedule("sine", "sine-squared").segments
     total = IDENTITY.copy()
     h = 1.0 / steps
     for seg in segments:
@@ -171,7 +202,7 @@ def test_propagate_matches_complex_exp_phase_product():
     # the per-step factors against numpy's complex exp of the same midpoint
     # angles, multiplied over the step axis, per segment in time order
     steps = 10_000
-    segments = _two_segment_schedule("sine", "sine-squared").segments
+    segments = _pulse_schedule("sine", "sine-squared").segments
     total = IDENTITY.copy()
     h = 1.0 / steps
     for seg in segments:
@@ -200,22 +231,35 @@ def _whole_segment_propagate(schedule, steps):
     return total
 
 
-def _two_segment_schedule(shape, second_shape):
-    # two non-commuting pulses, each scaled off its calibrated area through its generator
-    return Schedule((
-        ScheduleSegment(PulseEnvelope(shape, np.pi), 1.03 * coupling_generator(0.8, 0.4, 1.2)),
-        ScheduleSegment(PulseEnvelope(second_shape, np.pi / 2), 0.97 * coupling_generator(2.1, 1.7, -0.5)),
+#: (area, generator scale, coupling angles) of up to three pulses that pairwise do not commute
+_PULSES = ((np.pi, 1.03, (0.8, 0.4, 1.2)), (np.pi / 2, 0.97, (2.1, 1.7, -0.5)), (0.7 * np.pi, 1.01, (0.3, 2.6, 0.9)))
+
+
+def _pulse_schedule(*shapes):
+    # one pulse per shape, each scaled off its calibrated area through its generator
+    return Schedule(tuple(
+        ScheduleSegment(PulseEnvelope(shape, area), scale * coupling_generator(*angles))
+        for shape, (area, scale, angles) in zip(shapes, _PULSES)
     ))
 
 
 B = oracle._BLOCK_STEPS
 
 
+#: the two pulses of a loop scheme keep the bare shape as id; one and three pulses are named.
+#: one pulse is stepped on the calling thread alone; three outnumber a two-core host's CPUs and finish in any order
+_PULSE_COUNTS = {1: "-one-pulse", 2: "", 3: "-three-pulses"}
+
+
 @pytest.mark.parametrize("steps", [100, B - 1, B, B + 1, 2 * B + 3, 100_000])
-@pytest.mark.parametrize("shape", oracle.SHAPES)
-def test_blocked_propagate_equals_whole_segment_product_bit_for_bit(shape, steps):
-    # the running product carried between blocks multiplies every factor in step order
-    schedule = _two_segment_schedule(shape, shape)
+@pytest.mark.parametrize("shape, count", [
+    pytest.param(shape, count, id=shape + suffix) for shape in oracle.SHAPES for count, suffix in _PULSE_COUNTS.items()
+])
+def test_blocked_propagate_equals_whole_segment_product_bit_for_bit(shape, count, steps):
+    # the running product carried between blocks multiplies every factor in step order, and the segments,
+    # stepped concurrently, are multiplied in time order: the same bits as one serial product per segment
+    schedule = _pulse_schedule(*[shape] * count)
+    assert len(schedule.segments) == count
     assert np.array_equal(propagate(schedule, steps), _whole_segment_propagate(schedule, steps))
 
 
@@ -231,7 +275,7 @@ def test_square_envelope_oracle_gate_passes_the_unitarity_contract():
 
 def test_propagate_memory_is_bounded_by_the_block():
     # a whole-segment array of 1e5 steps is 4.8 MB of complex factors alone
-    schedule = _two_segment_schedule("sine", "sine")
+    schedule = _pulse_schedule("sine", "sine")
     propagate(schedule, 100)
     tracemalloc.start()
     try:
