@@ -12,14 +12,12 @@ a relative error difference between the two drives.
 
 from .analytic import (
     FidelityReport,
-    RelativeErrorBreakdown,
     comparison_table,
     dF_dkappa_at_zero,
     extract_quadratic_coefficient,
     f1,
     f2,
     f3,
-    fid2_relative,
     fid2_two_loop,
     fidelity_pair,
     fidelity_report,
@@ -75,7 +73,6 @@ __all__ = [
     "PathConstraints",
     "PulseEnvelope",
     "RabiError",
-    "RelativeErrorBreakdown",
     "Schedule",
     "ScheduleSegment",
     "SingleLoopPath",
@@ -92,7 +89,6 @@ __all__ = [
     "f1",
     "f2",
     "f3",
-    "fid2_relative",
     "fid2_two_loop",
     "fidelity_pair",
     "fidelity_report",

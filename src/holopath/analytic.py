@@ -58,7 +58,7 @@ def comparison_table(samples: int) -> np.ndarray:
 def quad_coeff_two_loop(eta: float, phi_b: float) -> float:
     """Quadratic error coefficient (2/3)(1 + cos(eta/2) cos(phi_b)) pi^2.
 
-    The phi_b term is 0 at eta = pi, where phi_b is NaN, as in :func:`fid2_relative`; elsewhere NaN raises.
+    The phi_b term is 0 at eta = pi, where phi_b is NaN, as in the two-loop second order; elsewhere NaN raises.
     """
     term = np.cos(eta / 2.0) * np.cos(phi_b)
     if np.isnan(term):
@@ -84,52 +84,18 @@ def fid2_two_loop(eta: float, phi_b: float, epsilon: float) -> float:
     return 1.0 - quad_coeff_two_loop(eta, phi_b) * e * e
 
 
-@dataclass(frozen=True, eq=False)
-class RelativeErrorBreakdown:
-    """Intermediate quantities of the two-loop relative-error fidelity.
+def _fid2_errored_loops(path: TwoLoopPath, loops) -> float:
+    """Second-order two-loop fidelity of a path whose :func:`~holopath.schemes.two_loop_gates` record is ``loops``.
 
-    theta11/theta22 are the per-loop bright-direction tilts, psi21 the
-    relative-phase difference, delta1/delta2 the per-loop area excesses,
-    eta_prime and phi_b the bright-state decomposition of the errored
-    loops, and (y, z) the two quadrature amplitudes entering the fidelity
-    1 - y^2/3 - pi^2 z^2/3.  ``degenerate`` mirrors the phi_b degeneracy
-    flag (orthogonal errored bright states, eta' = pi), in which case phi_b
-    is NaN while z and the fidelity stay finite: the phi_b term of z^2 is
-    multiplied by cos(eta'/2) = 0 there and is taken as 0.  For an error
-    grid every field but psi21 is an array of the grid's shape; psi21
-    depends on the path only and stays its float.
-    """
-
-    theta11: float
-    theta22: float
-    psi21: float
-    delta1: float
-    delta2: float
-    eta_prime: float
-    phi_b: float
-    y: float
-    z: float
-    degenerate: bool
-
-
-def fid2_relative(path: TwoLoopPath, error: RabiError) -> tuple[RelativeErrorBreakdown, float]:
-    """Second-order two-loop fidelity under unequal drive errors.
-
-    Reads the errored loop angles and bright states from the record that
-    :func:`holopath.schemes.two_loop_gates` returns with the gates, takes
-    (eta_prime, phi_b) from the errored bright states' overlap, and evaluates
+    Takes (eta', phi_b) from the errored bright states' overlap and evaluates
     ``F = 1 - y^2/3 - pi^2 z^2/3`` with
     y^2 = theta11^2 + theta22^2 - 2 theta11 theta22 cos(psi21) and
     z^2 = delta1^2 + delta2^2 + 2 delta1 delta2 cos(eta'/2) cos(phi_b),
-    whose last term is 0 at eta' = pi, where phi_b is undefined.  At
-    kappa = 0 this reduces exactly to the common-error formula.  An error
-    grid gives an array fidelity and array breakdown fields, psi21 aside.
+    where theta_kk = theta_k - theta_k' is loop k's bright-direction tilt, psi21 = psi2 - psi1
+    and delta_k loop k's area excess.  The last term of z^2 is 0 at eta' = pi (orthogonal
+    errored bright states), where phi_b is NaN and the fidelity stays finite.  At kappa = 0 this
+    reduces exactly to the common-error formula.  A grid record gives an array fidelity.
     """
-    return _fid2_errored_loops(path, schemes.two_loop_gates(path, error)[2])
-
-
-def _fid2_errored_loops(path: TwoLoopPath, loops) -> tuple[RelativeErrorBreakdown, float]:
-    """:func:`fid2_relative` of a path whose :func:`~holopath.schemes.two_loop_gates` record is ``loops``."""
     (t1p, t2p), (d1, d2) = loops.theta_p, loops.delta
     eta, phi_b, degenerate = schemes._overlap_angles(np.vecdot(*loops.bright), *loops.phi)
     theta11 = path.loop1.theta - t1p
@@ -140,20 +106,7 @@ def _fid2_errored_loops(path: TwoLoopPath, loops) -> tuple[RelativeErrorBreakdow
     z_sq = _square(d1) + _square(d2) + cross
     y = np.sqrt(np.maximum(0.0, y_sq))
     z = np.sqrt(np.maximum(0.0, z_sq))
-    fidelity = 1.0 - y * y / 3.0 - PI_SQ * z * z / 3.0
-    breakdown = RelativeErrorBreakdown(
-        theta11=theta11,
-        theta22=theta22,
-        psi21=psi21,
-        delta1=d1,
-        delta2=d2,
-        eta_prime=eta,
-        phi_b=phi_b,
-        y=y,
-        z=z,
-        degenerate=degenerate,
-    )
-    return breakdown, fidelity
+    return 1.0 - y * y / 3.0 - PI_SQ * z * z / 3.0
 
 
 def _fid2_errored_segments(path: SingleLoopPath, segments) -> float:
@@ -291,7 +244,7 @@ SCHEMES = {
         path_type=TwoLoopPath,
         build=lambda path, error: schemes.two_loop_gates(path, error),
         schedule=lambda path, error, shape: oracle.schedule_for_two_loop(path, error, shape),
-        second_order=lambda path, record: _fid2_errored_loops(path, record)[1],
+        second_order=_fid2_errored_loops,
         shape=f1,
         solve=lambda target, constraints: pathfinder.solve_two_loop(target, constraints).path,
         params=_two_loop_params,

@@ -235,15 +235,14 @@ NO_ERROR = RabiError(0.0)
 class BrightDecomposition(NamedTuple):
     """Decomposition of the second loop's phased bright state in the first loop's frame.
 
-    ``exp(1j phi2)|b2> = cos(eta/2) exp(1j (phi_b + phi1))|b1>
-    + sin(eta/2) exp(1j phi_d)|d1>``.  When the bright states are orthogonal
-    (eta = pi) phi_b is undefined: it is returned as NaN with
-    ``degenerate=True``, never as a silent default.
+    ``exp(1j phi2)|b2> = cos(eta/2) exp(1j (phi_b + phi1))|b1> + sin(eta/2) |d>``
+    for a state |d> orthogonal to |b1>, whose phase no fidelity reads.  When the
+    bright states are orthogonal (eta = pi) phi_b is undefined: it is returned
+    as NaN with ``degenerate=True``, never as a silent default.
     """
 
     eta: float
     phi_b: float
-    phi_d: float
     degenerate: bool
 
 
@@ -255,16 +254,6 @@ def bright_state(theta, psi) -> np.ndarray:
     """
     half = theta / 2.0
     return np.cos(half)[..., None] * KET_0 + (np.sin(half) * np.exp(1j * psi))[..., None] * KET_1
-
-
-def bright_dark(theta, psi) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`bright_state` and the dark state |d> = sin(theta/2)|0> - cos(theta/2) e^{i psi}|1>.
-
-    |d> does not couple to |e> under the drive.  Array angles broadcast as in :func:`bright_state`.
-    """
-    half = theta / 2.0
-    dark = np.sin(half)[..., None] * KET_0 - (np.cos(half) * np.exp(1j * psi))[..., None] * KET_1
-    return bright_state(theta, psi), dark
 
 
 def _bright_coupling(bright, phi) -> np.ndarray:
@@ -330,7 +319,7 @@ def _pulse_pair_gates(rows, area: float, error: RabiError) -> tuple[np.ndarray, 
 
 
 def two_loop_gates(path: TwoLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
-    """(ideal, errored, loops): both two-loop gates U2 U1, one pi-area pulse per loop; fid2_relative reads ``loops``.
+    """(ideal, errored, loops): both two-loop gates U2 U1, one pi-area pulse per loop; the second order reads ``loops``.
 
     Each ideal loop is -|e><e| - n_k.sigma, so the ideal gate's logical block equals
     (n1.n2) I - 1j (n1 x n2).sigma, a rotation by twice the angle between the two loop Bloch vectors,
@@ -409,20 +398,6 @@ def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
     return single_shot_gates(path, error)[1]
 
 
-def bright_decomposition(loop1, loop2) -> BrightDecomposition:
-    """The :class:`BrightDecomposition` of two loops given as raw (theta, psi, phi) triples.
-
-    Array angles broadcast, and every field then has their shape.  Both
-    thetas must already lie in [0, pi]; nothing is checked here.
-    """
-    (theta1, psi1, phi1), (theta2, psi2, phi2) = loop1, loop2
-    b1, d1 = bright_dark(theta1, psi1)
-    b2 = bright_state(theta2, psi2)
-    eta, phi_b, degenerate = _overlap_angles(np.vecdot(b1, b2), phi1, phi2)
-    phi_d = _principal(phi2 + np.angle(np.vecdot(d1, b2)))
-    return BrightDecomposition(eta, phi_b, phi_d, degenerate)
-
-
 def _overlap_angles(overlap, phi1, phi2):
     """(eta, phi_b, degenerate) of the overlap <b1|b2> of two bright states with total phases phi1, phi2."""
     # hypot, not np.abs: numpy's vectorized complex abs can differ from the scalar one in the last bit
@@ -438,9 +413,9 @@ def phi_b_of(path: TwoLoopPath) -> BrightDecomposition:
 
     eta is the Bloch-sphere angle between the two bright states (equal to
     the angle between the loop Bloch vectors); phi_b is the decomposition
-    phase controlling the leading error sensitivity of the two-loop gate.
-    Angles are reduced to [0, 2*pi); at eta = 0 the dark-component phase
-    phi_d is immaterial and returned as phi2 by convention.
+    phase controlling the leading error sensitivity of the two-loop gate,
+    reduced to [0, 2*pi).
     """
     loop1, loop2 = path.loop1, path.loop2
-    return bright_decomposition((loop1.theta, loop1.psi, loop1.phi), (loop2.theta, loop2.psi, loop2.phi))
+    overlap = np.vecdot(bright_state(loop1.theta, loop1.psi), bright_state(loop2.theta, loop2.psi))
+    return BrightDecomposition(*_overlap_angles(overlap, loop1.phi, loop2.phi))

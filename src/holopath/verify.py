@@ -163,7 +163,7 @@ def check_relative_error_consistency(level: str, seed: int) -> CheckResult:
         # float_power is C pow() per point, as ** is for one float; an array's ** 3 may round differently
         scale = np.float_power(np.abs(eps) + np.abs(kappa), 3)
         worst_ratio = max(worst_ratio, np.max(np.abs(exact - approx) / scale))
-        common = analytic.fid2_relative(path, RabiError(grid))[1]
+        common = analytic.fidelity_pair("two-loop", path, RabiError(grid))[1]
         reference = analytic.fid2_two_loop(dec.eta, dec.phi_b, grid)
         worst_reduction = max(worst_reduction, np.max(np.abs(common - reference)))
     ok = worst_ratio <= CUBIC_BOUND_CONSTANT and worst_reduction <= 1e-12

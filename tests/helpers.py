@@ -49,7 +49,17 @@ def coupling_generator(theta, psi, phi) -> np.ndarray:
 
     Array angles broadcast to a (..., 3, 3) stack.
     """
-    return schemes._bright_coupling(schemes.bright_dark(theta, psi)[0], phi)
+    return schemes._bright_coupling(schemes.bright_state(theta, psi), phi)
+
+
+def bright_dark(theta, psi) -> tuple[np.ndarray, np.ndarray]:
+    """The bright state and the dark state |d> = sin(theta/2)|0> - cos(theta/2) e^{i psi}|1>.
+
+    |d> does not couple to |e> under the drive.  Array angles broadcast as in ``schemes.bright_state``.
+    """
+    half = theta / 2.0
+    dark = np.sin(half)[..., None] * KET_0 - (np.cos(half) * np.exp(1j * psi))[..., None] * KET_1
+    return schemes.bright_state(theta, psi), dark
 
 
 def bloch_vector(theta: float, psi: float) -> np.ndarray:
@@ -164,7 +174,7 @@ def reference_errored_loops(path, error) -> tuple:
     """The errored pulses' (theta_p, delta, phi, bright), from the errored angles alone."""
     theta, psi, phi = pulse_angles(path, error.ndim)
     theta_p, delta = schemes.relative_error_angles(theta, error)
-    return theta_p, delta, phi, schemes.bright_dark(theta_p, psi)[0]
+    return theta_p, delta, phi, schemes.bright_state(theta_p, psi)
 
 
 def reference_pulse_pair_errored(path, error, area) -> np.ndarray:
@@ -195,12 +205,12 @@ def single_shot_bright(path) -> np.ndarray:
 def single_shot_frame(path, error) -> tuple:
     """(theta_p, delta, |b><b|, e^{i beta0}|b><e| + h.c.) of the errored single-shot bright state."""
     theta_p, delta = schemes.relative_error_angles(2.0 * path.alpha, error)
-    bright = schemes.bright_dark(theta_p, path.beta1 - path.beta0)[0]
+    bright = schemes.bright_state(theta_p, path.beta1 - path.beta0)
     return (theta_p, delta, *schemes._single_shot_frame(bright, path.beta0))
 
 
 def reference_single_shot_ideal(path) -> np.ndarray:
-    pb = projector(schemes.bright_dark(2.0 * path.alpha, path.beta1 - path.beta0)[0])
+    pb = projector(schemes.bright_state(2.0 * path.alpha, path.beta1 - path.beta0))
     zeta = np.pi * (1.0 - np.sin(path.gamma))
     return np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
 

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from holopath import analytic, schemes
 from holopath.analytic import (
     SCHEMES,
-    RelativeErrorBreakdown,
     TargetGate,
     dF_dkappa_at_zero,
     extract_quadratic_coefficient,
     f1,
     f2,
     f3,
-    fid2_relative,
     fid2_two_loop,
     fidelity_pair,
     fidelity_report,
@@ -31,7 +29,7 @@ from holopath.schemes import (
     SingleLoopPath,
     SingleShotPath,
     TwoLoopPath,
-    bright_dark,
+    bright_state,
     phi_b_of,
     single_shot_gates,
     two_loop_gates,
@@ -43,8 +41,8 @@ from helpers import exact_quadratic_fit, reference_quadratic_coefficient
 
 def unbalanced_fixture():
     # theta1 = pi/3, theta2 = pi/2, psi21 = pi/2 (so eta = pi/2), phi_b = pi
-    b1, _ = bright_dark(np.pi / 3, 0.0)
-    b2, _ = bright_dark(np.pi / 2, np.pi / 2)
+    b1 = bright_state(np.pi / 3, 0.0)
+    b2 = bright_state(np.pi / 2, np.pi / 2)
     phi2 = np.pi - np.angle(np.vdot(b1, b2))
     return TwoLoopPath(LoopParams(np.pi / 3, 0.0, 0.0), LoopParams(np.pi / 2, np.pi / 2, phi2))
 
@@ -154,10 +152,15 @@ def test_fid2_epsilon_domain():
         single_shot_second_order(1.0, 0.11)
 
 
-# ------------------------------------------------------------- fid2_relative
+# ------------------------------------------------- two-loop second order
 
 
-def test_fid2_relative_common_error_reduction(rng):
+def two_loop_second_order(path, error):
+    """fidelity_pair's two-loop second order, the one reader of the relative-error formula."""
+    return fidelity_pair("two-loop", path, error)[1]
+
+
+def test_two_loop_second_order_common_error_reduction(rng):
     for _ in range(100):
         path = TwoLoopPath(
             LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
@@ -167,66 +170,42 @@ def test_fid2_relative_common_error_reduction(rng):
         if dec.degenerate:
             continue
         eps = rng.uniform(-0.1, 0.1)
-        breakdown, fid = fid2_relative(path, RabiError(eps))
-        assert abs(breakdown.y) <= 1e-15
+        fid = two_loop_second_order(path, RabiError(eps))
         assert fid == pytest.approx(fid2_two_loop(dec.eta, dec.phi_b, eps), abs=1e-12)
 
 
-def test_fid2_relative_phi_b_pi_matches_f1(rng):
+def test_two_loop_second_order_phi_b_pi_matches_f1(rng):
     # at phi_b = pi and kappa = 0 the z term reduces to f1(eta) eps^2
     path = unbalanced_fixture()
     dec = phi_b_of(path)
     eps = 0.02
-    breakdown, fid = fid2_relative(path, RabiError(eps))
+    fid = two_loop_second_order(path, RabiError(eps))
     assert 1 - fid == pytest.approx(f1(dec.eta) * np.pi**2 * eps**2 / 3, abs=1e-12)
 
 
-def test_fid2_relative_zero_error():
-    _, fid = fid2_relative(unbalanced_fixture(), RabiError(0.0, 0.0))
-    assert fid == 1.0
+def test_two_loop_second_order_zero_error():
+    assert two_loop_second_order(unbalanced_fixture(), RabiError(0.0, 0.0)) == 1.0
 
 
-def test_fid2_relative_regression_fixture():
+def test_two_loop_second_order_regression_fixture():
     # frozen from exact-propagation cross-check of this pipeline
-    breakdown, fid = fid2_relative(unbalanced_fixture(), RabiError(1e-2, 5e-3))
+    fid = two_loop_second_order(unbalanced_fixture(), RabiError(1e-2, 5e-3))
     assert fid == pytest.approx(0.999682496088484, abs=1e-12)
-    assert not breakdown.degenerate
     exact = gate_fidelity(*two_loop_gates(unbalanced_fixture(), RabiError(1e-2, 5e-3))[:2])
     assert abs(fid - exact) <= 6.0 * (1e-2 + 5e-3) ** 3
 
 
-def test_fid2_relative_breakdown_invariants(rng):
-    for _ in range(200):
-        path = TwoLoopPath(
-            LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
-            LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
-        )
-        error = RabiError(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
-        breakdown, fid = fid2_relative(path, error)
-        assert np.isfinite(fid)
-        if breakdown.degenerate:
-            continue
-        assert breakdown.y >= 0.0
-        assert breakdown.z >= 0.0
-        assert breakdown.y**2 == pytest.approx(
-            breakdown.theta11**2
-            + breakdown.theta22**2
-            - 2 * breakdown.theta11 * breakdown.theta22 * np.cos(breakdown.psi21),
-            abs=1e-15,
-        )
-
-
 @pytest.mark.parametrize("kappa", [0.0, 0.01, -0.01])
-def test_fid2_relative_orthogonal_bright_states(kappa):
+def test_two_loop_second_order_orthogonal_bright_states(kappa):
     # loops at theta = 0 and theta = pi: eta = pi, where phi_b is undefined
     path = TwoLoopPath(LoopParams(0.0, 0.0, 0.0), LoopParams(np.pi, 0.0, 0.0))
     error = RabiError(0.01, kappa)
-    breakdown, fid = fid2_relative(path, error)
-    assert breakdown.degenerate
-    assert np.isnan(breakdown.phi_b)
-    exact = gate_fidelity(*two_loop_gates(path, error)[:2])
+    dec = phi_b_of(path)
+    assert dec.degenerate
+    assert np.isnan(dec.phi_b)
+    exact, fid = fidelity_pair("two-loop", path, error)
+    assert exact == gate_fidelity(*two_loop_gates(path, error)[:2])
     assert abs(exact - fid) <= CUBIC_BOUND_CONSTANT * (abs(error.epsilon) + abs(kappa)) ** 3
-    assert fidelity_pair("two-loop", path, error) == (exact, fid)
 
 
 # ------------------------------------------------------------- dF/dkappa
@@ -541,37 +520,25 @@ def count_calls(monkeypatch, *names):
 
 
 def test_two_loop_fidelity_pair_builds_the_errored_loops_once(monkeypatch):
-    calls = count_calls(monkeypatch, "relative_error_angles", "bright_state", "bright_dark", "_pulse")
+    calls = count_calls(monkeypatch, "relative_error_angles", "bright_state", "_pulse")
     path = TwoLoopPath(LoopParams(0.7, 0.3, 1.1), LoopParams(2.0, 2.5, 4.0))
     fidelity_pair("two-loop", path, RabiError(0.01, 0.005))
-    # the ideal loops ride along with the errored ones: one bright-state call (no dark state), one pulse call
-    assert calls == {"relative_error_angles": 1, "bright_state": 1, "bright_dark": 0, "_pulse": 1}
+    # the ideal loops ride along with the errored ones: one bright-state call, one pulse call
+    assert calls == {"relative_error_angles": 1, "bright_state": 1, "_pulse": 1}
 
 
 def test_single_loop_fidelity_pair_builds_one_coupling_generator(monkeypatch):
-    calls = count_calls(monkeypatch, "bright_state", "bright_dark", "_bright_coupling", "_pulse")
+    calls = count_calls(monkeypatch, "bright_state", "_bright_coupling", "_pulse")
     fidelity_pair("single-loop", SingleLoopPath(0.7, 0.3, 1.1, 2.0), RabiError(0.01, 0.005))
     # both segments, ideal and errored, in one pass
-    assert calls == {"bright_state": 1, "bright_dark": 0, "_bright_coupling": 1, "_pulse": 1}
+    assert calls == {"bright_state": 1, "_bright_coupling": 1, "_pulse": 1}
 
 
 def test_single_shot_fidelity_pair_builds_one_frame(monkeypatch):
-    calls = count_calls(monkeypatch, "bright_state", "bright_dark", "_single_shot_frame", "_pulse")
+    calls = count_calls(monkeypatch, "bright_state", "_single_shot_frame", "_pulse")
     fidelity_pair("single-shot", SingleShotPath(0.4, 0.3, 1.2, 0.5), RabiError(0.01, 0.005))
     # the ideal bright state rides along with the errored one; both factors of the errored gate in one pulse call
-    assert calls == {"bright_state": 1, "bright_dark": 0, "_single_shot_frame": 1, "_pulse": 1}
-
-
-def test_relative_error_breakdown_field_shapes_on_a_grid():
-    path = TwoLoopPath(LoopParams(0.7, 0.3, 1.1), LoopParams(2.0, 2.5, 4.0))
-    breakdown, fidelity = fid2_relative(path, RabiError(np.array([0.01, 0.02]), 0.005))
-    assert np.shape(fidelity) == (2,)
-    for field in RelativeErrorBreakdown.__dataclass_fields__:
-        value = getattr(breakdown, field)
-        if field == "psi21":  # the path's relative-phase difference, the same at every error point
-            assert type(value) is float
-        else:
-            assert np.shape(value) == (2,), field
+    assert calls == {"bright_state": 1, "_single_shot_frame": 1, "_pulse": 1}
 
 
 def test_fidelity_report_consistency():

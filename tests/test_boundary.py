@@ -24,8 +24,8 @@ from holopath.analytic import (
     f1,
     f2,
     f3,
-    fid2_relative,
     fid2_two_loop,
+    fidelity_pair,
     quad_coeff_two_loop,
 )
 from holopath.schemes import LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath, phi_b_of
@@ -136,7 +136,7 @@ def test_fid2_two_loop_at_eta_pi_matches_relative_formula():
     dec = phi_b_of(_orthogonal_path())
     assert dec.degenerate and math.isnan(dec.phi_b)
     eps = 0.01
-    expected = fid2_relative(_orthogonal_path(), RabiError(eps))[1]
+    expected = fidelity_pair("two-loop", _orthogonal_path(), RabiError(eps))[1]
     assert abs(expected - 0.99934) < 1e-5
     assert abs(fid2_two_loop(dec.eta, dec.phi_b, eps) - expected) <= 1e-12
     assert quad_coeff_two_loop(dec.eta, dec.phi_b) == (2.0 / 3.0) * math.pi**2
@@ -202,10 +202,7 @@ RANGE_CALLERS = {
     "analytic.f2",
     "analytic.f3",
 }
-UNCHECKED = (
-    "bright_state", "bright_dark", "relative_error_angles", "bright_decomposition",
-    "_bright_coupling", "two_loop_gates", "_overlap_angles",
-)
+UNCHECKED = ("bright_state", "relative_error_angles", "_bright_coupling", "two_loop_gates", "_overlap_angles")
 VALIDATORS = {
     "_in_range", "_phase", "RabiError", "TargetGate",
     "require_hermitian", "require_unitary",
@@ -304,7 +301,10 @@ def test_oracle_shares_no_helper_of_the_closed_forms():
 BUILDERS = {"two_loop_gates", "single_loop_gates", "single_shot_gates"}
 #: kept in schemes beside the builders, and only there: the benchmark's oracle-crosscheck calls them by name
 ERRORED_VIEWS = {"two_loop_errored_relative", "single_loop_errored", "single_shot_errored"}
-DELETED = {"two_loop_ideal", "single_loop_ideal", "single_shot_ideal", "fid2_single_loop", "fid2_single_shot"}
+DELETED = {
+    "two_loop_ideal", "single_loop_ideal", "single_shot_ideal", "fid2_single_loop", "fid2_single_shot",
+    "fid2_relative", "RelativeErrorBreakdown", "bright_decomposition", "bright_dark",
+}
 
 
 def test_package_exports_one_builder_per_scheme():
@@ -323,4 +323,4 @@ def test_errored_views_are_schemes_attributes_only():
 def test_no_single_gate_ideal_and_no_test_only_helper_in_the_package():
     assert not [name for name in vars(schemes) if name.endswith("_ideal")]
     for module in MODULES:
-        assert not {"coupling_generator", "projector", *DELETED} & set(vars(module)), module.__name__
+        assert not {"coupling_generator", "bright_dark", "projector", *DELETED} & set(vars(module)), module.__name__

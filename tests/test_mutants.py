@@ -17,6 +17,7 @@ from holopath.linalg import IDENTITY, KET_E
 
 _relative_error_angles = schemes.relative_error_angles
 _bright_coupling = schemes._bright_coupling
+_error_operator = schemes._error_operator
 _propagate = oracle.propagate
 
 
@@ -44,6 +45,11 @@ def _propagate_segments_reversed(schedule, steps_per_segment):
     return _propagate(oracle.Schedule(schedule.segments[::-1]), steps_per_segment)
 
 
+def _detuning_sign_flipped(pb, cross, gamma, delta):
+    # the errored single-shot rotation at -gamma: its detuning term sin(gamma) (|e><e| - |b><b|) changes sign
+    return _error_operator(pb, cross, -gamma, delta)
+
+
 def _f2_with_cos_theta(theta_gate):
     # (1 - cos(theta)) / 2 for (1 - cos(2 theta)) / 2: the figure1 endpoint at pi/2 moves from 1 to 0.5
     out = 0.5 * (1.0 - np.cos(np.asarray(theta_gate, dtype=float)))
@@ -61,6 +67,8 @@ MUTANTS = [
     ("f2 with cos theta", analytic, "f2", _f2_with_cos_theta, {1}),
     # the oracle itself: criterion 7 holds it against the closed forms, so it catches a wrong oracle too
     ("segments out of time order", oracle, "propagate", _propagate_segments_reversed, {7}),
+    # criterion 3 cannot catch a flipped detuning: f3 depends on cos^4 gamma only
+    ("detuning sign", schemes, "_error_operator", _detuning_sign_flipped, {7, 8}),
 ]
 
 
