@@ -195,6 +195,41 @@ def test_two_loop_second_order_regression_fixture():
     assert abs(fid - exact) <= 6.0 * (1e-2 + 5e-3) ** 3
 
 
+def test_two_loop_second_order_invariants(rng):
+    # 1 - F = y^2/3 + pi^2 z^2/3 with y^2 the tilts' law of cosines and
+    # (|d1| - |d2|)^2 <= z^2 <= (|d1| + |d2|)^2, at any eta', degenerate or not
+    for _ in range(200):
+        path = TwoLoopPath(
+            LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
+            LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
+        )
+        error = RabiError(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+        fid = two_loop_second_order(path, error)
+        assert np.isfinite(fid)
+        assert fid <= 1.0
+        loops = two_loop_gates(path, error)[2]
+        (t1p, t2p), (d1, d2) = loops.theta_p, loops.delta
+        theta11, theta22 = path.loop1.theta - t1p, path.loop2.theta - t2p
+        y_sq = theta11**2 + theta22**2 - 2 * theta11 * theta22 * np.cos(path.loop2.psi - path.loop1.psi)
+        assert y_sq >= -1e-15
+        infidelity = 1.0 - fid
+        assert infidelity >= y_sq / 3 + np.pi**2 * (abs(d1) - abs(d2)) ** 2 / 3 - 1e-15
+        assert infidelity <= y_sq / 3 + np.pi**2 * (abs(d1) + abs(d2)) ** 2 / 3 + 1e-15
+
+
+def test_two_loop_second_order_shapes_on_a_grid():
+    path = TwoLoopPath(LoopParams(0.7, 0.3, 1.1), LoopParams(2.0, 2.5, 4.0))
+    epsilons = np.array([0.01, 0.02])
+    exact, fid = fidelity_pair("two-loop", path, RabiError(epsilons, 0.005))
+    assert np.shape(exact) == (2,)
+    assert np.shape(fid) == (2,)
+    loops = two_loop_gates(path, RabiError(epsilons, 0.005))[2]
+    for value in schemes._overlap_angles(np.vecdot(*loops.bright), *loops.phi):
+        assert np.shape(value) == (2,)
+    for k, eps in enumerate(epsilons):
+        assert fid[k] == two_loop_second_order(path, RabiError(float(eps), 0.005))
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.01, -0.01])
 def test_two_loop_second_order_orthogonal_bright_states(kappa):
     # loops at theta = 0 and theta = pi: eta = pi, where phi_b is undefined
