@@ -97,7 +97,7 @@ def _fid2_errored_loops(path: TwoLoopPath, loops) -> float:
     reduces exactly to the common-error formula.  A grid record gives an array fidelity.
     """
     (t1p, t2p), (d1, d2) = loops.theta_p, loops.delta
-    eta, phi_b, degenerate = schemes._overlap_angles(np.vecdot(*loops.bright), *loops.phi)
+    eta, phi_b, degenerate = schemes._overlap_angles((loops.bright[0].conj() * loops.bright[1]).sum(-1), *loops.phi)
     theta11 = path.loop1.theta - t1p
     theta22 = path.loop2.theta - t2p
     psi21 = path.loop2.psi - path.loop1.psi

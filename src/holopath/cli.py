@@ -42,9 +42,10 @@ def _parse_axis(text: str) -> np.ndarray:
         axis = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise UsageError(f"--axis components must be numbers: {exc}") from None
-    if np.linalg.norm(axis) == 0.0:
+    norm = np.sqrt((axis * axis).sum())
+    if norm == 0.0:
         raise UsageError("--axis must be a nonzero vector")
-    return axis / np.linalg.norm(axis)
+    return axis / norm
 
 
 def _parse_float_list(text: str) -> list[float]:

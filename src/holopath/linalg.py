@@ -8,6 +8,9 @@ propagators are formed as ``exp(-1j * angle * generator)`` where
 ``angle`` is the accumulated pulse area.  The contracts, :func:`expm` and
 :func:`gate_fidelity` also take stacks of shape (..., 3, 3), so a whole
 error grid is one call, checked once per stack.
+
+The closed forms call no BLAS: :func:`product` and the trace fidelity sum elementwise in a fixed order,
+so no BLAS kernel moves their bits; :func:`expm`, :func:`require_unitary`, ``verify`` and the oracle do.
 """
 
 from __future__ import annotations
@@ -66,6 +69,12 @@ def require_unitary(matrix, name: str) -> np.ndarray:
     return m
 
 
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for (..., 3, 3) stacks, as elementwise products summed over j = 0, 1, 2 in that order, without BLAS."""
+    return (a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+            + a[..., :, 2, None] * b[..., None, 2, :])
+
+
 def expm(generator, angle) -> np.ndarray:
     """Unitary propagator exp(-1j * angle * generator) of a Hermitian generator.
 
@@ -107,7 +116,7 @@ def gate_fidelity(ideal, errored):
 
 def _trace_fidelity(v: np.ndarray, ve: np.ndarray):
     """:func:`gate_fidelity` of two complex (..., 3, 3) arrays trusted to be unitary, unchecked."""
-    trace = np.trace(_dagger(v) @ ve, axis1=-2, axis2=-1)
+    trace = (v.conj() * ve).sum(axis=(-2, -1))  # Tr(V^dag V_e), summed elementwise
     # hypot, not np.abs: numpy's vectorized complex abs can differ from the scalar one in the last bit
     fidelity = np.hypot(trace.real, trace.imag) / 3.0
     return fidelity if fidelity.ndim else float(fidelity)

@@ -60,7 +60,7 @@ def _circle_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = np.array([1.0, 0.0, 0.0])
     else:
         u = np.array([0.0, 0.0, 1.0]) - axis[2] * axis
-        u = u / np.sqrt(u.dot(u))  # what np.linalg.norm computes for a real vector, without its overhead
+        u = u / np.sqrt((u * u).sum())
     # axis x u by components, in np.cross's order of operations
     (ax, ay, az), (ux, uy, uz) = axis.tolist(), u.tolist()
     return u, np.array([ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux])
@@ -100,7 +100,7 @@ def solve_two_loop(target: TargetGate, constraints: PathConstraints | None = Non
     polar2 = _polar_of(n2)
     b1 = bright_state(loop1.theta, loop1.psi)
     b2 = bright_state(*polar2)
-    phi2 = float(cons.force_phi_b) - float(np.angle(np.vdot(b1, b2)))
+    phi2 = float(cons.force_phi_b) - float(np.angle((b1.conj() * b2).sum()))
     return TwoLoopSolution(TwoLoopPath(loop1, LoopParams(*polar2, phi2)), False)
 
 

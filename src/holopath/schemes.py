@@ -8,8 +8,8 @@ propagator and its propagator under systematic Rabi-frequency errors.
 The amplitude error model multiplies each drive's envelope by its own unknown
 constant fraction, so in every scheme a pulse is its coupling at a tilted ratio
 angle and an errored area (:func:`relative_error_angles`): one exponential per
-pulse, in closed form, for generators with G^3 = G (every pulse generator
-here); exact for that model, with no eigendecomposition.  A :class:`RabiError`
+pulse, in closed form from its generator G and the projector G^2 on span{|b>, |e>}, exact
+for that model; no builder runs an eigendecomposition or calls BLAS.  A :class:`RabiError`
 whose fields are arrays is an error grid.  Each scheme's builder
 (:func:`two_loop_gates`, :func:`single_loop_gates`, :func:`single_shot_gates`)
 makes the ideal gate, the errored gates of a whole grid and the record its
@@ -35,6 +35,7 @@ from .linalg import (
     KET_1,
     KET_E,
     PROJ_E,
+    product,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -168,7 +169,7 @@ class TargetGate:
     def __post_init__(self):
         t = float(_in_range(self.theta_gate, 0.0, np.pi / 2, "theta_gate"))
         m = np.asarray(self.axis, dtype=float).reshape(3)
-        norm = np.sqrt(m.dot(m))  # what np.linalg.norm computes for a real vector; schemes names no linalg
+        norm = np.sqrt((m * m).sum())
         if not np.isfinite(norm) or norm == 0.0:
             raise ValueError("axis must be a nonzero finite 3-vector")
         m = m / norm
@@ -262,23 +263,24 @@ def _bright_coupling(bright, phi) -> np.ndarray:
     return half + np.swapaxes(half.conj(), -1, -2)
 
 
-def _pulse(generator, area) -> np.ndarray:
-    """exp(-1j * area * G) = I - 1j sin(area) G + (cos(area) - 1) G^2 for a Hermitian G with G^3 = G.
+def _bright_frame(bright, phase) -> tuple[np.ndarray, np.ndarray]:
+    """The projectors |b><b| and couplings e^{i phase}|b><e| + h.c. of a (..., 3) bright-state stack."""
+    return bright[..., :, None] * bright[..., None, :].conj(), _bright_coupling(bright, phase)
 
-    Every generator comes from this module's builders: neither hermiticity nor G^3 = G (spectrum in
-    {-1, 0, 1}) is checked here, but by the tests and the acceptance suite.  Operands broadcast; a
-    non-finite area raises ValueError.
+
+def _pulse(generator, square, area) -> np.ndarray:
+    """exp(-1j * area * G) = I - 1j sin(area) G + (cos(area) - 1) P for a Hermitian G whose square is P.
+
+    P = G^2, the projector on span{|b>, |e>}, comes built from the caller: no matrix product is formed.
+    Neither hermiticity nor G^2 = P is checked here, but by the tests and the acceptance suite.
+    Operands broadcast; a non-finite area raises ValueError.
     """
     a = np.asarray(area, dtype=float)[..., None, None]
     if not np.isfinite(a).all():
         raise ValueError(f"area must be finite, got {area!r}")
-    # the sum above, operation for operation and so bit for bit, in place: three full stacks alive
-    # (generator, out, square), not five; square takes the broadcast shape of a and G to be scaled in place
     out = 1j * np.sin(a) * generator
-    np.subtract(IDENTITY, out, out=out)
-    square = np.matmul(generator, generator, out=np.empty_like(out))
-    square *= np.cos(a) - 1.0
-    out += square
+    np.subtract(IDENTITY, out, out=out)  # in place, like the sum below, so fewer full stacks are alive at once
+    out += (np.cos(a) - 1.0) * square
     return out
 
 
@@ -312,8 +314,10 @@ def _pulse_pair_gates(rows, area: float, error: RabiError) -> tuple[np.ndarray, 
     thetas = np.concatenate([theta.reshape(2, 1), theta_p.reshape(2, -1)], axis=1)
     areas = (1.0 + np.concatenate([np.zeros((2, 1)), delta.reshape(2, -1)], axis=1)) * area
     bright = bright_state(thetas, psi.reshape(2, 1))
-    pulses = _pulse(_bright_coupling(bright, phi.reshape(2, 1)), areas)
-    gates = pulses[1] @ pulses[0]
+    pb, coupling = _bright_frame(bright, phi.reshape(2, 1))
+    pb += PROJ_E  # in place, now |b><b| + |e><e|: each coupling's square
+    pulses = _pulse(coupling, pb, areas)
+    gates = product(pulses[1], pulses[0])
     record = _ErroredPulses(theta_p, delta, phi, bright[:, 1:].reshape(theta_p.shape + (3,)))
     return gates[0], gates[1:].reshape(theta_p.shape[1:] + (3, 3)), record
 
@@ -353,15 +357,10 @@ def single_loop_errored(path: SingleLoopPath, error: RabiError) -> np.ndarray:
     return single_loop_gates(path, error)[1]
 
 
-def _single_shot_frame(bright, phase) -> tuple[np.ndarray, np.ndarray]:
-    """The projectors |b><b| and couplings e^{i phase}|b><e| + h.c. of a (..., 3) bright-state stack."""
-    return bright[..., :, None] * bright[..., None, :].conj(), _bright_coupling(bright, phase)
-
-
 def _error_operator(pb: np.ndarray, cross: np.ndarray, gamma: float, delta) -> tuple[float, np.ndarray]:
     """Normalized traceless rotation operator of the errored single-shot drive, given its frame.
 
-    ``pb, cross`` are a :func:`_single_shot_frame`, stacked to match an array delta.  Returns
+    ``pb, cross`` are a :func:`_bright_frame`, stacked to match an array delta.  Returns
     (lambda, sigma) with lambda = hypot((1+delta) cos gamma, sin gamma); sigma squares to the
     bright/excited projector and is traceless.
     """
@@ -383,14 +382,15 @@ def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarra
     """
     theta_p, delta = relative_error_angles(2.0 * path.alpha, error)
     bright = bright_state(np.append(2.0 * path.alpha, theta_p), path.beta1 - path.beta0)
-    pb, cross = _single_shot_frame(bright, path.beta0)
+    pb, cross = _bright_frame(bright, path.beta0)
     zeta = np.pi * (1.0 - np.sin(path.gamma))
     ideal = np.exp(1j * zeta) * (PROJ_E + pb[0]) + (IDENTITY - PROJ_E - pb[0])
     lam, sigma = _error_operator(pb[1:], cross[1:], path.gamma, np.ravel(delta))
     areas = np.stack([np.full_like(lam, np.pi * np.sin(path.gamma)), lam * np.pi])
-    phase, rotation = _pulse(np.stack([PROJ_E + pb[1:], sigma]), areas)
+    square = PROJ_E + pb[1:]  # the phase generator, and the square of sigma
+    phase, rotation = _pulse(np.stack([square, sigma]), square, areas)
     record = _ErroredPulses(theta_p, delta, path.beta0, bright[1:].reshape(np.shape(delta) + (3,)))
-    return ideal, (phase @ rotation).reshape(np.shape(delta) + (3, 3)), record
+    return ideal, product(phase, rotation).reshape(np.shape(delta) + (3, 3)), record
 
 
 def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
@@ -417,5 +417,5 @@ def phi_b_of(path: TwoLoopPath) -> BrightDecomposition:
     reduced to [0, 2*pi).
     """
     loop1, loop2 = path.loop1, path.loop2
-    overlap = np.vecdot(bright_state(loop1.theta, loop1.psi), bright_state(loop2.theta, loop2.psi))
+    overlap = (bright_state(loop1.theta, loop1.psi).conj() * bright_state(loop2.theta, loop2.psi)).sum(axis=-1)
     return BrightDecomposition(*_overlap_angles(overlap, loop1.phi, loop2.phi))

@@ -14,6 +14,7 @@ from holopath.linalg import (
     PROJ_E,
     ContractViolation,
     is_block_diagonal,
+    product,
     require_unitary,
 )
 
@@ -165,9 +166,16 @@ def pulse_angles(path, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta, psi, phi
 
 
+def bright_excited_projector(bright) -> np.ndarray:
+    """|b><b| + |e><e| of a (..., 3) bright-state stack: the square of each coupling e^{i phi}|b><e| + h.c."""
+    return PROJ_E + bright[..., :, None] * bright[..., None, :].conj()
+
+
 def reference_two_loop_ideal(path) -> np.ndarray:
-    loops = schemes._pulse(coupling_generator(*pulse_angles(path, 0)), np.pi)
-    return loops[1] @ loops[0]
+    theta, psi, phi = pulse_angles(path, 0)
+    square = bright_excited_projector(schemes.bright_state(theta, psi))
+    loops = schemes._pulse(coupling_generator(theta, psi, phi), square, np.pi)
+    return product(loops[1], loops[0])
 
 
 def reference_errored_loops(path, error) -> tuple:
@@ -179,8 +187,9 @@ def reference_errored_loops(path, error) -> tuple:
 
 def reference_pulse_pair_errored(path, error, area) -> np.ndarray:
     _, delta, phi, bright = reference_errored_loops(path, error)
-    pulses = schemes._pulse(schemes._bright_coupling(bright, phi), (1.0 + delta) * area)
-    return pulses[1] @ pulses[0]
+    square = bright_excited_projector(bright)
+    pulses = schemes._pulse(schemes._bright_coupling(bright, phi), square, (1.0 + delta) * area)
+    return product(pulses[1], pulses[0])
 
 
 def reference_two_loop_errored_relative(path, error) -> np.ndarray:
@@ -189,8 +198,9 @@ def reference_two_loop_errored_relative(path, error) -> np.ndarray:
 
 def reference_single_loop_ideal(path) -> np.ndarray:
     phases = np.array([path.phi, path.phi_prime])
-    segments = schemes._pulse(coupling_generator(path.theta, path.psi, phases), np.pi / 2)
-    return segments[1] @ segments[0]
+    square = bright_excited_projector(schemes.bright_state(path.theta, path.psi))
+    segments = schemes._pulse(coupling_generator(path.theta, path.psi, phases), square, np.pi / 2)
+    return product(segments[1], segments[0])
 
 
 def reference_single_loop_errored(path, error) -> np.ndarray:
@@ -206,7 +216,7 @@ def single_shot_frame(path, error) -> tuple:
     """(theta_p, delta, |b><b|, e^{i beta0}|b><e| + h.c.) of the errored single-shot bright state."""
     theta_p, delta = schemes.relative_error_angles(2.0 * path.alpha, error)
     bright = schemes.bright_state(theta_p, path.beta1 - path.beta0)
-    return (theta_p, delta, *schemes._single_shot_frame(bright, path.beta0))
+    return (theta_p, delta, *schemes._bright_frame(bright, path.beta0))
 
 
 def reference_single_shot_ideal(path) -> np.ndarray:
@@ -218,4 +228,6 @@ def reference_single_shot_ideal(path) -> np.ndarray:
 def reference_single_shot_errored(path, error) -> np.ndarray:
     _, delta, pb, cross = single_shot_frame(path, error)
     lam, sigma = schemes._error_operator(pb, cross, path.gamma, delta)
-    return schemes._pulse(PROJ_E + pb, np.pi * np.sin(path.gamma)) @ schemes._pulse(sigma, lam * np.pi)
+    square = PROJ_E + pb  # the phase generator, and the square of sigma
+    phase = schemes._pulse(square, square, np.pi * np.sin(path.gamma))
+    return product(phase, schemes._pulse(sigma, square, lam * np.pi))

@@ -272,6 +272,20 @@ def test_schemes_runs_no_eigendecomposition():
         assert not reached & {"expm", "linalg"}, (name, reached & {"expm", "linalg"})
 
 
+def test_closed_forms_call_no_blas():
+    # BLAS products, dots and norms change their last bits with the kernel picked for the CPU; the closed
+    # forms sum elementwise instead, so their answers are the same on every host (see test_blas_kernels.py)
+    blas = {"matmul", "dot", "vdot", "vecdot", "norm", "trace", "einsum", "inner", "tensordot"}
+    solvers = {"solve_two_loop", "solve_single_loop", "solve_single_shot", "_circle_frame", "_polar_of"}
+    bodies = [node for module in (schemes, analytic, cli) for _, node in _functions(module)]
+    bodies += [node for name, node in _functions(pathfinder) if name in solvers]
+    bodies += [node for name, node in _functions(linalg) if name in {"product", "_trace_fidelity"}]
+    for node in bodies:
+        assert not any(isinstance(n, ast.MatMult) for n in ast.walk(node)), node.name
+        called = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert not called & blas, (node.name, called & blas)
+
+
 def test_oracle_propagate_reuses_no_closed_form_shortcut():
     # the oracle multiplies per-step factors; summing areas or calling a closed form would not check them.
     # propagate combines the segments that _step_segment steps, so the rule covers both bodies
@@ -289,7 +303,7 @@ def test_oracle_shares_no_helper_of_the_closed_forms():
         if isinstance(node, ast.ImportFrom):
             assert not (node.level == 1 and node.module is None and "schemes" in {a.name for a in node.names})
     helpers = {
-        "relative_error_angles", "bright_state", "bright_dark", "_bright_coupling", "_single_shot_frame",
+        "relative_error_angles", "bright_state", "bright_dark", "_bright_coupling", "_bright_frame",
         "_error_operator", "_pulse",
     }
     for name, node in _functions(oracle):

@@ -369,18 +369,19 @@ def test_grid_memory_is_bounded_by_the_block(scheme, rng):
 
 
 def test_stacked_reductions_match_scalar_builtins(rng):
-    # numpy's vectorized complex abs, and a summed product, can differ in the last bit from the
-    # builtin abs() and np.vdot that the one-point formulas were first written with
+    # numpy's vectorized complex abs can differ in the last bit from the builtin abs(), and a stacked
+    # elementwise sum must add each point's products in the order the one-point sum does
     path = TwoLoopPath(LoopParams(0.4, 0.1, 0.2), LoopParams(1.9, 2.0, 3.0))
     error = RabiError(rng.uniform(-0.1, 0.1, (20, 1)), rng.uniform(-0.1, 0.1, 20))
     ideal, stack, _ = two_loop_gates(path, error)
     stack = stack.reshape(-1, 3, 3)
-    expected = [abs(np.trace(ideal.conj().T @ gate)) / 3.0 for gate in stack]
+    expected = [abs(complex((ideal.conj() * gate).sum())) / 3.0 for gate in stack]
     assert np.array_equal(gate_fidelity(ideal, stack), expected)
 
     b1, b2 = (bright_state(relative_error_angles(loop.theta, error)[0], loop.psi) for loop in (path.loop1, path.loop2))
-    expected = [2.0 * np.arccos(min(1.0, abs(np.vdot(x, y)))) for x, y in zip(b1.reshape(-1, 3), b2.reshape(-1, 3))]
-    eta = schemes._overlap_angles(np.vecdot(b1, b2), path.loop1.phi, path.loop2.phi)[0]
+    pairs = zip(b1.reshape(-1, 3), b2.reshape(-1, 3))
+    expected = [2.0 * np.arccos(min(1.0, abs(complex((x.conj() * y).sum())))) for x, y in pairs]
+    eta = schemes._overlap_angles((b1.conj() * b2).sum(axis=-1), path.loop1.phi, path.loop2.phi)[0]
     assert np.array_equal(eta.ravel(), expected)
 
 

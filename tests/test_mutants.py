@@ -36,7 +36,7 @@ def _coupling_without_hermitian_conjugate(bright, phi):
     return np.exp(1j * phi)[..., None, None] * (bright[..., :, None] * KET_E.conj())
 
 
-def _pulse_without_second_order_term(generator, area):
+def _pulse_without_second_order_term(generator, square, area):
     return IDENTITY - 1j * np.sin(np.asarray(area, dtype=float)[..., None, None]) * generator
 
 
@@ -60,7 +60,7 @@ MUTANTS = [
     ("kappa^2", schemes, "relative_error_angles", _kappa_squared_on_drive_1, {7}),
     ("+2 eps^2 in delta", schemes, "relative_error_angles", _two_eps_squared_in_delta, {5, 6, 7}),
     ("phi -> -phi", schemes, "_bright_coupling", lambda b, phi: _bright_coupling(b, -phi), {2, 4, 5, 6, 7, 8}),
-    # _pulse checks neither hermiticity nor G^3 = G: these two rows show the criteria catch either defect
+    # _pulse checks neither hermiticity nor G^2 = P: these two rows show the criteria catch either defect
     ("no + h.c.", schemes, "_bright_coupling", _coupling_without_hermitian_conjugate, {2, 3, 4, 5, 6, 7, 8}),
     ("no (cos a - 1) G^2", schemes, "_pulse", _pulse_without_second_order_term, {2, 3, 5, 6, 7, 8}),
     # the figure1 curve alone: the scheme table keeps its own reference to the true f2

@@ -33,6 +33,7 @@ from holopath.schemes import (
 from helpers import (
     bloch_vector,
     bright_dark,
+    bright_excited_projector,
     coupling_generator,
     pauli_dot,
     projector,
@@ -112,7 +113,8 @@ def _single_shot_path(draw):
 
 
 def _coupling(draw, stack):
-    return coupling_generator(*(_floats(draw, stack, 0.0, hi) for hi in (np.pi, 2 * np.pi, 2 * np.pi)))
+    theta, psi, phi = (_floats(draw, stack, 0.0, hi) for hi in (np.pi, 2 * np.pi, 2 * np.pi))
+    return coupling_generator(theta, psi, phi), bright_excited_projector(schemes.bright_state(theta, psi))
 
 
 def _errored_frame(draw, stack):
@@ -123,15 +125,16 @@ def _errored_frame(draw, stack):
 
 
 def _bright_excited(draw, stack):
-    return PROJ_E + _errored_frame(draw, stack)[1][2]
+    square = PROJ_E + _errored_frame(draw, stack)[1][2]
+    return square, square
 
 
 def _sigma(draw, stack):
     path, (_, delta, pb, cross) = _errored_frame(draw, stack)
-    return schemes._error_operator(pb, cross, path.gamma, delta)[1]
+    return schemes._error_operator(pb, cross, path.gamma, delta)[1], PROJ_E + pb
 
 
-#: every generator kind the gate constructors exponentiate, by name
+#: every generator kind the gate constructors exponentiate, with the square they pass _pulse, by name
 PULSE_GENERATORS = {"coupling": _coupling, "bright/excited projector": _bright_excited, "sigma": _sigma}
 
 
@@ -139,13 +142,13 @@ PULSE_GENERATORS = {"coupling": _coupling, "bright/excited projector": _bright_e
 @PULSE_SETTINGS
 @given(data=st.data())
 def test_pulse_matches_expm(kind, data):
-    g = PULSE_GENERATORS[kind](data.draw, data.draw(STACKS))
+    g, square = PULSE_GENERATORS[kind](data.draw, data.draw(STACKS))
     # an area per generator of the stack, or a (k,) array over one generator
     shape = data.draw(st.sampled_from([(), g.shape[:-2] or (data.draw(st.integers(0, 3)),)]))
     size = int(np.prod(shape))
     area = np.array(data.draw(st.lists(AREAS, min_size=size, max_size=size))).reshape(shape)
     area = float(area) if area.ndim == 0 else area
-    closed, reference = schemes._pulse(g, area), expm(g, area)
+    closed, reference = schemes._pulse(g, square, area), expm(g, area)
     assert closed.shape == reference.shape
     np.testing.assert_allclose(closed, reference, rtol=0, atol=1e-14)
 
@@ -154,15 +157,18 @@ def test_pulse_matches_expm(kind, data):
 @PULSE_SETTINGS
 @given(data=st.data())
 def test_pulse_generators_satisfy_cube_identity(kind, data):
-    # _pulse's precondition G^3 = G, checked here for every kind rather than on every call
-    g = PULSE_GENERATORS[kind](data.draw, data.draw(STACKS))
+    # _pulse's precondition G^2 = P for the projector P its caller passes (so G^3 = G), checked here
+    # for every kind rather than on every call
+    g, square = PULSE_GENERATORS[kind](data.draw, data.draw(STACKS))
+    np.testing.assert_allclose(g @ g, square, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(square @ square, square, rtol=0, atol=1e-15)
     np.testing.assert_allclose(g @ g @ g, g, rtol=0, atol=1e-15)
 
 
 def test_pulse_keeps_expm_contracts():
     # _pulse trusts its generators' hermiticity; a non-Hermitian coupling is a row of test_mutants.py
     with pytest.raises(ValueError, match="area must be finite"):
-        schemes._pulse(coupling_generator(1.0, 0.0, 0.0), np.array([np.pi, np.nan]))
+        schemes._pulse(coupling_generator(1.0, 0.0, 0.0), PROJ_E, np.array([np.pi, np.nan]))
 
 
 # ------------------------------------------------------------------- two-loop
