@@ -6,7 +6,9 @@ When the two drive amplitudes carry different error fractions
 the loop ratio angles with cos(theta1) + cos(theta2) = 0 makes the fidelity
 stationary in kappa.  This script measures d F / d kappa by central finite
 differences for balanced and unbalanced paths realizing the same gate, and
-cross-checks the closed-form derivative.
+cross-checks the closed-form derivative -2 b eps, where b is the eps kappa
+coefficient of the quadratic form 1 - F = a eps^2 + 2 b eps kappa + c kappa^2
+(holopath.analytic.SCHEMES); balancing the loops makes b = 0.
 
 Run:  python demos/balanced_loops_relative_error.py
 """
@@ -14,6 +16,7 @@ Run:  python demos/balanced_loops_relative_error.py
 import numpy as np
 
 import holopath as hp
+from holopath.analytic import SCHEMES
 
 eps, h = 1e-2, 1e-5
 target = hp.TargetGate(np.pi / 3, [1, 1, 0])
@@ -31,7 +34,7 @@ print(f"target: rotation pi/3 about (1,1,0)/sqrt(2); average error eps = {eps}")
 for name, path in (("balanced", balanced), ("unbalanced", unbalanced)):
     cos_sum = np.cos(path.loop1.theta) + np.cos(path.loop2.theta)
     fd = kappa_derivative(path)
-    predicted = hp.dF_dkappa_at_zero(path, eps)
+    predicted = -2 * SCHEMES["two-loop"].quadratic_form(path)[1] * eps
     print(f"\n{name} path:")
     print(f"  theta1 = {path.loop1.theta:.4f}, theta2 = {path.loop2.theta:.4f}, "
           f"cos(theta1) + cos(theta2) = {cos_sum:+.3e}")

@@ -1,7 +1,8 @@
 """Why the decomposition phase phi_b = pi makes two-loop gates robust.
 
-The second-order infidelity of a two-loop gate is
-(2/3)(1 + cos(eta/2) cos(phi_b)) (pi eps)^2: the relative total-phase shift
+The second-order infidelity of a two-loop gate is a eps^2 with
+a = (2/3)(1 + cos(eta/2) cos(phi_b)) pi^2, the eps^2 coefficient of the
+scheme's quadratic form (holopath.analytic.SCHEMES): the relative total-phase shift
 between the two loops controls whether the two loops' error kicks add up
 (phi_b = 0) or interfere destructively (phi_b = pi).  This script sweeps
 phi_b at a fixed geometry and tabulates exact vs second-order fidelity,
@@ -13,6 +14,9 @@ Run:  python demos/two_loop_error_budget.py
 import numpy as np
 
 import holopath as hp
+from holopath.analytic import SCHEMES
+
+form = SCHEMES["two-loop"].quadratic_form
 
 target = hp.TargetGate(np.pi / 4, [0, 1, 0])
 eps = 1e-2
@@ -27,7 +31,7 @@ for offset in np.linspace(0.0, 2 * np.pi, 48, endpoint=False):
     path = hp.TwoLoopPath(base.loop1, loop2)
     dec = hp.phi_b_of(path)
     exact = hp.fidelity_pair("two-loop", path, hp.RabiError(eps))[0]
-    approx = hp.fid2_two_loop(dec.eta, dec.phi_b, eps)
+    approx = 1 - form(path)[0] * eps * eps
     rows.append((dec.phi_b, 1 - exact, 1 - approx))
 rows.sort()
 for phi_b, inf_exact, inf2 in rows[::6]:
@@ -48,13 +52,13 @@ for e in (1e-3, 3e-3, 1e-2, 3e-2):
 
 # And the punchline of the comparison: a phi_b = 0 two-loop path is *worse*
 # than both alternative schemes, while the phi_b = pi path beats them.
-coeff_worst = hp.quad_coeff_two_loop(target.theta_gate, 0.0)
+coeff_worst = form(path_worst)[0]
 print(
     f"\nphi_b = 0 coefficient {coeff_worst:.3f} exceeds the single-loop "
     f"({hp.f2(target.theta_gate) * np.pi**2 / 3:.3f}) and single-shot "
     f"({hp.f3(target.theta_gate) * np.pi**2 / 3:.3f}) coefficients;"
 )
 print(
-    f"phi_b = pi brings it down to {hp.quad_coeff_two_loop(target.theta_gate, np.pi):.3f}, "
+    f"phi_b = pi brings it down to {form(path_best)[0]:.3f}, "
     "the most robust of the three schemes."
 )

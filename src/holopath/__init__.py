@@ -13,17 +13,12 @@ a relative error difference between the two drives.
 from .analytic import (
     FidelityReport,
     comparison_table,
-    dF_dkappa_at_zero,
     extract_quadratic_coefficient,
     f1,
     f2,
     f3,
-    fid2_two_loop,
     fidelity_pair,
     fidelity_report,
-    quad_coeff_single_loop,
-    quad_coeff_single_shot,
-    quad_coeff_two_loop,
 )
 from .linalg import (
     ContractViolation,
@@ -83,22 +78,17 @@ __all__ = [
     "closed_form_limit",
     "comparison_table",
     "convergence_order",
-    "dF_dkappa_at_zero",
     "expm",
     "extract_quadratic_coefficient",
     "f1",
     "f2",
     "f3",
-    "fid2_two_loop",
     "fidelity_pair",
     "fidelity_report",
     "gate_angle_axis",
     "gate_fidelity",
     "phi_b_of",
     "propagate",
-    "quad_coeff_single_loop",
-    "quad_coeff_single_shot",
-    "quad_coeff_two_loop",
     "schedule_for_single_loop",
     "schedule_for_single_shot",
     "schedule_for_two_loop",

@@ -2,7 +2,11 @@
 
 All closed-form fidelities here are exact through second order in the error
 fractions; the exact propagators in :mod:`holopath.schemes` differ from them
-by cubic (or higher) remainders, which the tests bound explicitly.
+by cubic (or higher) remainders, which the tests bound explicitly.  Each
+scheme's ``quadratic_form`` is its second order at zero error,
+1 - F = a eps^2 + 2 b eps kappa + c kappa^2, from the path alone; the paper's
+robustness conditions are conditions on it: phi_b = pi minimizes the two-loop
+a, and balanced loops make b = 0.
 """
 
 from __future__ import annotations
@@ -55,19 +59,6 @@ def comparison_table(samples: int) -> np.ndarray:
     return np.column_stack([theta, f1(theta), f2(theta), f3(theta)])
 
 
-def quad_coeff_two_loop(eta: float, phi_b: float) -> float:
-    """Quadratic error coefficient (2/3)(1 + cos(eta/2) cos(phi_b)) pi^2.
-
-    The phi_b term is 0 at eta = pi, where phi_b is NaN, as in the two-loop second order; elsewhere NaN raises.
-    """
-    term = np.cos(eta / 2.0) * np.cos(phi_b)
-    if np.isnan(term):
-        if not abs(np.cos(eta / 2.0)) <= schemes.DEGENERATE_OVERLAP:
-            raise ValueError(f"phi_b may be NaN only at eta = pi, got eta={float(eta)!r}")
-        term = 0.0
-    return float((2.0 / 3.0) * (1.0 + term) * PI_SQ)
-
-
 def quad_coeff_single_loop(phase_diff: float) -> float:
     """Quadratic error coefficient (1/6)(1 + cos(phi - phi')) pi^2."""
     return float((1.0 + np.cos(phase_diff)) * PI_SQ / 6.0)
@@ -78,10 +69,9 @@ def quad_coeff_single_shot(gamma: float) -> float:
     return float(PI_SQ * np.cos(gamma) ** 4 / 3.0)
 
 
-def fid2_two_loop(eta: float, phi_b: float, epsilon: float) -> float:
-    """Second-order two-loop fidelity 1 - (2/3)(1 + cos(eta/2) cos(phi_b)) pi^2 eps^2."""
-    e = RabiError(epsilon).epsilon
-    return 1.0 - quad_coeff_two_loop(eta, phi_b) * e * e
+def _rotation_tilt_coeff(gamma: float) -> float:
+    """(2/3)(1 - cos zeta), zeta = pi (1 - sin gamma): the single-shot infidelity per squared axis tilt."""
+    return (2.0 / 3.0) * (1.0 - np.cos(np.pi * (1.0 - np.sin(gamma))))
 
 
 def _fid2_errored_loops(path: TwoLoopPath, loops) -> float:
@@ -118,22 +108,34 @@ def _fid2_errored_segments(path: SingleLoopPath, segments) -> float:
 def _fid2_errored_pulse(path: SingleShotPath, pulse) -> float:
     """1 - (1/3) pi^2 cos^4(gamma) delta^2 - (2/3)(1 - cos zeta)(alpha - alpha')^2 of a single_shot_gates record."""
     delta, tilt = pulse.delta, path.alpha - pulse.theta_p / 2.0
-    tilt_coeff = (2.0 / 3.0) * (1.0 - np.cos(np.pi * (1.0 - np.sin(path.gamma))))
+    tilt_coeff = _rotation_tilt_coeff(path.gamma)
     return 1.0 - quad_coeff_single_shot(path.gamma) * delta * delta - tilt_coeff * tilt * tilt
 
 
-def dF_dkappa_at_zero(path: TwoLoopPath, epsilon: float) -> float:
-    """First derivative of the relative-error fidelity in kappa at kappa = 0.
+def _two_loop_form(path: TwoLoopPath):
+    """(a, b, c) = (pi^2/3)(2 + 2m, (C1 + C2)(1 + m), C1^2 + C2^2 + 2m C1 C2) + (0, 0, (4/3) y^2).
 
-    Closed form -(2/3)(1 - cos(eta/2))(cos theta1 + cos theta2) pi^2 eps,
-    valid for paths tuned to phi_b = pi.  Vanishes exactly when the loops
-    are balanced (cos theta1 + cos theta2 = 0), when eta = 0, or at
-    epsilon = 0.
+    C_k = cos theta_k, y^2 = S1^2 + S2^2 - 2 S1 S2 cos psi21 with S_k = sin theta_k, and m = cos(eta/2) cos(phi_b),
+    taken as 0 at eta = pi, where phi_b is NaN, as in the second order.
     """
-    e = RabiError(epsilon).epsilon
     dec = schemes.phi_b_of(path)
-    cos_sum = np.cos(path.loop1.theta) + np.cos(path.loop2.theta)
-    return float(-(2.0 / 3.0) * (1.0 - np.cos(dec.eta / 2.0)) * cos_sum * PI_SQ * e)
+    m = 0.0 if dec.degenerate else np.cos(dec.eta / 2.0) * np.cos(dec.phi_b)
+    (c1, s1), (c2, s2) = ((np.cos(loop.theta), np.sin(loop.theta)) for loop in (path.loop1, path.loop2))
+    y_sq = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * np.cos(path.loop2.psi - path.loop1.psi)
+    c = PI_SQ / 3.0 * (c1 * c1 + c2 * c2 + 2.0 * m * c1 * c2) + (4.0 / 3.0) * y_sq
+    return (2.0 / 3.0) * (1.0 + m) * PI_SQ, PI_SQ / 3.0 * (c1 + c2) * (1.0 + m), c
+
+
+def _single_loop_form(path: SingleLoopPath):
+    """q (1, cos theta, cos^2 theta + 4 sin^2 theta / pi^2), q = (1/6)(1 + cos(phi - phi')) pi^2."""
+    q, cos, sin = quad_coeff_single_loop(path.phase_diff), np.cos(path.theta), np.sin(path.theta)
+    return q, q * cos, q * (cos * cos + 4.0 * sin * sin / PI_SQ)
+
+
+def _single_shot_form(path: SingleShotPath):
+    """q (1, cos 2alpha, cos^2 2alpha) + (0, 0, (2/3)(1 - cos zeta) sin^2 2alpha), q = (1/3) pi^2 cos^4(gamma)."""
+    q, cos, sin = quad_coeff_single_shot(path.gamma), np.cos(2.0 * path.alpha), np.sin(2.0 * path.alpha)
+    return q, q * cos, q * cos * cos + _rotation_tilt_coeff(path.gamma) * sin * sin
 
 
 def extract_quadratic_coefficient(samples) -> float:
@@ -186,10 +188,10 @@ def extract_quadratic_coefficient(samples) -> float:
 class FidelityReport:
     """Exact vs second-order fidelity at one (scheme, path, error) point.
 
-    The quadratic coefficients are extracted by the symmetric +/- probe
-    protocol along the direction of the error point, normalized per unit
-    hypot(epsilon, kappa)^2, from the exact propagators and from the
-    second-order formulas respectively.
+    Both quadratic coefficients are per unit hypot(epsilon, kappa)^2 along
+    the direction (u, v) of the error point: the exact one is extracted by
+    the symmetric +/- probe protocol from the exact propagators, the
+    analytic one is a u^2 + 2 b u v + c v^2 of the scheme's quadratic form.
     """
 
     exact: float
@@ -222,7 +224,9 @@ class Scheme:
     """Every scheme-specific choice of one gate scheme, read by fidelity_pair, the CLI and verify.
 
     ``build(path, error)`` gives ``(ideal, errored, record)`` for any (epsilon, kappa) error point or
-    grid, ``second_order(path, record)`` reads the record, ``schedule(path, error, shape)`` is the
+    grid, ``second_order(path, record)`` reads the record, ``quadratic_form(path)`` gives the (a, b, c) of
+    1 - F = a eps^2 + 2 b eps kappa + c kappa^2 + O(3), the Hessian of the exact infidelity at zero
+    error over 2, in closed form; ``schedule(path, error, shape)`` is the
     oracle's model of the errored gate; ``shape`` is f_k in F = 1 - f_k(theta) (pi eps)^2 / 3; only
     the two-loop ``solve(target, constraints)`` reads the constraints.  Builders, schedules and
     solvers are called through their modules, so a rebound function (test, tracer) is the one that runs.
@@ -232,6 +236,7 @@ class Scheme:
     build: Callable
     schedule: Callable
     second_order: Callable
+    quadratic_form: Callable
     shape: Callable
     solve: Callable
     params: Callable
@@ -245,6 +250,7 @@ SCHEMES = {
         build=lambda path, error: schemes.two_loop_gates(path, error),
         schedule=lambda path, error, shape: oracle.schedule_for_two_loop(path, error, shape),
         second_order=_fid2_errored_loops,
+        quadratic_form=_two_loop_form,
         shape=f1,
         solve=lambda target, constraints: pathfinder.solve_two_loop(target, constraints).path,
         params=_two_loop_params,
@@ -255,6 +261,7 @@ SCHEMES = {
         build=lambda path, error: schemes.single_loop_gates(path, error),
         schedule=lambda path, error, shape: oracle.schedule_for_single_loop(path, error, shape),
         second_order=_fid2_errored_segments,
+        quadratic_form=_single_loop_form,
         shape=f2,
         solve=lambda target, constraints: pathfinder.solve_single_loop(target),
         params=asdict,
@@ -267,6 +274,7 @@ SCHEMES = {
         build=lambda path, error: schemes.single_shot_gates(path, error),
         schedule=lambda path, error, shape: oracle.schedule_for_single_shot(path, error, shape),
         second_order=_fid2_errored_pulse,
+        quadratic_form=_single_shot_form,
         shape=f3,
         solve=lambda target, constraints: pathfinder.solve_single_shot(target),
         params=asdict,
@@ -322,23 +330,21 @@ def fidelity_report(scheme: str, path, error: RabiError) -> FidelityReport:
 
     The four probe points (magnitudes 1e-3 and 1e-4 with both signs, along
     the direction of ``error``; along epsilon at zero error) are one grid
-    :func:`fidelity_pair` call, and both coefficients are extracted from it.
-    An error grid is refused: the probe direction is that of one point.
+    :func:`fidelity_pair` call, from which the exact coefficient is
+    extracted; the analytic one is the quadratic form along that direction.
+    An error grid is refused: the direction is that of one point.
     """
     if error.ndim:
         raise ValueError(f"fidelity_report takes one error point, not an error grid (ndim={error.ndim})")
     exact, analytic2 = fidelity_pair(scheme, path, error)
     scale = float(np.hypot(error.epsilon, error.kappa))
-    if scale == 0.0:
-        direction = (1.0, 0.0)
-    else:
-        direction = (error.epsilon / scale, error.kappa / scale)
+    u, v = (1.0, 0.0) if scale == 0.0 else (error.epsilon / scale, error.kappa / scale)
     signed = np.array([sign * mag for mag in _PROBE_MAGNITUDES for sign in (1.0, -1.0)])
-    probes = RabiError(signed * direction[0], signed * direction[1])
-    probe_exact, probe_analytic = fidelity_pair(scheme, path, probes)
+    probe_exact = fidelity_pair(scheme, path, RabiError(signed * u, signed * v))[0]
+    a, b, c = SCHEMES[scheme].quadratic_form(path)
     return FidelityReport(
         exact=exact,
         analytic2=analytic2,
         quad_coeff_exact=extract_quadratic_coefficient(zip(signed, probe_exact)),
-        quad_coeff_analytic=extract_quadratic_coefficient(zip(signed, probe_analytic)),
+        quad_coeff_analytic=float(a * u * u + 2.0 * b * u * v + c * v * v),
     )

@@ -3,8 +3,12 @@
 For the two-loop scheme the one-parameter gauge family of loop pairs in the
 plane perpendicular to the rotation axis is pinned by two conventions: the
 robustness-optimal decomposition phase (phi_b = pi by default) and the
-balanced-loop condition cos(theta1) + cos(theta2) = 0 that nulls the
-leading sensitivity to a relative error difference between the two drives.
+balanced-loop condition cos(theta1) + cos(theta2) = 0.  In the quadratic form
+1 - F = a eps^2 + 2 b eps kappa + c kappa^2 (``analytic.SCHEMES``), phi_b = pi
+minimizes a, and balance buys b = 0, no first-order sensitivity to a relative
+error between the drives.  It costs c: along the gauge circle (a fixed), c is
+largest at the balanced pair, from about 4% (axis near z) to 55% (axis in the
+xy-plane) above the circle's lowest c for theta_gate in [pi/8, pi/2).
 """
 
 from __future__ import annotations

@@ -29,14 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY,
-    KET_0,
-    KET_1,
-    KET_E,
-    PROJ_E,
-    product,
-)
+from .linalg import IDENTITY, KET_0, KET_1, PROJ_E, product
 
 TWO_PI = 2.0 * np.pi
 
@@ -258,9 +251,15 @@ def bright_state(theta, psi) -> np.ndarray:
 
 
 def _bright_coupling(bright, phi) -> np.ndarray:
-    """e^{i phi}|b><e| + h.c. for bright states of shape (..., 3); phi broadcasts against (...)."""
-    half = np.exp(1j * phi)[..., None, None] * (bright[..., :, None] * KET_E.conj())
-    return half + np.swapaxes(half.conj(), -1, -2)
+    """e^{i phi}|b><e| + h.c. for bright states of shape (..., 3); phi broadcasts against (...).
+
+    Only column 2, e^{i phi}|b>, and row 2, its conjugate, are nonzero, so only they are written.
+    """
+    column = np.exp(1j * phi)[..., None] * bright
+    out = np.zeros(column.shape + (3,), dtype=complex)
+    out[..., :, 2] = column
+    out[..., 2, :] += column.conj()
+    return out
 
 
 def _bright_frame(bright, phase) -> tuple[np.ndarray, np.ndarray]:

@@ -116,7 +116,7 @@ def check_other_scheme_coefficients(level: str, seed: int) -> CheckResult:
 
 
 def check_phi_b_optimality(level: str, seed: int) -> CheckResult:
-    """Criterion 4: 360-point phi_b scan minimized at pi; phi_b = 0 counter-check."""
+    """Criterion 4: 360-point phi_b scan minimized at pi; phi_b = 0 counter-check on the quadratic form's a."""
     started = time.perf_counter()
     theta_gate, eps = np.pi / 4, 1e-2
     base = pathfinder.solve_two_loop(
@@ -133,7 +133,7 @@ def check_phi_b_optimality(level: str, seed: int) -> CheckResult:
     best = phi_bs[int(np.argmin(infidelities))]
     step = 2 * np.pi / 360
     miss = abs((best - np.pi + np.pi) % (2 * np.pi) - np.pi)
-    coeff0 = analytic.quad_coeff_two_loop(theta_gate, 0.0)
+    coeff0 = analytic.SCHEMES["two-loop"].quadratic_form(base)[0]
     others = (analytic.f2(theta_gate) * np.pi**2 / 3.0, analytic.f3(theta_gate) * np.pi**2 / 3.0)
     counter = coeff0 > max(others)
     ok = miss <= step + 1e-12 and counter
@@ -145,7 +145,7 @@ def check_phi_b_optimality(level: str, seed: int) -> CheckResult:
 
 
 def check_relative_error_consistency(level: str, seed: int) -> CheckResult:
-    """Criterion 5: analytic F'' within C*(|eps|+|kappa|)^3 of exact; kappa = 0 reduction."""
+    """Criterion 5: analytic F'' within C*(|eps|+|kappa|)^3 of exact; kappa = 0 reduction to 1 - a eps^2."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed + 5)
     paths = []
@@ -158,13 +158,12 @@ def check_relative_error_consistency(level: str, seed: int) -> CheckResult:
     worst_ratio = 0.0
     worst_reduction = 0.0
     for path in paths:
-        dec = schemes.phi_b_of(path)
         exact, approx = analytic.fidelity_pair("two-loop", path, RabiError(eps, kappa))
         # float_power is C pow() per point, as ** is for one float; an array's ** 3 may round differently
         scale = np.float_power(np.abs(eps) + np.abs(kappa), 3)
         worst_ratio = max(worst_ratio, np.max(np.abs(exact - approx) / scale))
         common = analytic.fidelity_pair("two-loop", path, RabiError(grid))[1]
-        reference = analytic.fid2_two_loop(dec.eta, dec.phi_b, grid)
+        reference = 1.0 - analytic.SCHEMES["two-loop"].quadratic_form(path)[0] * grid * grid
         worst_reduction = max(worst_reduction, np.max(np.abs(common - reference)))
     ok = worst_ratio <= CUBIC_BOUND_CONSTANT and worst_reduction <= 1e-12
     detail = (
@@ -190,7 +189,7 @@ def unbalanced_fixture_path() -> TwoLoopPath:
 
 
 def check_kappa_optimality(level: str, seed: int) -> CheckResult:
-    """Criterion 6: kappa derivative ~0 for balanced paths; unbalanced fixture value."""
+    """Criterion 6: dF/dkappa ~0 on balanced paths (b = 0, at the gauge circle's largest c); fixture vs -2 b eps."""
     started = time.perf_counter()
     eps = 1e-2
     axes = (np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]), _COEFF_AXIS, np.array([0.3, -0.5, 0.8]))
@@ -204,7 +203,7 @@ def check_kappa_optimality(level: str, seed: int) -> CheckResult:
                 worst_balanced = max(worst_balanced, abs(_kappa_derivative(sol.path, eps)))
     fixture = unbalanced_fixture_path()
     fd = _kappa_derivative(fixture, eps)
-    predicted = analytic.dF_dkappa_at_zero(fixture, eps)
+    predicted = -2.0 * analytic.SCHEMES["two-loop"].quadratic_form(fixture)[1] * eps
     fixture_dev = abs(fd - predicted)
     ok = worst_balanced <= 1e-8 and fixture_dev <= 1e-5 and abs(predicted - (-9.6358e-3)) <= 1e-6
     detail = (

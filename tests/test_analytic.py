@@ -7,16 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holopath import analytic, schemes
+from holopath import schemes
 from holopath.analytic import (
     SCHEMES,
     TargetGate,
-    dF_dkappa_at_zero,
     extract_quadratic_coefficient,
     f1,
     f2,
     f3,
-    fid2_two_loop,
     fidelity_pair,
     fidelity_report,
 )
@@ -45,6 +43,21 @@ def unbalanced_fixture():
     b2 = bright_state(np.pi / 2, np.pi / 2)
     phi2 = np.pi - np.angle(np.vdot(b1, b2))
     return TwoLoopPath(LoopParams(np.pi / 3, 0.0, 0.0), LoopParams(np.pi / 2, np.pi / 2, phi2))
+
+
+def two_loop_form(path):
+    return SCHEMES["two-loop"].quadratic_form(path)
+
+
+def two_loop_kappa_zero(theta_gate, phi_b, epsilon):
+    """1 - a eps^2 of the two-loop path solved at eta = theta_gate and that phi_b."""
+    path = solve_two_loop(TargetGate(theta_gate, [0.3, -0.5, 0.8]), PathConstraints(force_phi_b=phi_b)).path
+    return 1.0 - two_loop_form(path)[0] * epsilon * epsilon
+
+
+def dF_dkappa(path, epsilon):
+    """-2 b eps: the kappa slope of the fidelity at kappa = 0."""
+    return -2.0 * two_loop_form(path)[1] * epsilon
 
 
 # -------------------------------------------------------------- f1, f2, f3
@@ -92,10 +105,11 @@ def test_f_gaps_increase_on_lower_range():
 
 
 def test_phi_b_zero_counter_check():
-    # with phi_b = 0 the two-loop coefficient exceeds both other schemes
+    # with phi_b = 0 the two-loop coefficient a exceeds both other schemes
     theta = np.linspace(1e-3, np.pi / 2, 200)
     for t in theta:
-        coeff0 = analytic.quad_coeff_two_loop(t, 0.0)
+        path = solve_two_loop(TargetGate(t, [0.3, -0.5, 0.8]), PathConstraints(force_phi_b=0.0)).path
+        coeff0 = two_loop_form(path)[0]
         assert coeff0 > f2(t) * np.pi**2 / 3
         assert coeff0 > f3(t) * np.pi**2 / 3
 
@@ -104,11 +118,11 @@ def test_phi_b_zero_counter_check():
 
 
 def test_fid2_two_loop_values():
-    assert fid2_two_loop(1.0, 2.0, 0.0) == 1.0
-    assert fid2_two_loop(np.pi / 2, np.pi, 1e-2) == pytest.approx(0.999807283986570, abs=1e-15)
-    assert fid2_two_loop(np.pi / 2, np.pi, 1e-2) == pytest.approx(0.99980728, abs=1e-8)
-    assert fid2_two_loop(np.pi / 2, 0.0, 1e-2) == pytest.approx(0.998876768759951, abs=1e-15)
-    assert fid2_two_loop(np.pi / 2, 0.0, 1e-2) == pytest.approx(0.99887686, abs=1e-7)
+    assert two_loop_kappa_zero(1.0, 2.0, 0.0) == 1.0
+    assert two_loop_kappa_zero(np.pi / 2, np.pi, 1e-2) == pytest.approx(0.999807283986570, abs=1e-15)
+    assert two_loop_kappa_zero(np.pi / 2, np.pi, 1e-2) == pytest.approx(0.99980728, abs=1e-8)
+    assert two_loop_kappa_zero(np.pi / 2, 0.0, 1e-2) == pytest.approx(0.998876768759951, abs=1e-15)
+    assert two_loop_kappa_zero(np.pi / 2, 0.0, 1e-2) == pytest.approx(0.99887686, abs=1e-7)
 
 
 def single_loop_second_order(phase_diff, epsilon):
@@ -143,9 +157,9 @@ def test_fid2_single_shot_rotation_angle_identity():
 
 
 def test_fid2_epsilon_domain():
+    # every second order takes a RabiError, which holds the cap
     with pytest.raises(ValueError):
-        fid2_two_loop(1.0, np.pi, 0.2)
-    # the single-loop and single-shot second orders take a RabiError, which holds the cap
+        two_loop_second_order(unbalanced_fixture(), RabiError(0.2))
     with pytest.raises(ValueError):
         single_loop_second_order(1.0, -0.2)
     with pytest.raises(ValueError):
@@ -166,12 +180,11 @@ def test_two_loop_second_order_common_error_reduction(rng):
             LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
             LoopParams(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)),
         )
-        dec = phi_b_of(path)
-        if dec.degenerate:
+        if phi_b_of(path).degenerate:
             continue
         eps = rng.uniform(-0.1, 0.1)
         fid = two_loop_second_order(path, RabiError(eps))
-        assert fid == pytest.approx(fid2_two_loop(dec.eta, dec.phi_b, eps), abs=1e-12)
+        assert fid == pytest.approx(1.0 - two_loop_form(path)[0] * eps * eps, abs=1e-12)
 
 
 def test_two_loop_second_order_phi_b_pi_matches_f1(rng):
@@ -248,11 +261,11 @@ def test_two_loop_second_order_orthogonal_bright_states(kappa):
 
 def test_dF_dkappa_balanced_is_zero():
     path = solve_two_loop(TargetGate(np.pi / 2, [0, 0, 1])).path
-    assert dF_dkappa_at_zero(path, 0.05) == pytest.approx(0.0, abs=1e-12)
+    assert dF_dkappa(path, 0.05) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dF_dkappa_fixture_value():
-    value = dF_dkappa_at_zero(unbalanced_fixture(), 1e-2)
+    value = dF_dkappa(unbalanced_fixture(), 1e-2)
     expected = -(2 / 3) * (1 - np.cos(np.pi / 4)) * 0.5 * np.pi**2 * 1e-2
     assert value == pytest.approx(expected, abs=1e-15)
     assert value == pytest.approx(-9.6358e-3, abs=1e-6)
@@ -265,12 +278,12 @@ def test_dF_dkappa_matches_finite_difference():
     f_plus = gate_fidelity(ideal, two_loop_gates(path, RabiError(eps, h))[1])
     f_minus = gate_fidelity(ideal, two_loop_gates(path, RabiError(eps, -h))[1])
     fd = (f_plus - f_minus) / (2 * h)
-    assert abs(fd - dF_dkappa_at_zero(path, eps)) <= 1e-5
+    assert abs(fd - dF_dkappa(path, eps)) <= 1e-5
 
 
 def test_dF_dkappa_linear_in_epsilon():
     path = unbalanced_fixture()
-    assert dF_dkappa_at_zero(path, -0.01) == pytest.approx(-dF_dkappa_at_zero(path, 0.01), abs=1e-15)
+    assert dF_dkappa(path, -0.01) == pytest.approx(-dF_dkappa(path, 0.01), abs=1e-15)
 
 
 # ------------------------------------------------- coefficient extraction

@@ -24,9 +24,7 @@ from holopath.analytic import (
     f1,
     f2,
     f3,
-    fid2_two_loop,
     fidelity_pair,
-    quad_coeff_two_loop,
 )
 from holopath.schemes import LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath, phi_b_of
 
@@ -133,20 +131,20 @@ def _orthogonal_path():
 
 
 def test_fid2_two_loop_at_eta_pi_matches_relative_formula():
+    # at eta = pi phi_b is NaN, and the quadratic form takes m = cos(eta/2) cos(phi_b) as 0: finite, no NaN
     dec = phi_b_of(_orthogonal_path())
     assert dec.degenerate and math.isnan(dec.phi_b)
     eps = 0.01
     expected = fidelity_pair("two-loop", _orthogonal_path(), RabiError(eps))[1]
     assert abs(expected - 0.99934) < 1e-5
-    assert abs(fid2_two_loop(dec.eta, dec.phi_b, eps) - expected) <= 1e-12
-    assert quad_coeff_two_loop(dec.eta, dec.phi_b) == (2.0 / 3.0) * math.pi**2
-
-
-def test_quad_coeff_two_loop_refuses_nan_phi_b_off_eta_pi():
-    with pytest.raises(ValueError, match="phi_b may be NaN only at eta = pi"):
-        quad_coeff_two_loop(math.pi / 2, math.nan)
-    with pytest.raises(ValueError, match="phi_b may be NaN only at eta = pi"):
-        fid2_two_loop(math.nan, math.nan, 0.01)
+    a, b, c = analytic.SCHEMES["two-loop"].quadratic_form(_orthogonal_path())
+    assert all(math.isfinite(x) for x in (a, b, c))
+    assert abs(1.0 - a * eps * eps - expected) <= 1e-12
+    # m = 0 at loops theta = 0 and pi: a = (2/3) pi^2, b = (pi^2/3)(cos 0 + cos pi) = 0,
+    # c = (pi^2/3)(cos^2 0 + cos^2 pi) = (2/3) pi^2
+    assert a == (2.0 / 3.0) * math.pi**2
+    assert b == 0.0
+    assert c == pytest.approx((2.0 / 3.0) * math.pi**2, rel=1e-15)
 
 
 def test_extract_quadratic_coefficient_refuses_nan_fidelity():
@@ -280,6 +278,9 @@ def test_closed_forms_call_no_blas():
     bodies = [node for module in (schemes, analytic, cli) for _, node in _functions(module)]
     bodies += [node for name, node in _functions(pathfinder) if name in solvers]
     bodies += [node for name, node in _functions(linalg) if name in {"product", "_trace_fidelity"}]
+    forms = {"_two_loop_form", "_single_loop_form", "_single_shot_form"}
+    assert {entry.quadratic_form.__name__ for entry in analytic.SCHEMES.values()} == forms
+    assert forms <= {node.name for node in bodies}
     for node in bodies:
         assert not any(isinstance(n, ast.MatMult) for n in ast.walk(node)), node.name
         called = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
@@ -318,14 +319,17 @@ ERRORED_VIEWS = {"two_loop_errored_relative", "single_loop_errored", "single_sho
 DELETED = {
     "two_loop_ideal", "single_loop_ideal", "single_shot_ideal", "fid2_single_loop", "fid2_single_shot",
     "fid2_relative", "RelativeErrorBreakdown", "bright_decomposition", "bright_dark",
+    "quad_coeff_two_loop", "fid2_two_loop", "dF_dkappa_at_zero",
 }
+#: kept in analytic, where the second-order formulas and the quadratic forms call them, but not exported
+UNEXPORTED = {"quad_coeff_single_loop", "quad_coeff_single_shot"}
 
 
 def test_package_exports_one_builder_per_scheme():
     exported = set(holopath.__all__)
     assert BUILDERS <= exported
-    assert not exported & (ERRORED_VIEWS | DELETED)
-    assert not [name for name in ERRORED_VIEWS | DELETED if hasattr(holopath, name)]
+    assert not exported & (ERRORED_VIEWS | DELETED | UNEXPORTED)
+    assert not [name for name in ERRORED_VIEWS | DELETED | UNEXPORTED if hasattr(holopath, name)]
 
 
 def test_errored_views_are_schemes_attributes_only():

@@ -238,18 +238,16 @@ def test_single_shot_builder_equals_separate_constructors(drawn, error, seed):
 
 
 def report_by_loop(scheme, path, error):
-    """The reference: the +/- probe as a loop of one-point fidelity_pair calls, one coefficient at a time."""
+    """The reference: the exact coefficient's +/- probe as a loop of one-point fidelity_pair calls, and the
+    analytic coefficient as the quadratic form's a u^2 + 2 b u v + c v^2 along the error's direction (u, v)."""
     scale = float(np.hypot(error.epsilon, error.kappa))
-    direction = (1.0, 0.0) if scale == 0.0 else (error.epsilon / scale, error.kappa / scale)
-    coefficients = []
-    for index in (0, 1):  # exact, then second order
-        points = []
-        for mag in (1e-3, 1e-4):
-            for sign in (1.0, -1.0):
-                pair = fidelity_pair(scheme, path, RabiError(sign * mag * direction[0], sign * mag * direction[1]))
-                points.append((sign * mag, pair[index]))
-        coefficients.append(extract_quadratic_coefficient(points))
-    return coefficients
+    u, v = (1.0, 0.0) if scale == 0.0 else (error.epsilon / scale, error.kappa / scale)
+    points = []
+    for mag in (1e-3, 1e-4):
+        for sign in (1.0, -1.0):
+            points.append((sign * mag, fidelity_pair(scheme, path, RabiError(sign * mag * u, sign * mag * v))[0]))
+    a, b, c = analytic.SCHEMES[scheme].quadratic_form(path)
+    return extract_quadratic_coefficient(points), a * u * u + 2.0 * b * u * v + c * v * v
 
 
 def bits(*values):

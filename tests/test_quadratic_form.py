@@ -1,0 +1,97 @@
+"""Each scheme's quadratic form 1 - F = a eps^2 + 2 b eps kappa + c kappa^2 is half the exact infidelity's Hessian.
+
+Two references: central differences of ``fidelity_pair``'s exact value in floats, and the 40-digit
+model of ``mp_reference``, whose Hamiltonians share no code with the closed forms.
+"""
+
+import numpy as np
+import pytest
+
+import mp_reference
+from holopath.analytic import SCHEMES, fidelity_pair
+from holopath.pathfinder import PathConstraints
+from holopath.schemes import LoopParams, RabiError, SingleShotPath, TargetGate, TwoLoopPath
+
+U = 2.0**-53  # unit roundoff of a float
+STEP = 1e-4  # of the float difference Hessian
+
+#: theta_gate 0, pi/4 and pi/2 about +z, -z and (1,1,1)/sqrt 3
+TARGETS = [TargetGate(t, axis) for t in (0.0, np.pi / 4, np.pi / 2) for axis in ([0, 0, 1], [0, 0, -1], [1, 1, 1])]
+EXTRA_PATHS = {
+    "two-loop": [
+        TwoLoopPath(LoopParams(0.0, 0.0, 0.0), LoopParams(np.pi, 0.0, 0.3)),  # eta = pi, phi_b NaN
+        TwoLoopPath(LoopParams(0.6, 0.3, 0.0), LoopParams(np.pi - 0.6, 0.3 + np.pi, 1.0)),  # eta = pi
+        TwoLoopPath(LoopParams(0.0, 0.0, 0.0), LoopParams(np.pi - 1e-3, 0.0, 0.3)),  # eta near pi
+        TwoLoopPath(LoopParams(0.6, 0.3, 0.0), LoopParams(np.pi - 0.6 - 1e-6, 0.3 + np.pi, 1.0)),
+    ]
+    + [SCHEMES["two-loop"].solve(t, PathConstraints(force_phi_b=0.0)) for t in TARGETS],
+    "single-loop": [],
+    "single-shot": [
+        SingleShotPath(0.4, 0.3, 1.2, gamma) for gamma in (np.pi / 2, -np.pi / 2, np.pi / 2 - 1e-3, -np.pi / 2 + 1e-3)
+    ],
+}
+
+
+def form_paths(scheme, count=50):
+    """The solved paths of TARGETS, the scheme's boundary paths, then seeded random paths up to ``count``."""
+    entry = SCHEMES[scheme]
+    paths = [entry.solve(t, PathConstraints()) for t in TARGETS] + EXTRA_PATHS[scheme]
+    rng = np.random.default_rng(24)
+    return paths + [entry.random_path(rng) for _ in range(count - len(paths))]
+
+
+def difference_form(scheme, path):
+    """(a, b, c) by central differences of fidelity_pair's exact value, from one 3x3 error grid."""
+    steps = np.array([-STEP, 0.0, STEP])
+    f = fidelity_pair(scheme, path, RabiError(steps[:, None], steps[None, :]))[0]
+    a = (2.0 * f[1, 1] - f[2, 1] - f[0, 1]) / (2.0 * STEP**2)
+    c = (2.0 * f[1, 1] - f[1, 2] - f[1, 0]) / (2.0 * STEP**2)
+    b = -(f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / (8.0 * STEP**2)
+    return np.array([a, b, c])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_quadratic_form_matches_difference_hessian(scheme):
+    # within 1e-6 relative, above the quotients' rounding floor: each exact F is within about 5 u of
+    # the 40-digit model (see the test below), and a quotient's weights sum to at most 2 / STEP^2
+    for path in form_paths(scheme):
+        form = np.array(SCHEMES[scheme].quadratic_form(path))
+        assert np.all(np.isfinite(form)), path
+        bound = 1e-6 * np.max(np.abs(form)) + 10.0 * U / STEP**2
+        assert np.max(np.abs(difference_form(scheme, path) - form)) <= bound, path
+
+
+#: two paths per scheme for the 40-digit model: one boundary or solved path, one random
+MP_PATHS = {
+    "two-loop": [EXTRA_PATHS["two-loop"][0], SCHEMES["two-loop"].random_path(np.random.default_rng(5))],
+    "single-loop": [
+        SCHEMES["single-loop"].solve(TargetGate(np.pi / 2, [0, 0, -1]), PathConstraints()),
+        SCHEMES["single-loop"].random_path(np.random.default_rng(5)),
+    ],
+    "single-shot": [
+        SCHEMES["single-shot"].solve(TargetGate(np.pi / 4, [1, 1, 1]), PathConstraints()),
+        SCHEMES["single-shot"].random_path(np.random.default_rng(5)),
+    ],
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_quadratic_form_equals_40_digit_hessian(scheme):
+    for path in MP_PATHS[scheme]:
+        reference = mp_reference.quadratic_form(scheme, path)
+        assert np.max(np.abs(np.array(SCHEMES[scheme].quadratic_form(path)) - reference)) <= 1e-13, path
+
+
+#: every closed-form gate entry has magnitude <= 1 and passes through about 30 roundings (bright state,
+#: coupling, the pulse's sin and cos, two 3x3 products), so it is within 32 u of exact; by Cauchy-Schwarz
+#: the 9-term trace is then within 2 * sqrt(9) 32 u * sqrt(3) + 9 u * 3 of exact, about 360 u, and F = |Tr| / 3
+#: within about 120 u.  The measured deviation is at most 5 u.
+FIDELITY_BOUND = 128 * U
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_exact_fidelity_is_within_rounding_of_40_digit_model(scheme):
+    for path in MP_PATHS[scheme]:
+        for epsilon, kappa in ((0.03, -0.02), (-0.1, 0.1)):
+            exact = fidelity_pair(scheme, path, RabiError(epsilon, kappa))[0]
+            assert abs(exact - float(mp_reference.fidelity(scheme, path, epsilon, kappa))) <= FIDELITY_BOUND

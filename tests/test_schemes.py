@@ -509,22 +509,16 @@ def second_order_residuals(make_exact, analytic_coeff):
 
 @pytest.mark.parametrize("scheme", ["two-loop", "single-loop", "single-shot"])
 def test_second_order_agreement_cubic_suppression(scheme, rng):
-    from holopath import analytic
+    from holopath.analytic import SCHEMES
 
-    if scheme == "two-loop":
-        path = random_two_loop(rng)
-        dec = phi_b_of(path)
-        coeff = analytic.quad_coeff_two_loop(dec.eta, dec.phi_b)
-        make = lambda e: gate_fidelity(*two_loop_gates(path, RabiError(e))[:2])
-    elif scheme == "single-loop":
-        path = SingleLoopPath(0.9, 0.3, 2.1, 0.6)
-        coeff = analytic.quad_coeff_single_loop(path.phase_diff)
-        make = lambda e: gate_fidelity(*single_loop_gates(path, RabiError(e))[:2])
-    else:
-        path = SingleShotPath(0.7, 0.2, 1.4, 0.5)
-        coeff = analytic.quad_coeff_single_shot(path.gamma)
-        make = lambda e: gate_fidelity(*single_shot_gates(path, RabiError(e))[:2])
-    r = second_order_residuals(make, coeff)
+    entry = SCHEMES[scheme]
+    path = {
+        "two-loop": random_two_loop(rng),
+        "single-loop": SingleLoopPath(0.9, 0.3, 2.1, 0.6),
+        "single-shot": SingleShotPath(0.7, 0.2, 1.4, 0.5),
+    }[scheme]
+    make = lambda e: gate_fidelity(*entry.build(path, RabiError(e))[:2])
+    r = second_order_residuals(make, entry.quadratic_form(path)[0])  # a: the eps^2 coefficient at kappa = 0
     floor = 5e-16
     assert r[0] / max(r[1], floor) >= 1e2
     assert r[1] / max(r[2], floor) >= 1e2
