@@ -66,7 +66,7 @@ for name, builder, path, gates in (
 ):
     line = f"  {name:12s}"
     for err in (common, error):
-        ideal, closed = gates(path, err)[:2]
+        ideal, closed = gates(path, err)
         oracle_f = hp.gate_fidelity(ideal, hp.propagate(builder(path, err, "square"), steps))
         line += f" {oracle_f:14.10f} {hp.gate_fidelity(ideal, closed):14.10f}"
     print(line)

@@ -1,12 +1,10 @@
-"""The scheme table, second-order fidelity formulas, scheme comparison curves, and coefficient extraction.
+"""The scheme table, each scheme's second-order error form, scheme comparison curves, and coefficient extraction.
 
-All closed-form fidelities here are exact through second order in the error
-fractions; the exact propagators in :mod:`holopath.schemes` differ from them
-by cubic (or higher) remainders, which the tests bound explicitly.  Each
-scheme's ``quadratic_form`` is its second order at zero error,
-1 - F = a eps^2 + 2 b eps kappa + c kappa^2, from the path alone; the paper's
-robustness conditions are conditions on it: phi_b = pi minimizes the two-loop
-a, and balanced loops make b = 0.
+Each scheme's ``quadratic_form`` gives, from the path alone, the (a, b, c) of its second order
+1 - F = a eps^2 + 2 b eps kappa + c kappa^2 =: Q, and :func:`fidelity_pair`'s second-order fidelity is
+1 - Q.  The exact propagators of :mod:`holopath.schemes` differ from it by cubic (or higher) remainders,
+which the tests bound explicitly.  The paper's robustness conditions are conditions on Q: phi_b = pi
+minimizes the two-loop a, and balanced loops make b = 0.
 """
 
 from __future__ import annotations
@@ -22,12 +20,6 @@ from .linalg import _trace_fidelity
 from .schemes import TWO_PI, LoopParams, RabiError, SingleLoopPath, SingleShotPath, TargetGate, TwoLoopPath, _in_range
 
 PI_SQ = np.pi**2
-
-
-def _square(x):
-    # C pow() per element, as ** is for one float: an array's ** 2 is x * x, which differs
-    # from pow() in the last bit on about 0.1% of values, so a grid would not match its points
-    return np.float_power(x, 2)
 
 
 def f1(theta_gate):
@@ -69,54 +61,17 @@ def quad_coeff_single_shot(gamma: float) -> float:
     return float(PI_SQ * np.cos(gamma) ** 4 / 3.0)
 
 
-def _rotation_tilt_coeff(gamma: float) -> float:
-    """(2/3)(1 - cos zeta), zeta = pi (1 - sin gamma): the single-shot infidelity per squared axis tilt."""
-    return (2.0 / 3.0) * (1.0 - np.cos(np.pi * (1.0 - np.sin(gamma))))
-
-
-def _fid2_errored_loops(path: TwoLoopPath, loops) -> float:
-    """Second-order two-loop fidelity of a path whose :func:`~holopath.schemes.two_loop_gates` record is ``loops``.
-
-    Takes (eta', phi_b) from the errored bright states' overlap and evaluates
-    ``F = 1 - y^2/3 - pi^2 z^2/3`` with
-    y^2 = theta11^2 + theta22^2 - 2 theta11 theta22 cos(psi21) and
-    z^2 = delta1^2 + delta2^2 + 2 delta1 delta2 cos(eta'/2) cos(phi_b),
-    where theta_kk = theta_k - theta_k' is loop k's bright-direction tilt, psi21 = psi2 - psi1
-    and delta_k loop k's area excess.  The last term of z^2 is 0 at eta' = pi (orthogonal
-    errored bright states), where phi_b is NaN and the fidelity stays finite.  At kappa = 0 this
-    reduces exactly to the common-error formula.  A grid record gives an array fidelity.
-    """
-    (t1p, t2p), (d1, d2) = loops.theta_p, loops.delta
-    eta, phi_b, degenerate = schemes._overlap_angles((loops.bright[0].conj() * loops.bright[1]).sum(-1), *loops.phi)
-    theta11 = path.loop1.theta - t1p
-    theta22 = path.loop2.theta - t2p
-    psi21 = path.loop2.psi - path.loop1.psi
-    y_sq = _square(theta11) + _square(theta22) - 2.0 * theta11 * theta22 * np.cos(psi21)
-    cross = np.where(degenerate, 0.0, 2.0 * d1 * d2 * np.cos(eta / 2.0) * np.cos(phi_b))
-    z_sq = _square(d1) + _square(d2) + cross
-    y = np.sqrt(np.maximum(0.0, y_sq))
-    z = np.sqrt(np.maximum(0.0, z_sq))
-    return 1.0 - y * y / 3.0 - PI_SQ * z * z / 3.0
-
-
-def _fid2_errored_segments(path: SingleLoopPath, segments) -> float:
-    """1 - (1/6)(1 + cos(phi - phi')) pi^2 (delta^2 + (theta - theta')^2 / pi^2) of a single_loop_gates record."""
-    delta, tilt = segments.delta[0], path.theta - segments.theta_p[0]
-    return 1.0 - quad_coeff_single_loop(path.phase_diff) * (delta * delta + tilt * tilt / PI_SQ)
-
-
-def _fid2_errored_pulse(path: SingleShotPath, pulse) -> float:
-    """1 - (1/3) pi^2 cos^4(gamma) delta^2 - (2/3)(1 - cos zeta)(alpha - alpha')^2 of a single_shot_gates record."""
-    delta, tilt = pulse.delta, path.alpha - pulse.theta_p / 2.0
-    tilt_coeff = _rotation_tilt_coeff(path.gamma)
-    return 1.0 - quad_coeff_single_shot(path.gamma) * delta * delta - tilt_coeff * tilt * tilt
-
-
 def _two_loop_form(path: TwoLoopPath):
     """(a, b, c) = (pi^2/3)(2 + 2m, (C1 + C2)(1 + m), C1^2 + C2^2 + 2m C1 C2) + (0, 0, (4/3) y^2).
 
     C_k = cos theta_k, y^2 = S1^2 + S2^2 - 2 S1 S2 cos psi21 with S_k = sin theta_k, and m = cos(eta/2) cos(phi_b),
-    taken as 0 at eta = pi, where phi_b is NaN, as in the second order.
+    taken as 0 at eta = pi, where phi_b is NaN and the orthogonal bright states' fidelity stays finite.
+
+    Derivation: the paper's second order of the errored loops is 1 - F = t^2/3 + pi^2 z^2/3 with
+    t^2 = t1^2 + t2^2 - 2 t1 t2 cos psi21 and z^2 = d1^2 + d2^2 + 2 m d1 d2, where t_k = theta_k - theta_k' is
+    loop k's tilt and d_k its area excess (:func:`~holopath.schemes.relative_error_angles`).  To first order
+    t_k = 2 kappa S_k and d_k = eps + kappa C_k, so t^2 = 4 kappa^2 y^2, and z^2 gives the (pi^2/3) terms; m is
+    taken at the ideal path, since z^2 is already of second order.
     """
     dec = schemes.phi_b_of(path)
     m = 0.0 if dec.degenerate else np.cos(dec.eta / 2.0) * np.cos(dec.phi_b)
@@ -133,9 +88,13 @@ def _single_loop_form(path: SingleLoopPath):
 
 
 def _single_shot_form(path: SingleShotPath):
-    """q (1, cos 2alpha, cos^2 2alpha) + (0, 0, (2/3)(1 - cos zeta) sin^2 2alpha), q = (1/3) pi^2 cos^4(gamma)."""
+    """q (1, cos 2alpha, cos^2 2alpha) + (0, 0, (2/3)(1 - cos zeta) sin^2 2alpha), q = (1/3) pi^2 cos^4(gamma).
+
+    zeta = pi (1 - sin gamma); (2/3)(1 - cos zeta) is the infidelity per squared tilt of the rotation axis.
+    """
     q, cos, sin = quad_coeff_single_shot(path.gamma), np.cos(2.0 * path.alpha), np.sin(2.0 * path.alpha)
-    return q, q * cos, q * cos * cos + _rotation_tilt_coeff(path.gamma) * sin * sin
+    tilt = (2.0 / 3.0) * (1.0 - np.cos(np.pi * (1.0 - np.sin(path.gamma))))
+    return q, q * cos, q * cos * cos + tilt * sin * sin
 
 
 def extract_quadratic_coefficient(samples) -> float:
@@ -223,19 +182,18 @@ def _random_loop(rng) -> LoopParams:
 class Scheme:
     """Every scheme-specific choice of one gate scheme, read by fidelity_pair, the CLI and verify.
 
-    ``build(path, error)`` gives ``(ideal, errored, record)`` for any (epsilon, kappa) error point or
-    grid, ``second_order(path, record)`` reads the record, ``quadratic_form(path)`` gives the (a, b, c) of
-    1 - F = a eps^2 + 2 b eps kappa + c kappa^2 + O(3), the Hessian of the exact infidelity at zero
-    error over 2, in closed form; ``schedule(path, error, shape)`` is the
-    oracle's model of the errored gate; ``shape`` is f_k in F = 1 - f_k(theta) (pi eps)^2 / 3; only
-    the two-loop ``solve(target, constraints)`` reads the constraints.  Builders, schedules and
-    solvers are called through their modules, so a rebound function (test, tracer) is the one that runs.
+    ``build(path, error)`` gives ``(ideal, errored)`` for any (epsilon, kappa) error point or grid;
+    ``quadratic_form(path)`` gives the (a, b, c) of 1 - F = a eps^2 + 2 b eps kappa + c kappa^2 + O(3),
+    the Hessian of the exact infidelity at zero error over 2, in closed form: the scheme's one
+    second-order model.  ``schedule(path, error, shape)`` is the oracle's model of the errored gate;
+    ``shape`` is f_k in F = 1 - f_k(theta) (pi eps)^2 / 3; only the two-loop
+    ``solve(target, constraints)`` reads the constraints.  Builders, schedules and solvers are
+    called through their modules, so a rebound function (test, tracer) is the one that runs.
     """
 
     path_type: type
     build: Callable
     schedule: Callable
-    second_order: Callable
     quadratic_form: Callable
     shape: Callable
     solve: Callable
@@ -249,7 +207,6 @@ SCHEMES = {
         path_type=TwoLoopPath,
         build=lambda path, error: schemes.two_loop_gates(path, error),
         schedule=lambda path, error, shape: oracle.schedule_for_two_loop(path, error, shape),
-        second_order=_fid2_errored_loops,
         quadratic_form=_two_loop_form,
         shape=f1,
         solve=lambda target, constraints: pathfinder.solve_two_loop(target, constraints).path,
@@ -260,7 +217,6 @@ SCHEMES = {
         path_type=SingleLoopPath,
         build=lambda path, error: schemes.single_loop_gates(path, error),
         schedule=lambda path, error, shape: oracle.schedule_for_single_loop(path, error, shape),
-        second_order=_fid2_errored_segments,
         quadratic_form=_single_loop_form,
         shape=f2,
         solve=lambda target, constraints: pathfinder.solve_single_loop(target),
@@ -273,7 +229,6 @@ SCHEMES = {
         path_type=SingleShotPath,
         build=lambda path, error: schemes.single_shot_gates(path, error),
         schedule=lambda path, error, shape: oracle.schedule_for_single_shot(path, error, shape),
-        second_order=_fid2_errored_pulse,
         quadratic_form=_single_shot_form,
         shape=f3,
         solve=lambda target, constraints: pathfinder.solve_single_shot(target),
@@ -293,31 +248,35 @@ _BLOCK_POINTS = 1024
 def fidelity_pair(scheme: str, path, error: RabiError):
     """Exact and second-order fidelity for one scheme/path/error point, from the scheme's :data:`SCHEMES` entry.
 
-    Both are Python floats at one error point, and arrays of the grid's shape
-    for an error grid (array fields of ``error``).  A grid of more than
-    ``_BLOCK_POINTS`` points is flattened and evaluated one block of that many
-    points per builder call, so memory is bounded by the block; every value
-    still equals the one-point evaluation bit for bit.  A path of another
-    scheme's type is refused with a ValueError naming the type the scheme
-    takes.  The built gates are unitary by construction (criterion 8 checks
-    it), so their unitarity is not rechecked.
+    The exact value is the trace fidelity of the scheme's built gates; the second-order one is
+    1 - (a eps eps + 2 b eps kappa + c kappa kappa), (a, b, c) the scheme's quadratic form, in plain
+    products.  Both are Python floats at one error point, and arrays of the grid's shape for an error
+    grid (array fields of ``error``).  A grid of more than ``_BLOCK_POINTS`` points is flattened and
+    evaluated one block of that many points per builder call, so memory is bounded by the block; every
+    value still equals the one-point evaluation bit for bit.  A path of another scheme's type is refused
+    with a ValueError naming the type the scheme takes.  The built gates are unitary by construction
+    (criterion 8 checks it), so their unitarity is not rechecked.
     """
     entry = SCHEMES.get(scheme)
     if entry is None:
         raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
     if not isinstance(path, entry.path_type):
         raise ValueError(f"scheme {scheme} takes a {entry.path_type.__name__}, got {type(path).__name__}")
+    a, b, c = entry.quadratic_form(path)
+
+    def evaluate(error):
+        e, k = error.epsilon, error.kappa
+        return _trace_fidelity(*entry.build(path, error)), 1.0 - (a * e * e + 2.0 * b * e * k + c * k * k)
+
     grid = np.broadcast(error.epsilon, error.kappa)
     if grid.size <= _BLOCK_POINTS:
-        ideal, errored, record = entry.build(path, error)
-        second_order = entry.second_order(path, record)
-        return _trace_fidelity(ideal, errored), second_order if grid.ndim else float(second_order)
+        exact, second_order = evaluate(error)
+        return exact, second_order if grid.ndim else float(second_order)
     epsilon, kappa = (np.broadcast_to(field, grid.shape).ravel() for field in (error.epsilon, error.kappa))
     exact, second_order = np.empty(grid.size), np.empty(grid.size)
     for start in range(0, grid.size, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
-        ideal, errored, record = entry.build(path, RabiError(epsilon[block], kappa[block]))
-        exact[block], second_order[block] = _trace_fidelity(ideal, errored), entry.second_order(path, record)
+        exact[block], second_order[block] = evaluate(RabiError(epsilon[block], kappa[block]))
     return exact.reshape(grid.shape), second_order.reshape(grid.shape)
 
 

@@ -12,18 +12,16 @@ pulse, in closed form from its generator G and the projector G^2 on span{|b>, |e
 for that model; no builder runs an eigendecomposition or calls BLAS.  A :class:`RabiError`
 whose fields are arrays is an error grid.  Each scheme's builder
 (:func:`two_loop_gates`, :func:`single_loop_gates`, :func:`single_shot_gates`)
-makes the ideal gate, the errored gates of a whole grid and the record its
-second-order formula reads in one stacked pass: the ideal bright state rides
-along as one extra leading point of the flattened error axis.  Pulse areas
-are enforced exactly (pi per two-loop loop, pi/2 per single-loop segment,
-total area pi for the single-shot pulse); time stepping lives in
-:mod:`holopath.oracle`.
+makes the ideal gate and the errored gates of a whole grid in one stacked
+pass: the ideal bright state rides along as one extra leading point of the
+flattened error axis.  Pulse areas are enforced exactly (pi per two-loop
+loop, pi/2 per single-loop segment, total area pi for the single-shot pulse);
+time stepping lives in :mod:`holopath.oracle`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -188,7 +186,7 @@ class RabiError:
 
     Either field may be a float array, and the two broadcast against each
     other: such an instance is an error grid, and every builder's errored
-    gates and second-order formula then hold one value per grid point.
+    gates and both fidelities then hold one value per grid point.
     The cap is checked per point; the first failing point is named,
     epsilon before kappa.  A grid instance holds arrays: it is not
     hashable, and == between two grids raises as it does between arrays.
@@ -298,12 +296,8 @@ def relative_error_angles(theta, error: RabiError):
     return 2.0 * np.arctan2(s1, c0), np.hypot(c0, s1) - 1.0
 
 
-#: errored ratio angles, area excesses, total phases and bright states; two pulses on a leading axis, or one pulse
-_ErroredPulses = namedtuple("_ErroredPulses", "theta_p delta phi bright")
-
-
-def _pulse_pair_gates(rows, area: float, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
-    """(ideal, errored, pulses): gates U2 U1 of two pulses given as (theta, psi, phi) rows, from one pulse call.
+def _pulse_pair_gates(rows, area: float, error: RabiError) -> tuple[np.ndarray, np.ndarray]:
+    """(ideal, errored): gates U2 U1 of two pulses given as (theta, psi, phi) rows, from one pulse call.
 
     Each pulse is e^{i phi}|b><e| + h.c. at ``area``, the ideal riding along as point 0 of the flattened
     error axis, the errored at theta' and (1 + delta) ``area``.  ``errored`` has the grid's shape (..., 3, 3).
@@ -317,12 +311,11 @@ def _pulse_pair_gates(rows, area: float, error: RabiError) -> tuple[np.ndarray, 
     pb += PROJ_E  # in place, now |b><b| + |e><e|: each coupling's square
     pulses = _pulse(coupling, pb, areas)
     gates = product(pulses[1], pulses[0])
-    record = _ErroredPulses(theta_p, delta, phi, bright[:, 1:].reshape(theta_p.shape + (3,)))
-    return gates[0], gates[1:].reshape(theta_p.shape[1:] + (3, 3)), record
+    return gates[0], gates[1:].reshape(theta_p.shape[1:] + (3, 3))
 
 
-def two_loop_gates(path: TwoLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
-    """(ideal, errored, loops): both two-loop gates U2 U1, one pi-area pulse per loop; the second order reads ``loops``.
+def two_loop_gates(path: TwoLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray]:
+    """(ideal, errored): both two-loop gates U2 U1, one pi-area pulse per loop.
 
     Each ideal loop is -|e><e| - n_k.sigma, so the ideal gate's logical block equals
     (n1.n2) I - 1j (n1 x n2).sigma, a rotation by twice the angle between the two loop Bloch vectors,
@@ -342,8 +335,8 @@ def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray
     return two_loop_gates(path, error)[1]
 
 
-def single_loop_gates(path: SingleLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
-    """(ideal, errored, segments): both single-loop gates, two pi/2-area segments with a phase jump, any kappa.
+def single_loop_gates(path: SingleLoopPath, error: RabiError) -> tuple[np.ndarray, np.ndarray]:
+    """(ideal, errored): both single-loop gates, two pi/2-area segments with a phase jump, any kappa.
 
     The two-loop machinery at rows (theta, psi, phi) and (theta, psi, phi_prime): each segment is the
     loop formula at the tilted theta' and area (1 + delta) pi/2.
@@ -370,8 +363,8 @@ def _error_operator(pb: np.ndarray, cross: np.ndarray, gamma: float, delta) -> t
     return lam, sigma
 
 
-def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarray, np.ndarray, _ErroredPulses]:
-    """(ideal, errored, pulse): both single-shot gates from one bright-state and one pulse call, any kappa.
+def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarray, np.ndarray]:
+    """(ideal, errored): both single-shot gates from one bright-state and one pulse call, any kappa.
 
     The ideal gate is e^{i zeta}(|e><e| + |b><b|) + |d><d|, zeta = pi (1 - sin gamma).  Under drive errors
     the drives tilt as a loop's do: the bright state is e^{i beta0} bright_state(2 alpha', beta1 - beta0)
@@ -388,23 +381,12 @@ def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarra
     areas = np.stack([np.full_like(lam, np.pi * np.sin(path.gamma)), lam * np.pi])
     square = PROJ_E + pb[1:]  # the phase generator, and the square of sigma
     phase, rotation = _pulse(np.stack([square, sigma]), square, areas)
-    record = _ErroredPulses(theta_p, delta, path.beta0, bright[1:].reshape(np.shape(delta) + (3,)))
-    return ideal, product(phase, rotation).reshape(np.shape(delta) + (3, 3)), record
+    return ideal, product(phase, rotation).reshape(np.shape(delta) + (3, 3))
 
 
 def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:
     """``single_shot_gates(path, error)[1]``; kept for the benchmark, see :func:`two_loop_errored_relative`."""
     return single_shot_gates(path, error)[1]
-
-
-def _overlap_angles(overlap, phi1, phi2):
-    """(eta, phi_b, degenerate) of the overlap <b1|b2> of two bright states with total phases phi1, phi2."""
-    # hypot, not np.abs: numpy's vectorized complex abs can differ from the scalar one in the last bit
-    magnitude = np.hypot(overlap.real, overlap.imag)
-    eta = 2.0 * np.arccos(np.minimum(1.0, magnitude))
-    degenerate = magnitude <= DEGENERATE_OVERLAP
-    phi_b = np.where(degenerate, np.nan, _principal(phi2 - phi1 + np.angle(overlap)))[()]
-    return eta, phi_b, degenerate
 
 
 def phi_b_of(path: TwoLoopPath) -> BrightDecomposition:
@@ -417,4 +399,8 @@ def phi_b_of(path: TwoLoopPath) -> BrightDecomposition:
     """
     loop1, loop2 = path.loop1, path.loop2
     overlap = (bright_state(loop1.theta, loop1.psi).conj() * bright_state(loop2.theta, loop2.psi)).sum(axis=-1)
-    return BrightDecomposition(*_overlap_angles(overlap, loop1.phi, loop2.phi))
+    # hypot, not np.abs: the two can differ in the last bit, and eta's bits are in every optimize output
+    magnitude = np.hypot(overlap.real, overlap.imag)
+    degenerate = magnitude <= DEGENERATE_OVERLAP
+    phi_b = np.nan if degenerate else _principal(loop2.phi - loop1.phi + np.angle(overlap))
+    return BrightDecomposition(2.0 * np.arccos(np.minimum(1.0, magnitude)), phi_b, degenerate)

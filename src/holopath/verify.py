@@ -22,7 +22,7 @@ from .schemes import NO_ERROR, LoopParams, RabiError, SingleLoopPath, TargetGate
 
 DEFAULT_SEED = 20260809
 
-#: cubic-remainder constant for the relative-error second-order formula
+#: cubic-remainder constant of every scheme's second order 1 - Q, in |F - F''| <= C (|eps| + |kappa|)^3
 CUBIC_BOUND_CONSTANT = 6.0
 
 _THETA_GRID = (np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2)
@@ -145,7 +145,11 @@ def check_phi_b_optimality(level: str, seed: int) -> CheckResult:
 
 
 def check_relative_error_consistency(level: str, seed: int) -> CheckResult:
-    """Criterion 5: analytic F'' within C*(|eps|+|kappa|)^3 of exact; kappa = 0 reduction to 1 - a eps^2."""
+    """Criterion 5: analytic F'' within C*(|eps|+|kappa|)^3 of exact; kappa = 0 reduction to 1 - a eps^2.
+
+    F'' is 1 - Q of the scheme's quadratic form, so the reduction checks the form's kappa = 0 restriction:
+    fidelity_pair's second column at kappa = 0 against 1 - a eps^2, which holds by construction and reads 0.
+    """
     started = time.perf_counter()
     rng = np.random.default_rng(seed + 5)
     paths = []
@@ -257,7 +261,7 @@ def check_structural(level: str, seed: int) -> CheckResult:
         for name, scheme in analytic.SCHEMES.items():
             path = scheme.random_path(rng)
             # zero error, eps, then (eps, kappa): one builder call
-            ideal, errored = scheme.build(path, RabiError(np.array([0.0, eps, eps]), np.array([0.0, 0.0, kappa])))[:2]
+            ideal, errored = scheme.build(path, RabiError(np.array([0.0, eps, eps]), np.array([0.0, 0.0, kappa])))
             for gate in (ideal, *errored[1:]):
                 worst_unitary = max(worst_unitary, float(np.max(np.abs(gate.conj().T @ gate - IDENTITY))))
             worst_reduction = max(worst_reduction, float(np.max(np.abs(errored[0] - ideal))))

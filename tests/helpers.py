@@ -178,15 +178,10 @@ def reference_two_loop_ideal(path) -> np.ndarray:
     return product(loops[1], loops[0])
 
 
-def reference_errored_loops(path, error) -> tuple:
-    """The errored pulses' (theta_p, delta, phi, bright), from the errored angles alone."""
+def reference_pulse_pair_errored(path, error, area) -> np.ndarray:
     theta, psi, phi = pulse_angles(path, error.ndim)
     theta_p, delta = schemes.relative_error_angles(theta, error)
-    return theta_p, delta, phi, schemes.bright_state(theta_p, psi)
-
-
-def reference_pulse_pair_errored(path, error, area) -> np.ndarray:
-    _, delta, phi, bright = reference_errored_loops(path, error)
+    bright = schemes.bright_state(theta_p, psi)
     square = bright_excited_projector(bright)
     pulses = schemes._pulse(schemes._bright_coupling(bright, phi), square, (1.0 + delta) * area)
     return product(pulses[1], pulses[0])

@@ -41,9 +41,9 @@ def _fidelity(v, ve):
     return abs(sum(mpmath.conj(v[i, j]) * ve[i, j] for i in range(3) for j in range(3))) / 3
 
 
-def fidelity(scheme, path, epsilon, kappa):
-    """|Tr(V^dag V_e)| / 3 of the ideal and errored gates, as an mpf of ``DIGITS`` digits."""
-    with mpmath.workdps(DIGITS):
+def fidelity(scheme, path, epsilon, kappa, digits=DIGITS):
+    """|Tr(V^dag V_e)| / 3 of the ideal and errored gates, as an mpf of ``digits`` digits."""
+    with mpmath.workdps(digits):
         return _fidelity(_gate(scheme, path, 0, 0), _gate(scheme, path, epsilon, kappa))
 
 

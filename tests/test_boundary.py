@@ -7,6 +7,7 @@ helpers take angles that are valid by construction and check nothing.
 """
 
 import ast
+import dataclasses
 import inspect
 import math
 import re
@@ -200,7 +201,7 @@ RANGE_CALLERS = {
     "analytic.f2",
     "analytic.f3",
 }
-UNCHECKED = ("bright_state", "relative_error_angles", "_bright_coupling", "two_loop_gates", "_overlap_angles")
+UNCHECKED = ("bright_state", "relative_error_angles", "_bright_coupling", "two_loop_gates", "phi_b_of")
 VALIDATORS = {
     "_in_range", "_phase", "RabiError", "TargetGate",
     "require_hermitian", "require_unitary",
@@ -320,8 +321,10 @@ DELETED = {
     "two_loop_ideal", "single_loop_ideal", "single_shot_ideal", "fid2_single_loop", "fid2_single_shot",
     "fid2_relative", "RelativeErrorBreakdown", "bright_decomposition", "bright_dark",
     "quad_coeff_two_loop", "fid2_two_loop", "dF_dkappa_at_zero",
+    "_ErroredPulses", "_fid2_errored_loops", "_fid2_errored_segments", "_fid2_errored_pulse", "_square",
+    "_overlap_angles", "_rotation_tilt_coeff",
 }
-#: kept in analytic, where the second-order formulas and the quadratic forms call them, but not exported
+#: kept in analytic, where the quadratic forms call them, but not exported
 UNEXPORTED = {"quad_coeff_single_loop", "quad_coeff_single_shot"}
 
 
@@ -336,6 +339,16 @@ def test_errored_views_are_schemes_attributes_only():
     for name in ERRORED_VIEWS:
         assert callable(getattr(schemes, name))
         assert not [module.__name__ for module in MODULES if module is not schemes and hasattr(module, name)]
+
+
+def test_one_second_order_model_per_scheme():
+    # the second order is 1 - Q of the quadratic form: no Scheme field reads a builder's record, and each
+    # builder returns the ideal and the errored gates only
+    assert "second_order" not in {field.name for field in dataclasses.fields(analytic.Scheme)}
+    for entry in analytic.SCHEMES.values():
+        path = entry.random_path(np.random.default_rng(0))
+        for error in (RabiError(0.01, 0.002), RabiError(np.array([0.01, -0.02]), 0.002)):
+            assert len(entry.build(path, error)) == 2
 
 
 def test_no_single_gate_ideal_and_no_test_only_helper_in_the_package():

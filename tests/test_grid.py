@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holopath import analytic, schemes
+from holopath import analytic
 from holopath.analytic import (
     extract_quadratic_coefficient,
     fidelity_pair,
@@ -44,7 +44,6 @@ from holopath.schemes import (
 from holopath.verify import CUBIC_BOUND_CONSTANT
 
 from helpers import (
-    reference_errored_loops,
     reference_single_loop_errored,
     reference_single_loop_ideal,
     reference_single_shot_errored,
@@ -210,29 +209,27 @@ seeds = st.integers(0, 2**32 - 1)
 @given(two_loop_paths(), errors(), seeds)
 def test_two_loop_builder_equals_separate_constructors(drawn, error, seed):
     for path in drawn_and_uniform("two-loop", drawn, seed):
-        ideal, errored, loops = two_loop_gates(path, error)
+        ideal, errored = two_loop_gates(path, error)
         reference = (reference_two_loop_ideal(path), reference_two_loop_errored_relative(path, error))
         assert_gates_equal((ideal, errored), reference)
         assert np.array_equal(two_loop_gates(path, NO_ERROR)[0], ideal)  # the ideal does not depend on the grid
-        assert_gates_equal(loops, reference_errored_loops(path, error))
 
 
 @BUILDER_SETTINGS
 @given(single_loop_paths(), errors(), seeds)
 def test_single_loop_builder_equals_separate_constructors(drawn, error, seed):
     for path in drawn_and_uniform("single-loop", drawn, seed):
-        ideal, errored, segments = single_loop_gates(path, error)
+        ideal, errored = single_loop_gates(path, error)
         reference = (reference_single_loop_ideal(path), reference_single_loop_errored(path, error))
         assert_gates_equal((ideal, errored), reference)
         assert np.array_equal(single_loop_gates(path, NO_ERROR)[0], ideal)
-        assert_gates_equal(segments, reference_errored_loops(path, error))
 
 
 @BUILDER_SETTINGS
 @given(single_shot_paths(), errors(), seeds)
 def test_single_shot_builder_equals_separate_constructors(drawn, error, seed):
     for path in drawn_and_uniform("single-shot", drawn, seed):
-        ideal, errored, _ = single_shot_gates(path, error)
+        ideal, errored = single_shot_gates(path, error)
         assert_gates_equal((ideal, errored), (reference_single_shot_ideal(path), reference_single_shot_errored(path, error)))
         assert np.array_equal(single_shot_gates(path, NO_ERROR)[0], ideal)
 
@@ -293,13 +290,11 @@ FIDELITY_ROUNDOFF = 16 * np.finfo(float).eps
 @GRID_SETTINGS
 @given(orthogonal_two_loop_paths(), error_grids())
 def test_orthogonal_bright_states_grid_equals_loop(path, grid):
-    # eta = pi through the library API: phi_b is undefined for the path and at every errored point,
+    # eta = pi through the library API: phi_b is undefined for the path, the quadratic form takes m = 0,
     # and both fidelities stay finite and within criterion 5's cubic bound
     dec = phi_b_of(path)
     assert dec.degenerate and math.isnan(dec.phi_b)
     error = RabiError(*grid)
-    loops = two_loop_gates(path, error)[2]
-    assert np.all(schemes._overlap_angles(np.vecdot(*loops.bright), *loops.phi)[2])
     exact, second_order = fidelity_pair("two-loop", path, error)
     assert np.all(np.isfinite(exact)) and np.all(np.isfinite(second_order))
     bound = CUBIC_BOUND_CONSTANT * np.float_power(np.abs(grid[0]) + np.abs(grid[1]), 3)
@@ -371,16 +366,18 @@ def test_stacked_reductions_match_scalar_builtins(rng):
     # elementwise sum must add each point's products in the order the one-point sum does
     path = TwoLoopPath(LoopParams(0.4, 0.1, 0.2), LoopParams(1.9, 2.0, 3.0))
     error = RabiError(rng.uniform(-0.1, 0.1, (20, 1)), rng.uniform(-0.1, 0.1, 20))
-    ideal, stack, _ = two_loop_gates(path, error)
+    ideal, stack = two_loop_gates(path, error)
     stack = stack.reshape(-1, 3, 3)
     expected = [abs(complex((ideal.conj() * gate).sum())) / 3.0 for gate in stack]
     assert np.array_equal(gate_fidelity(ideal, stack), expected)
 
-    b1, b2 = (bright_state(relative_error_angles(loop.theta, error)[0], loop.psi) for loop in (path.loop1, path.loop2))
-    pairs = zip(b1.reshape(-1, 3), b2.reshape(-1, 3))
-    expected = [2.0 * np.arccos(min(1.0, abs(complex((x.conj() * y).sum())))) for x, y in pairs]
-    eta = schemes._overlap_angles((b1.conj() * b2).sum(axis=-1), path.loop1.phi, path.loop2.phi)[0]
-    assert np.array_equal(eta.ravel(), expected)
+    # phi_b_of's overlap magnitude is the builtin abs's, at the errored loops' angles too
+    theta1, theta2 = (relative_error_angles(loop.theta, error)[0].ravel() for loop in (path.loop1, path.loop2))
+    for t1, t2 in zip(theta1, theta2):
+        b1, b2 = bright_state(t1, path.loop1.psi), bright_state(t2, path.loop2.psi)
+        expected = 2.0 * np.arccos(min(1.0, abs(complex((b1.conj() * b2).sum()))))
+        loops = (LoopParams(t1, path.loop1.psi, path.loop1.phi), LoopParams(t2, path.loop2.psi, path.loop2.phi))
+        assert phi_b_of(TwoLoopPath(*loops)).eta == expected
 
 
 def test_expm_and_gate_fidelity_broadcast_equals_loop(rng):

@@ -113,8 +113,8 @@ def test_solve_two_loop_orientation_solutions_equivalent(rng):
         pa = solve_two_loop(target, PathConstraints(orientation_sign=1)).path
         pb = solve_two_loop(target, PathConstraints(orientation_sign=-1)).path
         error = RabiError(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
-        fa = gate_fidelity(*two_loop_gates(pa, error)[:2])
-        fb = gate_fidelity(*two_loop_gates(pb, error)[:2])
+        fa = gate_fidelity(*two_loop_gates(pa, error))
+        fb = gate_fidelity(*two_loop_gates(pb, error))
         assert fa == pytest.approx(fb, abs=1e-13)
 
 
@@ -227,7 +227,7 @@ def test_two_loop_phi_b_scan_minimum_at_pi():
         path = TwoLoopPath(
             base.loop1, LoopParams(base.loop2.theta, base.loop2.psi, base.loop2.phi + offset)
         )
-        infidelity = 1 - gate_fidelity(*two_loop_gates(path, RabiError(1e-2))[:2])
+        infidelity = 1 - gate_fidelity(*two_loop_gates(path, RabiError(1e-2)))
         if infidelity < best_infidelity:
             best_infidelity = infidelity
             best_phi_b = phi_b_of(path).phi_b

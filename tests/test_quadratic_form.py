@@ -1,16 +1,20 @@
 """Each scheme's quadratic form 1 - F = a eps^2 + 2 b eps kappa + c kappa^2 is half the exact infidelity's Hessian.
 
 Two references: central differences of ``fidelity_pair``'s exact value in floats, and the 40-digit
-model of ``mp_reference``, whose Hamiltonians share no code with the closed forms.
+model of ``mp_reference``, whose Hamiltonians share no code with the closed forms.  ``fidelity_pair``'s
+second-order column is 1 - Q of the form, and the exact values that test_analytic pins are checked
+against the model too.
 """
 
 import numpy as np
 import pytest
 
 import mp_reference
+from test_analytic import ANSWER_ERRORS, ANSWER_PATHS, PARENT_ANSWERS
 from holopath.analytic import SCHEMES, fidelity_pair
 from holopath.pathfinder import PathConstraints
 from holopath.schemes import LoopParams, RabiError, SingleShotPath, TargetGate, TwoLoopPath
+from holopath.verify import CUBIC_BOUND_CONSTANT
 
 U = 2.0**-53  # unit roundoff of a float
 STEP = 1e-4  # of the float difference Hessian
@@ -61,6 +65,24 @@ def test_quadratic_form_matches_difference_hessian(scheme):
         assert np.max(np.abs(difference_form(scheme, path) - form)) <= bound, path
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_second_order_is_one_minus_the_form(scheme):
+    # fidelity_pair's second column is 1 - (a e e + 2 b e k + c k k) in plain products, bit for bit, at one
+    # point and on a grid, so a grid value equals its one-point value; it is within criterion 5's cubic bound
+    # on the solved and boundary paths too (eta = pi, gamma = +/- pi/2)
+    grid = np.linspace(-0.02, 0.02, 10)
+    eps, kappa = np.meshgrid(grid, grid, indexing="ij")
+    bound = CUBIC_BOUND_CONSTANT * (np.abs(eps) + np.abs(kappa)) ** 3
+    for index, path in enumerate(form_paths(scheme, count=30)):
+        a, b, c = SCHEMES[scheme].quadratic_form(path)
+        exact, second_order = fidelity_pair(scheme, path, RabiError(eps, kappa))
+        assert np.all(np.abs(exact - second_order) <= bound), path
+        assert np.array_equal(second_order, 1.0 - (a * eps * eps + 2.0 * b * eps * kappa + c * kappa * kappa))
+        e, k = float(eps.flat[index % 100]), float(kappa.flat[index % 100])
+        point = fidelity_pair(scheme, path, RabiError(e, k))[1]
+        assert point == 1.0 - (a * e * e + 2.0 * b * e * k + c * k * k) == second_order.flat[index % 100]
+
+
 #: two paths per scheme for the 40-digit model: one boundary or solved path, one random
 MP_PATHS = {
     "two-loop": [EXTRA_PATHS["two-loop"][0], SCHEMES["two-loop"].random_path(np.random.default_rng(5))],
@@ -95,3 +117,17 @@ def test_exact_fidelity_is_within_rounding_of_40_digit_model(scheme):
         for epsilon, kappa in ((0.03, -0.02), (-0.1, 0.1)):
             exact = fidelity_pair(scheme, path, RabiError(epsilon, kappa))[0]
             assert abs(exact - float(mp_reference.fidelity(scheme, path, epsilon, kappa))) <= FIDELITY_BOUND
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_pinned_exact_answers_are_within_rounding_of_the_model(scheme):
+    # every exact value that test_fidelity_pair_answers_are_unchanged pins is within FIDELITY_BOUND of the
+    # model, so a later ulp move can be judged against the truth; 30 digits keep the model's own rounding
+    # (1e-30) far below a float's last bit, at a quarter less time than 40
+    for path, row in zip(ANSWER_PATHS[scheme], PARENT_ANSWERS[scheme], strict=True):
+        for error, pinned in zip(ANSWER_ERRORS[scheme], row, strict=True):
+            epsilon, kappa = np.broadcast_arrays(error.epsilon, error.kappa)
+            assert len(pinned) == 2 * epsilon.size
+            for e, k, exact in zip(epsilon.flat, kappa.flat, pinned):
+                model = mp_reference.fidelity(scheme, path, float(e), float(k), digits=30)
+                assert abs(float.fromhex(exact) - float(model)) <= FIDELITY_BOUND, (path, e, k)

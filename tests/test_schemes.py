@@ -209,7 +209,7 @@ def test_two_loop_total_phase_independence():
 def test_two_loop_errored_zero_error_reduction(rng):
     for _ in range(100):
         path = random_two_loop(rng)
-        ideal, errored, _ = two_loop_gates(path, RabiError(0.0))
+        ideal, errored = two_loop_gates(path, RabiError(0.0))
         diff = errored - ideal
         assert np.max(np.abs(diff)) <= 1e-13
 
@@ -221,7 +221,7 @@ def test_two_loop_errored_fidelity_fixture():
     phi2 = np.pi - np.angle(np.vdot(b1, b2))
     path = TwoLoopPath(LoopParams(np.pi / 2, 3 * np.pi / 4, 0.0), LoopParams(np.pi / 2, np.pi / 4, phi2))
     eps = 1e-3
-    exact = gate_fidelity(*two_loop_gates(path, RabiError(eps))[:2])
+    exact = gate_fidelity(*two_loop_gates(path, RabiError(eps)))
     expected = 1 - (2 / 3) * (1 - np.cos(np.pi / 4)) * np.pi**2 * eps**2
     assert expected == pytest.approx(1 - 1.9272e-6, abs=1e-10)
     assert abs(exact - expected) <= 1e-11
@@ -230,13 +230,13 @@ def test_two_loop_errored_fidelity_fixture():
 def test_two_loop_fidelity_depends_only_on_phase_difference(rng):
     path = random_two_loop(rng)
     eps = RabiError(5e-3)
-    f_ref = gate_fidelity(*two_loop_gates(path, eps)[:2])
+    f_ref = gate_fidelity(*two_loop_gates(path, eps))
     for shift in np.linspace(0, 2 * np.pi, 9):
         shifted = TwoLoopPath(
             LoopParams(path.loop1.theta, path.loop1.psi, path.loop1.phi + shift),
             LoopParams(path.loop2.theta, path.loop2.psi, path.loop2.phi + shift),
         )
-        f = gate_fidelity(*two_loop_gates(shifted, eps)[:2])
+        f = gate_fidelity(*two_loop_gates(shifted, eps))
         assert abs(f - f_ref) <= 1e-13
 
 
@@ -273,7 +273,7 @@ def test_relative_reduces_to_common_error(rng):
 
 def test_relative_zero_error_is_ideal(rng):
     path = random_two_loop(rng)
-    ideal, errored, _ = two_loop_gates(path, RabiError(0.0, 0.0))
+    ideal, errored = two_loop_gates(path, RabiError(0.0, 0.0))
     diff = errored - ideal
     assert np.max(np.abs(diff)) <= 1e-13
 
@@ -324,7 +324,7 @@ def test_single_loop_errored_fixture():
     # phase jump pi/2: F = 1 - (1/6)(1 + cos(pi/2)) pi^2 eps^2 + O(eps^3)
     path = SingleLoopPath(0.7, 1.1, np.pi / 2, 0.0)
     eps = 1e-3
-    exact = gate_fidelity(*single_loop_gates(path, RabiError(eps))[:2])
+    exact = gate_fidelity(*single_loop_gates(path, RabiError(eps)))
     expected = 1 - (1 / 6) * (1 + np.cos(np.pi / 2)) * np.pi**2 * eps**2
     assert expected == pytest.approx(1 - 1.6449e-6, abs=1e-10)
     assert abs(exact - expected) <= 1e-11
@@ -332,13 +332,13 @@ def test_single_loop_errored_fixture():
 
 def test_single_loop_zero_error_and_common_shift(rng):
     path = SingleLoopPath(0.8, 0.3, 1.1, 0.0)
-    ideal, errored, _ = single_loop_gates(path, RabiError(0.0))
+    ideal, errored = single_loop_gates(path, RabiError(0.0))
     diff = errored - ideal
     assert np.max(np.abs(diff)) <= 1e-13
-    f_ref = gate_fidelity(*single_loop_gates(path, RabiError(1e-2))[:2])
+    f_ref = gate_fidelity(*single_loop_gates(path, RabiError(1e-2)))
     for shift in np.linspace(0, 2 * np.pi, 9):
         shifted = SingleLoopPath(0.8, 0.3, 1.1 + shift, shift)
-        f = gate_fidelity(*single_loop_gates(shifted, RabiError(1e-2))[:2])
+        f = gate_fidelity(*single_loop_gates(shifted, RabiError(1e-2)))
         assert abs(f - f_ref) <= 1e-13
 
 
@@ -413,7 +413,7 @@ def test_single_shot_errored_fixture():
     # gamma = pi/6: F = 1 - (1/3) pi^2 eps^2 (9/16) + O(eps^3)
     path = SingleShotPath(0.4, 0.0, 0.9, np.pi / 6)
     eps = 1e-3
-    exact = gate_fidelity(*single_shot_gates(path, RabiError(eps))[:2])
+    exact = gate_fidelity(*single_shot_gates(path, RabiError(eps)))
     expected = 1 - np.pi**2 * eps**2 * (9 / 16) / 3
     assert expected == pytest.approx(1 - 1.8506e-6, abs=1e-10)
     assert abs(exact - expected) <= 1e-8
@@ -421,7 +421,7 @@ def test_single_shot_errored_fixture():
 
 def test_single_shot_zero_error_reduction(rng):
     path = SingleShotPath(0.7, 0.1, 2.2, -0.4)
-    ideal, errored, _ = single_shot_gates(path, RabiError(0.0))
+    ideal, errored = single_shot_gates(path, RabiError(0.0))
     diff = errored - ideal
     assert np.max(np.abs(diff)) <= 1e-13
 
@@ -517,7 +517,7 @@ def test_second_order_agreement_cubic_suppression(scheme, rng):
         "single-loop": SingleLoopPath(0.9, 0.3, 2.1, 0.6),
         "single-shot": SingleShotPath(0.7, 0.2, 1.4, 0.5),
     }[scheme]
-    make = lambda e: gate_fidelity(*entry.build(path, RabiError(e))[:2])
+    make = lambda e: gate_fidelity(*entry.build(path, RabiError(e)))
     r = second_order_residuals(make, entry.quadratic_form(path)[0])  # a: the eps^2 coefficient at kappa = 0
     floor = 5e-16
     assert r[0] / max(r[1], floor) >= 1e2
