@@ -13,7 +13,6 @@ failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import sys
@@ -238,19 +237,18 @@ def cmd_optimize(opts: dict) -> int:
         orientation_sign=opts["orientation_sign"],
     )
     solution = pathfinder.solve_two_loop(target, constraints)
-    single_loop = pathfinder.solve_single_loop(target)
-    single_shot = pathfinder.solve_single_shot(target)
-    theta_gate = target.theta_gate
-    payload = {
-        "target": {"theta_gate": theta_gate, "axis": list(target.axis)},
-        "two_loop": {**analytic.SCHEMES["two-loop"].params(solution.path), "degenerate": solution.degenerate},
-        "single_loop": dataclasses.asdict(single_loop),
-        "single_shot": dataclasses.asdict(single_shot),
-        "coefficients": {
-            name.replace("-", "_"): scheme.shape(theta_gate) * np.pi**2 / 3.0
-            for name, scheme in analytic.SCHEMES.items()
-        },
+    paths = {
+        "two-loop": solution.path,
+        "single-loop": pathfinder.solve_single_loop(target),
+        "single-shot": pathfinder.solve_single_shot(target),
     }
+    payload = {"target": {"theta_gate": target.theta_gate, "axis": list(target.axis)}, "quadratic_form": {}}
+    for name, path in paths.items():
+        key, scheme = name.replace("-", "_"), analytic.SCHEMES[name]
+        payload[key] = scheme.params(path)
+        # the printed path's own (a, b, c) of 1 - F = a eps^2 + 2 b eps kappa + c kappa^2
+        payload["quadratic_form"][key] = dict(zip("abc", scheme.quadratic_form(path)))
+    payload["two_loop"]["degenerate"] = solution.degenerate
     if solution.degenerate:
         payload["note"] = "zero rotation angle: axis is unused and the trivial two-loop path is returned"
     _json_dump(payload, opts["out"])

@@ -41,10 +41,14 @@ def _fidelity(v, ve):
     return abs(sum(mpmath.conj(v[i, j]) * ve[i, j] for i in range(3) for j in range(3))) / 3
 
 
-def fidelity(scheme, path, epsilon, kappa, digits=DIGITS):
-    """|Tr(V^dag V_e)| / 3 of the ideal and errored gates, as an mpf of ``digits`` digits."""
+def fidelities(scheme, path, points, digits=DIGITS):
+    """|Tr(V^dag V_e)| / 3 at each (epsilon, kappa) of ``points``, as mpfs of ``digits`` digits.
+
+    The ideal gate V is built once for all the points.
+    """
     with mpmath.workdps(digits):
-        return _fidelity(_gate(scheme, path, 0, 0), _gate(scheme, path, epsilon, kappa))
+        ideal = _gate(scheme, path, 0, 0)
+        return [_fidelity(ideal, _gate(scheme, path, epsilon, kappa)) for epsilon, kappa in points]
 
 
 def quadratic_form(scheme, path, step="1e-12"):

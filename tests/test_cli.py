@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holopath import analytic, cli
+from holopath.schemes import LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 
 
 def run(args):
@@ -321,10 +322,31 @@ def test_optimize_quarter_pi_z_axis(tmp_path, capsys):
     assert two["theta2"] == pytest.approx(np.pi / 2, abs=1e-12)
     assert two["phi_b"] == pytest.approx(np.pi, abs=1e-12)
     assert abs(two["cos_theta_sum"]) <= 1e-12
-    coeffs = payload["coefficients"]
-    assert coeffs["two_loop"] == pytest.approx(1.9272, abs=1e-4)
-    assert coeffs["single_loop"] == pytest.approx(3.2899, abs=1e-4)
-    assert coeffs["single_shot"] == pytest.approx(3.2899, abs=1e-4)
+    forms = payload["quadratic_form"]
+    assert forms["two_loop"]["a"] == pytest.approx(1.9272, abs=1e-4)
+    assert forms["single_loop"]["a"] == pytest.approx(3.2899, abs=1e-4)
+    assert forms["single_shot"]["a"] == pytest.approx(3.2899, abs=1e-4)
+
+
+@pytest.mark.parametrize("balanced", ["--balanced", "--no-balanced"])
+def test_optimize_reports_each_printed_paths_own_quadratic_form(capsys, balanced):
+    # at phi_b = 0 the two-loop a is not the paper's f1 pi^2 / 3: every reported (a, b, c) is that of the
+    # path printed beside it, as the exact probe coefficients along eps, kappa and eps = kappa read it
+    assert run(["optimize", "--theta-gate", 0.25, "--axis", "0.3,-0.5,0.8", "--phi-b", 0, balanced]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    two = payload["two_loop"]
+    paths = {
+        "two-loop": TwoLoopPath(*(LoopParams(two[f"theta{k}"], two[f"psi{k}"], two[f"phi{k}"]) for k in (1, 2))),
+        "single-loop": SingleLoopPath(**payload["single_loop"]),
+        "single-shot": SingleShotPath(**payload["single_shot"]),
+    }
+    for name, path in paths.items():
+        form = payload["quadratic_form"][name.replace("-", "_")]
+        for u, v in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+            probe = analytic.fidelity_report(name, path, RabiError(1e-3 * u, 1e-3 * v)).quad_coeff_exact
+            reported = (form["a"] * u * u + 2.0 * form["b"] * u * v + form["c"] * v * v) / (u * u + v * v)
+            assert reported == pytest.approx(probe, rel=1e-6), (name, u, v)
+    assert (abs(payload["quadratic_form"]["two_loop"]["b"]) <= 1e-12) == (balanced == "--balanced")
 
 
 def test_optimize_deterministic_bytes(tmp_path):
@@ -508,7 +530,7 @@ def test_verify_reports_all_criteria_names(monkeypatch, capsys):
     from holopath import verify
 
     def fake_suite(level="fast", seed=0):
-        return [verify.CheckResult(f"criterion-{i}", True, "stub", 0.0) for i in range(1, 9)]
+        return [verify.CheckResult(f"criterion-{i}", [verify.Gate("stub", 0.0, 0.0)], 0.0) for i in range(1, 9)]
 
     monkeypatch.setattr(verify, "run_suite", fake_suite)
     assert run(["verify"]) == 0

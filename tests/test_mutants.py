@@ -1,12 +1,14 @@
 """Every named acceptance criterion catches its mutant of the physics.
 
 Each row is (name, patched module, monkeypatch target in it, replacement,
-criteria expected to fail).  A case patches the closed forms, or the oracle,
-in process, runs only the criteria it names at fast level, and asserts that
-each of them fails.  The oracle writes its own drives, so criterion 7 catches
-every mutant of the closed forms' error model, and a mutant of the oracle.
+criteria expected to fail).  A case patches the closed forms, the scheme
+table or the oracle in process, runs only the criteria it names at fast
+level, and asserts that each of them fails.  The oracle writes its own
+drives, so criterion 7 catches every mutant of the closed forms' error
+model, and a mutant of the oracle.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +21,7 @@ _relative_error_angles = schemes.relative_error_angles
 _bright_coupling = schemes._bright_coupling
 _error_operator = schemes._error_operator
 _propagate = oracle.propagate
+_two_loop_form = analytic.SCHEMES["two-loop"].quadratic_form
 
 
 def _kappa_squared_on_drive_1(theta, error):
@@ -50,6 +53,11 @@ def _detuning_sign_flipped(pb, cross, gamma, delta):
     return _error_operator(pb, cross, -gamma, delta)
 
 
+def _two_loop_form_with_half_b(path):
+    a, b, c = _two_loop_form(path)
+    return a, b / 2.0, c
+
+
 def _f2_with_cos_theta(theta_gate):
     # (1 - cos(theta)) / 2 for (1 - cos(2 theta)) / 2: the figure1 endpoint at pi/2 moves from 1 to 0.5
     out = 0.5 * (1.0 - np.cos(np.asarray(theta_gate, dtype=float)))
@@ -69,6 +77,11 @@ MUTANTS = [
     ("segments out of time order", oracle, "propagate", _propagate_segments_reversed, {7}),
     # criterion 3 cannot catch a flipped detuning: f3 depends on cos^4 gamma only
     ("detuning sign", schemes, "_error_operator", _detuning_sign_flipped, {7, 8}),
+    # the second-order model alone: the gates, and so criterion 7, are untouched
+    ("b / 2 in the two-loop form", analytic, "SCHEMES", {
+        **analytic.SCHEMES,
+        "two-loop": dataclasses.replace(analytic.SCHEMES["two-loop"], quadratic_form=_two_loop_form_with_half_b),
+    }, {5, 6}),
 ]
 
 
@@ -85,13 +98,15 @@ def test_criterion_8_fails_on_an_identity_solution(monkeypatch):
     trivial = schemes.TwoLoopPath(schemes.LoopParams(0.0, 0.0, 0.0), schemes.LoopParams(0.0, 0.0, 0.0))
     monkeypatch.setattr(pathfinder, "solve_two_loop", lambda target, constraints: SimpleNamespace(path=trivial))
     result = verify.check_structural(level="fast", seed=verify.DEFAULT_SEED)
-    assert result.line.startswith("[FAIL] criterion-8 structural suite:")
-    assert "round trips=3.14e+00" in result.detail
+    assert not result.passed
+    round_trips = {gate.label: gate for gate in result.gates}["round trips"]
+    assert round_trips.measured == pytest.approx(np.pi)
 
 
 def test_coefficient_criteria_name_the_refused_fit(monkeypatch):
-    # fidelities outside (0, 1] are refused by the fit: the point counts as failed, and the detail names it
+    # fidelities outside (0, 1] are refused by the fit: the point counts as failed, and the note names it
     monkeypatch.setattr(schemes, "_pulse", _pulse_without_second_order_term)
     result = verify.check_two_loop_coefficients(level="fast", seed=verify.DEFAULT_SEED)
-    assert result.line.startswith("[FAIL] criterion-2 two-loop coefficients: max relative coefficient error=inf")
-    assert "4 of 4 points refused, first two-loop at theta_gate=0.3927: fidelities must lie in (0, 1]" in result.detail
+    assert not result.passed
+    assert result.gates[0].measured == np.inf
+    assert "4 of 4 points refused, first two-loop at theta_gate=0.3927: fidelities must lie in (0, 1]" in result.note

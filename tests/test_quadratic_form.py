@@ -113,10 +113,11 @@ FIDELITY_BOUND = 128 * U
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_exact_fidelity_is_within_rounding_of_40_digit_model(scheme):
+    points = ((0.03, -0.02), (-0.1, 0.1))
     for path in MP_PATHS[scheme]:
-        for epsilon, kappa in ((0.03, -0.02), (-0.1, 0.1)):
+        for (epsilon, kappa), model in zip(points, mp_reference.fidelities(scheme, path, points)):
             exact = fidelity_pair(scheme, path, RabiError(epsilon, kappa))[0]
-            assert abs(exact - float(mp_reference.fidelity(scheme, path, epsilon, kappa))) <= FIDELITY_BOUND
+            assert abs(exact - float(model)) <= FIDELITY_BOUND
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -125,9 +126,12 @@ def test_pinned_exact_answers_are_within_rounding_of_the_model(scheme):
     # model, so a later ulp move can be judged against the truth; 30 digits keep the model's own rounding
     # (1e-30) far below a float's last bit, at a quarter less time than 40
     for path, row in zip(ANSWER_PATHS[scheme], PARENT_ANSWERS[scheme], strict=True):
+        points, exacts = [], []
         for error, pinned in zip(ANSWER_ERRORS[scheme], row, strict=True):
             epsilon, kappa = np.broadcast_arrays(error.epsilon, error.kappa)
             assert len(pinned) == 2 * epsilon.size
-            for e, k, exact in zip(epsilon.flat, kappa.flat, pinned):
-                model = mp_reference.fidelity(scheme, path, float(e), float(k), digits=30)
-                assert abs(float.fromhex(exact) - float(model)) <= FIDELITY_BOUND, (path, e, k)
+            points += zip(map(float, epsilon.flat), map(float, kappa.flat))
+            exacts += pinned[: epsilon.size]
+        models = mp_reference.fidelities(scheme, path, points, digits=30)
+        for (e, k), exact, model in zip(points, exacts, models, strict=True):
+            assert abs(float.fromhex(exact) - float(model)) <= FIDELITY_BOUND, (path, e, k)
