@@ -236,21 +236,12 @@ def cmd_optimize(opts: dict) -> int:
         force_balanced=opts["balanced"],
         orientation_sign=opts["orientation_sign"],
     )
-    solution = pathfinder.solve_two_loop(target, constraints)
-    paths = {
-        "two-loop": solution.path,
-        "single-loop": pathfinder.solve_single_loop(target),
-        "single-shot": pathfinder.solve_single_shot(target),
-    }
     payload = {"target": {"theta_gate": target.theta_gate, "axis": list(target.axis)}, "quadratic_form": {}}
-    for name, path in paths.items():
-        key, scheme = name.replace("-", "_"), analytic.SCHEMES[name]
+    for name, scheme in analytic.SCHEMES.items():
+        key, path = name.replace("-", "_"), scheme.solve(target, constraints)
         payload[key] = scheme.params(path)
         # the printed path's own (a, b, c) of 1 - F = a eps^2 + 2 b eps kappa + c kappa^2
         payload["quadratic_form"][key] = dict(zip("abc", scheme.quadratic_form(path)))
-    payload["two_loop"]["degenerate"] = solution.degenerate
-    if solution.degenerate:
-        payload["note"] = "zero rotation angle: axis is unused and the trivial two-loop path is returned"
     _json_dump(payload, opts["out"])
     return EXIT_OK
 

@@ -21,6 +21,8 @@ import numpy as np
 ATOL_ALGEBRAIC = 1e-12
 #: tolerance for structural checks (block-diagonal form)
 ATOL_STRUCTURAL = 1e-10
+#: largest excess over 1 that the trace fidelity of unitary operands reads as rounding, and maps to 1
+_ROUNDING_EXCESS = 1e-14
 
 KET_0, KET_1, KET_E = np.eye(3, dtype=complex)
 
@@ -108,8 +110,10 @@ def gate_fidelity(ideal, errored):
 
     The denominator equals the dimension (3) once both operands pass the
     unitarity contract.  Global phases of either argument drop out, and the
-    value lies in [0, 1].  Stacks broadcast: a float for one pair, an array
-    of shape (...) for (..., 3, 3) operands.
+    value lies in [0, 1]: rounding can lift |Tr(V^dag V_e)| / 3 of equal
+    gates a few ulp above 1, and a value at most 1e-14 above 1 reads 1.0.
+    Stacks broadcast: a float for one pair, an array of shape (...) for
+    (..., 3, 3) operands.
     """
     return _trace_fidelity(require_unitary(ideal, "ideal"), require_unitary(errored, "errored"))
 
@@ -119,6 +123,8 @@ def _trace_fidelity(v: np.ndarray, ve: np.ndarray):
     trace = (v.conj() * ve).sum(axis=(-2, -1))  # Tr(V^dag V_e), summed elementwise
     # hypot, not np.abs: numpy's vectorized complex abs can differ from the scalar one in the last bit
     fidelity = np.hypot(trace.real, trace.imag) / 3.0
+    # rounding lifts an exact 1 by a few ulp; a larger excess is a non-unitary operand, kept for callers to refuse
+    fidelity = np.where((fidelity > 1.0) & (fidelity <= 1.0 + _ROUNDING_EXCESS), 1.0, fidelity)
     return fidelity if fidelity.ndim else float(fidelity)
 
 

@@ -21,8 +21,6 @@ import numpy as np
 from .linalg import ContractViolation, is_block_diagonal, PAULI_QUBIT
 from .schemes import LoopParams, SingleLoopPath, SingleShotPath, TargetGate, TwoLoopPath, bright_state
 
-_DEGENERATE_ANGLE = 1e-14
-
 #: the two balanced-loop orientations, as PathConstraints.orientation_sign values
 ORIENTATION_SIGNS = (1, -1)
 
@@ -50,7 +48,6 @@ class PathConstraints:
 
 class TwoLoopSolution(NamedTuple):
     path: TwoLoopPath
-    degenerate: bool
 
 
 def _polar_of(n: np.ndarray) -> tuple[float, float]:
@@ -70,6 +67,17 @@ def _circle_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, np.array([ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux])
 
 
+def _pair_at_phi_b(polar1, polar2, phi_b: float) -> TwoLoopPath:
+    """Loops with bright-state polars ``polar1``, ``polar2``, phi1 = 0 and phi2 = phi_b - arg<b1|b2>.
+
+    That phi2 places the pair's decomposition phase (``schemes.phi_b_of``) at ``phi_b``.
+    """
+    loop1 = LoopParams(*polar1, 0.0)
+    b1, b2 = bright_state(loop1.theta, loop1.psi), bright_state(*polar2)
+    phi2 = float(phi_b) - float(np.angle((b1.conj() * b2).sum()))
+    return TwoLoopPath(loop1, LoopParams(*polar2, phi2))
+
+
 def solve_two_loop(target: TargetGate, constraints: PathConstraints | None = None) -> TwoLoopSolution:
     """Two-loop path whose ideal gate equals exp(1j theta m.sigma) exactly.
 
@@ -80,15 +88,12 @@ def solve_two_loop(target: TargetGate, constraints: PathConstraints | None = Non
     z-extremal point); unbalanced ones anchor n1 at the z-extremal point.
     phi2 - phi1 is then set so the decomposition phase equals force_phi_b.
 
-    A zero rotation angle has no meaningful axis: the trivial path with
-    loop2 = loop1 is returned with ``degenerate=True``.
+    Every target takes this one construction.  At theta_gate = 0 it gives
+    n1 = n2, and at phi_b = pi loop 2 undoes loop 1 under any drive error
+    (second-order form (0, 0, 0)); another force_phi_b is applied as given.
     """
     cons = constraints or PathConstraints()
     theta_gate = target.theta_gate
-    if theta_gate <= _DEGENERATE_ANGLE:
-        loop = LoopParams(np.pi / 2, 0.0, 0.0)
-        return TwoLoopSolution(TwoLoopPath(loop, loop), True)
-
     u, v = _circle_frame(target.axis)
     if cons.force_balanced and abs(abs(target.axis[2]) - 1.0) >= 1e-12:
         center = cons.orientation_sign * np.pi / 2
@@ -99,13 +104,7 @@ def solve_two_loop(target: TargetGate, constraints: PathConstraints | None = Non
         t1, t2 = 0.0, -theta_gate
     n1 = np.cos(t1) * u + np.sin(t1) * v
     n2 = np.cos(t2) * u + np.sin(t2) * v
-
-    loop1 = LoopParams(*_polar_of(n1), 0.0)
-    polar2 = _polar_of(n2)
-    b1 = bright_state(loop1.theta, loop1.psi)
-    b2 = bright_state(*polar2)
-    phi2 = float(cons.force_phi_b) - float(np.angle((b1.conj() * b2).sum()))
-    return TwoLoopSolution(TwoLoopPath(loop1, LoopParams(*polar2, phi2)), False)
+    return TwoLoopSolution(_pair_at_phi_b(_polar_of(n1), _polar_of(n2), cons.force_phi_b))
 
 
 def solve_single_loop(target: TargetGate) -> SingleLoopPath:

@@ -19,7 +19,7 @@ import numpy as np
 from . import analytic, oracle, pathfinder, schemes
 from .linalg import IDENTITY, ContractViolation
 from .pathfinder import PathConstraints
-from .schemes import NO_ERROR, LoopParams, RabiError, SingleLoopPath, TargetGate, TwoLoopPath
+from .schemes import NO_ERROR, RabiError, SingleLoopPath, TargetGate, TwoLoopPath
 
 DEFAULT_SEED = 20260809
 
@@ -205,11 +205,7 @@ def _kappa_derivative(path: TwoLoopPath, eps: float) -> float:
 
 def unbalanced_fixture_path() -> TwoLoopPath:
     """theta1 = pi/3, theta2 = pi/2, eta = pi/2 (psi21 = pi/2), tuned to phi_b = pi."""
-    loop1 = LoopParams(np.pi / 3, 0.0, 0.0)
-    b1 = schemes.bright_state(np.pi / 3, 0.0)
-    b2 = schemes.bright_state(np.pi / 2, np.pi / 2)
-    phi2 = np.pi - np.angle(np.vdot(b1, b2))
-    return TwoLoopPath(loop1, LoopParams(np.pi / 2, np.pi / 2, phi2))
+    return pathfinder._pair_at_phi_b((np.pi / 3, 0.0), (np.pi / 2, np.pi / 2), np.pi)
 
 
 def check_kappa_optimality(level: str, seed: int) -> CheckResult:

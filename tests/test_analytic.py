@@ -459,7 +459,9 @@ ANSWER_ERRORS = {
 # when the gates' products, pulse squares and trace became elementwise sums without
 # BLAS, whose bits had depended on the kernel it picks for the CPU; 17 two-loop
 # second-order values moved, by at most 5.5e-5, when the second order became 1 - Q of
-# the quadratic form in place of the paper's expression at the errored angles
+# the quadratic form in place of the paper's expression at the errored angles; one
+# two-loop exact value at zero error, 1 ulp above 1, reads 1.0 since the trace fidelity
+# maps rounding above 1 to 1
 PARENT_ANSWERS = {
     "two-loop": [
         [
@@ -492,7 +494,7 @@ PARENT_ANSWERS = {
             ("0x1.ffff0e0e66cbbp-1", "0x1.ffff0e0e0811fp-1"),
             (
                 "0x1.ff7c0a9b3861bp-1", "0x1.ffa18bee05ab9p-1", "0x1.ff7c0a9b38258p-1", "0x1.ffdad61692737p-1",
-                "0x1.0000000000001p+0", "0x1.ffdad6169272bp-1", "0x1.ffa5fc1b2e6dbp-1", "0x1.ffcadb27cea40p-1",
+                "0x1.0000000000000p+0", "0x1.ffdad6169272bp-1", "0x1.ffa5fc1b2e6dbp-1", "0x1.ffcadb27cea40p-1",
                 "0x1.ffa5fc1b2e62dp-1", "0x1.ff7c523295ce6p-1", "0x1.ffa17d7b26ff1p-1", "0x1.ff7c523295ce6p-1",
                 "0x1.ffdad4b76ecf5p-1", "0x1.0000000000000p+0", "0x1.ffdad4b76ecf5p-1", "0x1.ffa5ab4cb4becp-1",
                 "0x1.ffcad69545ef7p-1", "0x1.ffa5ab4cb4becp-1",
@@ -608,14 +610,30 @@ def test_fidelity_report_pure_kappa_coefficients_agree(scheme, theta_gate):
     assert report.quad_coeff_exact == pytest.approx(report.quad_coeff_analytic, rel=1e-6)
 
 
+@pytest.mark.parametrize("extent", [0.02, 0.05])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_relative_error_second_order_cubic_bound_grid(scheme, rng):
-    # criterion 5's cubic bound on the two-loop 1 - Q holds for every scheme's 1 - Q at kappa != 0
-    eps, kappa = np.meshgrid(np.linspace(-0.02, 0.02, 10), np.linspace(-0.02, 0.02, 10), indexing="ij")
+def test_relative_error_second_order_cubic_bound_grid(scheme, extent, rng):
+    # criterion 5's cubic bound on the two-loop 1 - Q holds for every scheme's 1 - Q at kappa != 0, on criterion
+    # 5's |eps|, |kappa| <= 0.02 and out to 0.05 (two-loop worst about 5.25 there over 2000 random paths)
+    grid = np.linspace(-extent, extent, 10)
+    eps, kappa = np.meshgrid(grid, grid, indexing="ij")
     bound = CUBIC_BOUND_CONSTANT * (np.abs(eps) + np.abs(kappa)) ** 3
     for _ in range(30):
         exact, second_order = fidelity_pair(scheme, SCHEMES[scheme].random_path(rng), RabiError(eps, kappa))
         assert np.all(np.abs(exact - second_order) <= bound)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_exact_fidelity_at_zero_error_lies_in_unit_interval(scheme, rng):
+    # rounding lifts |Tr(V^dag V)| / 3 up to 3 ulp above 1; the trace fidelity reads that as 1, at one point
+    # and at a grid's (0, 0), on the solved paths of random and boundary targets
+    targets = [TargetGate(theta, axis) for theta in (0.0, np.pi / 2) for axis in ([0, 0, 1], [0, 0, -1], [1, 1, 1])]
+    targets += [TargetGate(rng.uniform(0.0, np.pi / 2), rng.normal(size=3)) for _ in range(100)]
+    for target in targets:
+        path = SCHEMES[scheme].solve(target, PathConstraints())
+        point = fidelity_pair(scheme, path, NO_ERROR)[0]
+        grid = fidelity_pair(scheme, path, RabiError(np.array([0.0, 0.01]), np.array([[0.0], [0.02]])))[0]
+        assert 0.0 <= point <= 1.0 and np.all((0.0 <= grid) & (grid <= 1.0)), target
 
 
 @pytest.mark.parametrize("error", [RabiError(np.array([0.01, 0.02])), RabiError(0.01, np.array([0.0, 0.01]))])

@@ -275,7 +275,9 @@ def test_closed_forms_call_no_blas():
     # BLAS products, dots and norms change their last bits with the kernel picked for the CPU; the closed
     # forms sum elementwise instead, so their answers are the same on every host (see test_blas_kernels.py)
     blas = {"matmul", "dot", "vdot", "vecdot", "norm", "trace", "einsum", "inner", "tensordot"}
-    solvers = {"solve_two_loop", "solve_single_loop", "solve_single_shot", "_circle_frame", "_polar_of"}
+    solvers = {
+        "solve_two_loop", "solve_single_loop", "solve_single_shot", "_circle_frame", "_polar_of", "_pair_at_phi_b",
+    }
     bodies = [node for module in (schemes, analytic, cli) for _, node in _functions(module)]
     bodies += [node for name, node in _functions(pathfinder) if name in solvers]
     bodies += [node for name, node in _functions(linalg) if name in {"product", "_trace_fidelity"}]
@@ -322,7 +324,7 @@ DELETED = {
     "fid2_relative", "RelativeErrorBreakdown", "bright_decomposition", "bright_dark",
     "quad_coeff_two_loop", "fid2_two_loop", "dF_dkappa_at_zero",
     "_ErroredPulses", "_fid2_errored_loops", "_fid2_errored_segments", "_fid2_errored_pulse", "_square",
-    "_overlap_angles", "_rotation_tilt_coeff",
+    "_overlap_angles", "_rotation_tilt_coeff", "_DEGENERATE_ANGLE",
 }
 #: kept in analytic, where the quadratic forms call them, but not exported
 UNEXPORTED = {"quad_coeff_single_loop", "quad_coeff_single_shot"}
@@ -355,3 +357,12 @@ def test_no_single_gate_ideal_and_no_test_only_helper_in_the_package():
     assert not [name for name in vars(schemes) if name.endswith("_ideal")]
     for module in MODULES:
         assert not {"coupling_generator", "bright_dark", "projector", *DELETED} & set(vars(module)), module.__name__
+
+
+def test_every_command_solves_through_the_scheme_table():
+    # one construction per scheme, reached through SCHEMES[name].solve; no command picks its own solver
+    solvers = {"solve_two_loop", "solve_single_loop", "solve_single_shot"}
+    for name, node in _functions(cli):
+        assert not _reached_names(node) & solvers, (name, _reached_names(node) & solvers)
+    assert pathfinder.TwoLoopSolution._fields == ("path",)
+    assert "_DEGENERATE_ANGLE" in DELETED

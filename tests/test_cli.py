@@ -356,11 +356,16 @@ def test_optimize_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_optimize_degenerate_identity(tmp_path, capsys):
-    assert run(["optimize", "--theta-gate", 0, "--axis", "0,0,1"]) == 0
+@pytest.mark.parametrize("phi_b, a", [(1, 0.0), (0, 4 * np.pi**2 / 3)], ids=["phi_b-pi", "phi_b-0"])
+def test_optimize_identity_takes_the_general_construction(capsys, phi_b, a):
+    # theta_gate = 0 is no special case: two loops that undo each other at phi_b = pi, and --phi-b still applies
+    assert run(["optimize", "--theta-gate", 0, "--axis", "0,0,1", "--phi-b", phi_b]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["two_loop"]["degenerate"] is True
-    assert "note" in payload
+    assert set(payload) == {"target", "quadratic_form", "two_loop", "single_loop", "single_shot"}
+    assert "degenerate" not in payload["two_loop"]
+    assert payload["two_loop"]["phi_b"] == pytest.approx(phi_b * np.pi, abs=1e-12)
+    form = payload["quadratic_form"]["two_loop"]
+    assert (form["a"], form["b"], form["c"]) == pytest.approx((a, 0.0, 0.0), rel=1e-12, abs=1e-15)
 
 
 def test_optimize_bad_axis():

@@ -43,7 +43,6 @@ def random_target(rng):
 
 def test_solve_two_loop_z_axis_equatorial():
     sol = solve_two_loop(TargetGate(np.pi / 2, [0, 0, 1]))
-    assert not sol.degenerate
     assert sol.path.loop1.theta == pytest.approx(np.pi / 2, abs=1e-14)
     assert sol.path.loop2.theta == pytest.approx(np.pi / 2, abs=1e-14)
     assert sol.path.loop1.psi == pytest.approx(0.0, abs=1e-14)
@@ -118,12 +117,17 @@ def test_solve_two_loop_orientation_solutions_equivalent(rng):
         assert fa == pytest.approx(fb, abs=1e-13)
 
 
-def test_solve_two_loop_degenerate_identity_target():
-    sol = solve_two_loop(TargetGate(0.0, [1, 0, 0]))
-    assert sol.degenerate
-    assert sol.path.loop1 == sol.path.loop2
-    u = two_loop_gates(sol.path, NO_ERROR)[0]
-    np.testing.assert_allclose(u[:2, :2], np.eye(2), atol=1e-14)
+@pytest.mark.parametrize("axis", [[0, 0, 1], [0, 0, -1], [1, 0, 0], [1, 1, 1]], ids=["+z", "-z", "x", "111"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_solve_two_loop_identity_target_undoes_each_loop(axis, sign):
+    # theta_gate = 0 takes the general construction: n1 = n2 at phi_b = pi, so loop 2 undoes loop 1 at any error
+    target = TargetGate(0.0, np.asarray(axis) / np.linalg.norm(axis))
+    path = solve_two_loop(target, PathConstraints(orientation_sign=sign)).path
+    assert SCHEMES["two-loop"].quadratic_form(path) == (0.0, 0.0, 0.0)
+    grid = np.linspace(-0.1, 0.1, 9)
+    ideal, errored = two_loop_gates(path, RabiError(*np.meshgrid(grid, grid, indexing="ij")))
+    np.testing.assert_allclose(ideal, np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(errored, np.broadcast_to(np.eye(3), errored.shape), atol=1e-14)
 
 
 def test_solve_two_loop_determinism():
