@@ -33,51 +33,46 @@ assert np.all(table[1:, 1] < table[1:, 2]) and np.all(table[1:, 1] < table[1:, 3
 print("\nf1 < f2 and f1 < f3 at every sampled angle: the two-loop paths win.")
 
 # Cross-check one point of each analytic curve against exact propagation:
-# fidelity_report extracts the quadratic coefficient c in F ~ 1 - c eps^2
-# from +/- probes at eps = 1e-3 and 1e-4; compare it with f_k * pi^2 / 3.
+# probe_quadratic_coefficient extracts the quadratic coefficient c in
+# F ~ 1 - c eps^2 from +/- probes at eps = 1e-3 and 1e-4; compare it with
+# f_k * pi^2 / 3.
 print("\nexact-propagation cross-check at theta = pi/4:")
 target = hp.TargetGate(np.pi / 4, [1, 0, 0])
 for name, scheme in hp.analytic.SCHEMES.items():
     path = scheme.solve(target, hp.PathConstraints())
-    measured = hp.fidelity_report(name, path, hp.RabiError(0.0)).quad_coeff_exact
+    measured = hp.probe_quadratic_coefficient(name, path, (1.0, 0.0))
     predicted = scheme.shape(np.pi / 4) * np.pi**2 / 3
     print(f"  {name:12s} extracted c = {measured:.6f}   f * pi^2/3 = {predicted:.6f}")
 
 # A pure drive imbalance (epsilon = 0, kappa != 0) reverses the ordering.
-# fidelity_report's second-order coefficient is per unit kappa^2 here, from
-# each scheme's closed forms, which take kappa for every scheme.
+# The coefficient per unit kappa^2 is the c of each scheme's quadratic form
+# (a, b, c): every scheme models kappa.
 print("\npure relative error: c in F ~ 1 - c kappa^2 (epsilon = 0, axis (1,1,1)/sqrt 3)")
 print(f"{'theta':>8} {'two-loop':>10} {'single-loop':>12} {'single-shot':>12}")
-pure_kappa = hp.RabiError(0.0, 1e-2)
 reversed_everywhere = True
 for theta_gate in np.linspace(np.pi / 16, np.pi / 2 - 1e-3, 8):
     target = hp.TargetGate(theta_gate, [1, 1, 1])
     row = [
-        hp.fidelity_report(name, scheme.solve(target, hp.PathConstraints()), pure_kappa).quad_coeff_analytic
-        for name, scheme in hp.analytic.SCHEMES.items()
+        scheme.quadratic_form(scheme.solve(target, hp.PathConstraints()))[2]
+        for scheme in hp.analytic.SCHEMES.values()
     ]
     reversed_everywhere &= row[0] > max(row[1:])
     print(f"{theta_gate:8.4f} {row[0]:10.4f} {row[1]:12.4f} {row[2]:12.4f}")
 print(f"two-loop the most sensitive at every sampled angle: {reversed_everywhere}")
 
 # Cross-check two angles against the oracle's independent bare-basis drives:
-# the +/- kappa probe on its infinite-step limit, as fidelity_report probes.
+# the +/- kappa probe, as probe_quadratic_coefficient takes it, on the oracle's infinite-step limit.
 print("\noracle cross-check of the pure-kappa coefficient:")
-schedules = {
-    "two-loop": hp.schedule_for_two_loop,
-    "single-loop": hp.schedule_for_single_loop,
-    "single-shot": hp.schedule_for_single_shot,
-}
 for theta_gate in (np.pi / 4, np.pi / 2 - 1e-3):
     target = hp.TargetGate(theta_gate, [1, 1, 1])
     for name, scheme in hp.analytic.SCHEMES.items():
         path = scheme.solve(target, hp.PathConstraints())
         ideal = scheme.build(path, hp.RabiError(0.0))[0]
         samples = [
-            (k, hp.gate_fidelity(ideal, hp.closed_form_limit(schedules[name](path, hp.RabiError(0.0, k), "square"))))
+            (k, hp.gate_fidelity(ideal, hp.closed_form_limit(scheme.schedule(path, hp.RabiError(0.0, k), "square"))))
             for k in (1e-3, -1e-3, 1e-4, -1e-4)
         ]
-        closed = hp.fidelity_report(name, path, pure_kappa).quad_coeff_analytic
+        closed = scheme.quadratic_form(path)[2]
         oracle_c = hp.extract_quadratic_coefficient(samples)
         print(f"  theta = {theta_gate:.4f} {name:12s} closed form c = {closed:.4f}   oracle c = {oracle_c:.4f}")
 

@@ -22,27 +22,21 @@ error = hp.RabiError(0.03, -0.01)
 common = hp.RabiError(error.epsilon)
 
 target = hp.TargetGate(rng.uniform(0.1, np.pi / 2), rng.normal(size=3))
-path2 = hp.solve_two_loop(target).path
-path_sl = hp.solve_single_loop(target)
-path_ss = hp.solve_single_shot(target)
-
-cases = (
-    ("two-loop", hp.schedule_for_two_loop, path2, hp.two_loop_gates(path2, error)[1]),
-    ("single-loop", hp.schedule_for_single_loop, path_sl, hp.single_loop_gates(path_sl, error)[1]),
-    ("single-shot", hp.schedule_for_single_shot, path_ss, hp.single_shot_gates(path_ss, error)[1]),
-)
+schemes = hp.analytic.SCHEMES
+paths = {name: scheme.solve(target, hp.PathConstraints()) for name, scheme in schemes.items()}
 
 steps = 50_000
 print(f"time-stepped vs closed-form propagators at {steps} steps per pulse, {error}:")
-for name, builder, path, closed in cases:
+for name, scheme in schemes.items():
+    path = paths[name]
+    closed = scheme.build(path, error)[1]
     for shape in ("square", "sine-squared"):
-        schedule = builder(path, error, shape)
-        stepped = hp.propagate(schedule, steps)
+        stepped = hp.propagate(scheme.schedule(path, error, shape), steps)
         dev = np.max(np.abs(stepped - closed))
         print(f"  {name:28s} {shape:13s} max deviation = {dev:.2e}")
 
 print("\nconvergence study on the half-sine envelope (genuine O(1/N^2) error):")
-gen = hp.schedule_for_two_loop(path2, error, "square").segments[0].generator
+gen = hp.schedule_for_two_loop(paths["two-loop"], error, "square").segments[0].generator
 schedule = hp.Schedule((hp.ScheduleSegment(hp.PulseEnvelope("sine", np.pi), gen),))
 reference = hp.closed_form_limit(schedule)
 print(f"{'steps':>8} {'max error':>12}")
@@ -60,13 +54,11 @@ for shape in ("square", "sine-squared"):
 # forms tilt each pulse's ratio angle and scale its area.  Both model kappa.
 print(f"\ngate fidelity at eps = {error.epsilon}, oracle (square, {steps} steps per pulse) / closed form:")
 print(f"  {'scheme':12s}{'kappa = 0':>30s}{f'kappa = {error.kappa}':>30s}")
-for name, builder, path, gates in (
-    ("single-loop", hp.schedule_for_single_loop, path_sl, hp.single_loop_gates),
-    ("single-shot", hp.schedule_for_single_shot, path_ss, hp.single_shot_gates),
-):
+for name in ("single-loop", "single-shot"):
+    scheme, path = schemes[name], paths[name]
     line = f"  {name:12s}"
     for err in (common, error):
-        ideal, closed = gates(path, err)
-        oracle_f = hp.gate_fidelity(ideal, hp.propagate(builder(path, err, "square"), steps))
+        ideal, closed = scheme.build(path, err)
+        oracle_f = hp.gate_fidelity(ideal, hp.propagate(scheme.schedule(path, err, "square"), steps))
         line += f" {oracle_f:14.10f} {hp.gate_fidelity(ideal, closed):14.10f}"
     print(line)

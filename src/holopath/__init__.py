@@ -11,14 +11,13 @@ a relative error difference between the two drives.
 """
 
 from .analytic import (
-    FidelityReport,
     comparison_table,
     extract_quadratic_coefficient,
     f1,
     f2,
     f3,
     fidelity_pair,
-    fidelity_report,
+    probe_quadratic_coefficient,
 )
 from .linalg import (
     ContractViolation,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BrightDecomposition",
     "ContractViolation",
-    "FidelityReport",
     "LoopParams",
     "PathConstraints",
     "PulseEnvelope",
@@ -84,10 +82,10 @@ __all__ = [
     "f2",
     "f3",
     "fidelity_pair",
-    "fidelity_report",
     "gate_angle_axis",
     "gate_fidelity",
     "phi_b_of",
+    "probe_quadratic_coefficient",
     "propagate",
     "schedule_for_single_loop",
     "schedule_for_single_shot",

@@ -1,10 +1,11 @@
-"""The scheme table, each scheme's second-order error form, scheme comparison curves, and coefficient extraction.
+"""The scheme table, each scheme's second-order error form, scheme comparison curves, and coefficient probes.
 
 Each scheme's ``quadratic_form`` gives, from the path alone, the (a, b, c) of its second order
 1 - F = a eps^2 + 2 b eps kappa + c kappa^2 =: Q, and :func:`fidelity_pair`'s second-order fidelity is
 1 - Q.  The exact propagators of :mod:`holopath.schemes` differ from it by cubic (or higher) remainders,
-which the tests bound explicitly.  The paper's robustness conditions are conditions on Q: phi_b = pi
-minimizes the two-loop a, and balanced loops make b = 0.
+which the tests bound explicitly; :func:`probe_quadratic_coefficient` measures the exact propagators'
+coefficient along one (epsilon, kappa) direction, which Q predicts.  The paper's robustness conditions
+are conditions on Q: phi_b = pi minimizes the two-loop a, and balanced loops make b = 0.
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ def comparison_table(samples: int) -> np.ndarray:
     return np.column_stack([theta, f1(theta), f2(theta), f3(theta)])
 
 
-def quad_coeff_single_loop(phase_diff: float) -> float:
-    """Quadratic error coefficient (1/6)(1 + cos(phi - phi')) pi^2."""
-    return float((1.0 + np.cos(phase_diff)) * PI_SQ / 6.0)
-
-
-def quad_coeff_single_shot(gamma: float) -> float:
-    """Quadratic error coefficient (1/3) pi^2 cos^4(gamma)."""
-    return float(PI_SQ * np.cos(gamma) ** 4 / 3.0)
-
-
 def _two_loop_form(path: TwoLoopPath):
     """(a, b, c) = (pi^2/3)(2 + 2m, (C1 + C2)(1 + m), C1^2 + C2^2 + 2m C1 C2) + (0, 0, (4/3) y^2).
 
@@ -83,7 +74,8 @@ def _two_loop_form(path: TwoLoopPath):
 
 def _single_loop_form(path: SingleLoopPath):
     """q (1, cos theta, cos^2 theta + 4 sin^2 theta / pi^2), q = (1/6)(1 + cos(phi - phi')) pi^2."""
-    q, cos, sin = quad_coeff_single_loop(path.phase_diff), np.cos(path.theta), np.sin(path.theta)
+    q = float((1.0 + np.cos(path.phase_diff)) * PI_SQ / 6.0)
+    cos, sin = np.cos(path.theta), np.sin(path.theta)
     return q, q * cos, q * (cos * cos + 4.0 * sin * sin / PI_SQ)
 
 
@@ -92,7 +84,8 @@ def _single_shot_form(path: SingleShotPath):
 
     zeta = pi (1 - sin gamma); (2/3)(1 - cos zeta) is the infidelity per squared tilt of the rotation axis.
     """
-    q, cos, sin = quad_coeff_single_shot(path.gamma), np.cos(2.0 * path.alpha), np.sin(2.0 * path.alpha)
+    q = float(PI_SQ * np.cos(path.gamma) ** 4 / 3.0)
+    cos, sin = np.cos(2.0 * path.alpha), np.sin(2.0 * path.alpha)
     tilt = (2.0 / 3.0) * (1.0 - np.cos(np.pi * (1.0 - np.sin(path.gamma))))
     return q, q * cos, q * cos * cos + tilt * sin * sin
 
@@ -141,22 +134,6 @@ def extract_quadratic_coefficient(samples) -> float:
     if not math.isfinite(coeff):  # magnitudes too close together or too far apart for float arithmetic
         raise ValueError(f"ill-conditioned sample set: no finite fit through epsilon magnitudes {sorted(signs)}")
     return coeff
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Exact vs second-order fidelity at one (scheme, path, error) point.
-
-    Both quadratic coefficients are per unit hypot(epsilon, kappa)^2 along
-    the direction (u, v) of the error point: the exact one is extracted by
-    the symmetric +/- probe protocol from the exact propagators, the
-    analytic one is a u^2 + 2 b u v + c v^2 of the scheme's quadratic form.
-    """
-
-    exact: float
-    analytic2: float
-    quad_coeff_exact: float
-    quad_coeff_analytic: float
 
 
 def _two_loop_params(path: TwoLoopPath) -> dict:
@@ -280,30 +257,22 @@ def fidelity_pair(scheme: str, path, error: RabiError):
     return exact.reshape(grid.shape), second_order.reshape(grid.shape)
 
 
-#: error magnitudes of the symmetric +/- probe behind FidelityReport's quadratic coefficients
+#: error magnitudes of probe_quadratic_coefficient's symmetric +/- probe
 _PROBE_MAGNITUDES = (1e-3, 1e-4)
 
 
-def fidelity_report(scheme: str, path, error: RabiError) -> FidelityReport:
-    """Full exact-vs-analytic comparison record for one error point.
+def probe_quadratic_coefficient(scheme: str, path, direction) -> float:
+    """The exact quadratic coefficient of 1 - F along ``direction``, per unit hypot(epsilon, kappa)^2.
 
-    The four probe points (magnitudes 1e-3 and 1e-4 with both signs, along
-    the direction of ``error``; along epsilon at zero error) are one grid
-    :func:`fidelity_pair` call, from which the exact coefficient is
-    extracted; the analytic one is the quadratic form along that direction.
-    An error grid is refused: the direction is that of one point.
+    ``direction`` is an (epsilon, kappa) pair, normalized by its hypot to (u, v); a zero or non-finite one
+    is refused with a ValueError naming it.  The four probe points (magnitudes 1e-3 and 1e-4 with both
+    signs, along (u, v)) are one grid :func:`fidelity_pair` call, fitted by
+    :func:`extract_quadratic_coefficient`.  The scheme's quadratic form predicts a u^2 + 2 b u v + c v^2.
     """
-    if error.ndim:
-        raise ValueError(f"fidelity_report takes one error point, not an error grid (ndim={error.ndim})")
-    exact, analytic2 = fidelity_pair(scheme, path, error)
-    scale = float(np.hypot(error.epsilon, error.kappa))
-    u, v = (1.0, 0.0) if scale == 0.0 else (error.epsilon / scale, error.kappa / scale)
+    epsilon, kappa = direction
+    scale = float(np.hypot(epsilon, kappa))
+    if not 0.0 < scale < math.inf:  # NaN fails too
+        raise ValueError(f"direction must be a nonzero finite (epsilon, kappa) pair, got {direction!r}")
     signed = np.array([sign * mag for mag in _PROBE_MAGNITUDES for sign in (1.0, -1.0)])
-    probe_exact = fidelity_pair(scheme, path, RabiError(signed * u, signed * v))[0]
-    a, b, c = SCHEMES[scheme].quadratic_form(path)
-    return FidelityReport(
-        exact=exact,
-        analytic2=analytic2,
-        quad_coeff_exact=extract_quadratic_coefficient(zip(signed, probe_exact)),
-        quad_coeff_analytic=float(a * u * u + 2.0 * b * u * v + c * v * v),
-    )
+    probe_exact = fidelity_pair(scheme, path, RabiError(signed * (epsilon / scale), signed * (kappa / scale)))[0]
+    return extract_quadratic_coefficient(zip(signed, probe_exact))

@@ -41,7 +41,7 @@ GATES = {
     "criterion-8 structural suite": [
         ("unitarity", 1e-12, False),
         ("zero-error reduction", 1e-13, False),
-        ("single-shot closed vs direct", 1e-11, False),
+        ("closed vs direct", 1e-11, False),
         ("gauge invariances", 1e-13, False),
         ("round trips", 1e-10, False),
     ],

@@ -16,7 +16,7 @@ from holopath.analytic import (
     f2,
     f3,
     fidelity_pair,
-    fidelity_report,
+    probe_quadratic_coefficient,
 )
 from holopath.linalg import gate_fidelity
 from holopath.pathfinder import PathConstraints, solve_single_shot, solve_two_loop
@@ -391,7 +391,7 @@ def test_extract_quadratic_matches_lstsq_reference(samples):
     quartic=st.floats(-100.0, 100.0),
 )
 def test_extract_quadratic_probe_sets_match_lstsq_reference(mags, c, odd, quartic):
-    # F = 1 - c eps^2 - odd c eps^3 - quartic c eps^4 on the survey's and fidelity_report's magnitudes
+    # F = 1 - c eps^2 - odd c eps^3 - quartic c eps^4 on the survey's and probe_quadratic_coefficient's magnitudes
     samples = [(s * m, 1.0 - c * m * m * (1.0 + odd * s * m + quartic * m * m)) for m in mags for s in (1.0, -1.0)]
     reference = reference_quadratic_coefficient(samples)
     assert abs(extract_quadratic_coefficient(samples) - reference) <= 2e-15 * abs(reference)
@@ -594,20 +594,21 @@ def test_single_shot_fidelity_pair_builds_one_frame(monkeypatch):
     assert calls == {"bright_state": 1, "_bright_frame": 1, "_pulse": 1}
 
 
-def test_fidelity_report_consistency():
+def test_probe_consistency():
     path = solve_two_loop(TargetGate(np.pi / 4, [0, 1, 0])).path
-    report = fidelity_report("two-loop", path, RabiError(1e-2))
-    assert report.exact == pytest.approx(report.analytic2, abs=1e-6)
-    assert report.quad_coeff_exact == pytest.approx(report.quad_coeff_analytic, rel=1e-3)
-    assert report.quad_coeff_analytic == pytest.approx(f1(np.pi / 4) * np.pi**2 / 3, rel=1e-6)
+    exact, second_order = fidelity_pair("two-loop", path, RabiError(1e-2))
+    a = SCHEMES["two-loop"].quadratic_form(path)[0]
+    assert exact == pytest.approx(second_order, abs=1e-6)
+    assert probe_quadratic_coefficient("two-loop", path, (1.0, 0.0)) == pytest.approx(a, rel=1e-3)
+    assert a == pytest.approx(f1(np.pi / 4) * np.pi**2 / 3, rel=1e-6)
 
 
 @pytest.mark.parametrize("theta_gate", [np.pi / 8, np.pi / 4, np.pi / 2 - 1e-3])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_fidelity_report_pure_kappa_coefficients_agree(scheme, theta_gate):
+def test_probe_pure_kappa_coefficients_agree(scheme, theta_gate):
     path = SCHEMES[scheme].solve(TargetGate(theta_gate, np.ones(3)), PathConstraints())
-    report = fidelity_report(scheme, path, RabiError(0.0, 1e-2))
-    assert report.quad_coeff_exact == pytest.approx(report.quad_coeff_analytic, rel=1e-6)
+    c = SCHEMES[scheme].quadratic_form(path)[2]
+    assert probe_quadratic_coefficient(scheme, path, (0.0, 1.0)) == pytest.approx(c, rel=1e-6)
 
 
 @pytest.mark.parametrize("extent", [0.02, 0.05])
@@ -636,11 +637,11 @@ def test_exact_fidelity_at_zero_error_lies_in_unit_interval(scheme, rng):
         assert 0.0 <= point <= 1.0 and np.all((0.0 <= grid) & (grid <= 1.0)), target
 
 
-@pytest.mark.parametrize("error", [RabiError(np.array([0.01, 0.02])), RabiError(0.01, np.array([0.0, 0.01]))])
-def test_fidelity_report_rejects_error_grid(error):
+@pytest.mark.parametrize("direction", [(0.0, 0.0), (math.nan, 0.0), (math.inf, 1.0)])
+def test_probe_refuses_a_zero_or_non_finite_direction(direction):
     path = solve_two_loop(TargetGate(np.pi / 4, [0, 1, 0])).path
-    with pytest.raises(ValueError, match="one error point"):
-        fidelity_report("two-loop", path, error)
+    with pytest.raises(ValueError, match=re.escape(f"got {direction!r}")):
+        probe_quadratic_coefficient("two-loop", path, direction)
 
 
 def test_target_gate_validation():

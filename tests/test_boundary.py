@@ -325,16 +325,15 @@ DELETED = {
     "quad_coeff_two_loop", "fid2_two_loop", "dF_dkappa_at_zero",
     "_ErroredPulses", "_fid2_errored_loops", "_fid2_errored_segments", "_fid2_errored_pulse", "_square",
     "_overlap_angles", "_rotation_tilt_coeff", "_DEGENERATE_ANGLE",
+    "FidelityReport", "fidelity_report", "quad_coeff_single_loop", "quad_coeff_single_shot",
 }
-#: kept in analytic, where the quadratic forms call them, but not exported
-UNEXPORTED = {"quad_coeff_single_loop", "quad_coeff_single_shot"}
 
 
 def test_package_exports_one_builder_per_scheme():
     exported = set(holopath.__all__)
     assert BUILDERS <= exported
-    assert not exported & (ERRORED_VIEWS | DELETED | UNEXPORTED)
-    assert not [name for name in ERRORED_VIEWS | DELETED | UNEXPORTED if hasattr(holopath, name)]
+    assert not exported & (ERRORED_VIEWS | DELETED)
+    assert not [name for name in ERRORED_VIEWS | DELETED if hasattr(holopath, name)]
 
 
 def test_errored_views_are_schemes_attributes_only():

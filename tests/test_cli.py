@@ -343,7 +343,7 @@ def test_optimize_reports_each_printed_paths_own_quadratic_form(capsys, balanced
     for name, path in paths.items():
         form = payload["quadratic_form"][name.replace("-", "_")]
         for u, v in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-            probe = analytic.fidelity_report(name, path, RabiError(1e-3 * u, 1e-3 * v)).quad_coeff_exact
+            probe = analytic.probe_quadratic_coefficient(name, path, (u, v))
             reported = (form["a"] * u * u + 2.0 * form["b"] * u * v + form["c"] * v * v) / (u * u + v * v)
             assert reported == pytest.approx(probe, rel=1e-6), (name, u, v)
     assert (abs(payload["quadratic_form"]["two_loop"]["b"]) <= 1e-12) == (balanced == "--balanced")

@@ -16,13 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holopath import analytic
-from holopath.analytic import (
-    extract_quadratic_coefficient,
-    fidelity_pair,
-    fidelity_report,
-    quad_coeff_single_loop,
-    quad_coeff_single_shot,
-)
+from holopath.analytic import extract_quadratic_coefficient, fidelity_pair, probe_quadratic_coefficient
 from holopath.linalg import expm, gate_fidelity
 from holopath.schemes import (
     NO_ERROR,
@@ -129,7 +123,7 @@ def test_fidelity_pair_single_loop_grid_equals_loop(path, grid):
     assert_pair_equals_loop("single-loop", path, *grid)
     # at kappa = 0 the second-order value is the common-error formula's, to roundoff
     second_order = fidelity_pair("single-loop", path, RabiError(grid[0], 0.0))[1]
-    common = 1.0 - quad_coeff_single_loop(path.phase_diff) * grid[0] * grid[0]
+    common = 1.0 - analytic.SCHEMES["single-loop"].quadratic_form(path)[0] * grid[0] * grid[0]
     np.testing.assert_allclose(second_order, common, rtol=0, atol=1e-15)
 
 
@@ -138,7 +132,7 @@ def test_fidelity_pair_single_loop_grid_equals_loop(path, grid):
 def test_fidelity_pair_single_shot_grid_equals_loop(path, grid):
     assert_pair_equals_loop("single-shot", path, *grid)
     second_order = fidelity_pair("single-shot", path, RabiError(grid[0], 0.0))[1]
-    common = 1.0 - quad_coeff_single_shot(path.gamma) * grid[0] * grid[0]
+    common = 1.0 - analytic.SCHEMES["single-shot"].quadratic_form(path)[0] * grid[0] * grid[0]
     np.testing.assert_allclose(second_order, common, rtol=0, atol=1e-15)
 
 
@@ -234,52 +228,49 @@ def test_single_shot_builder_equals_separate_constructors(drawn, error, seed):
         assert np.array_equal(single_shot_gates(path, NO_ERROR)[0], ideal)
 
 
-def report_by_loop(scheme, path, error):
-    """The reference: the exact coefficient's +/- probe as a loop of one-point fidelity_pair calls, and the
-    analytic coefficient as the quadratic form's a u^2 + 2 b u v + c v^2 along the error's direction (u, v)."""
-    scale = float(np.hypot(error.epsilon, error.kappa))
-    u, v = (1.0, 0.0) if scale == 0.0 else (error.epsilon / scale, error.kappa / scale)
+def probe_by_loop(scheme, path, direction):
+    """The reference: the +/- probe along direction / hypot(direction) as a loop of one-point fidelity_pair calls."""
+    scale = float(np.hypot(*direction))
+    u, v = direction[0] / scale, direction[1] / scale
     points = []
     for mag in (1e-3, 1e-4):
         for sign in (1.0, -1.0):
             points.append((sign * mag, fidelity_pair(scheme, path, RabiError(sign * mag * u, sign * mag * v))[0]))
-    a, b, c = analytic.SCHEMES[scheme].quadratic_form(path)
-    return extract_quadratic_coefficient(points), a * u * u + 2.0 * b * u * v + c * v * v
+    return extract_quadratic_coefficient(points)
 
 
-def bits(*values):
-    return [float(v).hex() for v in values]
+def assert_probe_equals_loop(scheme, path, direction):
+    probe, reference = probe_quadratic_coefficient(scheme, path, direction), probe_by_loop(scheme, path, direction)
+    assert float(probe).hex() == float(reference).hex()
 
 
-def assert_report_equals_loop(scheme, path, error):
-    report = fidelity_report(scheme, path, error)
-    assert bits(report.exact, report.analytic2) == bits(*fidelity_pair(scheme, path, error))
-    assert bits(report.quad_coeff_exact, report.quad_coeff_analytic) == bits(*report_by_loop(scheme, path, error))
-
-
-@GRID_SETTINGS
-@given(two_loop_paths(), fractions, fractions)
-def test_fidelity_report_two_loop_equals_loop(path, eps, kappa):
-    assert_report_equals_loop("two-loop", path, RabiError(eps, kappa))
+#: (epsilon, kappa) probe directions, kappa = 0 among them; (0, 0) has no direction and is refused
+directions = st.tuples(fractions, fractions).filter(lambda d: d != (0.0, 0.0))
 
 
 @GRID_SETTINGS
-@given(single_loop_paths(), fractions)
-def test_fidelity_report_single_loop_equals_loop(path, eps):
-    assert_report_equals_loop("single-loop", path, RabiError(eps))
+@given(two_loop_paths(), directions)
+def test_probe_two_loop_equals_loop(path, direction):
+    assert_probe_equals_loop("two-loop", path, direction)
 
 
 @GRID_SETTINGS
-@given(single_shot_paths(), fractions)
-def test_fidelity_report_single_shot_equals_loop(path, eps):
-    assert_report_equals_loop("single-shot", path, RabiError(eps))
+@given(single_loop_paths(), directions)
+def test_probe_single_loop_equals_loop(path, direction):
+    assert_probe_equals_loop("single-loop", path, direction)
 
 
-@pytest.mark.parametrize("eps, kappa", [(0.0, 0.0), (0.01, -0.02), (0.0, 0.03), (-0.05, 0.05)])
-def test_fidelity_report_tilted_probe_equals_loop(eps, kappa):
-    # kappa != 0 tilts the probe direction away from the epsilon axis; (0, 0) probes along epsilon
+@GRID_SETTINGS
+@given(single_shot_paths(), directions)
+def test_probe_single_shot_equals_loop(path, direction):
+    assert_probe_equals_loop("single-shot", path, direction)
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.01, -0.02), (0.0, 0.03), (-0.05, 0.05), (3.0, 4.0)])
+def test_probe_tilted_direction_equals_loop(direction):
+    # kappa != 0 tilts the probe direction away from the epsilon axis; a direction of any length is normalized
     path = TwoLoopPath(LoopParams(0.4, 0.1, 0.2), LoopParams(1.9, 2.0, 3.0))
-    assert_report_equals_loop("two-loop", path, RabiError(eps, kappa))
+    assert_probe_equals_loop("two-loop", path, direction)
 
 
 #: rounding of the exact fidelity, which the cubic bound leaves no room for where |eps| + |kappa| is 0 or tiny:

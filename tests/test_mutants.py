@@ -21,6 +21,7 @@ _relative_error_angles = schemes.relative_error_angles
 _bright_coupling = schemes._bright_coupling
 _error_operator = schemes._error_operator
 _propagate = oracle.propagate
+_single_loop_gates = schemes.single_loop_gates
 _two_loop_form = analytic.SCHEMES["two-loop"].quadratic_form
 
 
@@ -53,6 +54,11 @@ def _detuning_sign_flipped(pb, cross, gamma, delta):
     return _error_operator(pb, cross, -gamma, delta)
 
 
+def _single_loop_built_at_shifted_phi(path, error):
+    # both gates built at phi + 0.02: phi - phi' is off, so the gate and its error coefficient move with it
+    return _single_loop_gates(dataclasses.replace(path, phi=path.phi + 0.02), error)
+
+
 def _two_loop_form_with_half_b(path):
     a, b, c = _two_loop_form(path)
     return a, b / 2.0, c
@@ -77,6 +83,8 @@ MUTANTS = [
     ("segments out of time order", oracle, "propagate", _propagate_segments_reversed, {7}),
     # criterion 3 cannot catch a flipped detuning: f3 depends on cos^4 gamma only
     ("detuning sign", schemes, "_error_operator", _detuning_sign_flipped, {7, 8}),
+    # a builder mutant whose fidelities the coefficient fit still accepts: criterion 3 reads the wrong coefficient
+    ("single-loop built at phi + 0.02", schemes, "single_loop_gates", _single_loop_built_at_shifted_phi, {3, 7, 8}),
     # the second-order model alone: the gates, and so criterion 7, are untouched
     ("b / 2 in the two-loop form", analytic, "SCHEMES", {
         **analytic.SCHEMES,
@@ -110,3 +118,11 @@ def test_coefficient_criteria_name_the_refused_fit(monkeypatch):
     assert not result.passed
     assert result.gates[0].measured == np.inf
     assert "4 of 4 points refused, first two-loop at theta_gate=0.3927: fidelities must lie in (0, 1]" in result.note
+
+
+def test_criterion_3_reads_the_builder_mutant_through_an_accepted_fit(monkeypatch):
+    # no point is refused: the coefficient is fitted, and it is off by about 5%
+    monkeypatch.setattr(schemes, "single_loop_gates", _single_loop_built_at_shifted_phi)
+    result = verify.check_other_scheme_coefficients(level="fast", seed=verify.DEFAULT_SEED)
+    assert not result.passed and result.note == ""
+    assert result.gates[0].measured == pytest.approx(0.0478, abs=1e-3)
