@@ -37,7 +37,7 @@ for name, scheme in schemes.items():
 
 print("\nconvergence study on the half-sine envelope (genuine O(1/N^2) error):")
 gen = hp.schedule_for_two_loop(paths["two-loop"], error, "square").segments[0].generator
-schedule = hp.Schedule((hp.ScheduleSegment(hp.PulseEnvelope("sine", np.pi), gen),))
+schedule = hp.Schedule((hp.ScheduleSegment("sine", np.pi, gen),))
 reference = hp.closed_form_limit(schedule)
 print(f"{'steps':>8} {'max error':>12}")
 for n in (200, 800, 3200, 12800):
@@ -46,7 +46,7 @@ for n in (200, 800, 3200, 12800):
 print(f"measured order p = {hp.convergence_order(schedule):.3f} (expect ~2)")
 
 for shape in ("square", "sine-squared"):
-    flat = hp.Schedule((hp.ScheduleSegment(hp.PulseEnvelope(shape, np.pi), gen),))
+    flat = hp.Schedule((hp.ScheduleSegment(shape, np.pi, gen),))
     print(f"{shape}: order = {hp.convergence_order(flat)} "
           "(midpoint integrates this shape exactly; error sits at roundoff)")
 

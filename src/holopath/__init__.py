@@ -25,7 +25,6 @@ from .linalg import (
     gate_fidelity,
 )
 from .oracle import (
-    PulseEnvelope,
     Schedule,
     ScheduleSegment,
     closed_form_limit,
@@ -64,7 +63,6 @@ __all__ = [
     "ContractViolation",
     "LoopParams",
     "PathConstraints",
-    "PulseEnvelope",
     "RabiError",
     "Schedule",
     "ScheduleSegment",

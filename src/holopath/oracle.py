@@ -10,18 +10,19 @@ The ``schedule_for_*`` builders write each pulse's G in the bare basis
 its own fraction epsilon_k, for every scheme and any kappa.  They share none
 of the closed forms' derived error model (tilted angle, area excess, frames).
 
-A :class:`ScheduleSegment` holds one fixed Hermitian generator G, so the
-steps of a segment commute and share G's eigenbasis: each step is the
-diagonal phase exp(-1j * a_k * vals) in that basis, and the segment's
-ordered product is exactly the basis change applied to the product of the
-per-step phases.  Each step's factor is cos(x) - 1j sin(x) of its own real
-angle x = a_k * v.  A segment is stepped in blocks of ``_BLOCK_STEPS``
-steps through one reused buffer whose first column carries the running
-product, so every factor is multiplied in step order, the areas are never
-summed (the closed forms' shortcut), and memory per segment is bounded by
-the block, not by the step count.  Segments are stepped concurrently, on up
-to the usable CPUs, and multiplied in time order, bit for bit as serially.
-A generator that depends on time would need a propagator of its own.
+A :class:`ScheduleSegment` is one pulse: a shape, its area and a fixed
+Hermitian generator G, so the steps of a segment commute and share G's
+eigenbasis: each step is the diagonal phase exp(-1j * a_k * vals) in that
+basis, and the segment's ordered product is exactly the basis change
+applied to the product of the per-step phases.  Each step's factor is
+cos(x) - 1j sin(x) of its own real angle x = a_k * v.  A segment is stepped
+in blocks of ``_BLOCK_STEPS`` steps through one reused buffer whose first
+column carries the running product, so every factor is multiplied in step
+order, the areas are never summed (the closed forms' shortcut), and memory
+per segment is bounded by the block, not by the step count.  Segments are
+stepped concurrently, on up to the usable CPUs, and multiplied in time
+order, bit for bit as serially.  A generator that depends on time would
+need a propagator of its own.
 
 The only discretization error is then the midpoint quadrature error of the
 envelope area; the "square" and "sine-squared" shapes are integrated
@@ -36,7 +37,7 @@ import operator
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -54,55 +55,34 @@ ROUNDOFF_FLOOR = 1e-12
 _BLOCK_STEPS = 8192
 
 
-@dataclass(frozen=True)
-class PulseEnvelope:
-    """Scalar envelope Omega(t) on [0, 1] calibrated to a target area, all a pulse's propagator depends on.
+@dataclass(frozen=True, eq=False)
+class ScheduleSegment:
+    """One pulse H(t) = Omega(t) G on [0, 1]: a shape, its area and a fixed Hermitian generator G, stored read-only.
 
-    The amplitude divides ``target_area`` by the closed-form area of the
-    unit shape (1, 2/pi and 1/2 for square, sine and sine-squared), so the
-    integrated area matches ``target_area`` regardless of shape.  The area is
-    stored as a Python float; a non-finite one, or one whose amplitude
-    overflows, is refused.
+    Omega(t) is the unit shape times ``area`` over the shape's closed-form area (1, 2/pi, 1/2), so it integrates to
+    ``area`` whatever the shape; a scaled pulse scales G.  The area is stored as a Python float, and a non-finite
+    one, or one whose amplitude overflows, is refused.
     """
 
     shape: str
-    target_area: float
+    area: float
+    generator: np.ndarray
 
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ValueError(f"shape must be one of {SHAPES}, got {self.shape!r}")
-        object.__setattr__(self, "target_area", float(self.target_area))
-        if not np.isfinite(self.amplitude):
-            raise ValueError(f"target_area {self.target_area!r} must be finite with a finite amplitude")
-
-    def unit(self, t):
-        """Unit-amplitude shape value(s) at time(s) t."""
-        t = np.asarray(t, dtype=float)
-        if self.shape == "square":
-            return np.ones_like(t)
-        if self.shape == "sine":
-            return np.sin(np.pi * t)
-        return np.sin(np.pi * t) ** 2
-
-    @cached_property
-    def amplitude(self) -> float:
-        return self.target_area / _UNIT_AREA[self.shape]
-
-    def values(self, t):
-        return self.amplitude * self.unit(t)
-
-
-@dataclass(frozen=True, eq=False)
-class ScheduleSegment:
-    """One pulse: envelope and fixed Hermitian generator structure (a scaled pulse scales its generator)."""
-
-    envelope: PulseEnvelope
-    generator: np.ndarray
-
-    def __post_init__(self):
+        object.__setattr__(self, "area", float(self.area))
+        if not np.isfinite(self.area / _UNIT_AREA[self.shape]):
+            raise ValueError(f"area {self.area!r} must be finite with a finite amplitude")
         g = require_hermitian(self.generator).copy()
         g.setflags(write=False)
         object.__setattr__(self, "generator", g)
+
+    def envelope(self, t):
+        """Omega(t) at time(s) t: the amplitude times the unit shape."""
+        t = np.asarray(t, dtype=float)
+        unit = np.ones_like(t) if self.shape == "square" else np.sin(np.pi * t)
+        return self.area / _UNIT_AREA[self.shape] * (unit ** 2 if self.shape == "sine-squared" else unit)
 
 
 @dataclass(frozen=True)
@@ -163,7 +143,7 @@ def _step_segment(seg: ScheduleSegment, steps: int) -> np.ndarray:
     for start in range(0, steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, steps - start)
         # the midpoint areas are a temporary: no block's areas stay alive while the next block's are made
-        np.multiply.outer(vals, seg.envelope.values((np.arange(start, start + n) + 0.5) * h) * h, out=angles[:, :n])
+        np.multiply.outer(vals, seg.envelope((np.arange(start, start + n) + 0.5) * h) * h, out=angles[:, :n])
         np.cos(angles[:, :n], out=buf[:, 1:n + 1].real)
         np.sin(angles[:, :n], out=buf[:, 1:n + 1].imag)
         buf[:, 0] = np.prod(buf[:, :n + 1], axis=1)
@@ -184,7 +164,7 @@ def closed_form_limit(schedule: Schedule) -> np.ndarray:
     """Infinite-step limit: per-segment exponential at the exact area."""
     total = IDENTITY.copy()
     for seg in schedule.segments:
-        total = expm(seg.generator, seg.envelope.target_area) @ total
+        total = expm(seg.generator, seg.area) @ total
     return total
 
 
@@ -214,7 +194,7 @@ def _drive_pulse(shape: str, area: float, error: RabiError, rabi, mixing, phases
     fractions = 1.0 + np.array([error.epsilon0, error.epsilon1])
     d0, d1 = fractions * rabi * np.array([np.cos(mixing), np.sin(mixing)]) * np.exp(1j * np.asarray(phases))
     generator = np.array([[0.0, 0.0, d0], [0.0, 0.0, d1], [d0.conjugate(), d1.conjugate(), detuning]])
-    return ScheduleSegment(PulseEnvelope(shape, area), generator)
+    return ScheduleSegment(shape, area, generator)
 
 
 def schedule_for_two_loop(path: TwoLoopPath, error: RabiError, shape: str) -> Schedule:

@@ -294,7 +294,7 @@ def test_oracle_propagate_reuses_no_closed_form_shortcut():
     # the oracle multiplies per-step factors; summing areas or calling a closed form would not check them.
     # propagate combines the segments that _step_segment steps, so the rule covers both bodies
     functions = dict(_functions(oracle))
-    shortcuts = {"sum", "cumsum", "expm", "_pulse", "closed_form_limit", "target_area"}
+    shortcuts = {"sum", "cumsum", "expm", "_pulse", "closed_form_limit", "area"}
     for name in ("propagate", "_step_segment"):
         reached = _reached_names(functions[name])
         assert not reached & shortcuts, (name, reached & shortcuts)

@@ -541,3 +541,27 @@ def test_verify_reports_all_criteria_names(monkeypatch, capsys):
     assert run(["verify"]) == 0
     out = capsys.readouterr().out
     assert "8/8 criteria passed" in out
+
+
+def test_verify_a_check_that_raises_fails_its_criterion_and_the_rest_still_run(monkeypatch, capsys):
+    # stubbed checks only: a raising check reads FAIL with the exception as its note, and verify exits 3, not 2
+    from holopath import verify
+
+    def passing(level, seed):
+        return verify.CheckResult("criterion-1 stub", [verify.Gate("stub", 0.0, 0.0)], 0.0)
+
+    def raising(level, seed):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (passing, raising, passing))
+    results = verify.run_suite(level="fast", seed=0)
+    assert [r.passed for r in results] == [True, False, True]
+    assert (results[1].name, results[1].gates) == ("criterion-2 raising", [])
+    assert results[1].note == "raised LinAlgError: eigh did not converge"
+    assert run(["verify"]) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[2].startswith("[FAIL] criterion-2 raising: raised LinAlgError: eigh did not converge [")
+    assert [line[:6] for line in lines[1:4]] == ["[PASS]", "[FAIL]", "[PASS]"]
+    assert lines[4] == "2/3 criteria passed"
+    assert err == ""

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from holopath import oracle
 from holopath.linalg import IDENTITY, expm, gate_fidelity
 from holopath.oracle import (
-    PulseEnvelope,
     Schedule,
     ScheduleSegment,
     closed_form_limit,
@@ -47,10 +46,14 @@ def random_two_loop(rng):
     )
 
 
+def _segment(shape, area):
+    return ScheduleSegment(shape, area, coupling_generator(0.5, 0.1, 0.2))
+
+
 @pytest.mark.parametrize("shape", ["square", "sine", "sine-squared"])
 def test_envelope_calibrated_area(shape):
-    env = PulseEnvelope(shape, target_area=np.pi)
-    area, _ = quad(lambda t: float(env.values(t)), 0.0, 1.0, limit=200)
+    seg = _segment(shape, np.pi)
+    area, _ = quad(lambda t: float(seg.envelope(t)), 0.0, 1.0, limit=200)
     assert abs(area - np.pi) <= 1e-10
 
 
@@ -96,13 +99,13 @@ def test_propagate_in_a_forked_child_steps_on_its_own_pool():
 
 def test_envelope_validation():
     with pytest.raises(ValueError):
-        PulseEnvelope("triangle", np.pi)
+        _segment("triangle", np.pi)
 
 
 @pytest.mark.parametrize("area", [np.nan, np.inf, -np.inf])
 def test_envelope_rejects_non_finite_area(area):
-    with pytest.raises(ValueError, match="target_area"):
-        PulseEnvelope("square", area)
+    with pytest.raises(ValueError, match="area"):
+        _segment("square", area)
 
 
 @pytest.mark.filterwarnings("error")
@@ -112,19 +115,18 @@ def test_envelope_rejects_non_finite_area(area):
 def test_envelope_rejects_overflowing_amplitude(area):
     # a finite area over the unit area 1/2: the amplitude would be infinite and propagate all NaN;
     # a numpy area is taken as a Python float first, so its division does not warn in place of the refusal
-    with pytest.raises(ValueError, match="target_area .* finite amplitude"):
-        PulseEnvelope("sine-squared", area)
+    with pytest.raises(ValueError, match="area .* finite amplitude"):
+        _segment("sine-squared", area)
 
 
 def test_envelope_stores_its_area_as_a_python_float():
-    env = PulseEnvelope("sine", np.float64(np.pi))
-    assert type(env.target_area) is float and env.target_area == np.pi
+    seg = _segment("sine", np.float64(np.pi))
+    assert type(seg.area) is float and seg.area == np.pi
 
 
 def test_schedule_types_hold_only_their_fields():
-    # a pulse is a unit-length envelope and a generator; a schedule always names its segments
-    assert [f.name for f in dataclasses.fields(PulseEnvelope)] == ["shape", "target_area"]
-    assert [f.name for f in dataclasses.fields(ScheduleSegment)] == ["envelope", "generator"]
+    # a pulse is a unit-length shape, its area and a generator; a schedule always names its segments
+    assert [f.name for f in dataclasses.fields(ScheduleSegment)] == ["shape", "area", "generator"]
     assert [f.name for f in dataclasses.fields(Schedule)] == ["segments"]
     with pytest.raises(TypeError):
         Schedule()
@@ -136,13 +138,13 @@ def test_segment_requires_hermitian_generator():
     bad = np.zeros((3, 3), dtype=complex)
     bad[0, 2] = 1.0
     with pytest.raises(ContractViolation):
-        ScheduleSegment(PulseEnvelope("square", np.pi), bad)
+        ScheduleSegment("square", np.pi, bad)
 
 
 @pytest.mark.parametrize("shape", ["square", "sine-squared"])
 def test_propagate_single_pi_pulse_matches_loop_gate(shape):
     gen = coupling_generator(0.8, 0.4, 1.2)
-    schedule = Schedule((ScheduleSegment(PulseEnvelope(shape, np.pi), gen),))
+    schedule = Schedule((ScheduleSegment(shape, np.pi, gen),))
     from holopath.linalg import expm
 
     np.testing.assert_allclose(propagate(schedule, 10_000), expm(gen, np.pi), atol=1e-8)
@@ -152,7 +154,7 @@ def test_envelope_independence(rng):
     gen = coupling_generator(1.1, 2.0, 0.3)
     results = []
     for shape in ("square", "sine-squared"):
-        schedule = Schedule((ScheduleSegment(PulseEnvelope(shape, np.pi / 2), 1.02 * gen),))
+        schedule = Schedule((ScheduleSegment(shape, np.pi / 2, 1.02 * gen),))
         results.append(propagate(schedule, 20_000))
     assert np.max(np.abs(results[0] - results[1])) <= 1e-8
 
@@ -174,7 +176,7 @@ def test_propagate_is_literal_ordered_product_of_midpoint_steps():
     h = 1.0 / steps
     for seg in segments:
         for k in range(steps):
-            total = expm(seg.generator, float(seg.envelope.values((k + 0.5) * h)) * h) @ total
+            total = expm(seg.generator, float(seg.envelope((k + 0.5) * h)) * h) @ total
     assert np.max(np.abs(segments[0].generator @ segments[1].generator
                          - segments[1].generator @ segments[0].generator)) > 0.1
     assert np.max(np.abs(propagate(Schedule(segments), steps) - total)) <= 1e-12
@@ -206,7 +208,7 @@ def test_propagate_matches_complex_exp_phase_product():
     total = IDENTITY.copy()
     h = 1.0 / steps
     for seg in segments:
-        areas = seg.envelope.values((np.arange(steps) + 0.5) * h) * h
+        areas = seg.envelope((np.arange(steps) + 0.5) * h) * h
         vals, vecs = np.linalg.eigh(seg.generator)
         total = (vecs * np.prod(np.exp(-1j * np.outer(areas, vals)), axis=0)) @ vecs.conj().T @ total
     assert np.max(np.abs(segments[0].generator @ segments[1].generator
@@ -220,7 +222,7 @@ def _whole_segment_propagate(schedule, steps):
     total = IDENTITY.copy()
     h = 1.0 / steps
     for seg in schedule.segments:
-        areas = seg.envelope.values((np.arange(steps) + 0.5) * h) * h
+        areas = seg.envelope((np.arange(steps) + 0.5) * h) * h
         vals, vecs = np.linalg.eigh(seg.generator)
         angles = np.outer(vals, areas)
         factors = np.empty(angles.shape, dtype=complex)
@@ -238,7 +240,7 @@ _PULSES = ((np.pi, 1.03, (0.8, 0.4, 1.2)), (np.pi / 2, 0.97, (2.1, 1.7, -0.5)), 
 def _pulse_schedule(*shapes):
     # one pulse per shape, each scaled off its calibrated area through its generator
     return Schedule(tuple(
-        ScheduleSegment(PulseEnvelope(shape, area), scale * coupling_generator(*angles))
+        ScheduleSegment(shape, area, scale * coupling_generator(*angles))
         for shape, (area, scale, angles) in zip(shapes, _PULSES)
     ))
 
@@ -289,10 +291,9 @@ def test_propagate_memory_is_bounded_by_the_block():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shape", oracle.SHAPES)
 def test_zero_area_envelope_values_are_zero(shape):
-    env = PulseEnvelope(shape, 0.0)
-    assert env.amplitude == 0.0
-    assert env.values(0.5) == 0.0
-    np.testing.assert_array_equal(env.values(np.linspace(0.0, 1.0, 11)), np.zeros(11))
+    seg = _segment(shape, 0.0)
+    assert seg.envelope(0.5) == 0.0
+    np.testing.assert_array_equal(seg.envelope(np.linspace(0.0, 1.0, 11)), np.zeros(11))
 
 
 def test_propagate_empty_schedule_warns():
@@ -303,7 +304,7 @@ def test_propagate_empty_schedule_warns():
 
 @pytest.mark.parametrize("shape", oracle.SHAPES)
 def test_zero_area_segment_propagates_to_identity(shape):
-    schedule = Schedule((ScheduleSegment(PulseEnvelope(shape, 0.0), coupling_generator(0.5, 0.1, 0.2)),))
+    schedule = Schedule((_segment(shape, 0.0),))
     np.testing.assert_allclose(propagate(schedule, 1000), IDENTITY, rtol=0, atol=1e-15)
 
 
@@ -355,7 +356,7 @@ def test_two_loop_ideal_schedule(rng):
 def test_convergence_second_order_for_half_sine():
     # the half-sine arch has a genuine O(1/N^2) midpoint quadrature error
     gen = coupling_generator(0.8, 0.4, 1.2)
-    schedule = Schedule((ScheduleSegment(PulseEnvelope("sine", np.pi), gen),))
+    schedule = Schedule((ScheduleSegment("sine", np.pi, gen),))
     p = convergence_order(schedule)
     assert p == pytest.approx(2.0, abs=0.2)
     ref = closed_form_limit(schedule)
@@ -370,7 +371,7 @@ def test_convergence_exact_shapes_hit_roundoff_floor():
     # envelopes exactly, so the error sits at the floor and p is indeterminate
     gen = coupling_generator(0.8, 0.4, 1.2)
     for shape in ("square", "sine-squared"):
-        schedule = Schedule((ScheduleSegment(PulseEnvelope(shape, np.pi), gen),))
+        schedule = Schedule((ScheduleSegment(shape, np.pi, gen),))
         assert convergence_order(schedule) == np.inf
 
 

@@ -135,3 +135,20 @@ def test_pinned_exact_answers_are_within_rounding_of_the_model(scheme):
         models = mp_reference.fidelities(scheme, path, points, digits=30)
         for (e, k), exact, model in zip(points, exacts, models, strict=True):
             assert abs(float.fromhex(exact) - float(model)) <= FIDELITY_BOUND, (path, e, k)
+
+
+def test_worst_drive_error_direction_reverses_the_papers_ranking_at_axis_x():
+    # along each scheme's worst (eps, kappa) direction, the top eigenvector of its form, the exact balanced
+    # two-loop infidelity exceeds the single-loop one; along the common error eps alone the paper's order holds
+    target = TargetGate(np.pi / 2 - 1e-3, [1.0, 0.0, 0.0])
+    worst, common = {}, {}
+    for scheme in ("two-loop", "single-loop"):
+        path = SCHEMES[scheme].solve(target, PathConstraints())
+        a, b, c = SCHEMES[scheme].quadratic_form(path)
+        direction = np.linalg.eigh(np.array([[a, b], [b, c]]))[1][:, -1]
+        worst[scheme] = 1.0 - fidelity_pair(scheme, path, RabiError(*(1e-3 * direction)))[0]
+        common[scheme] = 1.0 - fidelity_pair(scheme, path, RabiError(1e-3))[0]
+    assert worst["two-loop"] > worst["single-loop"]
+    assert common["two-loop"] < common["single-loop"]
+    assert (worst["two-loop"], worst["single-loop"]) == pytest.approx((5.612e-6, 3.290e-6), rel=1e-3)
+    assert common["two-loop"] == pytest.approx(1.925e-6, rel=1e-3)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holopath import oracle, schemes
+from holopath import analytic, oracle, schemes
 from holopath.linalg import (
     IDENTITY,
     KET_0,
@@ -575,3 +576,52 @@ def test_all_constructors_return_unitary(rng):
             single_shot_gates(ss, common)[1],
         ):
             assert np.max(np.abs(u.conj().T @ u - IDENTITY)) <= 1e-12
+
+
+# ---------------------------------------------- criterion 8's invariants, on drawn paths
+
+
+def _loop(draw):
+    return LoopParams(draw(st.floats(0.0, np.pi)), draw(PHASES), draw(PHASES))
+
+
+#: a path of each scheme, every field drawn inside its domain
+DRAWN_PATHS = {
+    "two-loop": lambda draw: TwoLoopPath(_loop(draw), _loop(draw)),
+    "single-loop": lambda draw: SingleLoopPath(draw(st.floats(0.0, np.pi)), draw(PHASES), draw(PHASES), draw(PHASES)),
+    "single-shot": _single_shot_path,
+}
+#: each loop scheme's path with every total phase moved by one common shift
+PHASE_SHIFTED = {
+    "two-loop": lambda path, shift: TwoLoopPath(
+        *(dataclasses.replace(loop, phi=loop.phi + shift) for loop in (path.loop1, path.loop2))
+    ),
+    "single-loop": lambda path, shift: dataclasses.replace(path, phi=path.phi + shift, phi_prime=path.phi_prime + shift),
+}
+FRACTIONS = st.floats(-0.1, 0.1)
+INVARIANT_SETTINGS = settings(max_examples=50, deadline=None)
+
+
+@pytest.mark.parametrize("scheme", DRAWN_PATHS)
+@INVARIANT_SETTINGS
+@given(data=st.data())
+def test_drawn_gates_are_unitary_and_reduce_at_zero_error(scheme, data):
+    # criterion 8's unitarity (1e-12) and zero-error reduction (1e-13), on any path and (eps, kappa)
+    path = DRAWN_PATHS[scheme](data.draw)
+    eps, kappa = data.draw(FRACTIONS), data.draw(FRACTIONS)
+    ideal, errored = analytic.SCHEMES[scheme].build(path, RabiError(np.array([0.0, eps]), np.array([0.0, kappa])))
+    for gate in (ideal, *errored):
+        assert np.max(np.abs(gate.conj().T @ gate - IDENTITY)) <= 1e-12
+    assert np.max(np.abs(errored[0] - ideal)) <= 1e-13
+
+
+@pytest.mark.parametrize("scheme", PHASE_SHIFTED)
+@INVARIANT_SETTINGS
+@given(data=st.data())
+def test_drawn_exact_fidelity_is_invariant_under_a_common_phase_shift(scheme, data):
+    # criterion 8's gauge bound (1e-13), on any path, (eps, kappa) and shift
+    path = DRAWN_PATHS[scheme](data.draw)
+    error = RabiError(data.draw(FRACTIONS), data.draw(FRACTIONS))
+    shifted = PHASE_SHIFTED[scheme](path, data.draw(PHASES))
+    fidelity = analytic.fidelity_pair(scheme, path, error)[0]
+    assert abs(analytic.fidelity_pair(scheme, shifted, error)[0] - fidelity) <= 1e-13
