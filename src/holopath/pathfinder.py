@@ -54,10 +54,10 @@ def _polar_of(n: np.ndarray) -> tuple[float, float]:
     return float(np.arccos(np.clip(n[2], -1.0, 1.0))), float(np.arctan2(n[1], n[0]))
 
 
-def _circle_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _circle_frame(axis: np.ndarray, polar: bool) -> tuple[np.ndarray, np.ndarray]:
     # orthonormal frame of the great circle perpendicular to the axis,
-    # with u at the circle's z-maximal point (u = x when the axis is +/- z)
-    if abs(abs(axis[2]) - 1.0) < 1e-12:
+    # with u at the circle's z-maximal point (u = x when the axis is +/- z, polar)
+    if polar:
         u = np.array([1.0, 0.0, 0.0])
     else:
         u = np.array([0.0, 0.0, 1.0]) - axis[2] * axis
@@ -94,8 +94,9 @@ def solve_two_loop(target: TargetGate, constraints: PathConstraints | None = Non
     """
     cons = constraints or PathConstraints()
     theta_gate = target.theta_gate
-    u, v = _circle_frame(target.axis)
-    if cons.force_balanced and abs(abs(target.axis[2]) - 1.0) >= 1e-12:
+    polar = abs(abs(target.axis[2]) - 1.0) < 1e-12  # axis = +/- z
+    u, v = _circle_frame(target.axis, polar)
+    if cons.force_balanced and not polar:
         center = cons.orientation_sign * np.pi / 2
         t1, t2 = center + theta_gate / 2, center - theta_gate / 2
     else:

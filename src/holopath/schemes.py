@@ -8,9 +8,12 @@ propagator and its propagator under systematic Rabi-frequency errors.
 The amplitude error model multiplies each drive's envelope by its own unknown
 constant fraction, so in every scheme a pulse is its coupling at a tilted ratio
 angle and an errored area (:func:`relative_error_angles`): one exponential per
-pulse, in closed form from its generator G and the projector G^2 on span{|b>, |e>}, exact
-for that model; no builder runs an eigendecomposition or calls BLAS.  A :class:`RabiError`
-whose fields are arrays is an error grid.  Each scheme's builder
+pulse, in closed form and exact for that model.  A loop pulse's is written from its
+coupling G and the projector G^2 on span{|b>, |e>} (:func:`_pulse`); the single-shot
+pulse's generator is shifted by the detuning, so G^3 = G does not hold for it, and its
+closed form is a phase on span{|b>, |e>} times a rotation, summed elementwise in
+:func:`single_shot_gates`.  No builder runs an eigendecomposition or calls BLAS.
+A :class:`RabiError` whose fields are arrays is an error grid.  Each scheme's builder
 (:func:`two_loop_gates`, :func:`single_loop_gates`, :func:`single_shot_gates`)
 makes the ideal gate and the errored gates of a whole grid in one stacked
 pass: the ideal bright state rides along as one extra leading point of the
@@ -42,9 +45,9 @@ def _is_scalar(value) -> bool:
     return isinstance(value, (float, int)) or np.ndim(value) == 0
 
 
-def _principal(angle):
-    """Angle (float or array) reduced to [0, 2*pi); a rounding that lands on 2*pi maps to 0."""
-    a = (float(angle) if _is_scalar(angle) else np.asarray(angle, dtype=float)) % TWO_PI
+def _principal(angle: float) -> float:
+    """Angle reduced to [0, 2*pi); a rounding that lands on 2*pi maps to 0."""
+    a = float(angle) % TWO_PI
     return a - TWO_PI * (a >= TWO_PI)
 
 
@@ -349,39 +352,30 @@ def single_loop_errored(path: SingleLoopPath, error: RabiError) -> np.ndarray:
     return single_loop_gates(path, error)[1]
 
 
-def _error_operator(pb: np.ndarray, cross: np.ndarray, gamma: float, delta) -> tuple[float, np.ndarray]:
-    """Normalized traceless rotation operator of the errored single-shot drive, given its frame.
-
-    ``pb, cross`` are a :func:`_bright_frame`, stacked to match an array delta.  Returns
-    (lambda, sigma) with lambda = hypot((1+delta) cos gamma, sin gamma); sigma squares to the
-    bright/excited projector and is traceless.
-    """
-    sg, cg = np.sin(gamma), np.cos(gamma)
-    drive = (1.0 + delta) * cg
-    lam = np.hypot(drive, sg)
-    sigma = (drive[..., None, None] * cross + sg * (PROJ_E - pb)) / lam[..., None, None]
-    return lam, sigma
-
-
 def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarray, np.ndarray]:
-    """(ideal, errored): both single-shot gates from one bright-state and one pulse call, any kappa.
+    """(ideal, errored): both single-shot gates from one bright-state call, any kappa, with no pulse call.
 
-    The ideal gate is e^{i zeta}(|e><e| + |b><b|) + |d><d|, zeta = pi (1 - sin gamma).  Under drive errors
-    the drives tilt as a loop's do: the bright state is e^{i beta0} bright_state(2 alpha', beta1 - beta0)
-    and its area excess delta, from relative_error_angles(2 alpha).  The errored gate is a bright/excited
-    phase times a rotation by lambda*pi about the tilted error axis, identity on the dark state.  The
-    acceptance suite compares both with the oracle's exponential of the full Hamiltonian at area pi.
+    The pulse is one time-independent H = d X + 2 s |e><e| at area pi, X = e^{i beta0}|b><e| + h.c.,
+    s = sin gamma and d = (1 + delta) cos gamma.  H = M + s P with P = |b><b| + |e><e| and
+    M = d X + s (|e><e| - |b><b|), which commutes with P and squares to lam^2 P, lam = hypot(d, s); so
+    exp(-1j pi H) = (I - P) + e^{-i pi s} [cos(pi lam) P - 1j (sin(pi lam) / lam) M], summed elementwise.
+    Under drive errors the drives tilt as a loop's do: the bright state is e^{i beta0} bright_state(2 alpha',
+    beta1 - beta0) and its area excess delta, from relative_error_angles(2 alpha).  Without errors lam = 1,
+    and the ideal gate is e^{i zeta} P + |d><d|, zeta = pi (1 - s).  The acceptance suite compares both
+    with the oracle's exponential of the full Hamiltonian at area pi.
     """
     theta_p, delta = relative_error_angles(2.0 * path.alpha, error)
     bright = bright_state(np.append(2.0 * path.alpha, theta_p), path.beta1 - path.beta0)
     pb, cross = _bright_frame(bright, path.beta0)
-    zeta = np.pi * (1.0 - np.sin(path.gamma))
+    s = np.sin(path.gamma)
+    zeta = np.pi * (1.0 - s)
     ideal = np.exp(1j * zeta) * (PROJ_E + pb[0]) + (IDENTITY - PROJ_E - pb[0])
-    lam, sigma = _error_operator(pb[1:], cross[1:], path.gamma, np.ravel(delta))
-    areas = np.stack([np.full_like(lam, np.pi * np.sin(path.gamma)), lam * np.pi])
-    square = PROJ_E + pb[1:]  # the phase generator, and the square of sigma
-    phase, rotation = _pulse(np.stack([square, sigma]), square, areas)
-    return ideal, product(phase, rotation).reshape(np.shape(delta) + (3, 3))
+    d = (1.0 + np.ravel(delta))[:, None, None] * np.cos(path.gamma)
+    lam = np.hypot(d, s)
+    pb, square = pb[1:], PROJ_E + pb[1:]
+    rotated = np.cos(np.pi * lam) * square - 1j * (np.sin(np.pi * lam) / lam) * (d * cross[1:] + s * (PROJ_E - pb))
+    errored = np.exp(-1j * np.pi * s) * rotated + (IDENTITY - square)
+    return ideal, errored.reshape(np.shape(delta) + (3, 3))
 
 
 def single_shot_errored(path: SingleShotPath, error: RabiError) -> np.ndarray:

@@ -335,6 +335,8 @@ ALL_CHECKS = (
 def run_suite(level: str, seed: int) -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
+    if seed < 0:  # each check seeds numpy's default_rng(seed + k), which refuses a negative seed
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     results = []
     for index, check in enumerate(ALL_CHECKS, 1):
         started = time.perf_counter()

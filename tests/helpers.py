@@ -220,9 +220,34 @@ def reference_single_shot_ideal(path) -> np.ndarray:
     return np.exp(1j * zeta) * (PROJ_E + pb) + (IDENTITY - PROJ_E - pb)
 
 
-def reference_single_shot_errored(path, error) -> np.ndarray:
+def reference_single_shot_errored(path, error, detuning_sign: float = 1.0) -> np.ndarray:
+    """The builder's closed form of the errored single-shot gate, written apart from the ideal one.
+
+    ``detuning_sign=-1.0`` flips the sign of the detuning term sin(gamma) (|e><e| - |b><b|), and nothing else.
+    """
     _, delta, pb, cross = single_shot_frame(path, error)
-    lam, sigma = schemes._error_operator(pb, cross, path.gamma, delta)
-    square = PROJ_E + pb  # the phase generator, and the square of sigma
+    s = np.sin(path.gamma)
+    d = (1.0 + np.ravel(delta))[:, None, None] * np.cos(path.gamma)
+    lam = np.hypot(d, s)
+    pb, cross = pb.reshape(-1, 3, 3), cross.reshape(-1, 3, 3)
+    square = PROJ_E + pb
+    generator = d * cross + detuning_sign * s * (PROJ_E - pb)
+    rotated = np.cos(np.pi * lam) * square - 1j * (np.sin(np.pi * lam) / lam) * generator
+    errored = np.exp(-1j * np.pi * s) * rotated + (IDENTITY - square)
+    return errored.reshape(np.shape(delta) + (3, 3))
+
+
+def factored_single_shot_errored(path, error) -> np.ndarray:
+    """The errored single-shot gate as a phase pulse times a rotation, two commuting exponentials.
+
+    The phase pulse is exp(-1j pi sin(gamma) P), P = |b><b| + |e><e|; the rotation is by pi lam about
+    sigma = (d X + sin(gamma) (|e><e| - |b><b|)) / lam, with d = (1 + delta) cos(gamma), lam = hypot(d, sin(gamma))
+    and X the coupling.  sigma squares to P, so both factors are ``schemes._pulse``'s closed form.
+    """
+    _, delta, pb, cross = single_shot_frame(path, error)
+    drive = (1.0 + delta) * np.cos(path.gamma)
+    lam = np.hypot(drive, np.sin(path.gamma))
+    sigma = (drive[..., None, None] * cross + np.sin(path.gamma) * (PROJ_E - pb)) / lam[..., None, None]
+    square = PROJ_E + pb
     phase = schemes._pulse(square, square, np.pi * np.sin(path.gamma))
     return product(phase, schemes._pulse(sigma, square, lam * np.pi))

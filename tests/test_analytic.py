@@ -461,7 +461,9 @@ ANSWER_ERRORS = {
 # second-order values moved, by at most 5.5e-5, when the second order became 1 - Q of
 # the quadratic form in place of the paper's expression at the errored angles; one
 # two-loop exact value at zero error, 1 ulp above 1, reads 1.0 since the trace fidelity
-# maps rounding above 1 to 1
+# maps rounding above 1 to 1; two single-shot exact values at epsilon = 0.01, the first of
+# each path's row, moved down by 1 ulp when the errored single-shot gate became one
+# closed form in place of a phase pulse times a rotation
 PARENT_ANSWERS = {
     "two-loop": [
         [
@@ -521,7 +523,7 @@ PARENT_ANSWERS = {
     ],
     "single-shot": [
         [
-            ("0x1.ffe0ebbd43579p-1", "0x1.ffe0f737fe556p-1"),
+            ("0x1.ffe0ebbd43578p-1", "0x1.ffe0f737fe556p-1"),
             ("0x1.fe13073366ad0p-1", "0x1.fe0f737fe555dp-1"),
             (
                 "0x1.ff844652aa49bp-1", "0x1.ffffb08a4a49fp-1", "0x1.fee799d391267p-1", "0x1.ff83dcdff9557p-1",
@@ -529,7 +531,7 @@ PARENT_ANSWERS = {
             ),
         ],
         [
-            ("0x1.fff985c47d83dp-1", "0x1.fff98fd62bfe5p-1"),
+            ("0x1.fff985c47d83cp-1", "0x1.fff98fd62bfe5p-1"),
             ("0x1.ff9b8f8dfcafbp-1", "0x1.ff98fd62bfe49p-1"),
             (
                 "0x1.ffe690f18cc25p-1", "0x1.ffffef821d26dp-1", "0x1.ffc50116e6df1p-1", "0x1.ffe63f58aff92p-1",
@@ -590,8 +592,8 @@ def test_single_loop_fidelity_pair_builds_one_coupling_generator(monkeypatch):
 def test_single_shot_fidelity_pair_builds_one_frame(monkeypatch):
     calls = count_calls(monkeypatch, "bright_state", "_bright_frame", "_pulse")
     fidelity_pair("single-shot", SingleShotPath(0.4, 0.3, 1.2, 0.5), RabiError(0.01, 0.005))
-    # the ideal bright state rides along with the errored one; both factors of the errored gate in one pulse call
-    assert calls == {"bright_state": 1, "_bright_frame": 1, "_pulse": 1}
+    # the ideal bright state rides along with the errored one; the errored gate is one closed form, no pulse call
+    assert calls == {"bright_state": 1, "_bright_frame": 1, "_pulse": 0}
 
 
 def test_probe_consistency():

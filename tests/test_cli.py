@@ -565,3 +565,17 @@ def test_verify_a_check_that_raises_fails_its_criterion_and_the_rest_still_run(m
     assert [line[:6] for line in lines[1:4]] == ["[PASS]", "[FAIL]", "[PASS]"]
     assert lines[4] == "2/3 criteria passed"
     assert err == ""
+
+
+def test_verify_refuses_a_negative_seed_before_any_check_runs(monkeypatch, capsys):
+    # the checks seed numpy's default_rng(seed + k), which raises for seed + k < 0: -1 is refused up front
+    from holopath import verify
+
+    def never(level, seed):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (never,))
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -100"):
+        verify.run_suite(level="fast", seed=-100)
+    assert run(["verify", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "holopath: error: seed must be a non-negative integer, got -1\n"

@@ -17,9 +17,10 @@ import pytest
 from holopath import analytic, oracle, pathfinder, schemes, verify
 from holopath.linalg import IDENTITY, KET_E
 
+from helpers import reference_single_shot_errored, reference_single_shot_ideal
+
 _relative_error_angles = schemes.relative_error_angles
 _bright_coupling = schemes._bright_coupling
-_error_operator = schemes._error_operator
 _propagate = oracle.propagate
 _single_loop_gates = schemes.single_loop_gates
 _two_loop_form = analytic.SCHEMES["two-loop"].quadratic_form
@@ -49,9 +50,10 @@ def _propagate_segments_reversed(schedule, steps_per_segment):
     return _propagate(oracle.Schedule(schedule.segments[::-1]), steps_per_segment)
 
 
-def _detuning_sign_flipped(pb, cross, gamma, delta):
-    # the errored single-shot rotation at -gamma: its detuning term sin(gamma) (|e><e| - |b><b|) changes sign
-    return _error_operator(pb, cross, -gamma, delta)
+def _detuning_sign_flipped(path, error):
+    # the single-shot builder with its detuning term sin(gamma) (|e><e| - |b><b|) of the wrong sign: at sign +1
+    # the reference equals the builder bit for bit (test_grid.py), so this differs from it in that term alone
+    return reference_single_shot_ideal(path), reference_single_shot_errored(path, error, detuning_sign=-1.0)
 
 
 def _single_loop_built_at_shifted_phi(path, error):
@@ -82,7 +84,7 @@ MUTANTS = [
     # the oracle itself: criterion 7 holds it against the closed forms, so it catches a wrong oracle too
     ("segments out of time order", oracle, "propagate", _propagate_segments_reversed, {7}),
     # criterion 3 cannot catch a flipped detuning: f3 depends on cos^4 gamma only
-    ("detuning sign", schemes, "_error_operator", _detuning_sign_flipped, {7, 8}),
+    ("detuning sign", schemes, "single_shot_gates", _detuning_sign_flipped, {7, 8}),
     # a builder mutant whose fidelities the coefficient fit still accepts: criterion 3 reads the wrong coefficient
     ("single-loop built at phi + 0.02", schemes, "single_loop_gates", _single_loop_built_at_shifted_phi, {3, 7, 8}),
     # the second-order model alone: the gates, and so criterion 7, are untouched

@@ -36,6 +36,7 @@ from helpers import (
     bright_dark,
     bright_excited_projector,
     coupling_generator,
+    factored_single_shot_errored,
     pauli_dot,
     projector,
     projective_distance_qubit,
@@ -130,13 +131,9 @@ def _bright_excited(draw, stack):
     return square, square
 
 
-def _sigma(draw, stack):
-    path, (_, delta, pb, cross) = _errored_frame(draw, stack)
-    return schemes._error_operator(pb, cross, path.gamma, delta)[1], PROJ_E + pb
-
-
-#: every generator kind the gate constructors exponentiate, with the square they pass _pulse, by name
-PULSE_GENERATORS = {"coupling": _coupling, "bright/excited projector": _bright_excited, "sigma": _sigma}
+#: every generator kind given to _pulse, with its square, by name: the two-loop and single-loop builders'
+#: coupling, and the phase pulse of helpers.factored_single_shot_errored
+PULSE_GENERATORS = {"coupling": _coupling, "bright/excited projector": _bright_excited}
 
 
 @pytest.mark.parametrize("kind", PULSE_GENERATORS)
@@ -399,17 +396,6 @@ def test_single_shot_closed_vs_full_hamiltonian_grid():
     assert worst <= 1e-11
 
 
-def test_single_shot_error_operator_properties(rng):
-    for _ in range(100):
-        path = SingleShotPath(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi),
-                              rng.uniform(0, 2 * np.pi), rng.uniform(-np.pi / 2, np.pi / 2))
-        _, delta, pb, cross = single_shot_frame(path, RabiError(*rng.uniform(-0.1, 0.1, 2)))
-        lam, sigma = schemes._error_operator(pb, cross, path.gamma, delta)
-        assert lam > 0
-        assert abs(np.trace(sigma)) <= 1e-12
-        np.testing.assert_allclose(sigma @ sigma, PROJ_E + pb, atol=1e-12)
-
-
 def test_single_shot_errored_fixture():
     # gamma = pi/6: F = 1 - (1/3) pi^2 eps^2 (9/16) + O(eps^3)
     path = SingleShotPath(0.4, 0.0, 0.9, np.pi / 6)
@@ -425,6 +411,29 @@ def test_single_shot_zero_error_reduction(rng):
     ideal, errored = single_shot_gates(path, RabiError(0.0))
     diff = errored - ideal
     assert np.max(np.abs(diff)) <= 1e-13
+
+
+#: (epsilon, kappa) shapes: a point, stacks, the empty one included, and a 2 x 3 grid by broadcasting
+ERROR_SHAPES = st.sampled_from([((), ()), ((0,), (0,)), ((1,), ()), ((3,), (3,)), ((2, 1), (1, 3))])
+
+
+def _fractions(draw, shape):
+    size = int(np.prod(shape))
+    values = np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=size, max_size=size))).reshape(shape)
+    return float(values) if values.ndim == 0 else values
+
+
+@PULSE_SETTINGS
+@given(data=st.data())
+def test_single_shot_closed_form_equals_phase_times_rotation(data):
+    # the builder's one closed form against the factored reference, a phase pulse times a rotation,
+    # at any gamma (+/- pi/2 included) and at an error point or on a grid
+    gamma = data.draw(st.floats(-np.pi / 2, np.pi / 2) | st.sampled_from([-np.pi / 2, 0.0, np.pi / 2]))
+    path = SingleShotPath(data.draw(st.floats(0.0, np.pi / 2)), data.draw(PHASES), data.draw(PHASES), gamma)
+    error = RabiError(*(_fractions(data.draw, shape) for shape in data.draw(ERROR_SHAPES)))
+    errored, reference = single_shot_gates(path, error)[1], factored_single_shot_errored(path, error)
+    assert errored.shape == reference.shape
+    np.testing.assert_allclose(errored, reference, rtol=0, atol=1e-14)
 
 
 def test_single_shot_relative_error_matches_oracle_limit(rng):
