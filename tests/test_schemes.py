@@ -436,6 +436,34 @@ def test_single_shot_closed_form_equals_phase_times_rotation(data):
     np.testing.assert_allclose(errored, reference, rtol=0, atol=1e-14)
 
 
+def _drawn_single_shot(rng):
+    path = SingleShotPath(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi),
+                          rng.uniform(0, 2 * np.pi), rng.uniform(-np.pi / 2, np.pi / 2))
+    return path, RabiError(*rng.uniform(-0.1, 0.1, 2))
+
+
+def test_single_shot_errored_gate_is_unitary_and_fixes_the_dark_state(rng):
+    # the closed form's rotation is unitary on P = |b><b| + |e><e| because its generator squares to lam^2 P;
+    # outside P it is the identity
+    for _ in range(100):
+        path, error = _drawn_single_shot(rng)
+        _, _, pb, _ = single_shot_frame(path, error)
+        errored = single_shot_gates(path, error)[1]
+        np.testing.assert_allclose(errored.conj().T @ errored, IDENTITY, rtol=0, atol=1e-13)
+        dark = IDENTITY - PROJ_E - pb
+        np.testing.assert_allclose(errored @ dark, dark, rtol=0, atol=1e-14)
+
+
+def test_single_shot_errored_gate_matches_expm_of_its_hamiltonian(rng):
+    # H = d X + 2 sin(gamma) |e><e| in the errored bright frame, d = (1 + delta) cos(gamma), at area pi
+    for _ in range(100):
+        path, error = _drawn_single_shot(rng)
+        _, delta, _, cross = single_shot_frame(path, error)
+        hamiltonian = (1.0 + delta) * np.cos(path.gamma) * cross + 2.0 * np.sin(path.gamma) * PROJ_E
+        direct = scipy.linalg.expm(-1j * np.pi * hamiltonian)
+        np.testing.assert_allclose(single_shot_gates(path, error)[1], direct, rtol=0, atol=1e-13)
+
+
 def test_single_shot_relative_error_matches_oracle_limit(rng):
     for _ in range(50):
         path = SingleShotPath(
