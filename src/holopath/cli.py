@@ -250,8 +250,8 @@ def cmd_verify(opts: dict) -> int:
     from . import verify
 
     seed = opts["seed"] if opts["seed"] is not None else verify.DEFAULT_SEED
+    results = verify.run_suite(level=opts["level"], seed=seed)  # refuses a bad seed before anything is printed
     print(f"holopath acceptance suite: level={opts['level']} seed={seed}")
-    results = verify.run_suite(level=opts["level"], seed=seed)
     for result in results:
         print(result.line)
     failed = [r for r in results if not r.passed]

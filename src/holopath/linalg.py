@@ -124,8 +124,8 @@ def _trace_fidelity(v: np.ndarray, ve: np.ndarray):
     # hypot, not np.abs: numpy's vectorized complex abs can differ from the scalar one in the last bit
     fidelity = np.hypot(trace.real, trace.imag) / 3.0
     # rounding lifts an exact 1 by a few ulp; a larger excess is a non-unitary operand, kept for callers to refuse
-    fidelity = np.where((fidelity > 1.0) & (fidelity <= 1.0 + _ROUNDING_EXCESS), 1.0, fidelity)
-    return fidelity if fidelity.ndim else float(fidelity)
+    rounding = (fidelity > 1.0) & (fidelity <= 1.0 + _ROUNDING_EXCESS)  # one rule; one pair's takes no np.where
+    return np.where(rounding, 1.0, fidelity) if fidelity.ndim else (1.0 if rounding else float(fidelity))
 
 
 def is_block_diagonal(matrix) -> bool:

@@ -51,7 +51,7 @@ class TwoLoopSolution(NamedTuple):
 
 
 def _polar_of(n: np.ndarray) -> tuple[float, float]:
-    return float(np.arccos(np.clip(n[2], -1.0, 1.0))), float(np.arctan2(n[1], n[0]))
+    return float(np.arccos(np.maximum(-1.0, np.minimum(1.0, n[2])))), float(np.arctan2(n[1], n[0]))
 
 
 def _circle_frame(axis: np.ndarray, polar: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +73,7 @@ def _pair_at_phi_b(polar1, polar2, phi_b: float) -> TwoLoopPath:
     That phi2 places the pair's decomposition phase (``schemes.phi_b_of``) at ``phi_b``.
     """
     loop1 = LoopParams(*polar1, 0.0)
-    b1, b2 = bright_state(loop1.theta, loop1.psi), bright_state(*polar2)
+    b1, b2 = bright_state(np.array([loop1.theta, polar2[0]]), np.array([loop1.psi, polar2[1]]))
     phi2 = float(phi_b) - float(np.angle((b1.conj() * b2).sum()))
     return TwoLoopPath(loop1, LoopParams(*polar2, phi2))
 

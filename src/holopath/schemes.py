@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import IDENTITY, KET_0, KET_1, PROJ_E, product
+from .linalg import IDENTITY, PROJ_E, product
 
 TWO_PI = 2.0 * np.pi
 
@@ -248,18 +248,21 @@ def bright_state(theta, psi) -> np.ndarray:
     it is not checked here.
     """
     half = theta / 2.0
-    return np.cos(half)[..., None] * KET_0 + (np.sin(half) * np.exp(1j * psi))[..., None] * KET_1
+    upper = np.sin(half) * np.exp(1j * psi)  # shaped like theta and psi broadcast, as the states are
+    out = np.zeros(np.shape(upper) + (3,), dtype=complex)
+    out[..., 0], out[..., 1] = np.cos(half), upper
+    return out
 
 
 def _bright_coupling(bright, phi) -> np.ndarray:
     """e^{i phi}|b><e| + h.c. for bright states of shape (..., 3); phi broadcasts against (...).
 
-    Only column 2, e^{i phi}|b>, and row 2, its conjugate, are nonzero, so only they are written.
+    Only column 2, e^{i phi}|b>, and row 2, its conjugate, are nonzero, so only they are written (entry (2, 2) is 0).
     """
     column = np.exp(1j * phi)[..., None] * bright
     out = np.zeros(column.shape + (3,), dtype=complex)
+    out[..., 2, :] = column.conj()
     out[..., :, 2] = column
-    out[..., 2, :] += column.conj()
     return out
 
 
@@ -272,12 +275,10 @@ def _pulse(generator, square, area) -> np.ndarray:
     """exp(-1j * area * G) = I - 1j sin(area) G + (cos(area) - 1) P for a Hermitian G whose square is P.
 
     P = G^2, the projector on span{|b>, |e>}, comes built from the caller: no matrix product is formed.
-    Neither hermiticity nor G^2 = P is checked here, but by the tests and the acceptance suite.
-    Operands broadcast; a non-finite area raises ValueError.
+    Operands broadcast.  Nothing is checked here: not hermiticity or G^2 = P (the tests and the acceptance
+    suite check both), nor the areas, each (1 + delta) times pi or pi/2 from a checked path and error.
     """
     a = np.asarray(area, dtype=float)[..., None, None]
-    if not np.isfinite(a).all():
-        raise ValueError(f"area must be finite, got {area!r}")
     out = 1j * np.sin(a) * generator
     np.subtract(IDENTITY, out, out=out)  # in place, like the sum below, so fewer full stacks are alive at once
     out += (np.cos(a) - 1.0) * square
@@ -294,8 +295,8 @@ def relative_error_angles(theta, error: RabiError):
     theta and an error grid broadcast against each other.  theta must
     already lie in [0, pi], unchecked; theta_prime then lies there too.
     """
-    c0 = (1.0 + error.epsilon0) * np.cos(theta / 2.0)
-    s1 = (1.0 + error.epsilon1) * np.sin(theta / 2.0)
+    half = theta / 2.0
+    c0, s1 = (1.0 + error.epsilon0) * np.cos(half), (1.0 + error.epsilon1) * np.sin(half)
     return 2.0 * np.arctan2(s1, c0), np.hypot(c0, s1) - 1.0
 
 
@@ -330,11 +331,7 @@ def two_loop_gates(path: TwoLoopPath, error: RabiError) -> tuple[np.ndarray, np.
 
 
 def two_loop_errored_relative(path: TwoLoopPath, error: RabiError) -> np.ndarray:
-    """``two_loop_gates(path, error)[1]``.
-
-    Not exported by :mod:`holopath`; it stays here only because the benchmark's oracle-crosscheck
-    workload (``benchmarks/workloads.py``) calls it by name, as it does the other two errored views.
-    """
+    """``two_loop_gates(path, error)[1]``, unexported; the benchmark's oracle-crosscheck calls the errored views."""
     return two_loop_gates(path, error)[1]
 
 
@@ -365,7 +362,7 @@ def single_shot_gates(path: SingleShotPath, error: RabiError) -> tuple[np.ndarra
     with the oracle's exponential of the full Hamiltonian at area pi.
     """
     theta_p, delta = relative_error_angles(2.0 * path.alpha, error)
-    bright = bright_state(np.append(2.0 * path.alpha, theta_p), path.beta1 - path.beta0)
+    bright = bright_state(np.concatenate(([2.0 * path.alpha], np.ravel(theta_p))), path.beta1 - path.beta0)
     pb, cross = _bright_frame(bright, path.beta0)
     s = np.sin(path.gamma)
     zeta = np.pi * (1.0 - s)
@@ -392,9 +389,10 @@ def phi_b_of(path: TwoLoopPath) -> BrightDecomposition:
     reduced to [0, 2*pi).
     """
     loop1, loop2 = path.loop1, path.loop2
-    overlap = (bright_state(loop1.theta, loop1.psi).conj() * bright_state(loop2.theta, loop2.psi)).sum(axis=-1)
+    b1, b2 = bright_state(np.array([loop1.theta, loop2.theta]), np.array([loop1.psi, loop2.psi]))
+    overlap = (b1.conj() * b2).sum(axis=-1)
     # hypot, not np.abs: the two can differ in the last bit, and eta's bits are in every optimize output
     magnitude = np.hypot(overlap.real, overlap.imag)
     degenerate = magnitude <= DEGENERATE_OVERLAP
-    phi_b = np.nan if degenerate else _principal(loop2.phi - loop1.phi + np.angle(overlap))
+    phi_b = np.nan if degenerate else _principal(loop2.phi - loop1.phi + np.arctan2(overlap.imag, overlap.real))
     return BrightDecomposition(2.0 * np.arccos(np.minimum(1.0, magnitude)), phi_b, degenerate)

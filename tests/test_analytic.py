@@ -578,8 +578,8 @@ def test_two_loop_fidelity_pair_builds_the_errored_loops_once(monkeypatch):
         fidelity_pair("two-loop", path, error)
         # one builder pass at a point or a grid: the ideal loops ride along with the errored ones, so one
         # bright-state call and one pulse call build every loop; the quadratic form's phi_b_of makes the
-        # other two bright-state calls, one ideal state per loop, once per fidelity_pair call
-        assert calls == {"two_loop_gates": 1, "phi_b_of": 1, "relative_error_angles": 1, "bright_state": 3, "_pulse": 1}
+        # other bright-state call, both loops' ideal states stacked, once per fidelity_pair call
+        assert calls == {"two_loop_gates": 1, "phi_b_of": 1, "relative_error_angles": 1, "bright_state": 2, "_pulse": 1}
 
 
 def test_single_loop_fidelity_pair_builds_one_coupling_generator(monkeypatch):

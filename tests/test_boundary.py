@@ -250,6 +250,21 @@ def test_bright_state_helpers_call_no_validator():
         assert not called & VALIDATORS, (name, called & VALIDATORS)
 
 
+#: one-point hot paths that must stay array code: a scalar-only (math.*) fork would not take a stack of paths
+ARRAY_BODIES = {
+    schemes: ("bright_state", "_bright_frame", "_bright_coupling", "_pulse", "_pulse_pair_gates",
+              "relative_error_angles", "single_shot_gates", "phi_b_of"),
+    analytic: ("_two_loop_form", "_single_loop_form", "_single_shot_form"),
+}
+
+
+def test_hot_paths_reach_no_math_name():
+    for module, names in ARRAY_BODIES.items():
+        functions = dict(_functions(module))
+        for name in names:
+            assert "math" not in _reached_names(functions[name]), (module.__name__, name)
+
+
 def test_no_comparison_on_a_scheme_name():
     # every scheme-specific choice is read from analytic.SCHEMES, never picked by comparing a name
     names = set(analytic.SCHEMES)

@@ -579,3 +579,11 @@ def test_verify_refuses_a_negative_seed_before_any_check_runs(monkeypatch, capsy
         verify.run_suite(level="fast", seed=-100)
     assert run(["verify", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "holopath: error: seed must be a non-negative integer, got -1\n"
+
+
+def test_verify_writes_nothing_on_stdout_for_a_negative_seed(capsys):
+    # like every other usage error: the header is printed only once the suite has run
+    assert run(["verify", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "holopath: error: seed must be a non-negative integer, got -1\n"

@@ -109,6 +109,23 @@ def test_gate_fidelity_rejects_non_unitary():
         gate_fidelity(np.eye(3) * 2.0, np.eye(3))
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_trace_fidelity_maps_only_a_rounding_excess_to_one(stacked):
+    # v = I, ve = (1 + d) I: d = 5e-15 is rounding and reads 1.0, d = 2e-14 is kept above 1, NaN stays NaN;
+    # one pair gives a Python float, a stack an ndarray, by the same rule
+    d = np.array([5e-15, 2e-14, np.nan])
+    ve = (1.0 + d)[:, None, None] * IDENTITY
+    if stacked:
+        fidelity = linalg._trace_fidelity(np.broadcast_to(IDENTITY, ve.shape), ve)
+        assert type(fidelity) is np.ndarray and fidelity.shape == (3,)
+    else:
+        fidelity = [linalg._trace_fidelity(IDENTITY, one) for one in ve]
+        assert all(type(value) is float for value in fidelity)
+    assert fidelity[0] == 1.0
+    assert 1.0 + 1e-14 < fidelity[1] < 1.0 + 3e-14
+    assert np.isnan(fidelity[2])
+
+
 def test_projective_distance_zero_cases(rng):
     block = qubit_rotation(0.6, [0.3, 0.8, np.sqrt(1 - 0.73)])
     v = np.eye(3, dtype=complex)

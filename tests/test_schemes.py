@@ -163,10 +163,42 @@ def test_pulse_generators_satisfy_cube_identity(kind, data):
     np.testing.assert_allclose(g @ g @ g, g, rtol=0, atol=1e-15)
 
 
-def test_pulse_keeps_expm_contracts():
-    # _pulse trusts its generators' hermiticity; a non-Hermitian coupling is a row of test_mutants.py
-    with pytest.raises(ValueError, match="area must be finite"):
-        schemes._pulse(coupling_generator(1.0, 0.0, 0.0), PROJ_E, np.array([np.pi, np.nan]))
+def test_pulse_areas_are_finite_for_every_checked_input(monkeypatch):
+    # _pulse trusts its generators' hermiticity (a non-Hermitian coupling is a row of test_mutants.py) and its
+    # areas: each is (1 + delta) times pi or pi/2, finite at every path and error the boundary accepts,
+    # the corners of the error cap included, while a non-finite error fraction is refused there
+    areas, pulse = [], schemes._pulse
+    monkeypatch.setattr(schemes, "_pulse", lambda g, square, area: areas.append(area) or pulse(g, square, area))
+    corners = RabiError(np.array([[-0.1], [0.1]]), np.array([-0.1, 0.1]))
+    for theta in (0.0, np.pi / 2, np.pi):
+        two_loop_gates(TwoLoopPath(LoopParams(theta, 0.0, 0.0), LoopParams(np.pi - theta, 1.0, 2.0)), corners)
+        single_loop_gates(SingleLoopPath(theta, 0.3, 1.1, 2.0), corners)
+    assert len(areas) == 6 and all(np.isfinite(area).all() for area in areas)
+    for bad in (np.nan, np.inf, -np.inf):
+        for fields in ((bad, 0.0), (0.0, bad), (np.array([0.0, bad]), 0.0)):
+            with pytest.raises(ValueError, match="must be <= 0.1"):
+                RabiError(*fields)
+
+
+def _bright_state_by_kets(theta, psi):
+    half = theta / 2.0
+    return np.cos(half)[..., None] * KET_0 + (np.sin(half) * np.exp(1j * psi))[..., None] * KET_1
+
+
+def test_bright_state_equals_the_ket_sum_bit_for_bit():
+    # bright_state writes the |0> and |1> entries into a zeroed array; the ket sum is its defining formula
+    rng = np.random.default_rng(31)
+    thetas = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0.0, np.pi, 5)])
+    psis = np.concatenate([[0.0, np.pi / 2, np.pi, 3 * np.pi / 2], rng.uniform(0.0, 2 * np.pi, 5)])
+    for theta in thetas:
+        for psi in psis:
+            assert np.array_equal(schemes.bright_state(theta, psi), _bright_state_by_kets(theta, psi))
+            assert schemes.bright_state(theta, psi).shape == (3,)
+    for theta, psi in [(thetas[:, None], psis), (thetas, thetas[::-1]), (thetas.reshape(2, 1, 4), psis[0]),
+                       (thetas[2], psis.reshape(3, 3))]:
+        states = schemes.bright_state(theta, psi)
+        assert states.shape == np.broadcast_shapes(np.shape(theta), np.shape(psi)) + (3,)
+        assert np.array_equal(states, _bright_state_by_kets(theta, psi))
 
 
 # ------------------------------------------------------------------- two-loop
