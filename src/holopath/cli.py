@@ -105,7 +105,11 @@ _OPTIONS = {
         "orientation_sign": (int, 1, pathfinder.ORIENTATION_SIGNS, None),
         "out": (str, None, None, "output JSON path (default: stdout)"),
     },
-    "verify": {"level": (str, "fast", ("fast", "full"), None), "seed": (int, None, None, None)},
+    "verify": {
+        "level": (str, "fast", ("fast", "full"), None),
+        "seed": (int, None, None, None),
+        "json": (_parse_bool, False, None, "write the results as one JSON document on stdout"),
+    },
 }
 
 _COMMAND_HELP = {
@@ -251,11 +255,14 @@ def cmd_verify(opts: dict) -> int:
 
     seed = opts["seed"] if opts["seed"] is not None else verify.DEFAULT_SEED
     results = verify.run_suite(level=opts["level"], seed=seed)  # refuses a bad seed before anything is printed
-    print(f"holopath acceptance suite: level={opts['level']} seed={seed}")
-    for result in results:
-        print(result.line)
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    if opts["json"]:
+        _json_dump({"level": opts["level"], "seed": seed, "criteria": [r.record() for r in results]}, None)
+    else:
+        print(f"holopath acceptance suite: level={opts['level']} seed={seed}")
+        for result in results:
+            print(result.line)
+        print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return EXIT_VERIFY if failed else EXIT_OK
 
 

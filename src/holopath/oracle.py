@@ -15,8 +15,10 @@ Hermitian generator G, so the steps of a segment commute and share G's
 eigenbasis: each step is the diagonal phase exp(-1j * a_k * vals) in that
 basis, and the segment's ordered product is exactly the basis change
 applied to the product of the per-step phases.  Each step's factor is
-cos(x) - 1j sin(x) of its own real angle x = a_k * v.  A segment is stepped
-in blocks of ``_BLOCK_STEPS`` steps through one reused buffer whose first
+cos(x) - 1j sin(x) of its real angle x = a_k * v; steps that share one
+angle (a constant envelope) share its computed factor, which is still
+multiplied once per step, in step order.  A segment is stepped in blocks
+of ``_BLOCK_STEPS`` steps through one reused buffer whose first
 column carries the running product, so every factor is multiplied in step
 order, the areas are never summed (the closed forms' shortcut), and memory
 per segment is bounded by the block, not by the step count.  Segments are
@@ -47,6 +49,8 @@ from .schemes import RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 #: area of each unit-amplitude shape over [0, 1]
 _UNIT_AREA = {"square": 1.0, "sine": 2.0 / np.pi, "sine-squared": 0.5}
 SHAPES = tuple(_UNIT_AREA)
+#: the shapes whose envelope is constant, so that every midpoint area of a segment is one float
+_CONSTANT_SHAPES = frozenset({"square"})
 
 #: propagation error below this is roundoff; convergence order is then indeterminate
 ROUNDOFF_FLOOR = 1e-12
@@ -81,7 +85,7 @@ class ScheduleSegment:
     def envelope(self, t):
         """Omega(t) at time(s) t: the amplitude times the unit shape."""
         t = np.asarray(t, dtype=float)
-        unit = np.ones_like(t) if self.shape == "square" else np.sin(np.pi * t)
+        unit = np.ones_like(t) if self.shape in _CONSTANT_SHAPES else np.sin(np.pi * t)
         return self.area / _UNIT_AREA[self.shape] * (unit ** 2 if self.shape == "sine-squared" else unit)
 
 
@@ -99,21 +103,22 @@ def propagate(schedule: Schedule, steps_per_segment: int) -> np.ndarray:
     """Ordered product of per-step exponentials exp(-1j H(t_k) dt), midpoint sampled at dt = 1 / steps.
 
     Each segment's generator is fixed, so its steps are diagonal in one
-    eigenbasis and their ordered product is the product of the per-step
-    phase factors in that basis; segments are stepped concurrently, on up to
-    the usable CPUs, and multiplied in time order, bit for bit as serially.
-    Step k's factor on eigenvalue v is cos(a_k v) - 1j sin(a_k v) of its own
-    midpoint area a_k.  The steps run in blocks of ``_BLOCK_STEPS``: each
-    block's factors fill columns 1.. of a reused buffer whose column 0 holds
-    the product of all earlier factors, so each eigenvalue's factors are
+    eigenbasis and their ordered product is the product of the per-step phase
+    factors in that basis; segments are stepped concurrently, on up to the
+    usable CPUs, and multiplied in time order, bit for bit as serially.  Step
+    k's factor on eigenvalue v is cos(a_k v) - 1j sin(a_k v) of its midpoint
+    area a_k, computed once per eigenvalue and segment on a constant envelope,
+    whose steps share one area.  The steps run in blocks of ``_BLOCK_STEPS``:
+    each block's factors fill columns 1.. of a reused buffer whose column 0
+    holds the product of all earlier factors, so each eigenvalue's factors are
     multiplied in step order, never summed, and the result is the same, bit
-    for bit, as one product over all steps.  Each eigenvalue's product is
-    then divided by its modulus once, which uses only |cos x - 1j sin x| = 1:
-    on a square envelope all factors round alike, and their modulus error
-    would otherwise compound to about N ulp.  ``steps_per_segment`` must be
-    an integer (``int`` or a numpy integer; a float such as 1000.5 raises
-    ValueError) and at least 100.  An empty schedule yields the identity
-    with a warning.  The result is unitary to roundoff and converges to the
+    for bit, as one product over all steps.  Each eigenvalue's product is then
+    divided by its modulus once, which uses only |cos x - 1j sin x| = 1: on a
+    square envelope all factors round alike, and their modulus error would
+    otherwise compound to about N ulp.  ``steps_per_segment`` must be an
+    integer (``int`` or a numpy integer; a float such as 1000.5 raises
+    ValueError) and at least 100.  An empty schedule yields the identity with
+    a warning.  The result is unitary to roundoff and converges to the
     accumulated-area propagator as steps increase.
     """
     try:
@@ -140,12 +145,18 @@ def _step_segment(seg: ScheduleSegment, steps: int) -> np.ndarray:
     h = 1.0 / steps
     angles = np.empty((3, _BLOCK_STEPS))
     buf = np.ones((3, _BLOCK_STEPS + 1), dtype=complex)
+    constant = seg.shape in _CONSTANT_SHAPES
     for start in range(0, steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, steps - start)
-        # the midpoint areas are a temporary: no block's areas stay alive while the next block's are made
-        np.multiply.outer(vals, seg.envelope((np.arange(start, start + n) + 0.5) * h) * h, out=angles[:, :n])
-        np.cos(angles[:, :n], out=buf[:, 1:n + 1].real)
-        np.sin(angles[:, :n], out=buf[:, 1:n + 1].imag)
+        # a constant envelope's steps share one angle per eigenvalue: its factor is computed for the first step
+        # and copied into the first block's other columns, and each later block (none is longer) only multiplies
+        if start == 0 or not constant:
+            k = 1 if constant else n
+            # the midpoint areas are a temporary: no block's areas stay alive while the next block's are made
+            np.multiply.outer(vals, seg.envelope((np.arange(start, start + k) + 0.5) * h) * h, out=angles[:, :k])
+            np.cos(angles[:, :k], out=buf[:, 1:k + 1].real)
+            np.sin(angles[:, :k], out=buf[:, 1:k + 1].imag)
+            buf[:, k + 1:n + 1] = buf[:, 1:2]
         buf[:, 0] = np.prod(buf[:, :n + 1], axis=1)
     buf[:, 0] /= np.abs(buf[:, 0])
     # conjugating the product conjugates every factor exactly: prod(cos - 1j sin)

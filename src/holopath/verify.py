@@ -1,9 +1,10 @@
 """Acceptance suite: one check per acceptance criterion, shared by CLI and tests.
 
 Each check returns a :class:`CheckResult` of :class:`Gate` records, one per bound it checks (measured value,
-bound, strict or not); pass/fail and the console line follow from them, and readings without a bound go in
-its ``note``.  ``level="fast"`` trims the randomized sample counts and oracle step counts for a sub-minute
-run; ``level="full"`` runs the complete counts (notably the 1e5-step oracle comparisons).
+bound, strict or not); pass/fail, the console line and the JSON record of ``holopath verify --json`` follow
+from them, and readings without a bound go in its ``note``.  ``level="fast"`` trims the randomized sample
+counts and oracle step counts for a sub-minute run; ``level="full"`` runs the complete counts (notably the
+1e5-step oracle comparisons).
 """
 
 from __future__ import annotations
@@ -43,10 +44,24 @@ class Gate(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return bool(self.measured < self.bound if self.strict else self.measured <= self.bound)
+        """``measured`` within ``bound``; a non-finite measured value or bound fails."""
+        finite = np.isfinite(self.measured) and np.isfinite(self.bound)
+        return bool(finite and (self.measured < self.bound if self.strict else self.measured <= self.bound))
 
     def __str__(self) -> str:
         return f"{self.label}={self.measured:.3g} ({'<' if self.strict else '<='}{self.bound:.3g})"
+
+    def record(self) -> dict:
+        """The gate as JSON data, with ``margin = bound - measured``: >= 0 on a pass, > 0 on a strict one."""
+        numbers = {"measured": self.measured, "bound": self.bound, "margin": self.bound - self.measured}
+        return {"label": self.label, "strict": self.strict, "passed": self.passed,
+                **{key: _json_number(value) for key, value in numbers.items()}}
+
+
+def _json_number(value) -> float | None:
+    """``value`` as a Python float, or None (JSON null) when it is not finite."""
+    value = float(value)
+    return value if np.isfinite(value) else None
 
 
 @dataclass
@@ -60,6 +75,11 @@ class CheckResult:
     def passed(self) -> bool:
         """Every gate passes; a result without gates checked nothing and fails."""
         return bool(self.gates) and all(gate.passed for gate in self.gates)
+
+    def record(self) -> dict:
+        """The result as JSON data: a check that raised has no gates and its exception as the note."""
+        gates = [gate.record() for gate in self.gates]
+        return {"name": self.name, "passed": self.passed, "seconds": self.seconds, "note": self.note, "gates": gates}
 
     @property
     def line(self) -> str:

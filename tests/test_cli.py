@@ -466,7 +466,7 @@ OPTION_SAMPLES = {
         "theta_gate": "-0.5", "axis": "0,0,-1", "phi_b": "0.5", "balanced": "false",
         "orientation_sign": "-1", "out": "paths.json",
     },
-    "verify": {"level": "full", "seed": "7"},
+    "verify": {"level": "full", "seed": "7", "json": "true"},
 }
 
 
@@ -483,7 +483,7 @@ def test_flag_and_config_key_resolve_alike(tmp_path, command, name):
     flag_cfg.write_text(others)
     config_cfg.write_text(others + f"{name}={samples[name]}\n")
     if cli._OPTIONS[command][name][0] is cli._parse_bool:
-        flag = ["--balanced" if samples[name] == "true" else "--no-balanced"]
+        flag = [f"--{'' if samples[name] == 'true' else 'no-'}{name.replace('_', '-')}"]
     else:
         flag = [f"--{name.replace('_', '-')}={samples[name]}"]
     parser = cli.build_parser()
@@ -587,3 +587,55 @@ def test_verify_writes_nothing_on_stdout_for_a_negative_seed(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "holopath: error: seed must be a non-negative integer, got -1\n"
+
+
+def _strict_json(text):
+    # a NaN or infinity in the document fails here: strict JSON writes a non-finite number as null
+    def refuse(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_json_gives_every_gate_its_margin_at_the_default_seed(capsys):
+    from holopath import verify
+
+    assert run(["verify", "--level", "fast", "--json"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert (payload["level"], payload["seed"]) == ("fast", verify.DEFAULT_SEED)
+    assert [c["name"].split()[0] for c in payload["criteria"]] == [f"criterion-{i}" for i in range(1, 9)]
+    for criterion in payload["criteria"]:
+        assert set(criterion) == {"name", "passed", "seconds", "note", "gates"}
+        assert criterion["passed"] is True and criterion["seconds"] >= 0.0 and criterion["gates"]
+        for gate in criterion["gates"]:
+            assert set(gate) == {"label", "measured", "bound", "strict", "margin", "passed"}
+            assert gate["margin"] == gate["bound"] - gate["measured"]
+            assert gate["passed"] is (gate["margin"] > 0 if gate["strict"] else gate["margin"] >= 0) is True
+
+
+def test_verify_json_writes_a_raising_check_gateless_and_a_non_finite_value_as_a_failing_null(monkeypatch, capsys):
+    from holopath import verify
+
+    def passing(level, seed):
+        return verify.CheckResult("criterion-1 stub", [verify.Gate("stub", 0.0, 0.0)], 0.0)
+
+    def raising(level, seed):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    def non_finite(level, seed):
+        gates = [verify.Gate("nan", math.nan, 1.0), verify.Gate("-inf", -math.inf, 1.0)]
+        gates.append(verify.Gate("inf bound", 0.0, math.inf))
+        return verify.CheckResult("criterion-3 stub", gates, 0.0, "reading")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", (passing, raising, non_finite))
+    assert run(["verify", "--json"]) == 3
+    out, err = capsys.readouterr()
+    first, second, third = _strict_json(out)["criteria"]
+    assert first["passed"] is True and first["gates"][0]["margin"] == 0.0
+    assert (second["name"], second["passed"], second["gates"]) == ("criterion-2 raising", False, [])
+    assert second["note"] == "raised LinAlgError: eigh did not converge"
+    assert (third["passed"], third["note"]) == (False, "reading")
+    assert [(g["measured"], g["bound"], g["margin"], g["passed"]) for g in third["gates"]] == [
+        (None, 1.0, None, False), (None, 1.0, None, False), (0.0, None, None, False)
+    ]
+    assert err == ""

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from holopath import oracle
+from holopath.analytic import SCHEMES
 from holopath.linalg import IDENTITY, expm, gate_fidelity
 from holopath.oracle import (
     Schedule,
@@ -263,6 +265,42 @@ def test_blocked_propagate_equals_whole_segment_product_bit_for_bit(shape, count
     schedule = _pulse_schedule(*[shape] * count)
     assert len(schedule.segments) == count
     assert np.array_equal(propagate(schedule, steps), _whole_segment_propagate(schedule, steps))
+
+
+_SCHEDULE_FOR = {
+    "two-loop": schedule_for_two_loop, "single-loop": schedule_for_single_loop, "single-shot": schedule_for_single_shot,
+}
+
+
+@pytest.mark.parametrize("steps", [100, B + 1])
+@pytest.mark.parametrize("shape", ["square", "sine-squared"])
+@pytest.mark.parametrize("scheme", list(_SCHEDULE_FOR))
+def test_blocked_propagate_equals_whole_segment_product_bit_for_bit_on_each_schemes_schedule(scheme, shape, steps):
+    # each scheme's own pulses under a relative error, single-shot's detuned generator included
+    path = SCHEMES[scheme].random_path(np.random.default_rng(11))
+    schedule = _SCHEDULE_FOR[scheme](path, RabiError(0.03, -0.02), shape)
+    if scheme == "single-shot":
+        low, _, high = np.linalg.eigvalsh(schedule.segments[0].generator)
+        assert abs(low + high) > 0.1  # its eigenvalues are not {-l, 0, l}
+    assert np.array_equal(propagate(schedule, steps), _whole_segment_propagate(schedule, steps))
+
+
+@pytest.mark.parametrize("shape", ["square", "sine-squared"])
+def test_propagate_computes_a_constant_envelopes_factor_once_per_eigenvalue(monkeypatch, shape):
+    # every angle passed to np.cos, on a one-pulse schedule that the calling thread steps alone
+    steps, counted, cos = 100_000, [], np.cos
+
+    def counting_cos(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return cos(x, *args, **kwargs)
+
+    schedule = _pulse_schedule(shape)
+    monkeypatch.setattr(np, "cos", counting_cos)
+    propagate(schedule, steps)
+    if shape == "square":
+        assert sum(counted) <= 3 * math.ceil(steps / B)
+    else:
+        assert sum(counted) == 3 * steps
 
 
 def test_square_envelope_oracle_gate_passes_the_unitarity_contract():
