@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analytic, pathfinder
 from .pathfinder import PathConstraints
-from .schemes import RabiError, TargetGate
+from .schemes import RabiError, TargetGate, unit_axis
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,10 +41,10 @@ def _parse_axis(text: str) -> np.ndarray:
         axis = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise UsageError(f"--axis components must be numbers: {exc}") from None
-    norm = np.sqrt((axis * axis).sum())
-    if norm == 0.0:
-        raise UsageError("--axis must be a nonzero vector")
-    return axis / norm
+    try:
+        return unit_axis(axis)
+    except ValueError as exc:  # a zero axis keeps the flag's own text, a non-finite one the library's
+        raise UsageError("--axis must be a nonzero vector" if not axis.any() else str(exc)) from None
 
 
 def _parse_float_list(text: str) -> list[float]:

@@ -149,27 +149,34 @@ class SingleShotPath:
         object.__setattr__(self, "gamma", float(_in_range(self.gamma, -np.pi / 2, np.pi / 2, "gamma")))
 
 
+def unit_axis(axis) -> np.ndarray:
+    """``axis`` over its norm; over its largest |component| first if the sum of squares under- or overflows."""
+    m = np.asarray(axis, dtype=float).reshape(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = (m * m).sum()
+        if not np.finfo(float).tiny <= squares < np.inf:  # a zero or non-finite axis reads nan after this
+            m = m / np.max(np.abs(m))
+            squares = (m * m).sum()
+    if not np.isfinite(squares):
+        raise ValueError("axis must be a nonzero finite 3-vector")
+    return m / np.sqrt(squares)
+
+
 @dataclass(frozen=True, eq=False)
 class TargetGate:
     """Desired logical gate exp(1j * theta_gate * axis.sigma).
 
     theta_gate is half the Bloch rotation angle and lies in [0, pi/2]; the
-    axis is normalized at construction.
+    axis is normalized at construction, by :func:`unit_axis`.
     """
 
     theta_gate: float
     axis: np.ndarray
 
     def __post_init__(self):
-        t = float(_in_range(self.theta_gate, 0.0, np.pi / 2, "theta_gate"))
-        m = np.asarray(self.axis, dtype=float).reshape(3)
-        norm = np.sqrt((m * m).sum())
-        if not np.isfinite(norm) or norm == 0.0:
-            raise ValueError("axis must be a nonzero finite 3-vector")
-        m = m / norm
-        m.setflags(write=False)
-        object.__setattr__(self, "theta_gate", t)
-        object.__setattr__(self, "axis", m)
+        object.__setattr__(self, "theta_gate", float(_in_range(self.theta_gate, 0.0, np.pi / 2, "theta_gate")))
+        object.__setattr__(self, "axis", unit_axis(self.axis))
+        self.axis.setflags(write=False)
 
 
 def _check_fraction(value, name: str) -> float:

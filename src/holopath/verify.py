@@ -1,10 +1,10 @@
-"""Acceptance suite: one check per acceptance criterion, shared by CLI and tests.
+"""Acceptance suite: one :data:`CRITERIA` entry per acceptance criterion, shared by CLI and tests.
 
-Each check returns a :class:`CheckResult` of :class:`Gate` records, one per bound it checks (measured value,
-bound, strict or not); pass/fail, the console line and the JSON record of ``holopath verify --json`` follow
-from them, and readings without a bound go in its ``note``.  ``level="fast"`` trims the randomized sample
-counts and oracle step counts for a sub-minute run; ``level="full"`` runs the complete counts (notably the
-1e5-step oracle comparisons).
+An entry names a criterion, its check and its runtime budget in seconds.  A check returns its :class:`Gate`
+records, one per bound (measured value, bound, strict or not), and a note for readings without a bound.
+:func:`run_check` runs a criterion on one clock: it adds the strict ``runtime (s)`` gate of the budget, at
+either level, and reports a check that raises under the criterion's own name.  ``level="fast"`` trims the
+sample and oracle step counts for a sub-minute run; ``level="full"`` runs the full counts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analytic, oracle, pathfinder, schemes
+from . import analytic, cli, oracle, pathfinder, schemes
 from .linalg import IDENTITY, ContractViolation
 from .pathfinder import PathConstraints
 from .schemes import NO_ERROR, RabiError, SingleLoopPath, TargetGate, TwoLoopPath
@@ -69,7 +69,7 @@ class CheckResult:
     name: str
     gates: list[Gate]
     seconds: float
-    note: str = ""
+    note: str
 
     @property
     def passed(self) -> bool:
@@ -88,45 +88,36 @@ class CheckResult:
         return f"[{status}] {self.name}: {text} [{self.seconds:.2f} s]"
 
 
-def _result(name: str, started: float, gates: list[Gate], note: str = "") -> CheckResult:
-    return CheckResult(name, gates, time.perf_counter() - started, note)
-
-
 def _phase_shifted(path: TwoLoopPath, shift1: float, shift2: float) -> TwoLoopPath:
     """``path`` with loop k's total phase phi moved by ``shift<k>``."""
     loop1, loop2 = path.loop1, path.loop2
     return TwoLoopPath(replace(loop1, phi=loop1.phi + shift1), replace(loop2, phi=loop2.phi + shift2))
 
 
-def check_figure1(level: str, seed: int) -> CheckResult:
-    """Criterion 1: figure1 CSV curves (dominance, monotonicity, endpoints, runtime)."""
-    from . import cli
-
-    started = time.perf_counter()
+def check_figure1(level: str, seed: int) -> tuple[list[Gate], str]:
+    """Criterion 1: figure1 CSV curves (dominance, monotonicity, endpoints)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "figure1.csv")
-        t0 = time.perf_counter()
         code = cli.main(["figure1", "--samples", "101", "--out", out])
-        gates = [Gate("exit code", code, 0), Gate("runtime (s)", time.perf_counter() - t0, 1.0, strict=True)]
         if code != 0:
-            return _result("criterion-1 figure1", started, gates)
+            return [Gate("exit code", code, 0)], ""
         data = np.genfromtxt(out, delimiter=",", skip_header=1)
     theta, c1, c2, c3 = data.T
     end_dev = max(abs(c1[-1] - (2 - np.sqrt(2))), abs(c2[-1] - 1), abs(c3[-1] - 1))
     # violation counts: interior samples where f1 is not below both f2 and f3, steps where a curve does not rise
-    return _result("criterion-1 figure1", started, [
-        *gates,
+    return [
+        Gate("exit code", code, 0),
         Gate("dominance", np.count_nonzero(~(c1 < np.minimum(c2, c3))[theta > 0]), 0),
         Gate("monotone", np.count_nonzero(~(np.diff(data[:, 1:], axis=0) > 0)), 0),
         Gate("endpoint dev", end_dev, 1e-12),
-    ])
+    ], ""
 
 
-def _coefficient_gate(names) -> tuple[Gate, str]:
+def _coefficient_gate(names) -> tuple[list[Gate], str]:
     """The largest relative error of the named schemes' exact quadratic coefficients against f_k * pi^2 / 3.
 
-    A point whose fidelities the coefficient fit refuses counts as failed, with an error of inf; the
-    second value is then a note naming how many points were refused and the first refusal.
+    A point whose fidelities the coefficient fit refuses counts as failed, with an error of inf; the note
+    then names how many points were refused and the first refusal.
     """
     worst, refusals = 0.0, []
     for theta_gate in _THETA_GRID:
@@ -143,27 +134,11 @@ def _coefficient_gate(names) -> tuple[Gate, str]:
             worst = max(worst, abs(coeff / (scheme.shape(theta_gate) * np.pi**2 / 3.0) - 1.0))
     total = len(_THETA_GRID) * len(names)
     note = f"{len(refusals)} of {total} points refused, first {refusals[0]}" if refusals else ""
-    return Gate("max relative coefficient error", worst, 1e-3), note
+    return [Gate("max relative coefficient error", worst, 1e-3)], note
 
 
-def check_two_loop_coefficients(level: str, seed: int) -> CheckResult:
-    """Criterion 2: exact two-loop quadratic coefficients vs f1 * pi^2 / 3 at phi_b = pi."""
-    started = time.perf_counter()
-    gate, refused = _coefficient_gate(("two-loop",))
-    gates = [gate, Gate("runtime (s)", time.perf_counter() - started, 5.0, strict=True)]
-    return _result("criterion-2 two-loop coefficients", started, gates, refused)
-
-
-def check_other_scheme_coefficients(level: str, seed: int) -> CheckResult:
-    """Criterion 3: single-loop and single-shot coefficients vs f2, f3 * pi^2 / 3."""
-    started = time.perf_counter()
-    gate, refused = _coefficient_gate(("single-loop", "single-shot"))
-    return _result("criterion-3 single-loop/single-shot coefficients", started, [gate], refused)
-
-
-def check_phi_b_optimality(level: str, seed: int) -> CheckResult:
+def check_phi_b_optimality(level: str, seed: int) -> tuple[list[Gate], str]:
     """Criterion 4: 360-point phi_b scan minimized at pi; phi_b = 0 counter-check on the quadratic form's a."""
-    started = time.perf_counter()
     theta_gate, eps = np.pi / 4, 1e-2
     base = pathfinder.solve_two_loop(
         TargetGate(theta_gate, np.array([0.3, -0.5, 0.8])), PathConstraints(force_phi_b=0.0)
@@ -180,20 +155,19 @@ def check_phi_b_optimality(level: str, seed: int) -> CheckResult:
     miss = abs((best - np.pi + np.pi) % (2 * np.pi) - np.pi)
     coeff0 = analytic.SCHEMES["two-loop"].quadratic_form(base)[0]
     others = (analytic.f2(theta_gate) * np.pi**2 / 3.0, analytic.f3(theta_gate) * np.pi**2 / 3.0)
-    return _result("criterion-4 phi_b optimality", started, [
+    return [
         Gate("argmin phi_b miss from pi", miss, step + 1e-12),
         Gate("other schemes' max coefficient vs phi_b=0 a", max(others), coeff0, strict=True),
-    ])
+    ], ""
 
 
-def check_relative_error_consistency(level: str, seed: int) -> CheckResult:
+def check_relative_error_consistency(level: str, seed: int) -> tuple[list[Gate], str]:
     """Criterion 5: analytic F'' within C*(|eps|+|kappa|)^3 of exact; kappa = 0 reduction to 1 - a eps^2.
 
     F'' is 1 - Q of the scheme's quadratic form, so the reduction checks the form's kappa = 0 restriction:
     fidelity_pair's second column at kappa = 0 against 1 - a eps^2, which holds by construction and reads 0.
     The grid is |eps|, |kappa| <= 0.02; C = CUBIC_BOUND_CONSTANT was measured to hold up to 0.07, not to 0.1.
     """
-    started = time.perf_counter()
     rng = np.random.default_rng(seed + 5)
     paths = []
     while len(paths) < 10:
@@ -211,10 +185,10 @@ def check_relative_error_consistency(level: str, seed: int) -> CheckResult:
         common = analytic.fidelity_pair("two-loop", path, RabiError(grid))[1]
         reference = 1.0 - analytic.SCHEMES["two-loop"].quadratic_form(path)[0] * grid * grid
         worst_reduction = max(worst_reduction, np.max(np.abs(common - reference)))
-    return _result("criterion-5 relative-error consistency", started, [
+    return [
         Gate("max |F_exact - F''| / (|eps|+|kappa|)^3", worst_ratio, CUBIC_BOUND_CONSTANT),
         Gate("kappa=0 reduction dev", worst_reduction, 1e-12),
-    ])
+    ], ""
 
 
 def _kappa_derivative(path: TwoLoopPath, eps: float) -> float:
@@ -228,9 +202,8 @@ def unbalanced_fixture_path() -> TwoLoopPath:
     return pathfinder._pair_at_phi_b((np.pi / 3, 0.0), (np.pi / 2, np.pi / 2), np.pi)
 
 
-def check_kappa_optimality(level: str, seed: int) -> CheckResult:
+def check_kappa_optimality(level: str, seed: int) -> tuple[list[Gate], str]:
     """Criterion 6: dF/dkappa ~0 on balanced paths (b = 0, at the gauge circle's largest c); fixture vs -2 b eps."""
-    started = time.perf_counter()
     eps = 1e-2
     axes = (np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]), _COEFF_AXIS, np.array([0.3, -0.5, 0.8]))
     worst_balanced = 0.0
@@ -242,16 +215,15 @@ def check_kappa_optimality(level: str, seed: int) -> CheckResult:
     fixture = unbalanced_fixture_path()
     predicted = -2.0 * analytic.SCHEMES["two-loop"].quadratic_form(fixture)[1] * eps
     pinned = -9.6358e-3
-    return _result("criterion-6 kappa optimality", started, [
+    return [
         Gate("max |dF/dkappa| balanced", worst_balanced, 1e-8),
         Gate("unbalanced |FD - (-2 b eps)|", abs(_kappa_derivative(fixture, eps) - predicted), 1e-5),
         Gate(f"|-2 b eps - ({pinned})|", abs(predicted - pinned), 1e-6),
-    ])
+    ], ""
 
 
-def check_oracle_equivalence(level: str, seed: int) -> CheckResult:
+def check_oracle_equivalence(level: str, seed: int) -> tuple[list[Gate], str]:
     """Criterion 7: time-stepped propagation matches closed forms on random points."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed + 7)
     points = 100 if level == "full" else 10
     steps = 100_000 if level == "full" else 10_000
@@ -268,16 +240,12 @@ def check_oracle_equivalence(level: str, seed: int) -> CheckResult:
                 stepped = oracle.propagate(scheme.schedule(path, error, shape), steps)
                 worst = max(worst, float(np.max(np.abs(stepped - closed))))
                 worst_unitary = max(worst_unitary, float(np.max(np.abs(stepped.conj().T @ stepped - IDENTITY))))
-    gates = [Gate("max |stepped - closed|", worst, 1e-8)]
-    if level == "full":
-        gates.append(Gate("runtime (s)", time.perf_counter() - started, 120.0, strict=True))
     note = f"{points} points/scheme x 2 envelopes at {steps} steps, oracle unitarity={worst_unitary:.2e}"
-    return _result("criterion-7 oracle equivalence", started, gates, note)
+    return [Gate("max |stepped - closed|", worst, 1e-8)], note
 
 
-def check_structural(level: str, seed: int) -> CheckResult:
+def check_structural(level: str, seed: int) -> tuple[list[Gate], str]:
     """Criterion 8: unitarity, zero-error reduction, closed vs direct propagators, gauge invariances, round trips."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed + 8)
     n_paths = 200 if level == "full" else 60
     n_targets = 1000 if level == "full" else 200
@@ -331,38 +299,48 @@ def check_structural(level: str, seed: int) -> CheckResult:
             axis_angle = 2.0 * np.arcsin(min(1.0, chord / 2.0))
             worst_round = max(worst_round, float(axis_angle))
 
-    return _result("criterion-8 structural suite", started, [
+    return [
         Gate("unitarity", worst_unitary, 1e-12),
         Gate("zero-error reduction", worst_reduction, 1e-13),
         Gate("closed vs direct", worst_closed, 1e-11),
         Gate("gauge invariances", worst_gauge, 1e-13),
         Gate("round trips", worst_round, 1e-10),
-    ])
+    ], ""
 
 
-ALL_CHECKS = (
-    check_figure1,
-    check_two_loop_coefficients,
-    check_other_scheme_coefficients,
-    check_phi_b_optimality,
-    check_relative_error_consistency,
-    check_kappa_optimality,
-    check_oracle_equivalence,
-    check_structural,
-)
+#: every criterion in suite order: its name, its check, and its runtime budget in seconds (None: untimed);
+#: criteria 2 and 3 hold the two-loop scheme at phi_b = pi to f1, the single-loop and single-shot ones to f2, f3
+CRITERIA = {
+    "criterion-1 figure1": (check_figure1, 1.0),
+    "criterion-2 two-loop coefficients": (lambda level, seed: _coefficient_gate(("two-loop",)), 5.0),
+    "criterion-3 single-loop/single-shot coefficients": (
+        lambda level, seed: _coefficient_gate(("single-loop", "single-shot")), None
+    ),
+    "criterion-4 phi_b optimality": (check_phi_b_optimality, None),
+    "criterion-5 relative-error consistency": (check_relative_error_consistency, None),
+    "criterion-6 kappa optimality": (check_kappa_optimality, None),
+    "criterion-7 oracle equivalence": (check_oracle_equivalence, 120.0),
+    "criterion-8 structural suite": (check_structural, None),
+}
 
 
-def run_suite(level: str, seed: int) -> list[CheckResult]:
+def run_check(name: str, level: str, seed: int) -> CheckResult:
+    """Criterion ``name`` of :data:`CRITERIA`, on one clock that gives its seconds and its runtime gate."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     if seed < 0:  # each check seeds numpy's default_rng(seed + k), which refuses a negative seed
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    results = []
-    for index, check in enumerate(ALL_CHECKS, 1):
-        started = time.perf_counter()
-        try:
-            results.append(check(level=level, seed=seed))
-        except Exception as exc:  # a check that raises fails its criterion, gateless; the others still run
-            note = f"raised {type(exc).__name__}: {exc}"
-            results.append(_result(f"criterion-{index} {check.__name__}", started, [], note))
-    return results
+    check, budget = CRITERIA[name]
+    started = time.perf_counter()
+    try:
+        gates, note = check(level, seed)
+    except Exception as exc:  # a check that raises fails gateless, under its own name; the others still run
+        gates, note = [], f"raised {type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - started
+    if gates and budget is not None:
+        gates = [*gates, Gate("runtime (s)", seconds, budget, strict=True)]
+    return CheckResult(name, gates, seconds, note)
+
+
+def run_suite(level: str, seed: int) -> list[CheckResult]:
+    return [run_check(name, level, seed) for name in CRITERIA]

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The checks themselves live in holopath.verify so that `holopath verify`
+The criteria themselves live in holopath.verify's CRITERIA table, and each
+test runs its criterion through verify.run_check, so that `holopath verify`
 runs the identical suite from the command line.  Each test also holds the
-criterion's gates to the pinned table below, so a loosened bound fails here.
+criterion's gates to the pinned table below, so a loosened bound fails here,
+and the table's criteria to the pinned names, so an unpinned criterion does.
 """
 
 import numpy as np
@@ -16,10 +18,10 @@ LEVEL = "full"
 GATES = {
     "criterion-1 figure1": [
         ("exit code", 0, False),
-        ("runtime (s)", 1.0, True),
         ("dominance", 0, False),
         ("monotone", 0, False),
         ("endpoint dev", 1e-12, False),
+        ("runtime (s)", 1.0, True),
     ],
     "criterion-2 two-loop coefficients": [("max relative coefficient error", 1e-3, False), ("runtime (s)", 5.0, True)],
     "criterion-3 single-loop/single-shot coefficients": [("max relative coefficient error", 1e-3, False)],
@@ -48,42 +50,46 @@ GATES = {
 }
 
 
-def _run(check):
-    result = check(level=LEVEL, seed=verify.DEFAULT_SEED)
+def test_every_criterion_has_pinned_gates():
+    assert list(verify.CRITERIA) == list(GATES)
+
+
+def _run(name):
+    result = verify.run_check(name, LEVEL, verify.DEFAULT_SEED)
     print(result.line)
     assert result.passed, result.line
-    assert [(gate.label, gate.bound, gate.strict) for gate in result.gates] == GATES[result.name]
+    assert [(gate.label, gate.bound, gate.strict) for gate in result.gates] == GATES[name]
     return result
 
 
 def test_criterion_1_figure1_reproduction():
-    _run(verify.check_figure1)
+    _run("criterion-1 figure1")
 
 
 def test_criterion_2_two_loop_coefficients():
-    _run(verify.check_two_loop_coefficients)
+    _run("criterion-2 two-loop coefficients")
 
 
 def test_criterion_3_single_loop_and_single_shot_coefficients():
-    _run(verify.check_other_scheme_coefficients)
+    _run("criterion-3 single-loop/single-shot coefficients")
 
 
 def test_criterion_4_phi_b_optimality():
-    _run(verify.check_phi_b_optimality)
+    _run("criterion-4 phi_b optimality")
 
 
 def test_criterion_5_relative_error_consistency():
-    _run(verify.check_relative_error_consistency)
+    _run("criterion-5 relative-error consistency")
 
 
 def test_criterion_6_kappa_optimality():
-    _run(verify.check_kappa_optimality)
+    _run("criterion-6 kappa optimality")
 
 
 def test_criterion_7_oracle_equivalence():
-    result = _run(verify.check_oracle_equivalence)
+    result = _run("criterion-7 oracle equivalence")
     assert result.seconds < 120.0
 
 
 def test_criterion_8_structural_suite():
-    _run(verify.check_structural)
+    _run("criterion-8 structural suite")

@@ -653,3 +653,14 @@ def test_target_gate_validation():
         TargetGate(2.0, [0, 0, 1])
     with pytest.raises(ValueError):
         TargetGate(0.3, [0, 0, 0])
+
+
+def test_target_gate_normalizes_an_axis_whose_squares_under_or_overflow():
+    # the axis is first divided by its largest |component|; a normal-range axis is not, and keeps its bits.
+    # At 1e-160 the sum of squares is subnormal, not 0, and its square root was off by 6e-6
+    for tiny in (1e-200, 1e-160):
+        assert TargetGate(0.3, [tiny, 0, 0]).axis.tolist() == [1.0, 0.0, 0.0]
+    assert TargetGate(0.3, [1e200, 1e200, 0]).axis.tobytes() == TargetGate(0.3, [1, 1, 0]).axis.tobytes()
+    for axis in ([0, 0, 0], [-0.0, 0, 0], [math.inf, 0, 0], [math.nan, 1, 0], [1e200, -math.inf, 0]):
+        with pytest.raises(ValueError, match="^axis must be a nonzero finite 3-vector$"):
+            TargetGate(0.3, axis)

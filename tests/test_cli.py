@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holopath import analytic, cli
+from holopath import analytic, cli, oracle, verify
 from holopath.schemes import LoopParams, RabiError, SingleLoopPath, SingleShotPath, TwoLoopPath
 
 
@@ -373,14 +374,23 @@ def test_optimize_bad_axis():
     assert run(["optimize", "--theta-gate", 0.5, "--axis", "0,0,0"]) == 2
 
 
+def test_optimize_takes_an_axis_whose_squares_under_or_overflow(capsys):
+    assert run(["optimize", "--theta-gate", 0.3, "--axis", "1,0,0"]) == 0
+    expected = capsys.readouterr()
+    for axis in ("1e200,0,0", "1e-200,0,0"):
+        assert run(["optimize", "--theta-gate", 0.3, "--axis", axis]) == 0
+        assert capsys.readouterr() == expected
+
+
 @pytest.mark.parametrize(
     "flag, message",
     [
         ("--axis=0,0", "--axis expects three comma-separated components, got '0,0'"),
         ("--axis=0,0,0", "--axis must be a nonzero vector"),
+        ("--axis=inf,0,0", "axis must be a nonzero finite 3-vector"),
         ("--epsilon=abc", "expected a comma-separated list of numbers: could not convert string to float: 'abc'"),
     ],
-    ids=["axis-two-components", "axis-zero", "epsilon-not-a-number"],
+    ids=["axis-two-components", "axis-zero", "axis-not-finite", "epsilon-not-a-number"],
 )
 def test_flag_error_shows_converter_message(capsys, flag, message):
     # the same text as for the value given in a config file, not argparse's generic "invalid value"
@@ -530,30 +540,27 @@ def test_verify_negative_control_corrupted_f1(monkeypatch, capsys):
     assert "dominance" in out
 
 
+def _passing(level, seed):
+    return [verify.Gate("stub", 0.0, 0.0)], ""
+
+
+def _raising(level, seed):
+    raise np.linalg.LinAlgError("eigh did not converge")
+
+
 def test_verify_reports_all_criteria_names(monkeypatch, capsys):
     # stub out the heavy checks: this test only exercises the reporting shell
-    from holopath import verify
-
-    def fake_suite(level="fast", seed=0):
-        return [verify.CheckResult(f"criterion-{i}", [verify.Gate("stub", 0.0, 0.0)], 0.0) for i in range(1, 9)]
-
-    monkeypatch.setattr(verify, "run_suite", fake_suite)
+    monkeypatch.setattr(verify, "CRITERIA", {f"criterion-{i}": (_passing, None) for i in range(1, 9)})
     assert run(["verify"]) == 0
     out = capsys.readouterr().out
     assert "8/8 criteria passed" in out
 
 
 def test_verify_a_check_that_raises_fails_its_criterion_and_the_rest_still_run(monkeypatch, capsys):
-    # stubbed checks only: a raising check reads FAIL with the exception as its note, and verify exits 3, not 2
-    from holopath import verify
-
-    def passing(level, seed):
-        return verify.CheckResult("criterion-1 stub", [verify.Gate("stub", 0.0, 0.0)], 0.0)
-
-    def raising(level, seed):
-        raise np.linalg.LinAlgError("eigh did not converge")
-
-    monkeypatch.setattr(verify, "ALL_CHECKS", (passing, raising, passing))
+    # stubbed checks only: a raising check reads FAIL with the exception as its note, and verify exits 3, not 2;
+    # it gets no runtime gate, though its entry has a budget
+    criteria = {"criterion-1 stub": (_passing, None), "criterion-2 raising": (_raising, 1.0)}
+    monkeypatch.setattr(verify, "CRITERIA", {**criteria, "criterion-3 stub": (_passing, None)})
     results = verify.run_suite(level="fast", seed=0)
     assert [r.passed for r in results] == [True, False, True]
     assert (results[1].name, results[1].gates) == ("criterion-2 raising", [])
@@ -567,18 +574,39 @@ def test_verify_a_check_that_raises_fails_its_criterion_and_the_rest_still_run(m
     assert err == ""
 
 
+def test_verify_a_raising_criterion_keeps_its_name_in_text_and_json(monkeypatch, capsys):
+    # the real criterion-7 check, made to raise at its first oracle call: its line and record keep the table's name
+    def raising_propagate(schedule, steps_per_segment):
+        raise RuntimeError("oracle down")
+
+    name = "criterion-7 oracle equivalence"
+    monkeypatch.setattr(oracle, "propagate", raising_propagate)
+    monkeypatch.setattr(verify, "CRITERIA", {name: verify.CRITERIA[name]})
+    assert run(["verify"]) == 3
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"[FAIL] {name}: raised RuntimeError: oracle down [")
+    assert run(["verify", "--json"]) == 3
+    (record,) = _strict_json(capsys.readouterr().out)["criteria"]
+    assert (record["name"], record["passed"], record["gates"]) == (name, False, [])
+    assert record["note"] == "raised RuntimeError: oracle down"
+
+
+def _never(level, seed):
+    raise AssertionError("a check ran")
+
+
 def test_verify_refuses_a_negative_seed_before_any_check_runs(monkeypatch, capsys):
     # the checks seed numpy's default_rng(seed + k), which raises for seed + k < 0: -1 is refused up front
-    from holopath import verify
-
-    def never(level, seed):
-        raise AssertionError("a check ran")
-
-    monkeypatch.setattr(verify, "ALL_CHECKS", (never,))
+    monkeypatch.setattr(verify, "CRITERIA", {"criterion-1 never": (_never, 1.0)})
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -100"):
         verify.run_suite(level="fast", seed=-100)
     assert run(["verify", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "holopath: error: seed must be a non-negative integer, got -1\n"
+
+
+def test_run_check_refuses_a_bad_level_before_its_check_runs(monkeypatch):
+    monkeypatch.setattr(verify, "CRITERIA", {"criterion-1 never": (_never, 1.0)})
+    with pytest.raises(ValueError, match="level must be 'fast' or 'full', got 'bogus'"):
+        verify.run_check("criterion-1 never", "bogus", 0)
 
 
 def test_verify_writes_nothing_on_stdout_for_a_negative_seed(capsys):
@@ -597,13 +625,19 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_verify_json_gives_every_gate_its_margin_at_the_default_seed(capsys):
-    from holopath import verify
+@pytest.fixture(scope="module")
+def fast_verify_json():
+    # one `verify --level fast --json` run at the default seed, shared by the tests that read it
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run(["verify", "--level", "fast", "--json"])
+    return code, _strict_json(out.getvalue())
 
-    assert run(["verify", "--level", "fast", "--json"]) == 0
-    payload = _strict_json(capsys.readouterr().out)
+
+def test_verify_json_gives_every_gate_its_margin_at_the_default_seed(fast_verify_json):
+    code, payload = fast_verify_json
+    assert code == 0
     assert (payload["level"], payload["seed"]) == ("fast", verify.DEFAULT_SEED)
-    assert [c["name"].split()[0] for c in payload["criteria"]] == [f"criterion-{i}" for i in range(1, 9)]
+    assert [c["name"] for c in payload["criteria"]] == list(verify.CRITERIA)
     for criterion in payload["criteria"]:
         assert set(criterion) == {"name", "passed", "seconds", "note", "gates"}
         assert criterion["passed"] is True and criterion["seconds"] >= 0.0 and criterion["gates"]
@@ -613,21 +647,28 @@ def test_verify_json_gives_every_gate_its_margin_at_the_default_seed(capsys):
             assert gate["passed"] is (gate["margin"] > 0 if gate["strict"] else gate["margin"] >= 0) is True
 
 
+def test_verify_runtime_gates_read_the_criterion_seconds(fast_verify_json):
+    # one clock per criterion: its runtime gate, last in its list, is the record's seconds, at either level
+    budgets = {}
+    for criterion in fast_verify_json[1]["criteria"]:
+        *others, last = criterion["gates"]
+        assert all(gate["label"] != "runtime (s)" for gate in others)
+        if last["label"] == "runtime (s)":
+            assert last["measured"] == criterion["seconds"]
+            budgets[criterion["name"]] = last["bound"]
+    assert budgets == {
+        "criterion-1 figure1": 1.0, "criterion-2 two-loop coefficients": 5.0, "criterion-7 oracle equivalence": 120.0
+    }
+
+
 def test_verify_json_writes_a_raising_check_gateless_and_a_non_finite_value_as_a_failing_null(monkeypatch, capsys):
-    from holopath import verify
-
-    def passing(level, seed):
-        return verify.CheckResult("criterion-1 stub", [verify.Gate("stub", 0.0, 0.0)], 0.0)
-
-    def raising(level, seed):
-        raise np.linalg.LinAlgError("eigh did not converge")
-
     def non_finite(level, seed):
         gates = [verify.Gate("nan", math.nan, 1.0), verify.Gate("-inf", -math.inf, 1.0)]
         gates.append(verify.Gate("inf bound", 0.0, math.inf))
-        return verify.CheckResult("criterion-3 stub", gates, 0.0, "reading")
+        return gates, "reading"
 
-    monkeypatch.setattr(verify, "ALL_CHECKS", (passing, raising, non_finite))
+    criteria = {"criterion-1 stub": (_passing, None), "criterion-2 raising": (_raising, None)}
+    monkeypatch.setattr(verify, "CRITERIA", {**criteria, "criterion-3 stub": (non_finite, None)})
     assert run(["verify", "--json"]) == 3
     out, err = capsys.readouterr()
     first, second, third = _strict_json(out)["criteria"]

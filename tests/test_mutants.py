@@ -3,9 +3,10 @@
 Each row is (name, patched module, monkeypatch target in it, replacement,
 criteria expected to fail).  A case patches the closed forms, the scheme
 table or the oracle in process, runs only the criteria it names at fast
-level, and asserts that each of them fails.  The oracle writes its own
-drives, so criterion 7 catches every mutant of the closed forms' error
-model, and a mutant of the oracle.
+level through verify.run_check, and asserts that each of them fails by a
+gate, not by raising.  The oracle writes its own drives, so criterion 7
+catches every mutant of the closed forms' error model, and a mutant of the
+oracle.
 """
 
 import dataclasses
@@ -98,16 +99,19 @@ MUTANTS = [
 @pytest.mark.parametrize("name, module, target, replacement, criteria", MUTANTS, ids=[row[0] for row in MUTANTS])
 def test_mutant_fails_its_criteria(monkeypatch, name, module, target, replacement, criteria):
     monkeypatch.setattr(module, target, replacement)
-    results = [verify.ALL_CHECKS[n - 1](level="fast", seed=verify.DEFAULT_SEED) for n in sorted(criteria)]
+    names = list(verify.CRITERIA)
+    results = [verify.run_check(names[n - 1], "fast", verify.DEFAULT_SEED) for n in sorted(criteria)]
     survivors = [result.line for result in results if result.passed]
     assert not survivors, (name, survivors)
+    # each criterion fails by a gate, not by raising
+    assert all(result.gates for result in results), (name, [result.line for result in results])
 
 
 def test_criterion_8_fails_on_an_identity_solution(monkeypatch):
     # an identity-like gate has no rotation axis: the round trip counts it as the largest axis error, pi
     trivial = schemes.TwoLoopPath(schemes.LoopParams(0.0, 0.0, 0.0), schemes.LoopParams(0.0, 0.0, 0.0))
     monkeypatch.setattr(pathfinder, "solve_two_loop", lambda target, constraints: SimpleNamespace(path=trivial))
-    result = verify.check_structural(level="fast", seed=verify.DEFAULT_SEED)
+    result = verify.run_check("criterion-8 structural suite", "fast", verify.DEFAULT_SEED)
     assert not result.passed
     round_trips = {gate.label: gate for gate in result.gates}["round trips"]
     assert round_trips.measured == pytest.approx(np.pi)
@@ -116,7 +120,7 @@ def test_criterion_8_fails_on_an_identity_solution(monkeypatch):
 def test_coefficient_criteria_name_the_refused_fit(monkeypatch):
     # fidelities outside (0, 1] are refused by the fit: the point counts as failed, and the note names it
     monkeypatch.setattr(schemes, "_pulse", _pulse_without_second_order_term)
-    result = verify.check_two_loop_coefficients(level="fast", seed=verify.DEFAULT_SEED)
+    result = verify.run_check("criterion-2 two-loop coefficients", "fast", verify.DEFAULT_SEED)
     assert not result.passed
     assert result.gates[0].measured == np.inf
     assert "4 of 4 points refused, first two-loop at theta_gate=0.3927: fidelities must lie in (0, 1]" in result.note
@@ -125,6 +129,6 @@ def test_coefficient_criteria_name_the_refused_fit(monkeypatch):
 def test_criterion_3_reads_the_builder_mutant_through_an_accepted_fit(monkeypatch):
     # no point is refused: the coefficient is fitted, and it is off by about 5%
     monkeypatch.setattr(schemes, "single_loop_gates", _single_loop_built_at_shifted_phi)
-    result = verify.check_other_scheme_coefficients(level="fast", seed=verify.DEFAULT_SEED)
+    result = verify.run_check("criterion-3 single-loop/single-shot coefficients", "fast", verify.DEFAULT_SEED)
     assert not result.passed and result.note == ""
     assert result.gates[0].measured == pytest.approx(0.0478, abs=1e-3)
